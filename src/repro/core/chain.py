@@ -27,12 +27,24 @@ table is compressed to half its length.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from .config import CuckooGraphConfig
 from .counters import Counters
 from .cuckoo_table import CuckooHashTable
 from .hashing import HashFamily
+
+
+def _first_true(predicate: Callable[[int], bool], guess: int) -> int:
+    """Smallest ``n >= 0`` for which the monotone ``predicate`` holds, searched
+    from ``guess``: turns a float loading-rate test into an integer threshold
+    that decides exactly as the divisions would."""
+    while guess > 0 and predicate(guess - 1):
+        guess -= 1
+    while not predicate(guess):
+        guess += 1
+    return guess
+
 
 #: Type of the optional hook used to drain denylisted items back into a chain
 #: right after it expands.  It must return ``(key, value)`` pairs and remove
@@ -69,6 +81,14 @@ class TableChain:
         "tables",
         "drain_source",
         "transform_step",
+        # Refreshed by ``_retable`` whenever ``tables`` changes: every table's
+        # sides in probe order, the running totals, and the two loading-rate
+        # thresholds as integers, so the per-item checks are one comparison.
+        "_sides",
+        "_size",
+        "_cells",
+        "_grow_above",
+        "_shrink_below",
     )
 
     def __init__(
@@ -88,6 +108,7 @@ class TableChain:
         self.drain_source = drain_source
         self.transform_step = 0
         self.tables: list[CuckooHashTable] = [self._new_table(self._initial_length)]
+        self._retable()
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -104,12 +125,26 @@ class TableChain:
             rng=self._rng,
         )
 
+    def _retable(self) -> None:
+        """Refresh the running totals and thresholds after ``tables`` was rebuilt."""
+        G, lam = self.config.G, self.config.lam
+        self._sides = tuple(side for table in self.tables for side in table._sides)
+        self._size = sum(table._size for table in self.tables)
+        cells = self._cells = sum(table._cells_total for table in self.tables)
+        newest = self.tables[-1]._cells_total
+        # The newest table expands once its size exceeds ``_grow_above``; the
+        # chain contracts once its size drops below ``_shrink_below``.
+        self._grow_above = _first_true(
+            lambda size: (size + 1) / newest > G or size / newest >= G, int(G * newest)) - 1
+        self._shrink_below = _first_true(
+            lambda size: not size / cells < lam, int(lam * cells))
+
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        return sum(len(table) for table in self.tables)
+        return self._size
 
     @property
     def num_tables(self) -> int:
@@ -124,23 +159,21 @@ class TableChain:
     @property
     def total_cells(self) -> int:
         """Total number of allocated cells across the chain."""
-        return sum(table.num_cells for table in self.tables)
+        return self._cells
 
     @property
     def overall_loading_rate(self) -> float:
         """Items divided by allocated cells across the whole chain."""
-        cells = self.total_cells
-        return len(self) / cells if cells else 0.0
+        return self._size / self._cells
 
-    def items(self) -> Iterator[tuple[int, object]]:
-        """Iterate over every ``(key, value)`` pair stored in the chain."""
-        for table in self.tables:
-            yield from table.items()
+    def items(self) -> list[tuple[int, object]]:
+        """Every ``(key, value)`` pair stored in the chain, oldest table first."""
+        # At most R lists to concatenate.
+        return sum((table.items() for table in self.tables), [])
 
-    def keys(self) -> Iterator[int]:
-        """Iterate over every key stored in the chain."""
-        for table in self.tables:
-            yield from table.keys()
+    def keys(self) -> list[int]:
+        """Every key stored in the chain, in the order of :meth:`items`."""
+        return sum((table.keys() for table in self.tables), [])
 
     def __contains__(self, key: int) -> bool:
         return self.get(key, _MISSING) is not _MISSING
@@ -150,11 +183,18 @@ class TableChain:
     # ------------------------------------------------------------------ #
 
     def get(self, key: int, default=None):
-        """Return the value stored for ``key``, searching every table."""
-        for table in self.tables:
-            value = table.get(key, _MISSING)
-            if value is not _MISSING:
-                return value
+        """Return the value stored for ``key``, searching every table (in this
+        frame; charged as one ``table.get`` per table would charge)."""
+        probes = cells = 0
+        for array, hash_of, count in self._sides:
+            bucket = array[hash_of(key) % count]
+            probes += 1
+            cells += len(bucket)
+            if key in bucket:
+                default = bucket[key]
+                break
+        self._counters.bucket_probes += probes
+        self._counters.cell_probes += cells
         return default
 
     def update(self, key: int, value) -> bool:
@@ -164,7 +204,8 @@ class TableChain:
                 return True
         return False
 
-    def insert(self, key: int, value=None, assume_absent: bool = False) -> list[tuple[int, object]]:
+    def insert(self, key: int, value=None, assume_absent: bool = False,
+               probed=None) -> list[tuple[int, object]]:
         """Insert ``key -> value`` into the chain.
 
         Returns the (possibly empty) list of pairs that could not be placed
@@ -177,6 +218,8 @@ class TableChain:
             assume_absent: Skip the older-table overwrite scan.  Callers that
                 have just queried the chain (the graph's Insertion Step 1)
                 pass ``True`` so the pre-query is not paid twice.
+            probed: The key's two candidate buckets in the newest table when
+                that query has just probed them (dropped if the chain expands).
         """
         # Overwrite in place when the key already lives in an *older* table,
         # so a chain never holds two copies of the same key.  The newest
@@ -190,13 +233,14 @@ class TableChain:
 
         newest = self.tables[-1]
         leftovers: list[tuple[int, object]] = []
-        if newest.would_exceed_threshold(self.config.G, extra=1) or (
-            newest.loading_rate >= self.config.G
-        ):
-            leftovers.extend(self.expand())
+        if newest._size > self._grow_above:
+            leftovers = self.expand()
             newest = self.tables[-1]
+            probed = None
 
-        leftover = newest.insert(key, value)
+        before = newest._size
+        leftover = newest.insert(key, value, probed)
+        self._size += newest._size - before
         if leftover is not None:
             leftovers.append(leftover)
         return leftovers
@@ -208,18 +252,15 @@ class TableChain:
         became homeless during a reverse transformation triggered by this
         deletion.
         """
-        holder_index: Optional[int] = None
-        for index, table in enumerate(self.tables):
+        for holder_index, table in enumerate(self.tables):
             if table.delete(key):
-                holder_index = index
                 break
-        if holder_index is None:
+        else:
             return False, []
-
-        leftovers: list[tuple[int, object]] = []
-        if len(self) > 0 and self.overall_loading_rate < self.config.lam:
-            leftovers = self._reverse_transform(holder_index)
-        return True, leftovers
+        self._size -= 1
+        if 0 < self._size < self._shrink_below:
+            return True, self._reverse_transform(holder_index)
+        return True, []
 
     # ------------------------------------------------------------------ #
     # Forward transformation
@@ -248,8 +289,9 @@ class TableChain:
             merged = self._new_table(merged_length)
             fresh = self._new_table(max(1, merged_length // 2))
             self.tables = [merged, fresh]
-            leftovers.extend(self._reinsert(residents, targets=[merged, fresh]))
+            leftovers = self._reinsert(residents, targets=[merged, fresh])
         leftovers.extend(self._drain_denylist())
+        self._retable()
         return leftovers
 
     def expand_on_failure(self, factor: Optional[float] = None) -> list[tuple[int, object]]:
@@ -265,7 +307,9 @@ class TableChain:
         residents = newest.pop_all()
         grown = self._new_table(max(newest.length + 1, int(newest.length * factor)))
         self.tables[-1] = grown
-        return self._reinsert(residents, targets=[grown])
+        leftovers = self._reinsert(residents, targets=[grown])
+        self._retable()
+        return leftovers
 
     # ------------------------------------------------------------------ #
     # Reverse transformation
@@ -279,28 +323,29 @@ class TableChain:
         would immediately cause kick storms and re-expansion, which neither
         the paper's design nor its Λ ≤ 2G/3 assumption intends.
         """
-        items = len(self)
+        items = self._size
         if len(self.tables) >= 2:
             victim = self.tables[holder_index]
-            remaining_cells = self.total_cells - victim.num_cells
+            remaining_cells = self._cells - victim.num_cells
             if remaining_cells <= 0 or items / remaining_cells > self.config.G:
                 return []
             self._counters.contractions += 1
             self.tables.pop(holder_index)
             residents = victim.pop_all()
-            return self._reinsert(residents, targets=self.tables)
-        table = self.tables[0]
-        if table.length <= 1:
-            return []
-        compressed_cells = max(1, table.length // 2) * self.config.d
-        compressed_cells += max(1, max(1, table.length // 2) // self.config.array_ratio) * self.config.d
-        if items / compressed_cells > self.config.G:
-            return []
-        self._counters.contractions += 1
-        residents = table.pop_all()
-        compressed = self._new_table(max(1, table.length // 2))
-        self.tables = [compressed]
-        return self._reinsert(residents, targets=[compressed])
+        else:
+            table = self.tables[0]
+            if table.length <= 1:
+                return []
+            half = max(1, table.length // 2)
+            compressed_cells = (half + max(1, half // self.config.array_ratio)) * self.config.d
+            if items / compressed_cells > self.config.G:
+                return []
+            self._counters.contractions += 1
+            residents = table.pop_all()
+            self.tables = [self._new_table(half)]
+        leftovers = self._reinsert(residents, targets=self.tables)
+        self._retable()
+        return leftovers
 
     # ------------------------------------------------------------------ #
     # Internal helpers
@@ -315,19 +360,23 @@ class TableChain:
         leftovers: list[tuple[int, object]] = []
         self._counters.rehashed_items += len(pairs)
         for key, value in pairs:
-            placed = False
-            last_leftover: Optional[tuple[int, object]] = None
             # Fill the least-loaded table first: re-homing into an almost-full
             # table would burn the whole kick budget before giving up.
-            for table in sorted(targets, key=lambda candidate: candidate.loading_rate):
-                last_leftover = table.insert(key, value)
-                if last_leftover is None:
-                    placed = True
+            order = targets
+            if len(targets) == 2:
+                first, second = targets
+                if second._size / second._cells_total < first._size / first._cells_total:
+                    order = (second, first)
+            elif len(targets) > 2:
+                order = sorted(targets, key=lambda candidate: candidate.loading_rate)
+            for table in order:
+                leftover = table.insert(key, value)
+                if leftover is None:
                     break
                 # The insert displaced a different pair; keep chasing it.
-                key, value = last_leftover
-            if not placed and last_leftover is not None:
-                leftovers.append(last_leftover)
+                key, value = leftover
+            else:
+                leftovers.append(leftover)
         return leftovers
 
     def _drain_denylist(self) -> list[tuple[int, object]]:

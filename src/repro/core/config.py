@@ -19,7 +19,7 @@ and ``R = 3`` with a 2:1 ratio between the two bucket arrays of every table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigurationError
 
@@ -61,7 +61,6 @@ class CuckooGraphConfig:
             the default is ``False``.
         hash_family: Name of the hash family ("mult", "bob" or "modular").
         seed: Master seed from which every hash function seed is derived.
-        track_counters: Whether per-operation probe/kick counters are updated.
     """
 
     d: int = 8
@@ -79,7 +78,6 @@ class CuckooGraphConfig:
     collapse_chain_to_slots: bool = False
     hash_family: str = "mult"
     seed: int = 1
-    track_counters: bool = True
 
     def __post_init__(self) -> None:
         self.validate()

@@ -46,10 +46,16 @@ class Counters:
     edges_deleted: int = 0
     edges_queried: int = 0
 
+    #: ``bucket_probes`` at the owning graph's last ``reset_accesses()``: not
+    #: a counter (unannotated, so not a field or in snapshots) but kept here
+    #: so that :meth:`reset` re-bases ``accesses`` instead of turning it negative.
+    access_base = 0
+
     def reset(self) -> None:
         """Zero every counter in place."""
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)
+        self.access_base = 0
 
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of the current counter values."""

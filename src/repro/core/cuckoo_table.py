@@ -21,7 +21,8 @@ versions) and the L-CHT stores whole cells (``u -> Part 2``).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Optional
+from itertools import chain
+from typing import Iterable, Optional
 
 from .counters import Counters
 from .hashing import HashFunction
@@ -47,22 +48,16 @@ class CuckooHashTable:
         "d",
         "max_kicks",
         "array_ratio",
-        "_hashes",
-        "_arrays",
         "_size",
         "_counters",
         "_rng",
-        # Hot-path caches: the arrays never resize after construction (growth
-        # happens by chaining whole new tables), so the per-array references,
-        # bucket counts, hash callables and the total cell count are bound
-        # once here instead of being re-derived on every probe.
-        "_array0",
-        "_array1",
-        "_len0",
-        "_len1",
-        "_hash0",
-        "_hash1",
+        # The arrays never resize after construction (growth happens by
+        # chaining whole new tables), so each *side* -- a bucket array, its
+        # hash function and its bucket count -- is bound once here; a probe is
+        # ``array[hash(key) % count]``, also from ``TableChain``/``CuckooGraph``.
+        "_sides",
         "_cells_total",
+        "_kick_budget",
     )
 
     def __init__(
@@ -81,22 +76,22 @@ class CuckooHashTable:
         self.d = d
         self.max_kicks = max_kicks
         self.array_ratio = array_ratio
-        self._hashes = hash_pair
         second = max(1, length // array_ratio)
         # Each array is a list of buckets; each bucket is a dict key -> value
         # capped at d entries.  A dict keeps lookups O(1) within the bucket
         # while preserving the d-cell capacity semantics.
-        self._arrays: list[list[dict]] = [
-            [dict() for _ in range(length)],
-            [dict() for _ in range(second)],
-        ]
+        self._sides = (
+            ([{} for _ in range(length)], hash_pair[0], length),
+            ([{} for _ in range(second)], hash_pair[1], second),
+        )
         self._size = 0
         self._counters = counters if counters is not None else Counters()
         self._rng = rng if rng is not None else random.Random(0xC0FFEE)
-        self._array0, self._array1 = self._arrays
-        self._len0, self._len1 = length, second
-        self._hash0, self._hash1 = hash_pair
         self._cells_total = (length + second) * d
+        # A random walk longer than the table has cells cannot make progress,
+        # so the effective kick budget of a small table is capped by its size;
+        # T remains the budget for tables big enough to use it.
+        self._kick_budget = min(max_kicks, self._cells_total)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -108,7 +103,7 @@ class CuckooHashTable:
     @property
     def num_buckets(self) -> int:
         """Total number of buckets across both arrays."""
-        return self._len0 + self._len1
+        return self._cells_total // self.d
 
     @property
     def num_cells(self) -> int:
@@ -118,21 +113,22 @@ class CuckooHashTable:
     @property
     def loading_rate(self) -> float:
         """Fraction of cells currently occupied (``LR`` in the paper)."""
-        return self._size / self._cells_total if self._cells_total else 0.0
+        return self._size / self._cells_total
 
     def __contains__(self, key: int) -> bool:
         return self.get(key, _MISSING) is not _MISSING
 
-    def items(self) -> Iterator[tuple[int, object]]:
-        """Iterate over all ``(key, value)`` pairs in the table."""
-        for array in self._arrays:
-            for bucket in array:
-                yield from bucket.items()
+    def _buckets(self) -> chain:
+        """Every bucket, first array then second."""
+        return chain(self._sides[0][0], self._sides[1][0])
 
-    def keys(self) -> Iterator[int]:
-        """Iterate over all keys in the table."""
-        for key, _ in self.items():
-            yield key
+    def items(self) -> list[tuple[int, object]]:
+        """All ``(key, value)`` pairs: first array then second, bucket by bucket."""
+        return list(chain.from_iterable(map(dict.items, self._buckets())))
+
+    def keys(self) -> list[int]:
+        """All keys, in the order of :meth:`items`."""
+        return list(chain.from_iterable(self._buckets()))
 
     # ------------------------------------------------------------------ #
     # Core operations
@@ -141,16 +137,12 @@ class CuckooHashTable:
     def get(self, key: int, default=None):
         """Return the value stored for ``key`` or ``default`` if absent."""
         counters = self._counters
-        bucket = self._array0[self._hash0(key) % self._len0]
-        counters.bucket_probes += 1
-        counters.cell_probes += len(bucket)
-        if key in bucket:
-            return bucket[key]
-        bucket = self._array1[self._hash1(key) % self._len1]
-        counters.bucket_probes += 1
-        counters.cell_probes += len(bucket)
-        if key in bucket:
-            return bucket[key]
+        for array, hash_of, count in self._sides:
+            bucket = array[hash_of(key) % count]
+            counters.bucket_probes += 1
+            counters.cell_probes += len(bucket)
+            if key in bucket:
+                return bucket[key]
         return default
 
     def update(self, key: int, value) -> bool:
@@ -160,20 +152,15 @@ class CuckooHashTable:
         is left untouched.  This is the single-probe-pass path the weighted
         version uses to bump an edge weight.
         """
-        counters = self._counters
-        bucket = self._array0[self._hash0(key) % self._len0]
-        counters.bucket_probes += 1
-        if key in bucket:
-            bucket[key] = value
-            return True
-        bucket = self._array1[self._hash1(key) % self._len1]
-        counters.bucket_probes += 1
-        if key in bucket:
-            bucket[key] = value
-            return True
+        for array, hash_of, count in self._sides:
+            bucket = array[hash_of(key) % count]
+            self._counters.bucket_probes += 1
+            if key in bucket:
+                bucket[key] = value
+                return True
         return False
 
-    def insert(self, key: int, value=None) -> Optional[tuple[int, object]]:
+    def insert(self, key: int, value=None, probed=None) -> Optional[tuple[int, object]]:
         """Insert ``key -> value``; return an evicted pair on failure.
 
         Returns ``None`` when the item (and every item displaced along the
@@ -181,82 +168,70 @@ class CuckooHashTable:
         final homeless pair is returned so the caller can route it to a
         denylist or trigger an expansion.  If ``key`` is already present its
         value is overwritten in place.
+
+        ``probed`` is the key's two candidate buckets when the caller has just
+        probed them and found the key absent (the pre-query of Insertion
+        Step 1): they are used instead of hashing again, and charged the same.
         """
         counters = self._counters
-        array0, array1 = self._array0, self._array1
-        hash0, hash1 = self._hash0, self._hash1
-        len0, len1 = self._len0, self._len1
+        (array0, hash0, count0), (array1, hash1, count1) = self._sides
+        if probed is None:
+            bucket0 = array0[hash0(key) % count0]
+            bucket1 = array1[hash1(key) % count1]
+            # Overwrite in place if the key already resides in the table; the
+            # presence check reuses the buckets just probed.
+            holder = bucket0 if key in bucket0 else bucket1 if key in bucket1 else None
+            if holder is not None:
+                holder[key] = value
+                counters.insert_attempts += 1
+                counters.bucket_probes += 2
+                return None
+        else:
+            bucket0, bucket1 = probed
         d = self.d
-        current_key, current_value = key, value
-        # A random-walk longer than the table has cells cannot make progress,
-        # so the effective kick budget of a small table is capped by its size;
-        # T remains the budget for tables big enough to use it.
-        kick_budget = min(self.max_kicks, self._cells_total)
-        for kick in range(kick_budget + 1):
-            counters.insert_attempts += 1
-            bucket0 = array0[hash0(current_key) % len0]
-            bucket1 = array1[hash1(current_key) % len1]
-            counters.bucket_probes += 2
-            if kick == 0:
-                # Overwrite in place if the key already resides in the table;
-                # the presence check reuses the buckets just probed so it
-                # costs no extra memory accesses.
-                if current_key in bucket0:
-                    bucket0[current_key] = current_value
-                    return None
-                if current_key in bucket1:
-                    bucket1[current_key] = current_value
-                    return None
-            if len(bucket0) < d:
-                bucket0[current_key] = current_value
-                self._size += 1
-                return None
-            if len(bucket1) < d:
-                bucket1[current_key] = current_value
-                self._size += 1
-                return None
-            if kick == kick_budget:
-                break
+        kicks = 0
+        while len(bucket0) >= d and len(bucket1) >= d and kicks < self._kick_budget:
             # Both candidate buckets are full: kick a random resident out of a
             # randomly chosen candidate bucket and take its place.
             victim_bucket = bucket0 if self._rng.randrange(2) == 0 else bucket1
-            victim_key = self._rng.choice(list(victim_bucket.keys()))
+            victim_key = self._rng.choice(list(victim_bucket))
             victim_value = victim_bucket.pop(victim_key)
-            victim_bucket[current_key] = current_value
-            counters.kicks += 1
-            current_key, current_value = victim_key, victim_value
-        counters.insert_failures += 1
-        return (current_key, current_value)
+            victim_bucket[key] = value
+            kicks += 1
+            key, value = victim_key, victim_value
+            bucket0 = array0[hash0(key) % count0]
+            bucket1 = array1[hash1(key) % count1]
+        counters.insert_attempts += kicks + 1
+        counters.bucket_probes += 2 * kicks + 2
+        counters.kicks += kicks
+        if len(bucket0) < d:
+            bucket0[key] = value
+        elif len(bucket1) < d:
+            bucket1[key] = value
+        else:
+            counters.insert_failures += 1
+            return (key, value)
+        self._size += 1
+        return None
 
     def delete(self, key: int) -> bool:
         """Remove ``key`` from the table; return ``True`` if it was present."""
-        counters = self._counters
-        bucket = self._array0[self._hash0(key) % self._len0]
-        counters.bucket_probes += 1
-        if key in bucket:
-            del bucket[key]
-            self._size -= 1
-            return True
-        bucket = self._array1[self._hash1(key) % self._len1]
-        counters.bucket_probes += 1
-        if key in bucket:
-            del bucket[key]
-            self._size -= 1
-            return True
+        for array, hash_of, count in self._sides:
+            bucket = array[hash_of(key) % count]
+            self._counters.bucket_probes += 1
+            if key in bucket:
+                del bucket[key]
+                self._size -= 1
+                return True
         return False
 
     def pop_all(self) -> list[tuple[int, object]]:
         """Remove and return every ``(key, value)`` pair (used by rebuilds)."""
-        drained = list(self.items())
-        for array in self._arrays:
-            for bucket in array:
-                bucket.clear()
+        drained = self.items()
+        for bucket in self._buckets():
+            bucket.clear()
         self._size = 0
         return drained
-
-    def would_exceed_threshold(self, threshold: float, extra: int = 1) -> bool:
-        """Whether adding ``extra`` items would push the loading rate past ``threshold``."""
-        return (self._size + extra) / self.num_cells > threshold
 
     # ------------------------------------------------------------------ #
     # Memory model

@@ -29,14 +29,17 @@ class SmallDenylist:
 
     Entries are keyed by the full edge so that membership queries (Step 2 of
     the Query operation) are a single probe, mirroring the fixed-size vector
-    scan of the paper's implementation.
+    scan of the paper's implementation.  A per-source index beside the entry
+    dict answers "what is parked for ``u``" without a scan; it keeps each
+    source's destinations in parking order, the order a scan would meet them.
     """
 
-    __slots__ = ("capacity", "_entries", "_counters")
+    __slots__ = ("capacity", "_entries", "_by_source", "_counters")
 
     def __init__(self, capacity: int, counters: Optional[Counters] = None):
         self.capacity = capacity
         self._entries: dict[tuple[int, int], object] = {}
+        self._by_source: dict[int, dict[int, None]] = {}
         self._counters = counters if counters is not None else Counters()
 
     def __len__(self) -> int:
@@ -54,6 +57,7 @@ class SmallDenylist:
                 f"edge ({u}, {v}); increase small_denylist_capacity"
             )
         self._entries[(u, v)] = payload
+        self._by_source.setdefault(u, {})[v] = None
 
     def contains(self, u: int, v: int) -> bool:
         """Whether ``⟨u, v⟩`` is parked here."""
@@ -72,7 +76,13 @@ class SmallDenylist:
 
     def remove(self, u: int, v: int) -> bool:
         """Remove ``⟨u, v⟩``; return ``True`` if it was present."""
-        return self._entries.pop((u, v), _MISSING) is not _MISSING
+        if self._entries.pop((u, v), _MISSING) is _MISSING:
+            return False
+        parked = self._by_source[u]
+        del parked[v]
+        if not parked:
+            del self._by_source[u]
+        return True
 
     def drain_for_source(self, u: int) -> list[tuple[int, object]]:
         """Remove and return every ``(v, payload)`` parked for source node ``u``.
@@ -80,14 +90,13 @@ class SmallDenylist:
         This implements the expansion hook: "we insert those v in S-DL whose u
         exactly match the u present in the current S-CHT into the new S-CHT".
         """
-        matched = [(v, payload) for (src, v), payload in self._entries.items() if src == u]
-        for v, _ in matched:
-            del self._entries[(u, v)]
-        return matched
+        pop = self._entries.pop
+        return [(v, pop((u, v))) for v in self._by_source.pop(u, ())]
 
     def successors_of(self, u: int) -> list[tuple[int, object]]:
         """Return (without removing) every ``(v, payload)`` parked for ``u``."""
-        return [(v, payload) for (src, v), payload in self._entries.items() if src == u]
+        entries = self._entries
+        return [(v, entries[(u, v)]) for v in self._by_source.get(u, ())]
 
     def items(self) -> Iterator[tuple[tuple[int, int], object]]:
         """Iterate over ``((u, v), payload)`` entries."""

@@ -68,7 +68,6 @@ class CuckooGraph(DynamicGraphStore):
             drain_source=self._ldl.drain,
         )
         self._num_edges = 0
-        self._access_base = 0
         self._layout = CuckooLayout(R=self.config.R, weighted=self._weighted_layout())
 
     # ------------------------------------------------------------------ #
@@ -84,11 +83,11 @@ class CuckooGraph(DynamicGraphStore):
         the same granularity the baselines count (one unit per list node,
         block or index level touched).
         """
-        return self.counters.bucket_probes - self._access_base
+        return self.counters.bucket_probes - self.counters.access_base
 
     def reset_accesses(self) -> None:
         """Zero the modelled memory-access counter."""
-        self._access_base = self.counters.bucket_probes
+        self.counters.access_base = self.counters.bucket_probes
 
     # ------------------------------------------------------------------ #
     # Layout hooks overridden by the extended versions
@@ -118,9 +117,7 @@ class CuckooGraph(DynamicGraphStore):
     def _find_part2(self, u: int) -> Optional[AdjacencyPart2]:
         """Locate the Part 2 of node ``u`` in the L-CHT chain or the L-DL."""
         part2 = self._lcht.get(u)
-        if part2 is not None:
-            return part2
-        return self._ldl.get(u)
+        return part2 if part2 is not None else self._ldl._cells.get(u)
 
     def _park_small(self, u: int, leftovers: list[tuple[int, object]],
                     part2: AdjacencyPart2) -> None:
@@ -179,57 +176,197 @@ class CuckooGraph(DynamicGraphStore):
     # DynamicGraphStore API
     # ------------------------------------------------------------------ #
 
+    # The three per-edge operations run in one frame each: they probe the
+    # L-CHT chain, the small slots or the S-CHT chain, and the denylists (only
+    # when non-empty) through the chains' sides, and charge ``bucket_probes``
+    # and ``cell_probes`` once on the way out with the totals the component
+    # calls would charge.  Whatever transforms, kicks or parks goes through
+    # the component methods, as the extended versions do throughout.
+
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert the directed edge ``⟨u, v⟩``; return ``True`` if it was new.
 
-        Following the paper's Insertion Step 1, the edge is first queried; the
-        located cell is reused for the actual placement so the pre-query costs
-        no additional bucket probes.
+        Following the paper's Insertion Step 1, the edge is first queried.  A
+        miss leaves the newest table's two candidate buckets in hand and the
+        placement takes them as they are instead of hashing again; it is still
+        charged its attempt and two bucket probes (and a new node the overwrite
+        scan of the older L-CHTs), as when it probed again.
         """
-        self.counters.edges_inserted += 1
-        part2 = self._find_part2(u)
-        if part2 is not None:
-            if v in part2 or self._sdl.contains(u, v):
-                return False
-            self._park_small(u, part2.insert(v, self._default_payload()), part2)
-        else:
-            if self._sdl.contains(u, v):
-                return False
-            part2 = self._new_part2(u)
-            self._park_small(u, part2.insert(v, self._default_payload()), part2)
-            self._park_large(self._lcht.insert(u, part2))
-        self._num_edges += 1
-        return True
+        counters = self.counters
+        counters.edges_inserted += 1
+        sdl = self._sdl._entries
+        probes = cells = 0
+        try:
+            bucket1 = None
+            for array, hash_of, count in self._lcht._sides:
+                bucket0, bucket1 = bucket1, array[hash_of(u) % count]
+                probes += 1
+                cells += len(bucket1)
+                if u in bucket1:
+                    part2 = bucket1[u]
+                    break
+            else:
+                part2 = self._ldl._cells.get(u)
+
+            if part2 is None:
+                if sdl and (u, v) in sdl:
+                    counters.denylist_hits += 1
+                    return False
+                part2 = self._new_part2(u)
+                part2._slots[v] = None
+                probes += probes - 2
+                cells += cells - len(bucket0) - len(bucket1)
+                self._park_large(self._lcht.insert(u, part2, True, (bucket0, bucket1)))
+            elif part2._chain is None:
+                slots = part2._slots
+                cells += len(slots)
+                if v in slots:
+                    return False
+                if sdl and (u, v) in sdl:
+                    counters.denylist_hits += 1
+                    return False
+                if len(slots) < part2.slot_capacity:
+                    slots[v] = None
+                else:
+                    self._park_small(u, part2._transform_to_chain((v, None)), part2)
+            else:
+                chain = part2._chain
+                bucket1 = None
+                for array, hash_of, count in chain._sides:
+                    bucket0, bucket1 = bucket1, array[hash_of(v) % count]
+                    probes += 1
+                    cells += len(bucket1)
+                    if v in bucket1:
+                        return False
+                if sdl and (u, v) in sdl:
+                    counters.denylist_hits += 1
+                    return False
+                newest = chain.tables[-1]
+                room = bucket0 if len(bucket0) < newest.d else bucket1
+                if newest._size <= chain._grow_above and len(room) < newest.d:
+                    # No expansion due and a free cell in hand: place it here.
+                    room[v] = None
+                    newest._size += 1
+                    chain._size += 1
+                    counters.insert_attempts += 1
+                    probes += 2
+                else:
+                    self._park_small(u, chain.insert(v, None, True, (bucket0, bucket1)), part2)
+            self._num_edges += 1
+            return True
+        finally:
+            counters.bucket_probes += probes
+            counters.cell_probes += cells
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the directed edge ``⟨u, v⟩`` is stored (Query operation)."""
-        self.counters.edges_queried += 1
-        return self._edge_present(u, v)
+        counters = self.counters
+        counters.edges_queried += 1
+        probes = cells = 0
+        try:
+            for array, hash_of, count in self._lcht._sides:
+                bucket = array[hash_of(u) % count]
+                probes += 1
+                cells += len(bucket)
+                if u in bucket:
+                    part2 = bucket[u]
+                    break
+            else:
+                part2 = self._ldl._cells.get(u)
+
+            if part2 is not None and part2._chain is None:
+                cells += len(part2._slots)
+                if v in part2._slots:
+                    return True
+            elif part2 is not None:
+                for array, hash_of, count in part2._chain._sides:
+                    bucket = array[hash_of(v) % count]
+                    probes += 1
+                    cells += len(bucket)
+                    if v in bucket:
+                        return True
+            sdl = self._sdl._entries
+            if sdl and (u, v) in sdl:
+                counters.denylist_hits += 1
+                return True
+            return False
+        finally:
+            counters.bucket_probes += probes
+            counters.cell_probes += cells
 
     def delete_edge(self, u: int, v: int) -> bool:
         """Delete ``⟨u, v⟩``; return ``True`` if it was present."""
-        self.counters.edges_deleted += 1
-        part2 = self._find_part2(u)
-        if part2 is not None and v in part2:
-            deleted, leftovers = part2.delete(v)
-            self._park_small(u, leftovers, part2)
-        elif self._sdl.contains(u, v):
-            deleted = self._sdl.remove(u, v)
-        else:
+        counters = self.counters
+        counters.edges_deleted += 1
+        probes = cells = 0
+        try:
+            for array, hash_of, count in self._lcht._sides:
+                bucket = array[hash_of(u) % count]
+                probes += 1
+                cells += len(bucket)
+                if u in bucket:
+                    part2 = bucket[u]
+                    break
+            else:
+                part2 = self._ldl._cells.get(u)
+
+            if part2 is not None and part2._chain is None:
+                slots = part2._slots
+                cells += len(slots)
+                if v in slots:
+                    del slots[v]
+                    self._num_edges -= 1
+                    if not slots:
+                        self._remove_node_if_empty(u, part2)
+                    return True
+            elif part2 is not None:
+                chain = part2._chain
+                walked = 0
+                for array, hash_of, count in chain._sides:
+                    bucket = array[hash_of(v) % count]
+                    walked += 1
+                    cells += len(bucket)
+                    if v in bucket:
+                        break
+                else:
+                    bucket = None
+                probes += walked
+                if bucket is not None:
+                    # ``TableChain.delete`` walks to the same bucket again.
+                    probes += walked
+                    del bucket[v]
+                    holder = (walked - 1) // 2
+                    chain.tables[holder]._size -= 1
+                    size = chain._size = chain._size - 1
+                    leftovers = (chain._reverse_transform(holder)
+                                 if 0 < size < chain._shrink_below else None)
+                    if self.config.collapse_chain_to_slots:
+                        part2._maybe_collapse()
+                    if leftovers:
+                        self._park_small(u, leftovers, part2)
+                    self._num_edges -= 1
+                    if not size:
+                        self._remove_node_if_empty(u, part2)
+                    return True
+            sdl = self._sdl._entries
+            if sdl and (u, v) in sdl:
+                counters.denylist_hits += 1
+                self._sdl.remove(u, v)
+                self._num_edges -= 1
+                if part2 is not None:
+                    self._remove_node_if_empty(u, part2)
+                return True
             return False
-        if deleted:
-            self._num_edges -= 1
-            if part2 is not None:
-                self._remove_node_if_empty(u, part2)
-        return deleted
+        finally:
+            counters.bucket_probes += probes
+            counters.cell_probes += cells
 
     def successors(self, u: int) -> list[int]:
         """Out-neighbours of ``u`` (successor query used by the analytics tasks)."""
         part2 = self._find_part2(u)
-        result: list[int] = []
-        if part2 is not None:
-            result.extend(part2.neighbours())
-        result.extend(v for v, _ in self._sdl.successors_of(u))
+        result = part2.neighbours() if part2 is not None else []
+        if self._sdl._entries:
+            result.extend(v for v, _ in self._sdl.successors_of(u))
         return result
 
     def out_degree(self, u: int) -> int:
@@ -244,16 +381,14 @@ class CuckooGraph(DynamicGraphStore):
 
     def source_nodes(self) -> Iterator[int]:
         """Iterate over source nodes (L-CHT residents first, then the L-DL)."""
-        yield from self._lcht.keys()
-        yield from self._ldl.keys()
+        return iter(self._lcht.keys() + list(self._ldl._cells))
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over every stored directed edge."""
         for u, part2 in self._cells():
             for v in part2.neighbours():
                 yield (u, v)
-        for (u, v), _ in self._sdl.items():
-            yield (u, v)
+        yield from self._sdl._entries
 
     @property
     def num_edges(self) -> int:
@@ -320,17 +455,6 @@ class CuckooGraph(DynamicGraphStore):
     # Internals
     # ------------------------------------------------------------------ #
 
-    def _default_payload(self):
-        """Payload stored alongside a neighbour (``None`` in the basic version)."""
-        return None
-
-    def _edge_present(self, u: int, v: int) -> bool:
-        part2 = self._find_part2(u)
-        if part2 is not None and v in part2:
-            return True
-        return self._sdl.contains(u, v)
-
-    def _cells(self) -> Iterator[tuple[int, AdjacencyPart2]]:
-        """Iterate over every (u, Part 2) cell in the L-CHT chain and the L-DL."""
-        yield from self._lcht.items()
-        yield from self._ldl.items()
+    def _cells(self) -> list[tuple[int, AdjacencyPart2]]:
+        """Every (u, Part 2) cell: the L-CHT chain's, then the L-DL's."""
+        return self._lcht.items() + list(self._ldl._cells.items())

@@ -19,12 +19,16 @@ provides:
 * :class:`HashFamily` -- a factory that deals out independent, deterministic
   hash functions from a master seed, so that every table in a graph gets its
   own pair of functions while the whole structure stays reproducible.
+
+Every class builds its hash as a plain closure over its constants
+(``.function``) and the family deals out that closure: tables hash eight to
+ten times per edge, and a closure call skips ``__call__`` and attribute loads.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Protocol
+from typing import Callable
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -33,11 +37,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B9
 
 
-class HashFunction(Protocol):
-    """A seeded hash function mapping an integer key to a 32-bit value."""
-
-    def __call__(self, key: int) -> int:  # pragma: no cover - protocol
-        ...
+#: A seeded hash function mapping an integer key to a 32-bit value.
+HashFunction = Callable[[int], int]
 
 
 def _mix(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -70,20 +71,22 @@ class BobHash:
     paper's C++ implementation hashes 8-byte node identifiers.
     """
 
-    __slots__ = ("seed",)
+    __slots__ = ("seed", "function")
 
     def __init__(self, seed: int = 0):
         self.seed = seed & _MASK32
+        initial = (self.seed + 8) & _MASK32
+
+        def function(key: int) -> int:
+            key &= _MASK64
+            a = (_GOLDEN + (key & _MASK32)) & _MASK32
+            b = (_GOLDEN + (key >> 32)) & _MASK32
+            return _mix(a, b, initial)[2]
+
+        self.function = function
 
     def __call__(self, key: int) -> int:
-        key &= _MASK64
-        lo = key & _MASK32
-        hi = (key >> 32) & _MASK32
-        a = (_GOLDEN + lo) & _MASK32
-        b = (_GOLDEN + hi) & _MASK32
-        c = (self.seed + 8) & _MASK32
-        _, _, c = _mix(a, b, c)
-        return c
+        return self.function(key)
 
     def __repr__(self) -> str:
         return f"BobHash(seed={self.seed:#010x})"
@@ -92,16 +95,21 @@ class BobHash:
 class MultiplyShiftHash:
     """Fast multiply-shift hash (64-bit multiply, 32-bit output)."""
 
-    __slots__ = ("multiplier", "addend")
+    __slots__ = ("multiplier", "addend", "function")
 
     def __init__(self, seed: int = 0):
         rng = random.Random(seed)
         # Odd multiplier per Dietzfelbinger's multiply-shift scheme.
-        self.multiplier = rng.getrandbits(64) | 1
-        self.addend = rng.getrandbits(64)
+        multiplier = self.multiplier = rng.getrandbits(64) | 1
+        addend = self.addend = rng.getrandbits(64)
+
+        def function(key: int) -> int:
+            return ((key * multiplier + addend) & _MASK64) >> 32
+
+        self.function = function
 
     def __call__(self, key: int) -> int:
-        return (((key * self.multiplier) + self.addend) & _MASK64) >> 32
+        return self.function(key)
 
     def __repr__(self) -> str:
         return f"MultiplyShiftHash(multiplier={self.multiplier:#x})"
@@ -116,20 +124,25 @@ class ModularHash:
     proof relies on (a key's bucket only changes when the table length does).
     """
 
-    __slots__ = ("seed",)
+    __slots__ = ("seed", "function")
 
     def __init__(self, seed: int = 0):
-        self.seed = seed & _MASK32
+        seed = self.seed = seed & _MASK32
+
+        def function(key: int) -> int:
+            return (key ^ seed) & _MASK32
+
+        self.function = function
 
     def __call__(self, key: int) -> int:
-        return (key ^ self.seed) & _MASK32
+        return self.function(key)
 
     def __repr__(self) -> str:
         return f"ModularHash(seed={self.seed:#010x})"
 
 
 #: Registry of hash family names understood by :class:`HashFamily`.
-_FAMILIES: dict[str, Callable[[int], HashFunction]] = {
+_FAMILIES: dict[str, type] = {
     "bob": BobHash,
     "mult": MultiplyShiftHash,
     "modular": ModularHash,
@@ -159,7 +172,7 @@ class HashFamily:
         """Return the next independent hash function in the family."""
         self._count += 1
         derived_seed = self._rng.getrandbits(32)
-        return _FAMILIES[self.family](derived_seed)
+        return _FAMILIES[self.family](derived_seed).function
 
     def make_pair(self) -> tuple[HashFunction, HashFunction]:
         """Return two independent hash functions (H1, H2) / (h1, h2)."""

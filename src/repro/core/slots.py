@@ -17,7 +17,7 @@ payload value.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Optional
 
 from .chain import DrainSource, TableChain
 from .config import CuckooGraphConfig
@@ -52,7 +52,8 @@ class AdjacencyPart2:
         "_rng",
         "slot_capacity",
         "drain_source",
-        "mode",
+        # ``_chain is None`` *is* small-slot mode; ``CuckooGraph`` branches on
+        # it and reads ``_slots`` / ``_chain`` directly on its per-edge path.
         "_slots",
         "_chain",
     )
@@ -74,7 +75,6 @@ class AdjacencyPart2:
             slot_capacity if slot_capacity is not None else config.small_slots_per_cell
         )
         self.drain_source = drain_source
-        self.mode = MODE_SLOTS
         self._slots: dict[int, object] = {}
         self._chain: Optional[TableChain] = None
 
@@ -83,14 +83,19 @@ class AdjacencyPart2:
     # ------------------------------------------------------------------ #
 
     def __len__(self) -> int:
-        if self.mode == MODE_SLOTS:
+        if self._chain is None:
             return len(self._slots)
-        return len(self._chain)
+        return self._chain._size
+
+    @property
+    def mode(self) -> str:
+        """:data:`MODE_SLOTS` or :data:`MODE_CHAIN`."""
+        return MODE_SLOTS if self._chain is None else MODE_CHAIN
 
     @property
     def is_transformed(self) -> bool:
         """Whether the small slots have transformed into an S-CHT chain."""
-        return self.mode == MODE_CHAIN
+        return self._chain is not None
 
     @property
     def chain(self) -> Optional[TableChain]:
@@ -98,29 +103,26 @@ class AdjacencyPart2:
         return self._chain
 
     def __contains__(self, v: int) -> bool:
-        if self.mode == MODE_SLOTS:
-            self._counters.cell_probes += len(self._slots)
-            return v in self._slots
-        return v in self._chain
+        return self.get(v, _MISSING) is not _MISSING
 
     def get(self, v: int, default=None):
         """Return the payload stored for neighbour ``v`` or ``default``."""
-        if self.mode == MODE_SLOTS:
+        if self._chain is None:
             self._counters.cell_probes += len(self._slots)
             return self._slots.get(v, default)
         return self._chain.get(v, default)
 
-    def items(self) -> Iterator[tuple[int, object]]:
-        """Iterate over ``(v, payload)`` pairs."""
-        if self.mode == MODE_SLOTS:
-            yield from self._slots.items()
-        else:
-            yield from self._chain.items()
+    def items(self) -> list[tuple[int, object]]:
+        """The ``(v, payload)`` pairs, in slot order or chain order."""
+        if self._chain is None:
+            return list(self._slots.items())
+        return self._chain.items()
 
-    def neighbours(self) -> Iterator[int]:
-        """Iterate over neighbour identifiers."""
-        for v, _ in self.items():
-            yield v
+    def neighbours(self) -> list[int]:
+        """The neighbour identifiers, in the order of :meth:`items`."""
+        if self._chain is None:
+            return list(self._slots)
+        return self._chain.keys()
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -133,7 +135,7 @@ class AdjacencyPart2:
         kick budget; the caller parks them in the S-DL (or forces an
         expansion when the denylist is disabled).
         """
-        if self.mode == MODE_SLOTS:
+        if self._chain is None:
             if v in self._slots or len(self._slots) < self.slot_capacity:
                 self._slots[v] = payload
                 return []
@@ -144,7 +146,7 @@ class AdjacencyPart2:
 
     def set(self, v: int, payload) -> bool:
         """Update the payload of an existing neighbour; return ``False`` if absent."""
-        if self.mode == MODE_SLOTS:
+        if self._chain is None:
             if v not in self._slots:
                 return False
             self._slots[v] = payload
@@ -157,7 +159,7 @@ class AdjacencyPart2:
         Returns ``(deleted, leftovers)`` where ``leftovers`` are pairs
         displaced by a reverse transformation inside the chain.
         """
-        if self.mode == MODE_SLOTS:
+        if self._chain is None:
             return (self._slots.pop(v, _MISSING) is not _MISSING), []
         deleted, leftovers = self._chain.delete(v)
         if deleted and self._config.collapse_chain_to_slots:
@@ -166,7 +168,7 @@ class AdjacencyPart2:
 
     def force_expand(self) -> list[tuple[int, object]]:
         """Expand the chain after an insertion failure (denylist-free mode)."""
-        if self.mode == MODE_SLOTS:
+        if self._chain is None:
             return self._transform_to_chain(extra=None)
         return self._chain.expand_on_failure()
 
@@ -193,7 +195,6 @@ class AdjacencyPart2:
             leftovers.extend(chain.insert(extra[0], extra[1]))
         self._slots = {}
         self._chain = chain
-        self.mode = MODE_CHAIN
         return leftovers
 
     def _maybe_collapse(self) -> None:
@@ -202,7 +203,6 @@ class AdjacencyPart2:
             return
         self._slots = dict(self._chain.items())
         self._chain = None
-        self.mode = MODE_SLOTS
 
     # ------------------------------------------------------------------ #
     # Memory model
@@ -215,6 +215,6 @@ class AdjacencyPart2:
         or the ``R`` large slots they merge into) is accounted for by the cell
         layout itself, not here.
         """
-        if self.mode == MODE_SLOTS or self._chain is None:
+        if self._chain is None:
             return 0
         return self._chain.modelled_bytes(bytes_per_cell, bucket_overhead)

@@ -48,9 +48,6 @@ class WeightedCuckooGraph(CuckooGraph, WeightedGraphStore):
         # Two small slots merge to hold one ⟨v, w⟩ pair, so only R direct slots.
         return self.config.weighted_slots_per_cell
 
-    def _default_payload(self):
-        return 1
-
     # ------------------------------------------------------------------ #
     # Weighted operations
     # ------------------------------------------------------------------ #
@@ -160,15 +157,6 @@ class WeightedCuckooGraph(CuckooGraph, WeightedGraphStore):
             if payload is not None:
                 return payload
         return self._sdl.get(u, v)
-
-    def _set_edge_payload(self, u: int, v: int, payload) -> None:
-        part2 = self._find_part2(u)
-        if part2 is not None and part2.set(v, payload):
-            return
-        if self._sdl.contains(u, v):
-            self._sdl.set(u, v, payload)
-            return
-        raise KeyError(f"edge ({u}, {v}) not found while updating its weight")
 
     def _remove_edge_entry(self, u: int, v: int) -> bool:
         part2 = self._find_part2(u)

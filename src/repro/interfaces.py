@@ -11,6 +11,7 @@ a particular scheme.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from itertools import starmap
 from typing import Iterable, Iterator
 
 
@@ -148,23 +149,25 @@ class DynamicGraphStore(ABC):
 
     def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
         """Insert a batch of edges; return the number that were new."""
+        insert = self.insert_edge
         inserted = 0
         for u, v in edges:
-            if self.insert_edge(u, v):
+            if insert(u, v):
                 inserted += 1
         return inserted
 
     def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
         """Delete a batch of edges; return the number that were present."""
+        delete = self.delete_edge
         deleted = 0
         for u, v in edges:
-            if self.delete_edge(u, v):
+            if delete(u, v):
                 deleted += 1
         return deleted
 
     def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
         """Membership of a batch of edges, in input order."""
-        return [self.has_edge(u, v) for u, v in edges]
+        return list(starmap(self.has_edge, edges))
 
     def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
         """Successor lists for a batch of source nodes.

@@ -30,6 +30,42 @@ def fill_chain(chain, count, start=0):
     return leftovers
 
 
+class TestIntegerThresholds:
+    """The per-item checks compare integers; they must decide exactly as the
+    loading-rate divisions they replace, at every size and for awkward floats."""
+
+    def test_thresholds_decide_like_the_float_predicates(self):
+        for G, lam in [(0.9, 0.4), (0.8, 0.5), (0.85, 0.0), (0.95, 0.6), (1.0, 0.3), (0.1, 0.05)]:
+            for n, d in [(1, 1), (2, 2), (4, 8), (7, 3), (64, 8)]:
+                chain = make_chain(n=n, d=d, G=G, lam=lam)
+                chain.expand()
+                lam = chain.config.lam
+                newest_cells = chain.tables[-1].num_cells
+                for size in range(newest_cells + 2):
+                    grows = (size + 1) / newest_cells > G or size / newest_cells >= G
+                    assert (size > chain._grow_above) == grows, (G, n, d, size)
+                for size in range(chain.total_cells + 2):
+                    shrinks = size / chain.total_cells < lam
+                    assert (size < chain._shrink_below) == shrinks, (lam, n, d, size)
+
+    def test_running_totals_follow_every_operation(self):
+        chain = make_chain(n=2, d=2, lam=0.4)
+        rng = random.Random(5)
+        present = set()
+        for step in range(600):
+            key = rng.randrange(80)
+            if key in present:
+                deleted, leftovers = chain.delete(key)
+                assert deleted
+                present.discard(key)
+            else:
+                leftovers = chain.insert(key, step)
+                present.add(key)
+            present.difference_update(k for k, _ in leftovers)
+            assert len(chain) == sum(len(table) for table in chain.tables) == len(present)
+            assert chain.total_cells == sum(table.num_cells for table in chain.tables)
+
+
 class TestTable2Rule:
     def test_initial_state_single_table_of_length_n(self):
         chain = make_chain(n=4)

@@ -1,5 +1,7 @@
 """Tests for CuckooGraphConfig validation and derived quantities."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import CuckooGraphConfig, PAPER_CONFIG, tuning_grid
@@ -14,6 +16,19 @@ class TestDefaults:
         assert PAPER_CONFIG.T == 250
         assert PAPER_CONFIG.array_ratio == 2
         assert PAPER_CONFIG.use_denylist is True
+
+    def test_field_set(self):
+        """Every option is listed here with the code that reads it, so a new
+        (or newly unused) one is noticed: ``track_counters`` sat in this class
+        documented, defaulted and read nowhere."""
+        assert {field.name for field in dataclasses.fields(CuckooGraphConfig)} == {
+            "d", "R", "G", "lam", "T", "array_ratio",            # tables and chains
+            "initial_scht_length", "initial_lcht_length",
+            "small_denylist_capacity", "large_denylist_capacity",  # denylists
+            "use_denylist", "failure_expand_factor",               # ablation
+            "collapse_chain_to_slots",                             # Part 2
+            "hash_family", "seed",                                 # hashing
+        }
 
     def test_lambda_respects_stable_state_assumption(self):
         assert PAPER_CONFIG.lam <= 2 * PAPER_CONFIG.G / 3

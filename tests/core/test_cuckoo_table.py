@@ -122,13 +122,6 @@ class TestLoadingRateAndMemory:
         assert table.num_buckets == 8 + 4
         assert table.num_cells == 12 * 4
 
-    def test_would_exceed_threshold(self):
-        table = make_table(length=2, d=2)
-        threshold = 0.5
-        while not table.would_exceed_threshold(threshold):
-            assert table.insert(len(table) + 1000, None) is None
-        assert (len(table) + 1) / table.num_cells > threshold
-
     def test_modelled_bytes(self):
         table = make_table(length=8, d=4)
         assert table.modelled_bytes(16) == table.num_cells * 16

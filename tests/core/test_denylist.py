@@ -66,6 +66,80 @@ class TestSmallDenylist:
         assert denylist.modelled_bytes(16) == 32
 
 
+class SpyDict(dict):
+    """Counts entry reads and notices any walk over the whole dict."""
+
+    reads = 0
+    walks = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def pop(self, *args):
+        self.reads += 1
+        return super().pop(*args)
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+def scan(denylist, u):
+    """What the S-DL answered before it had an index: a scan of every entry."""
+    return [(v, payload) for (src, v), payload in dict.items(denylist._entries) if src == u]
+
+
+class TestSmallDenylistSourceIndex:
+    def parked(self):
+        """4 000 parked edges over 40 sources, interleaved, with removals,
+        re-additions and payload updates along the way."""
+        denylist = SmallDenylist(capacity=4096)
+        for v in range(100):
+            for u in range(40):
+                denylist.add(u, 1000 * u + v, payload=(u, v))
+        for u in range(0, 40, 3):
+            assert denylist.remove(u, 1000 * u + 7)
+            denylist.add(u, 1000 * u + 7, payload="back")     # now last for u
+            denylist.add(u, 1000 * u + 50, payload="updated")  # keeps its place
+            denylist.set(u, 1000 * u + 51, "set")
+        assert len(denylist) == 4000
+        return denylist
+
+    def test_successors_of_touches_only_the_asked_source(self):
+        denylist = self.parked()
+        denylist._entries = spy = SpyDict(denylist._entries)
+        for u in (0, 1, 17, 39):
+            spy.reads = 0
+            assert denylist.successors_of(u) == scan(denylist, u)
+            assert spy.reads == 100
+        assert denylist.successors_of(40) == []
+        assert spy.walks == 0
+
+    def test_drain_for_source_touches_only_the_asked_source(self):
+        denylist = self.parked()
+        order_before = list(denylist.items())
+        denylist._entries = spy = SpyDict(denylist._entries)
+        expected = scan(denylist, 9)
+        assert denylist.drain_for_source(9) == expected
+        assert (spy.reads, spy.walks) == (100, 0)
+        assert denylist.drain_for_source(9) == [] == denylist.successors_of(9)
+        assert len(denylist) == 3900
+        assert list(denylist.items()) == [entry for entry in order_before if entry[0][0] != 9]
+
+    def test_index_follows_removal_of_a_sources_last_entry(self):
+        denylist = SmallDenylist(capacity=8)
+        denylist.add(1, 2)
+        assert denylist.remove(1, 2) and not denylist.remove(1, 2)
+        assert denylist.successors_of(1) == [] and denylist._by_source == {}
+        denylist.add(1, 3, "again")
+        assert denylist.successors_of(1) == [(3, "again")]
+
+
 class TestLargeDenylist:
     def test_add_get_remove(self):
         denylist = LargeDenylist(capacity=4)

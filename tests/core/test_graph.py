@@ -189,6 +189,22 @@ class TestIntrospection:
         graph.has_edge(1, 2)
         assert graph.accesses > 0
 
+    def test_accesses_survive_a_counters_reset(self):
+        """``counters.reset()`` used to leave ``accesses`` negative: the base
+        taken by ``reset_accesses()`` outlived the counter it was a base of."""
+        graph = CuckooGraph()
+        for v in range(50):
+            graph.insert_edge(1, v)
+        graph.reset_accesses()
+        graph.has_edge(1, 2)
+        graph.counters.reset()
+        assert graph.accesses == 0
+        before = graph.counters.bucket_probes
+        graph.has_edge(1, 3)
+        assert graph.accesses == graph.counters.bucket_probes - before > 0
+        graph.reset_accesses()
+        assert graph.accesses == 0
+
     def test_memory_bytes_grows_with_edges(self):
         graph = CuckooGraph()
         empty = graph.memory_bytes()
