@@ -225,15 +225,24 @@ class TableChain:
         # so a chain never holds two copies of the same key.  The newest
         # table handles its own overwrite inside ``insert`` at no extra probe
         # cost, so single-table chains (the common case) skip this scan.
+        newest = self.tables[-1]
+        grow = newest._size > self._grow_above
         if not assume_absent:
             for table in self.tables[:-1]:
                 if key in table:
                     table.insert(key, value)
                     return []
+            # When this insert expands the chain, the table that is newest
+            # now is an older one by the time the key is placed, so it needs
+            # the same check.  It is charged only on a hit (by the
+            # overwrite): the graphs come through here with absent keys
+            # only, and their modelled access counts do not pay for it.
+            if grow and newest.holds(key):
+                newest.insert(key, value)
+                return []
 
-        newest = self.tables[-1]
         leftovers: list[tuple[int, object]] = []
-        if newest._size > self._grow_above:
+        if grow:
             leftovers = self.expand()
             newest = self.tables[-1]
             probed = None

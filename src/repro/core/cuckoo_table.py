@@ -118,6 +118,13 @@ class CuckooHashTable:
     def __contains__(self, key: int) -> bool:
         return self.get(key, _MISSING) is not _MISSING
 
+    def holds(self, key: int) -> bool:
+        """Membership without charging the access counters: a guard for
+        callers whose modelled algorithm does not make this probe (see
+        ``TableChain.insert``)."""
+        return any(key in array[hash_of(key) % count]
+                   for array, hash_of, count in self._sides)
+
     def _buckets(self) -> chain:
         """Every bucket, first array then second."""
         return chain(self._sides[0][0], self._sides[1][0])

@@ -32,12 +32,14 @@ from __future__ import annotations
 
 import threading
 import time
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
 from ..core.errors import ReplicationError
 from ..interfaces import DynamicGraphStore
-from ..persist import INSERT_WEIGHTED, WAL_HEADER_SIZE, WalPosition
+from ..persist import INSERT, INSERT_WEIGHTED, WAL_HEADER_SIZE, WalPosition
 from ..persist.store import (
     PersistentStore,
     _resolve_factory,
@@ -57,18 +59,32 @@ DEFAULT_POLL_SLICE_S = 0.05
 def apply_shipped_ops(store: DynamicGraphStore, ops) -> None:
     """Apply one shipment's decoded operations to a follower store.
 
+    Each maximal run of plain inserts (or deletes) goes to the store as one
+    ``insert_edges`` / ``delete_edges`` call -- the primary applied them as
+    a batch, and so does the replica (a store that acts per call, such as a
+    tiered one, then sees the same calls on both).  Weighted inserts carry
+    a delta each and stay per-op, as does a run of one, where a batch
+    call's fixed cost buys nothing.
+
     Raises :class:`ReplicationError` (instead of a bare ``AttributeError``
     deep in a store) when a weighted record meets an unweighted store --
     the same scheme-mismatch refusal recovery makes, surfaced per shipment.
     """
-    for op in ops:
-        if op[0] == INSERT_WEIGHTED and \
+    for tag, run in groupby(ops, key=itemgetter(0)):
+        run = list(run)
+        if tag == INSERT_WEIGHTED and \
                 not callable(getattr(store, "insert_weighted_edge", None)):
             raise ReplicationError(
                 f"stream holds weighted records but the follower store "
                 f"({store.name!r}) is not weighted"
             )
-        apply_op(store, op)
+        if tag == INSERT_WEIGHTED or len(run) == 1:
+            for op in run:
+                apply_op(store, op)
+        elif tag == INSERT:
+            store.insert_edges([(u, v) for _, u, v in run])
+        else:
+            store.delete_edges([(u, v) for _, u, v in run])
 
 
 class Follower:

@@ -1,11 +1,12 @@
 """Request-queue service layer: micro-batched traffic over a graph store.
 
 The "serves heavy traffic" layer of the reproduction.  Client threads submit
-single operations to a :class:`GraphService`; the service coalesces them
-into micro-batches (size window ``max_batch``, time window ``max_delay_s``),
-dispatches each batch through the store's batch APIs / the analytics
-traversal engine, and routes per-request results and exceptions back through
-futures.  :class:`GraphClient` is the synchronous facade that makes the
+requests to a :class:`GraphService` -- one operation each, or a list of up
+to ``max_batch`` of them; the service coalesces single operations into
+micro-batches (size window ``max_batch``, time window ``max_delay_s``),
+dispatches each batch and each list through the store's batch APIs / the
+analytics traversal engine, and routes results and exceptions back through
+one future per request.  :class:`GraphClient` is the synchronous facade that makes the
 whole thing look like a plain :class:`~repro.interfaces.DynamicGraphStore`.
 
 Quickstart::

@@ -1,22 +1,30 @@
 """Micro-batching: turn a FIFO request stream into store-sized batch calls.
 
-Two pieces, both order-preserving:
+A :class:`Request` carries the items of one client call: a *list* request
+holds up to ``max_batch`` edges (or nodes) and resolves to the store's own
+batch return value; a *single* request is the one-item case, flagged so its
+future resolves to a bare ``bool`` / ``list``.  Two pieces turn the queue
+into store calls, both order-preserving:
 
 * :func:`gather_window` pulls one *window* of requests off the queue --
-  blocking for the first request, then filling up to ``max_batch`` items,
-  waiting at most ``max_delay_s`` for stragglers.  ``max_delay_s=0`` is the
-  latency-first mode: the window closes as soon as the queue momentarily
-  runs dry, so a lone synchronous client never pays an artificial delay,
-  while concurrent clients still coalesce naturally (requests that arrive
-  while a batch is executing pile up for the next window).
-* :func:`split_runs` cuts a window into maximal runs of consecutive
-  same-kind requests.  Each run becomes exactly one store batch call
-  (``insert_edges`` / ``delete_edges`` / ``has_edges`` / ``successors_many``),
-  and because runs never reorder requests, the dispatch is a faithful
-  serialization of the submission order -- an insert followed by a delete of
-  the same edge always lands in that order, which is what lets a
-  single-threaded client (and the differential fuzzer) reason about results
-  against a sequential oracle.
+  blocking until a first request arrives (or the queue closes), taking up
+  to ``max_batch`` requests under that one lock acquisition, then waiting at
+  most ``max_delay_s`` for stragglers.  ``max_delay_s=0`` is the
+  latency-first mode: the window is whatever was queued at that moment, so
+  a lone synchronous client never pays an artificial delay, while
+  concurrent clients still coalesce naturally (requests that arrive while a
+  batch is executing pile up for the next window).
+* :func:`split_runs` cuts a window into runs.  A list request is a run of
+  its own; consecutive single requests of one kind form a maximal run.
+  Each run becomes one store batch call (``insert_edges`` /
+  ``delete_edges`` / ``has_edges`` / ``successors_many``; a run of several
+  single mutations adds a ``has_edges`` pre-probe, see
+  :mod:`repro.service.service`), and because runs never reorder requests,
+  the dispatch is a faithful serialization of the submission order -- an
+  insert followed by a delete of the same edge always lands in that order,
+  which is what lets a single-threaded client (and the differential
+  fuzzer) reason about results against a sequential oracle.  No run holds
+  more than ``max_batch`` items, so no store call does either.
 """
 
 from __future__ import annotations
@@ -39,18 +47,18 @@ KINDS = ("insert", "delete", "has", "successors", "analytics")
 #: ``tests/service/test_clock_domains.py`` pins this choice.
 CLOCK = time.monotonic
 
-#: How long the dispatcher blocks waiting for a first request before
-#: re-checking for shutdown (seconds).  Purely an idle-loop heartbeat; it
-#: never delays a request.
-IDLE_POLL_S = 0.05
-
 
 @dataclass
 class Request:
-    """One client operation in flight through the service."""
+    """One client call in flight through the service.
+
+    ``payload`` is one item (an edge, a node, an analytics job) when
+    ``single`` is set, and the list of the call's items otherwise.
+    """
 
     kind: str
     payload: object
+    single: bool = True
     future: Future = field(default_factory=Future)
     enqueued_at: float = field(default_factory=CLOCK)
 
@@ -58,44 +66,40 @@ class Request:
 def gather_window(
     queue: BoundedRequestQueue, max_batch: int, max_delay_s: float
 ) -> List[Request]:
-    """Collect the next dispatch window (empty list on an idle poll).
+    """Collect the next dispatch window (empty once the queue is drained).
 
-    The first request is awaited for at most :data:`IDLE_POLL_S`; once one
-    arrives, the window keeps filling until ``max_batch`` requests are in
-    hand, the queue stays empty past the ``max_delay_s`` deadline, or --
-    with ``max_delay_s=0`` -- the queue momentarily runs dry.
+    Blocks -- untimed; ``BoundedRequestQueue.close`` wakes it -- until a
+    request is queued, and takes up to ``max_batch`` requests in that one
+    acquisition.  With ``max_delay_s > 0`` the window then keeps filling
+    until ``max_batch`` requests are in hand or the deadline (counted from
+    the first request's enqueue time) passes.
     """
-    first = queue.get(timeout=IDLE_POLL_S)
-    if first is None:
-        return []
-    window = [first]
-    deadline = (
-        first.enqueued_at + max_delay_s if max_delay_s > 0 else None
-    )
+    window = queue.get_many(max_batch)
+    if not window or max_delay_s <= 0:
+        return window
+    deadline = window[0].enqueued_at + max_delay_s
     while len(window) < max_batch:
-        request = queue.get_nowait()
-        if request is not None:
-            window.append(request)
-            continue
-        if deadline is None:
-            break
         remaining = deadline - CLOCK()
         if remaining <= 0:
             break
-        request = queue.get(timeout=remaining)
-        if request is None:
+        more = queue.get_many(max_batch - len(window), timeout=remaining)
+        if not more:
             break  # deadline hit, or the queue closed while waiting
-        window.append(request)
+        window.extend(more)
     return window
 
 
 def split_runs(window: List[Request]) -> Iterator[Tuple[str, List[Request]]]:
-    """Yield ``(kind, requests)`` for maximal same-kind runs, in order."""
+    """Yield ``(kind, requests)`` runs in order: each list request alone,
+    consecutive same-kind single requests together."""
     run: List[Request] = []
     for request in window:
-        if run and request.kind != run[0].kind:
+        if run and (request.kind != run[0].kind or not request.single):
             yield run[0].kind, run
             run = []
-        run.append(request)
+        if request.single:
+            run.append(request)
+        else:
+            yield request.kind, [request]
     if run:
         yield run[0].kind, run

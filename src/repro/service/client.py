@@ -4,9 +4,13 @@
 :class:`~repro.interfaces.DynamicGraphStore` contract, so anything written
 against the store interface -- the benchmark harness, the analytics engine,
 an example script -- can be pointed at a *service* instead of a raw
-structure without changing a line.  Single-edge calls block on their future;
-the batch overrides pipeline (submit every request first, then collect), so
-even a single client thread hands the dispatcher whole windows to coalesce.
+structure without changing a line.  Single-edge calls block on their future.
+A batch call is a handful of *list requests*: its items are cut into chunks
+-- ``service.max_batch`` items for a mutation, at most :data:`READ_CHUNK`
+for a read -- each chunk travels as one request (one future, one queue hop,
+one store call whose return value is the answer), and the chunks are
+pipelined -- all submitted first, then collected -- so other clients'
+requests interleave between them in FIFO order while this client waits once.
 
 Introspection (``edges``, ``num_edges``, ``memory_bytes``, ``accesses``,
 ``counters``) reads the underlying store directly.  That is a deliberate
@@ -26,6 +30,20 @@ from ..core.errors import StoreClosedError
 from ..core.sharded import ShardedCuckooGraph
 from ..interfaces import DynamicGraphStore
 from .service import GraphService
+
+#: Most items one list request of a batch *read* (``has_edges`` /
+#: ``successors_many``) carries; ``max_batch`` still applies when smaller.
+#: A mutation chunk is as large as the service allows because it amortises
+#: a group commit.  A read chunk amortises only the queue hop, and is a read
+#: run of its own: routed to the next replica, behind its own freshness
+#: barrier.  Cutting reads this fine costs throughput (the hop is ~3 us an
+#: item at 8 items, ~0.3 us at 128) and buys a bulk-read rate that repeats
+#: from run to run: with 128-item chunks an 18 000-probe pass over a durable
+#: replicated service is over in 40 ms, and ``benchmarks/perf`` read it as
+#: 420 kops +- 10 %, wider than its bound; at 8 items it reads 190 kops
+#: +- 2-4 % (CHANGES.md, PR 14).  Raise it when the rate matters more than
+#: its spread.
+READ_CHUNK = 8
 
 
 class GraphClient(DynamicGraphStore):
@@ -164,29 +182,40 @@ class GraphClient(DynamicGraphStore):
         return self._service.successors(u).result()
 
     # ------------------------------------------------------------------ #
-    # Batch paths: pipeline futures so the dispatcher sees whole windows
+    # Batch paths: ceil(n / chunk) pipelined list requests
     # ------------------------------------------------------------------ #
 
-    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+    def _pipelined(self, submit, items: Iterable, size: int) -> list:
+        """``submit`` one list request per ``size`` items of ``items`` --
+        all of them before waiting on any -- and return their results."""
         self._ensure_open()
-        futures = [self._service.insert_edge(u, v) for u, v in edges]
-        return sum(future.result() for future in futures)
-
-    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        self._ensure_open()
-        futures = [self._service.delete_edge(u, v) for u, v in edges]
-        return sum(future.result() for future in futures)
-
-    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
-        self._ensure_open()
-        futures = [self._service.has_edge(u, v) for u, v in edges]
+        items = list(items)
+        futures = [submit(items[start:start + size])
+                   for start in range(0, len(items), size)]
         return [future.result() for future in futures]
 
+    @property
+    def _read_chunk(self) -> int:
+        return min(self._service.max_batch, READ_CHUNK)
+
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return sum(self._pipelined(self._service.insert_edges, edges,
+                                   self._service.max_batch))
+
+    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return sum(self._pipelined(self._service.delete_edges, edges,
+                                   self._service.max_batch))
+
+    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
+        chunks = self._pipelined(self._service.has_edges, edges,
+                                 self._read_chunk)
+        return [answer for chunk in chunks for answer in chunk]
+
     def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
-        self._ensure_open()
-        ordered = list(dict.fromkeys(nodes))
-        futures = [self._service.successors(u) for u in ordered]
-        return {u: future.result() for u, future in zip(ordered, futures)}
+        chunks = self._pipelined(self._service.successors_many,
+                                 dict.fromkeys(nodes), self._read_chunk)
+        return {u: successors for chunk in chunks
+                for u, successors in chunk.items()}
 
     # ------------------------------------------------------------------ #
     # Analytics jobs (each runs store-side through a TraversalEngine)

@@ -37,6 +37,9 @@ class LatencyRecorder:
     def record(self, seconds: float) -> None:
         self._samples.append(seconds)
 
+    def record_many(self, seconds: Sequence[float]) -> None:
+        self._samples.extend(seconds)
+
     @property
     def count(self) -> int:
         return len(self._samples)
@@ -63,18 +66,28 @@ class ServiceMetrics:
     Submission-side counters (``submitted``, ``rejected``) are bumped from
     many client threads and take the lock; dispatch-side counters are only
     touched by the single dispatcher thread but share the same lock so
-    :meth:`summary` reads one consistent snapshot.
+    :meth:`summary` reads one consistent snapshot -- one acquisition per
+    dispatched run, not per request.
+
+    The ledger (``submitted == resolved + failed + cancelled``, ``rejected``
+    separate) and the latency samples count *requests*: one per client call,
+    whether it carries one item or a list.  ``items_submitted`` /
+    ``items_resolved`` count the edges and nodes those requests carried, so
+    throughput stays readable when one request holds a whole batch; batch
+    sizes (``mean_batch_size`` / ``max_batch_size``) are in items per run.
     """
 
     def __init__(self) -> None:
         self._lock = Lock()
         self.submitted: Dict[str, int] = {}
+        self.items_submitted = 0
         self.rejected = 0
         self.resolved = 0
+        self.items_resolved = 0
         self.failed = 0
         self.cancelled = 0
         self.batches = 0
-        self.batched_requests = 0
+        self.batched_items = 0
         self.max_batch_size = 0
         self.store_batch_calls = 0
         self.group_commits = 0
@@ -93,9 +106,10 @@ class ServiceMetrics:
 
     # -- submission side ------------------------------------------------ #
 
-    def record_submit(self, kind: str) -> None:
+    def record_submit(self, kind: str, items: int) -> None:
         with self._lock:
             self.submitted[kind] = self.submitted.get(kind, 0) + 1
+            self.items_submitted += items
 
     def record_rejected(self) -> None:
         with self._lock:
@@ -106,23 +120,26 @@ class ServiceMetrics:
     def record_batch(self, size: int, store_calls: int) -> None:
         with self._lock:
             self.batches += 1
-            self.batched_requests += size
+            self.batched_items += size
             self.max_batch_size = max(self.max_batch_size, size)
             self.store_batch_calls += store_calls
 
-    def record_resolved(self, latency_s: float) -> None:
+    def record_resolved_many(self, latencies_s: Sequence[float],
+                             items: int) -> None:
+        """One run's requests resolved, carrying ``items`` items in all."""
         with self._lock:
-            self.resolved += 1
-            self._latency.record(latency_s)
+            self.resolved += len(latencies_s)
+            self.items_resolved += items
+            self._latency.record_many(latencies_s)
 
-    def record_failed(self, latency_s: float) -> None:
+    def record_failed_many(self, latencies_s: Sequence[float]) -> None:
         with self._lock:
-            self.failed += 1
-            self._latency.record(latency_s)
+            self.failed += len(latencies_s)
+            self._latency.record_many(latencies_s)
 
-    def record_cancelled(self) -> None:
+    def record_cancelled(self, requests: int = 1) -> None:
         with self._lock:
-            self.cancelled += 1
+            self.cancelled += requests
 
     def record_commit(self) -> None:
         """One durability group commit (``durability="batch"`` mode)."""
@@ -177,13 +194,15 @@ class ServiceMetrics:
         """One consistent snapshot of every counter plus latency percentiles."""
         with self._lock:
             mean_batch = (
-                self.batched_requests / self.batches if self.batches else 0.0
+                self.batched_items / self.batches if self.batches else 0.0
             )
             return {
                 "submitted": dict(self.submitted),
                 "submitted_total": sum(self.submitted.values()),
+                "items_submitted": self.items_submitted,
                 "rejected": self.rejected,
                 "resolved": self.resolved,
+                "items_resolved": self.items_resolved,
                 "failed": self.failed,
                 "cancelled": self.cancelled,
                 "batches": self.batches,

@@ -1,18 +1,22 @@
 """Bounded FIFO request queue with explicit backpressure and close semantics.
 
-``queue.Queue`` almost fits, but the service needs three behaviours it does
+``queue.Queue`` almost fits, but the service needs four behaviours it does
 not provide cleanly: an immediate *reject* mode for full queues (the
 backpressure policy a traffic-shedding front door wants), a ``close`` that
-wakes every blocked producer/consumer exactly once, and gets that keep
-draining items after close so in-flight requests are never dropped.  The
-implementation is a deque guarded by one condition variable.
+wakes every blocked producer/consumer exactly once, gets that keep draining
+items after close so in-flight requests are never dropped, and a
+``get_many`` that hands the consumer a whole dispatch window under one lock
+acquisition.  The implementation is a deque guarded by one lock with two
+condition variables (producers wait for space, consumers for items), so a
+``put`` never wakes another producer nor a ``get_many`` another consumer,
+and with nobody parked on the other side the hop is one lock round-trip.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from threading import Condition
+from threading import Condition, RLock
 from typing import Optional
 
 from .errors import QueueFullError, ServiceClosedError
@@ -33,9 +37,9 @@ class BoundedRequestQueue:
 
     Close semantics: after :meth:`close`, ``put`` raises
     :class:`ServiceClosedError` (including producers already blocked on a
-    full queue), while ``get`` keeps returning queued items until the queue
-    is drained -- consumers discover termination via :attr:`closed` plus an
-    empty queue.
+    full queue), while ``get_many`` keeps returning queued items until the
+    queue is drained -- a consumer discovers termination by getting nothing
+    back from an untimed ``get_many``.
     """
 
     def __init__(self, capacity: int = 1024, policy: str = "block"):
@@ -46,20 +50,13 @@ class BoundedRequestQueue:
         self.capacity = capacity
         self.policy = policy
         self._items: deque = deque()
-        self._cond = Condition()
+        self._lock = RLock()
+        self._not_empty = Condition(self._lock)
+        self._not_full = Condition(self._lock)
         self._closed = False
 
     def __len__(self) -> int:
         return len(self._items)
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def drained(self) -> bool:
-        """Closed and empty: the consumer has nothing left to do."""
-        with self._cond:
-            return self._closed and not self._items
 
     def put(self, item, timeout: Optional[float] = None) -> None:
         """Enqueue ``item``, honouring the backpressure policy.
@@ -70,7 +67,7 @@ class BoundedRequestQueue:
             ServiceClosedError: the queue is (or becomes, while blocked)
                 closed.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise ServiceClosedError("request queue is closed")
             if len(self._items) >= self.capacity:
@@ -80,8 +77,6 @@ class BoundedRequestQueue:
                     )
                 deadline = None if timeout is None else time.monotonic() + timeout
                 while len(self._items) >= self.capacity:
-                    if self._closed:
-                        raise ServiceClosedError("request queue closed while blocked")
                     remaining = None
                     if deadline is not None:
                         remaining = deadline - time.monotonic()
@@ -89,40 +84,42 @@ class BoundedRequestQueue:
                             raise QueueFullError(
                                 f"request queue still full after {timeout}s"
                             )
-                    self._cond.wait(remaining)
-                # Space freed, but the close may have landed while we
-                # waited; a blocked producer must never enqueue into a
-                # closed queue (its request would be stranded unresolved).
-                if self._closed:
-                    raise ServiceClosedError("request queue closed while blocked")
+                    self._not_full.wait(remaining)
+                    # A blocked producer must never enqueue into a closed
+                    # queue (its request would be stranded unresolved).
+                    if self._closed:
+                        raise ServiceClosedError("request queue closed while blocked")
             self._items.append(item)
-            self._cond.notify_all()
+            self._not_empty.notify()
 
-    def get(self, timeout: Optional[float] = None):
-        """Dequeue the oldest item; ``None`` on timeout or a drained close."""
-        with self._cond:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            while not self._items:
-                if self._closed:
-                    return None
-                remaining = None
-                if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                self._cond.wait(remaining)
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
+    def get_many(self, limit: int, timeout: Optional[float] = None) -> list:
+        """Dequeue up to ``limit`` of the oldest items in one acquisition.
 
-    def get_nowait(self):
-        """Dequeue without blocking; ``None`` when nothing is queued."""
-        with self._cond:
-            if not self._items:
-                return None
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
+        Blocks until at least one item is queued; returns an empty list on
+        timeout or once the queue is closed and drained.  ``timeout=None``
+        waits indefinitely (``close`` wakes the waiter), ``timeout=0``
+        never blocks.
+        """
+        with self._lock:
+            items = self._items
+            if not items:
+                deadline = None if timeout is None else time.monotonic() + timeout
+                while not items:
+                    if self._closed:
+                        return []
+                    remaining = None
+                    if deadline is not None:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            return []
+                    self._not_empty.wait(remaining)
+            if limit >= len(items):
+                taken = list(items)
+                items.clear()
+            else:
+                taken = [items.popleft() for _ in range(limit)]
+            self._not_full.notify(len(taken))
+            return taken
 
     def close(self) -> list:
         """Refuse new puts and wake all waiters; return a snapshot of leftovers.
@@ -132,7 +129,8 @@ class BoundedRequestQueue:
         that was never started) fail the pending requests instead of
         dropping them.
         """
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            self._not_empty.notify_all()
+            self._not_full.notify_all()
             return list(self._items)

@@ -1,14 +1,15 @@
 """The request-queue front door over a batch-capable graph store.
 
 :class:`GraphService` is the "heavy traffic" layer of the reproduction: many
-client threads submit single operations (insert / delete / membership /
-successors, plus whole analytics jobs), the service coalesces them into
-micro-batches and drives each batch through the store's batch APIs --
-``insert_edges`` / ``delete_edges`` / ``has_edges`` / ``successors_many`` on
-a :class:`~repro.core.sharded.ShardedCuckooGraph` by default, and the
-:class:`~repro.analytics.engine.TraversalEngine` for analytics jobs.  Every
-request gets a :class:`concurrent.futures.Future` that carries its result or
-exception back, so clients never observe batching except as throughput.
+client threads submit requests -- a single operation (insert / delete /
+membership / successors), a *list* of up to ``max_batch`` of them, or a
+whole analytics job -- and the service drives them through the store's batch
+APIs -- ``insert_edges`` / ``delete_edges`` / ``has_edges`` /
+``successors_many`` on a :class:`~repro.core.sharded.ShardedCuckooGraph` by
+default, and the :class:`~repro.analytics.engine.TraversalEngine` for
+analytics jobs.  Every request gets one
+:class:`concurrent.futures.Future` that carries its result or exception
+back, so clients never observe batching except as throughput.
 
 Design points:
 
@@ -16,15 +17,19 @@ Design points:
   bounded queue, so the store itself needs no locking and the sharded
   store's own executor (``executor="threads"``) remains free to fan a batch
   out across shards.
-* **Order-preserving batching.**  A dispatch window is split into maximal
-  runs of consecutive same-kind requests (see
-  :mod:`repro.service.batcher`); each run is one store batch call, so the
-  executed schedule is exactly the submission order.  Per-request insert /
-  delete results are recovered from a batched pre-probe (``has_edges``)
-  plus in-window bookkeeping -- two batch calls per mutation run, zero
-  per-operation store calls.  (Result attribution assumes distinct-edge
-  store semantics; a weighted store still executes correctly but
-  "delete actually removed the edge" degenerates to "edge was present".)
+* **Order-preserving batching.**  A dispatch window is split into runs (see
+  :mod:`repro.service.batcher`): a list request is a run of its own,
+  consecutive single requests of one kind coalesce into one.  Each run is
+  one store batch call of at most ``max_batch`` items, so the executed
+  schedule is exactly the submission order.  A list mutation resolves to
+  the store's own count, and a lone single mutation to that count as a
+  ``bool`` -- one store call.  Only a run of *several* single mutations
+  needs per-request results the store does not return; those are recovered
+  from a batched pre-probe (``has_edges``) plus in-window bookkeeping --
+  two batch calls for the run, still zero per-operation store calls.
+  (That attribution assumes distinct-edge store semantics; a weighted
+  store still executes correctly but "delete actually removed the edge"
+  degenerates to "edge was present".)
 * **Backpressure.**  The queue is bounded; ``policy="block"`` makes
   submitters wait (pushback), ``policy="reject"`` sheds load by raising
   :class:`~repro.service.errors.QueueFullError`.
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from ..analytics import (
     CachedTraversalEngine,
@@ -61,7 +66,7 @@ from ..core.sharded import ShardedCuckooGraph
 from ..interfaces import DynamicGraphStore
 from ..persist.store import PersistentStore
 from ..replicate import FRESHNESS_POLICIES, ReplicationGroup
-from .batcher import CLOCK, Request, gather_window, split_runs
+from .batcher import CLOCK, KINDS, Request, gather_window, split_runs
 from .errors import QueueFullError, ServiceClosedError, ServiceError
 from .metrics import ServiceMetrics
 from .queue import POLICIES, BoundedRequestQueue
@@ -96,11 +101,13 @@ class GraphService:
             a fresh ``ShardedCuckooGraph(num_shards=4)``.  A store created
             here is owned (and closed) by the service; a caller-provided
             store is left open on :meth:`close` unless ``own_store=True``.
-        max_batch: Upper bound on requests per dispatch window.
+        max_batch: Upper bound on requests per dispatch window, on items
+            per list request and therefore on items per store call.
         max_delay_s: How long a window may wait for stragglers after its
             first request; ``0`` (default) closes the window as soon as the
             queue runs dry, favouring latency.
-        queue_capacity: Bound on queued (undispatched) requests.
+        queue_capacity: Bound on queued (undispatched) *requests* -- up to
+            ``queue_capacity * max_batch`` items when they are list requests.
         policy: Backpressure policy, ``"block"`` or ``"reject"``.
         own_store: Force (or forbid) closing the store on :meth:`close`.
         durability: ``"none"`` (default) or ``"batch"``.  With ``"batch"``
@@ -324,7 +331,8 @@ class GraphService:
     # ------------------------------------------------------------------ #
 
     def submit(self, kind: str, payload: object) -> Future:
-        """Enqueue one request; the returned future carries result or error.
+        """Enqueue one single-item request; the returned future carries its
+        result or error.
 
         Raises:
             ServiceClosedError: the service is closed (or closes while a
@@ -332,7 +340,7 @@ class GraphService:
             QueueFullError: the queue is full under ``policy="reject"``.
             ValueError: unknown ``kind`` or unknown analytics task.
         """
-        if kind not in ("insert", "delete", "has", "successors", "analytics"):
+        if kind not in KINDS:
             raise ValueError(f"unknown request kind {kind!r}")
         if kind == "analytics":
             task = payload[0]
@@ -341,6 +349,20 @@ class GraphService:
                     f"unknown analytics task {task!r}; "
                     f"expected one of {sorted(ANALYTICS_HANDLERS)}"
                 )
+        return self._enqueue(Request(kind, payload), items=1)
+
+    def _submit_list(self, kind: str, items: Iterable) -> Future:
+        """Enqueue one list request of 1..``max_batch`` items."""
+        items = list(items)
+        if not 1 <= len(items) <= self.max_batch:
+            raise ValueError(
+                f"a list request carries 1..max_batch ({self.max_batch}) "
+                f"items, got {len(items)}; split larger batches into "
+                f"max_batch-sized calls (GraphClient does)"
+            )
+        return self._enqueue(Request(kind, items, single=False), len(items))
+
+    def _enqueue(self, request: Request, items: int) -> Future:
         if self._closed:
             raise ServiceClosedError("GraphService is closed")
         if self._durability_failed is not None:
@@ -348,7 +370,6 @@ class GraphService:
                 "durability group commit failed earlier; the service is "
                 "fail-stopped (close it, then recover the store from disk)"
             ) from self._durability_failed
-        request = Request(kind, payload)
         try:
             self._queue.put(request)
         except QueueFullError:
@@ -357,7 +378,7 @@ class GraphService:
         # Counted only after a successful enqueue, so the ledger invariant
         # (submitted == resolved + failed + cancelled, rejected separate)
         # holds even when backpressure fires or a close races the put.
-        self.metrics.record_submit(kind)
+        self.metrics.record_submit(request.kind, items)
         return request.future
 
     def insert_edge(self, u: int, v: int) -> Future:
@@ -375,6 +396,30 @@ class GraphService:
     def successors(self, u: int) -> Future:
         """Future[list[int]]: out-neighbours of ``u``."""
         return self.submit("successors", u)
+
+    # List requests: one request, one future and one store call for up to
+    # ``max_batch`` items.  More than that (or none) is refused with a
+    # ValueError rather than split, so one call is always one future and
+    # no store call ever exceeds ``max_batch``; :class:`GraphClient` does
+    # the chunking.  Cancelling the future before dispatch skips the whole
+    # request.
+
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> Future:
+        """Future[int]: how many of ``edges`` were newly inserted."""
+        return self._submit_list("insert", edges)
+
+    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> Future:
+        """Future[int]: how many of ``edges`` were present (and removed)."""
+        return self._submit_list("delete", edges)
+
+    def has_edges(self, edges: Iterable[tuple[int, int]]) -> Future:
+        """Future[list[bool]]: membership of ``edges``, in input order."""
+        return self._submit_list("has", edges)
+
+    def successors_many(self, nodes: Iterable[int]) -> Future:
+        """Future[dict[int, list[int]]]: successor lists of the distinct
+        ``nodes``, keyed in first-occurrence order."""
+        return self._submit_list("successors", nodes)
 
     def analytics(self, task: str, *args, **kwargs) -> Future:
         """Future: run a whole analytics job (see :data:`ANALYTICS_HANDLERS`)."""
@@ -409,9 +454,7 @@ class GraphService:
         while True:
             window = gather_window(self._queue, self.max_batch, self.max_delay_s)
             if not window:
-                if self._queue.drained():
-                    return
-                continue
+                return  # only a closed, drained queue hands back nothing
             for kind, run in split_runs(window):
                 self._dispatch_run(kind, run)
 
@@ -432,49 +475,31 @@ class GraphService:
         self.metrics.record_replica_read(index, lag)
         return follower.store
 
+    def _fail_run(self, run: List[Request], exc: Exception) -> None:
+        """Route one failure to every caller in the run."""
+        now = CLOCK()
+        for request in run:
+            request.future.set_exception(exc)
+        self.metrics.record_failed_many([now - r.enqueued_at for r in run])
+
     def _dispatch_run(self, kind: str, run: List[Request]) -> None:
-        """Execute one same-kind run with batch store calls; resolve futures."""
+        """Execute one run with batch store calls; resolve its futures."""
         live = [r for r in run if r.future.set_running_or_notify_cancel()]
-        skipped = len(run) - len(live)
-        for _ in range(skipped):
-            self.metrics.record_cancelled()
+        if len(live) < len(run):
+            self.metrics.record_cancelled(len(run) - len(live))
         if not live:
             return
         if kind == "analytics":
-            if self.analytics_mode == "incremental":
-                try:
-                    follower = self._refresh_incremental()
-                except Exception as exc:
-                    now = CLOCK()
-                    for request in live:
-                        request.future.set_exception(exc)
-                        self.metrics.record_failed(now - request.enqueued_at)
-                    return
-                self.metrics.record_batch(len(live), store_calls=len(live))
-                for request in live:
-                    self._run_analytics_incremental(request, follower)
-                return
-            try:
-                store = self._read_store()
-            except Exception as exc:
-                now = CLOCK()
-                for request in live:
-                    request.future.set_exception(exc)
-                    self.metrics.record_failed(now - request.enqueued_at)
-                return
-            # Counted only once the run is actually going to hit a store,
-            # matching the _execute_batch paths.
-            self.metrics.record_batch(len(live), store_calls=len(live))
-            for request in live:
-                self._run_analytics(request, store)
+            self._dispatch_analytics(live)
             return
+        # A run is one list request or several single requests of one kind
+        # (see split_runs); either way its items reach the store as a batch.
+        single = live[0].single
+        items = [r.payload for r in live] if single else live[0].payload
         try:
-            results, store_calls = self._execute_batch(kind, live)
-        except Exception as exc:  # route the failure to every caller in the run
-            now = CLOCK()
-            for request in live:
-                request.future.set_exception(exc)
-                self.metrics.record_failed(now - request.enqueued_at)
+            results, store_calls = self._execute_run(kind, items, single)
+        except Exception as exc:
+            self._fail_run(live, exc)
             return
         if self._durable_sync is not None and kind in ("insert", "delete"):
             # Group commit: the whole run becomes durable before any of the
@@ -487,10 +512,7 @@ class GraphService:
                 self._durable_sync()
             except Exception as exc:
                 self._durability_failed = exc
-                now = CLOCK()
-                for request in live:
-                    request.future.set_exception(exc)
-                    self.metrics.record_failed(now - request.enqueued_at)
+                self._fail_run(live, exc)
                 return
             self.metrics.record_commit()
         if self._replication is not None and kind in ("insert", "delete"):
@@ -499,48 +521,67 @@ class GraphService:
             # follower apply it, so a write-heavy stretch never accumulates
             # the whole history in the in-process channels.
             self._replication.advance()
-        self.metrics.record_batch(len(live), store_calls=store_calls)
+        self.metrics.record_batch(len(items), store_calls=store_calls)
         now = CLOCK()
         for request, value in zip(live, results):
             request.future.set_result(value)
-            self.metrics.record_resolved(now - request.enqueued_at)
+        self.metrics.record_resolved_many(
+            [now - r.enqueued_at for r in live], len(items))
 
-    def _execute_batch(self, kind: str, run: List[Request]):
-        """One run -> batch store calls -> per-request results.
+    def _dispatch_analytics(self, live: List[Request]) -> None:
+        """Analytics jobs execute one by one against one consistent store."""
+        incremental = self.analytics_mode == "incremental"
+        try:
+            target = (self._refresh_incremental() if incremental
+                      else self._read_store())
+        except Exception as exc:
+            self._fail_run(live, exc)
+            return
+        # Counted only once the run is actually going to hit a store,
+        # matching the _execute_run paths.
+        self.metrics.record_batch(len(live), store_calls=len(live))
+        serve = (self._run_analytics_incremental if incremental
+                 else self._run_analytics)
+        for request in live:
+            serve(request, target)
 
-        Returns ``(results, store_calls)``; results align with ``run``.
+    def _execute_run(self, kind: str, items: list, single: bool):
+        """One run's items -> batch store calls -> one result per request.
+
+        ``single`` says the run holds one request per item (each resolves
+        to a bare value); otherwise it is one list request, whose result is
+        the store's own return value.  Returns ``(results, store_calls)``.
         Read runs go through :meth:`_read_store` (a replica when the
         service is replicated); mutation runs always hit the primary.
         """
         if kind == "has":
-            edges = [r.payload for r in run]
-            return self._read_store().has_edges(edges), 1
+            answers = self._read_store().has_edges(items)
+            return (answers if single else [answers]), 1
         if kind == "successors":
-            nodes = [r.payload for r in run]
-            fanned = self._read_store().successors_many(nodes)
+            fanned = self._read_store().successors_many(items)
+            if not single:
+                return [fanned], 1
             # Copy: two requests for the same node must not share one list.
-            return [list(fanned[u]) for u in nodes], 1
-        store = self.store
-        edges = [r.payload for r in run]
-        present = store.has_edges(edges)
-        if kind == "insert":
-            store.insert_edges(edges)
-            seen: set = set()
-            results = []
-            for edge, was_present in zip(edges, present):
-                results.append(not was_present and edge not in seen)
-                seen.add(edge)
-            return results, 2
-        if kind == "delete":
-            store.delete_edges(edges)
-            gone: set = set()
-            results = []
-            for edge, was_present in zip(edges, present):
-                results.append(was_present and edge not in gone)
-                if was_present:
-                    gone.add(edge)
-            return results, 2
-        raise AssertionError(f"unreachable kind {kind!r}")
+            return [list(fanned[u]) for u in items], 1
+        mutate = (self.store.insert_edges if kind == "insert"
+                  else self.store.delete_edges)
+        if not single:
+            return [mutate(items)], 1
+        if len(items) == 1:
+            # One caller: the store's own count is the answer, no pre-probe.
+            return [bool(mutate(items))], 1
+        # Several single mutations: per-request results come from a batched
+        # pre-probe plus in-window bookkeeping (an edge's first insert in
+        # the run wins, as does its first delete).
+        present = self.store.has_edges(items)
+        mutate(items)
+        wanted = kind == "delete"
+        done: set = set()
+        results = []
+        for edge, was_present in zip(items, present):
+            results.append(bool(was_present) == wanted and edge not in done)
+            done.add(edge)
+        return results, 2
 
     def _refresh_incremental(self):
         """Barrier the analytics follower, fold the delta into its kernels.
@@ -572,11 +613,10 @@ class GraphService:
         try:
             result = self._serve_incremental(task, args, kwargs, follower)
         except Exception as exc:
-            request.future.set_exception(exc)
-            self.metrics.record_failed(CLOCK() - request.enqueued_at)
+            self._fail_run([request], exc)
             return
         request.future.set_result(result)
-        self.metrics.record_resolved(CLOCK() - request.enqueued_at)
+        self.metrics.record_resolved_many([CLOCK() - request.enqueued_at], 1)
 
     def _serve_incremental(self, task: str, args, kwargs, follower):
         if task == "pagerank":
@@ -600,7 +640,7 @@ class GraphService:
         return handler(follower.store, *args, engine=engine, **kwargs)
 
     def _run_analytics(self, request: Request,
-                       store: Optional[DynamicGraphStore] = None) -> None:
+                       store: DynamicGraphStore) -> None:
         """Analytics jobs execute one by one; exceptions stay per-request.
 
         ``store`` is the (possibly replica) store the run was routed to;
@@ -608,14 +648,11 @@ class GraphService:
         """
         task, args, kwargs = request.payload
         handler = ANALYTICS_HANDLERS[task]
-        if store is None:
-            store = self.store
         try:
             engine = TraversalEngine(store)
             result = handler(store, *args, engine=engine, **kwargs)
         except Exception as exc:
-            request.future.set_exception(exc)
-            self.metrics.record_failed(CLOCK() - request.enqueued_at)
+            self._fail_run([request], exc)
             return
         request.future.set_result(result)
-        self.metrics.record_resolved(CLOCK() - request.enqueued_at)
+        self.metrics.record_resolved_many([CLOCK() - request.enqueued_at], 1)

@@ -31,8 +31,14 @@ class TestStoreFactories:
     def test_every_scheme_buildable(self):
         for scheme in SCHEMES:
             store = build_store(scheme)
-            store.insert_edge(1, 2)
-            assert store.has_edge(1, 2)
+            try:
+                store.insert_edge(1, 2)
+                assert store.has_edge(1, 2)
+            finally:
+                # The served schemes own a dispatcher thread (and a WAL dir).
+                close = getattr(store, "close", None)
+                if callable(close):
+                    close()
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):

@@ -138,6 +138,23 @@ class TestLookupAndDelete:
         assert chain.get(resident) == "updated"
         assert len(chain) == size_before
 
+    def test_insert_overwrites_in_newest_table_when_it_expands(self):
+        """Regression: re-inserting a key that lives in the newest table, on
+        the very insert that expands the chain, used to store it twice (the
+        overwrite scan only covered the tables that were older *before* the
+        expansion)."""
+        chain = make_chain(n=2, d=4)
+        key = 0
+        while chain.tables[-1]._size <= chain._grow_above:
+            assert chain.insert(key, key) == []
+            key += 1
+        resident = next(k for k in range(key) if k in chain.tables[-1])
+        tables, size = len(chain.tables), len(chain)
+        assert chain.insert(resident, "updated") == []
+        assert chain.keys().count(resident) == 1
+        assert chain.get(resident) == "updated"
+        assert (len(chain.tables), len(chain)) == (tables, size)
+
     def test_update_returns_false_for_missing(self):
         chain = make_chain()
         fill_chain(chain, 10)

@@ -11,7 +11,8 @@ and re-inserts after delete -- are replayed three ways:
   serial and the threaded executor;
 * **through the GraphService front door**, submitting the whole stream as
   futures and checking every future's result against an oracle replay in
-  submission order;
+  submission order, then again as ``GraphClient`` batch calls of random
+  sizes around ``max_batch`` (each call travels as list requests);
 * **persisted and recovered**: the stream runs through a WAL-wrapped
   :class:`~repro.persist.PersistentStore` in random batch chunks, and at
   random points (and at the end, and after a simulated torn-tail crash)
@@ -33,7 +34,7 @@ import pytest
 
 from repro import ShardedCuckooGraph, WeightedGraphStore
 from repro.persist import PersistentStore, recover, replay_into
-from repro.service import GraphService
+from repro.service import GraphClient, GraphService
 
 from ..conftest import ALL_STORE_FACTORIES
 
@@ -249,6 +250,61 @@ def test_fuzz_graph_service(executor, fuzz_seed):
     finally:
         service.close()
         store.close()
+
+
+@pytest.mark.parametrize("max_batch", [1, 8, 64])
+def test_fuzz_graph_client_batches(max_batch, fuzz_seed):
+    """``GraphClient`` batch calls of sizes around ``max_batch`` -- one
+    short of it, exactly it, one over, several chunks -- interleaved with
+    single-op calls, must return what the oracle says for the same items in
+    the same order (duplicates within and across chunks included)."""
+    rng = random.Random(fuzz_seed * 131 + max_batch)
+    ops = generate_ops(fuzz_seed, length=4 * STREAM_LENGTH)
+    oracle = Oracle()
+    context = f"seed={fuzz_seed} max_batch={max_batch}"
+    sizes = [1, max(1, max_batch - 1), max_batch, max_batch + 1,
+             2 * max_batch, 3 * max_batch + 2]
+    store = ShardedCuckooGraph(num_shards=3)
+    with GraphClient(GraphService(store, own_store=True, max_batch=max_batch),
+                     close_service=True) as client:
+        position = 0
+        while position < len(ops):
+            if rng.random() < 0.2:  # a single-op call between the batches
+                op = ops[position]
+                position += 1
+                got, want = apply_to_store(client, op), oracle.apply(op)
+                if op[0] == "successors":
+                    got, want = sorted(got), sorted(want)
+                assert got == want, f"{context} single {op}"
+                continue
+            # One batch call: the next `size` ops lend their endpoints.
+            action = ops[position][0]
+            size = rng.choice(sizes + [rng.randrange(1, 4 * max_batch + 1)])
+            chunk = ops[position:position + size]
+            position += len(chunk)
+            edges = [(u, u if v is None else v) for _, u, v in chunk]
+            where = f"{context} {action} x{len(chunk)}"
+            if action == "insert":
+                assert client.insert_edges(edges) == \
+                    sum(oracle.insert(u, v) for u, v in edges), where
+            elif action == "delete":
+                assert client.delete_edges(edges) == \
+                    sum(oracle.delete(u, v) for u, v in edges), where
+            elif action == "query":
+                assert client.has_edges(edges) == \
+                    [oracle.has(u, v) for u, v in edges], where
+            else:
+                frontier = [u for u, _ in edges]
+                fanned = client.successors_many(frontier)
+                assert list(fanned) == list(dict.fromkeys(frontier)), where
+                for u, successors in fanned.items():
+                    assert sorted(successors) == sorted(oracle.successors(u)), \
+                        f"{where}: successors_many({u}) diverged"
+        assert_final_state(store, oracle, context)
+        summary = client.service.metrics_summary()
+        assert summary["failed"] == summary["cancelled"] == 0, context
+        assert summary["resolved"] == summary["submitted_total"], context
+        assert summary["items_resolved"] == summary["items_submitted"], context
 
 
 # --------------------------------------------------------------------- #

@@ -4,7 +4,8 @@ import pytest
 
 from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.core.errors import ReplicationError
-from repro.persist import PersistentStore
+from repro.persist import DELETE, INSERT, INSERT_WEIGHTED, PersistentStore
+from repro.persist.store import apply_op
 from repro.replicate import (
     Follower,
     GenerationBump,
@@ -12,6 +13,7 @@ from repro.replicate import (
     Primary,
     RecordShipment,
     ReplicationGroup,
+    apply_shipped_ops,
 )
 
 
@@ -163,6 +165,39 @@ def test_weighted_stream_into_unweighted_follower_is_refused(tmp_path):
     follower.close()
     primary.close()
     store.close()
+
+
+def test_a_shipment_reaches_the_follower_store_as_batch_calls():
+    """Same-tag runs of a record travel as one ``insert_edges`` /
+    ``delete_edges`` call (a run of one and weighted ops stay per-op), and
+    leave the state per-op application would."""
+    calls = []
+
+    class Spy:
+        """Records the calls that reach the follower store, then delegates."""
+        name = "Spy"
+
+        def __init__(self):
+            self.inner = WeightedCuckooGraph()
+
+        def __getattr__(self, method):
+            def call(*args):
+                size = len(args[0]) if method.endswith("edges") else 1
+                calls.append((method, size))
+                return getattr(self.inner, method)(*args)
+            return call
+
+    ops = ([(INSERT, u, u + 1) for u in range(5)] + [(DELETE, 0, 1), (DELETE, 9, 9)]
+           + [(INSERT, 7, 8)] + [(INSERT_WEIGHTED, 7, 8, 3), (INSERT_WEIGHTED, 1, 2, 2)]
+           + [(INSERT, 1, 2), (INSERT, 1, 2)])
+    spied, reference = Spy(), WeightedCuckooGraph()
+    apply_shipped_ops(spied, ops)
+    assert calls == [
+        ("insert_edges", 5), ("delete_edges", 2), ("insert_edge", 1),
+        ("insert_weighted_edge", 1), ("insert_weighted_edge", 1), ("insert_edges", 2)]
+    for op in ops:
+        apply_op(reference, op)
+    assert sorted(spied.inner.weighted_edges()) == sorted(reference.weighted_edges())
 
 
 def test_compaction_mid_stream_loses_nothing(tmp_path):

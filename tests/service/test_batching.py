@@ -1,9 +1,12 @@
 """Micro-batching behaviour: coalescing, ordering, per-request results.
 
-The acceptance-critical test lives here: a spy store proves that requests
+The acceptance-critical tests live here: a spy store proves that requests
 reach the store *only* through the batch APIs -- at least one coalesced call
-per dispatch window, zero per-operation calls.  Submissions happen before
-``start()`` so the window contents are deterministic.
+per dispatch window, zero per-operation calls -- and that a client batch of
+``n`` items travels as ``ceil(n / chunk)`` list requests, one store call
+each (``chunk`` is ``max_batch`` for a mutation, at most ``READ_CHUNK`` for
+a read).  Submissions happen before ``start()`` so the window contents are
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import pytest
 from repro import CuckooGraph, ShardedCuckooGraph
 from repro.analytics import bfs, pagerank
 from repro.interfaces import DynamicGraphStore
-from repro.service import GraphService, Request, split_runs
+from repro.service import GraphClient, GraphService, Request, split_runs
+from repro.service.client import READ_CHUNK
 
 
 class SpyStore(DynamicGraphStore):
@@ -161,6 +165,16 @@ class TestOrderingSemantics:
         runs = [(kind, len(run)) for kind, run in split_runs(window)]
         assert runs == [("insert", 2), ("has", 3), ("insert", 1), ("delete", 1)]
 
+    def test_split_runs_keeps_every_list_request_alone(self):
+        window = [Request("insert", (1, 2)),
+                  Request("insert", [(3, 4), (5, 6)], single=False),
+                  Request("insert", [(7, 8)], single=False),
+                  Request("insert", (9, 10)), Request("insert", (11, 12)),
+                  Request("has", [(1, 2)], single=False)]
+        runs = [(kind, [r.single for r in run]) for kind, run in split_runs(window)]
+        assert runs == [("insert", [True]), ("insert", [False]), ("insert", [False]),
+                        ("insert", [True, True]), ("has", [False])]
+
     def test_self_loops_round_trip(self):
         service = GraphService(ShardedCuckooGraph(num_shards=2))
         with service:
@@ -168,6 +182,188 @@ class TestOrderingSemantics:
             assert service.has_edge(5, 5).result(10) is True
             assert service.successors(5).result(10) == [5]
             assert service.delete_edge(5, 5).result(10) is True
+
+
+class TestListRequests:
+    """A request carries a list: one future, one run, one store call."""
+
+    def test_client_batch_is_ceil_n_over_chunk_store_calls(self):
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        service = GraphService(spy, max_batch=64, own_store=False)
+        edges = [(u, 1000 + u) for u in range(150)]
+        # A list request is a run of its own whatever window it lands in, so
+        # the store calls are deterministic on a running service too.
+        with service:
+            client = GraphClient(service)
+            assert client.insert_edges(edges) == 150
+            assert calls_of(spy, "insert_edges") == [64, 64, 22]
+            assert calls_of(spy, "has_edges") == []  # no pre-probe
+            assert client.has_edges(edges + [(1, 1)]) == [True] * 150 + [False]
+            assert client.successors_many(range(140)) == {
+                u: [1000 + u] for u in range(140)}
+            assert client.delete_edges(edges) == 150
+        # Mutations travel max_batch items a request, reads READ_CHUNK.
+        assert READ_CHUNK == 8
+        assert calls_of(spy, "has_edges") == [8] * 18 + [7]
+        assert calls_of(spy, "successors_many") == [8] * 17 + [4]
+        assert calls_of(spy, "delete_edges") == [64, 64, 22]
+        assert spy.single_calls == []
+        summary = service.metrics_summary()
+        assert summary["submitted"] == {"insert": 3, "has": 19,
+                                        "successors": 18, "delete": 3}
+        assert summary["resolved"] == summary["submitted_total"] == 43
+        assert summary["items_submitted"] == summary["items_resolved"] \
+            == 150 + 151 + 140 + 150
+        assert summary["batches"] == summary["store_batch_calls"] == 43
+        assert summary["max_batch_size"] == 64
+        assert summary["latency"]["count"] == 43
+
+    def test_read_chunk_never_exceeds_max_batch(self):
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        with GraphService(spy, max_batch=3, own_store=False) as service:
+            client = GraphClient(service)
+            assert client.insert_edges([(u, u + 1) for u in range(7)]) == 7
+            assert client.has_edges([(u, u + 1) for u in range(7)]) == [True] * 7
+            assert client.successors_many(range(7)) == {
+                u: [u + 1] for u in range(7)}
+        assert calls_of(spy, "insert_edges") == [3, 3, 1]
+        assert calls_of(spy, "has_edges") == [3, 3, 1]
+        assert calls_of(spy, "successors_many") == [3, 3, 1]
+
+    def test_empty_client_batches_submit_nothing(self):
+        with GraphService(ShardedCuckooGraph(num_shards=2)) as service:
+            client = GraphClient(service)
+            assert client.insert_edges([]) == 0
+            assert client.delete_edges([]) == 0
+            assert client.has_edges([]) == []
+            assert client.successors_many([]) == {}
+        assert service.metrics_summary()["submitted_total"] == 0
+
+    def test_list_and_lone_single_mutations_make_one_store_call(self):
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        service = GraphService(spy, max_batch=16, own_store=False)
+        futures = [
+            service.insert_edges([(1, 2), (1, 3), (1, 2)]),  # list: own run
+            service.has_edge(1, 2),
+            service.insert_edge(1, 2),                       # lone single
+            service.has_edge(9, 9),
+            service.delete_edge(1, 3),                       # lone single
+            service.has_edge(9, 9),
+            service.delete_edges([(1, 2), (7, 7)]),
+        ]
+        with service:
+            assert [f.result(10) for f in futures] == [
+                2, True, False, False, True, False, 1]
+        assert calls_of(spy, "insert_edges") == [3, 1]
+        assert calls_of(spy, "delete_edges") == [1, 2]
+        assert calls_of(spy, "has_edges") == [1, 1, 1]  # the three queries only
+        assert spy.single_calls == []
+        assert service.metrics_summary()["store_batch_calls"] == 7
+
+    def test_run_of_several_single_mutations_still_makes_two(self):
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        service = GraphService(spy, max_batch=16, own_store=False)
+        futures = [service.insert_edge(1, 2), service.insert_edge(1, 2),
+                   service.insert_edge(3, 4)]
+        with service:
+            assert [f.result(10) for f in futures] == [True, False, True]
+        assert spy.batch_calls == [("has_edges", 3), ("insert_edges", 3)]
+        assert service.metrics_summary()["store_batch_calls"] == 2
+
+    @pytest.mark.parametrize("max_batch", [1, 3, 4, 64])
+    def test_results_equal_the_per_request_path_on_duplicates(self, max_batch):
+        """Duplicates within a chunk and across chunks: the list path's
+        counts and answers equal what one request per item resolves to."""
+        edges = [(u % 5, u % 3) for u in range(23)]          # heavy repetition
+        doomed = [(u % 4, u % 3) for u in range(17)] + [(8, 8)]
+        nodes = [u % 6 for u in range(14)]
+
+        def per_request(service):
+            inserted = [service.insert_edge(u, v) for u, v in edges]
+            probes = [service.has_edge(u, v) for u, v in doomed]
+            fans = [service.successors(u) for u in dict.fromkeys(nodes)]
+            deleted = [service.delete_edge(u, v) for u, v in doomed]
+            return (sum(f.result(10) for f in inserted),
+                    [f.result(10) for f in probes],
+                    dict(zip(dict.fromkeys(nodes), (f.result(10) for f in fans))),
+                    sum(f.result(10) for f in deleted))
+
+        def batched(service):
+            client = GraphClient(service)
+            return (client.insert_edges(edges), client.has_edges(doomed),
+                    client.successors_many(nodes), client.delete_edges(doomed))
+
+        outcomes, leftovers = [], []
+        for drive in (per_request, batched):
+            with GraphService(ShardedCuckooGraph(num_shards=2),
+                              max_batch=max_batch) as service:
+                outcomes.append(drive(service))
+                leftovers.append(sorted(service.store.edges()))
+        assert outcomes[0] == outcomes[1]
+        assert leftovers[0] == leftovers[1]
+
+    def test_fifo_between_a_list_and_a_single_request_on_one_edge(self):
+        service = GraphService(ShardedCuckooGraph(num_shards=2), max_batch=16)
+        futures = [
+            service.insert_edges([(1, 2), (3, 4)]),
+            service.delete_edge(1, 2),
+            service.has_edges([(1, 2), (3, 4)]),
+            service.insert_edge(1, 2),
+            service.delete_edges([(1, 2), (3, 4), (5, 6)]),
+            service.has_edge(3, 4),
+        ]
+        with service:
+            assert [f.result(10) for f in futures] == [
+                2, True, [False, True], True, 2, False]
+        assert service.store.num_edges == 0
+
+    def test_cancelling_a_list_future_skips_the_whole_request(self):
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        service = GraphService(spy, max_batch=16, own_store=False)
+        skipped = service.insert_edges([(1, 2), (3, 4), (5, 6)])
+        kept = service.insert_edges([(7, 8)])
+        assert skipped.cancel()
+        with service:
+            assert kept.result(10) == 1
+        assert calls_of(spy, "insert_edges") == [1]
+        assert sorted(spy.edges()) == [(7, 8)]
+        summary = service.metrics_summary()
+        assert (summary["cancelled"], summary["resolved"]) == (1, 1)
+        # The ledger stays in requests; the item totals show what was dropped.
+        assert (summary["items_submitted"], summary["items_resolved"]) == (4, 1)
+
+    def test_oversized_and_empty_list_requests_are_refused(self):
+        """One call, one future, one store call: the service refuses what
+        does not fit a store call instead of splitting it (GraphClient
+        splits)."""
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        with GraphService(spy, max_batch=4, own_store=False) as service:
+            for submit in (service.insert_edges, service.delete_edges,
+                           service.has_edges):
+                with pytest.raises(ValueError, match="max_batch"):
+                    submit([(u, u) for u in range(5)])
+                with pytest.raises(ValueError, match="max_batch"):
+                    submit([])
+            with pytest.raises(ValueError, match="max_batch"):
+                service.successors_many(range(5))
+            assert service.insert_edges((u, u) for u in range(4)).result(10) == 4
+        assert service.metrics_summary()["submitted_total"] == 1
+        assert spy.batch_calls == [("insert_edges", 4)]
+
+    def test_store_failure_reaches_the_list_future(self):
+        class Poisoned(SpyStore):
+            def insert_edges(self, edges):
+                raise RuntimeError("poisoned batch")
+
+        service = GraphService(Poisoned(ShardedCuckooGraph(num_shards=2)),
+                               own_store=False)
+        doomed = service.insert_edges([(1, 2), (3, 4)])
+        with service:
+            with pytest.raises(RuntimeError, match="poisoned batch"):
+                doomed.result(10)
+            assert service.has_edges([(1, 2)]).result(10) == [False]
+        summary = service.metrics_summary()
+        assert (summary["failed"], summary["resolved"]) == (1, 1)
 
 
 class TestAnalyticsDispatch:

@@ -80,6 +80,31 @@ class TestLifecycle:
         assert store.insert_edges([(2, 3)]) == 1  # still fully usable
         store.close()
 
+    def test_idle_dispatcher_sleeps_untimed_and_close_wakes_it(self):
+        """No idle heartbeat: an idle dispatcher parks in one untimed wait
+        (it used to wake every 50 ms to look for a shutdown) and ``close``
+        -- which notifies every queue waiter -- ends it promptly."""
+        service = GraphService()
+        not_empty = service._queue._not_empty
+        waits: list = []
+        wait = not_empty.wait
+
+        def spying_wait(timeout=None):
+            waits.append(timeout)
+            return wait(timeout)
+
+        not_empty.wait = spying_wait
+        service.start()
+        time.sleep(0.25)  # five of the old heartbeats
+        assert waits == [None]
+        assert service.insert_edge(1, 2).result(WAIT_S) is True
+        time.sleep(0.1)
+        assert waits == [None, None]  # served, then parked again
+        began = time.monotonic()
+        service.close()
+        assert time.monotonic() - began < 1.0
+        assert not service.running
+
     def test_submissions_before_start_are_served_after_start(self):
         service = GraphService()
         future = service.insert_edge(1, 2)
@@ -153,6 +178,45 @@ class TestBackpressure:
         queue.put("a")
         with pytest.raises(QueueFullError):
             queue.put("b", timeout=0.05)
+
+
+class TestQueueWindows:
+    def test_get_many_takes_a_fifo_window_and_leaves_the_rest(self):
+        queue = BoundedRequestQueue(capacity=8)
+        for item in "abcde":
+            queue.put(item)
+        assert queue.get_many(3) == ["a", "b", "c"]
+        assert queue.get_many(8) == ["d", "e"]
+        assert queue.get_many(8, timeout=0) == []
+
+    def test_close_wakes_a_blocked_get_many_and_drains_first(self):
+        queue = BoundedRequestQueue(capacity=8)
+        got: list = []
+        thread = threading.Thread(target=lambda: got.append(queue.get_many(4)),
+                                  daemon=True)
+        thread.start()
+        time.sleep(0.05)  # let it park in the untimed wait
+        assert queue.close() == []
+        thread.join(WAIT_S)
+        assert got == [[]]
+        drained = BoundedRequestQueue(capacity=8)
+        drained.put("a")
+        assert drained.close() == ["a"]
+        assert drained.get_many(4) == ["a"] and drained.get_many(4) == []
+
+    def test_one_get_many_releases_every_producer_it_made_room_for(self):
+        queue = BoundedRequestQueue(capacity=2, policy="block")
+        queue.put("a")
+        queue.put("b")
+        threads = [threading.Thread(target=queue.put, args=(item,), daemon=True)
+                   for item in "cd"]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.05)  # both are blocked on the full queue
+        assert queue.get_many(2) == ["a", "b"]
+        for thread in threads:
+            thread.join(WAIT_S)
+        assert sorted(queue.get_many(2)) == ["c", "d"]
 
 
 class TestTimeWindow:

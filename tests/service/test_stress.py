@@ -23,6 +23,7 @@ futures).
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 from repro import ShardedCuckooGraph
@@ -157,3 +158,54 @@ def test_concurrent_clients_with_threaded_store_executor():
         service.close()
         assert totals == [200, 200, 200]
         assert store.num_edges == 600
+
+
+def test_tiny_queue_never_loses_a_wakeup_between_lists_and_singles():
+    """Queue hop under contention: more client threads than cores push list
+    and single requests through a 2-slot queue, so producers and the
+    dispatcher park and wake each other constantly while the interpreter
+    switches threads every few bytecodes.  Producers and the dispatcher
+    wait on separate conditions and a ``get_many`` wakes one producer per
+    slot it freed; a lost wake-up would hang a client (the joins below are
+    bounded), a lost or doubled request would break the ledger or the edge
+    count."""
+    clients, rounds = 6, 60
+    store = ShardedCuckooGraph(num_shards=2)
+    service = GraphService(store, max_batch=4, queue_capacity=2,
+                           policy="block").start()
+    barrier = threading.Barrier(clients)
+    inserted = [0] * clients
+
+    def client(index: int):
+        base = index * 100_000
+        barrier.wait(WAIT_S)
+        for round_no in range(rounds):
+            u = base + round_no * 10
+            chunk = service.insert_edges([(u, v) for v in range(4)])
+            lone = service.insert_edge(u, 99)
+            again = service.insert_edge(u, 99)
+            inserted[index] += chunk.result(WAIT_S) + lone.result(WAIT_S) \
+                + again.result(WAIT_S)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=client, args=(index,), daemon=True)
+                   for index in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(WAIT_S)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        service.close()
+    assert inserted == [rounds * 5] * clients
+    assert store.num_edges == clients * rounds * 5
+    summary = service.metrics_summary()
+    assert summary["submitted_total"] == clients * rounds * 3
+    assert summary["resolved"] == summary["submitted_total"]
+    assert summary["items_resolved"] == summary["items_submitted"] \
+        == clients * rounds * 6
+    assert summary["failed"] == summary["cancelled"] == summary["rejected"] == 0
+    store.close()

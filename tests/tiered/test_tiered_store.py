@@ -7,9 +7,12 @@ matrices cannot see: when shards migrate, what the counters say, and how the
 lifecycle behaves.
 """
 
+import random
+
 import pytest
 
 from repro.core.errors import ConfigurationError, StoreClosedError
+from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore, TouchLRUPolicy
 
 
@@ -188,3 +191,30 @@ def test_close_is_terminal_and_idempotent():
         store.insert_edge(3, 4)
     with pytest.raises(StoreClosedError):
         store.has_edge(1, 2)
+
+
+def test_client_batches_end_on_the_same_tiers_as_single_inserts():
+    """A ``GraphClient.insert_edges`` travels as ``max_batch``-sized store
+    calls, so the tiering policy sees the traffic in pieces no larger than
+    per-edge serving hands it: same hot set, same footprint, same edges."""
+    rng = random.Random(14)
+    edges = [(int(rng.paretovariate(0.6)) % 600, rng.randrange(5000))
+             for _ in range(2000)]
+
+    def served(load):
+        store = TieredStore(num_shards=8, hot_shards=2)
+        with GraphClient(GraphService(store, own_store=True, max_batch=64),
+                         close_service=True) as client:
+            load(client)
+            stats = store.tier_stats()
+            return (stats["hot_set"], client.memory_bytes(),
+                    sorted(client.edges())), stats
+
+    def one_by_one(client):
+        for u, v in edges:
+            client.insert_edge(u, v)
+
+    batched, stats = served(lambda client: client.insert_edges(edges))
+    single, _ = served(one_by_one)
+    assert batched == single
+    assert stats["promotions"] > 0  # the stream does move the hot set
