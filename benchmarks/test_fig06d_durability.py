@@ -12,8 +12,7 @@ subsystem (:mod:`repro.persist`) is deployable in front of it:
   fsync), plus the full service path (``durability="batch"``: one fsync per
   dispatched micro-batch, before futures resolve);
 * **Recovery throughput** -- edges/second of ``recover()`` replaying the WAL
-  (serially and with per-shard parallel replay) and from a snapshot after
-  compaction.
+  and from a snapshot after compaction.
 
 All store directories live under pytest's ``tmp_path``, so a benchmark run
 leaves nothing behind.
@@ -159,15 +158,10 @@ def test_fig06d_durability(benchmark, tmp_path):
         store.close()
         return tmp_path / name
 
-    for label, checkpoint, parallel in (
-        ("wal-serial", False, False),
-        ("wal-parallel", False, True),
-        ("snapshot", True, False),
-    ):
+    for label, checkpoint in (("wal", False), ("snapshot", True)):
         directory = build_dir(f"recover-{label}", checkpoint)
         start = time.perf_counter()
-        recovered = recover(directory, store=ShardedCuckooGraph(num_shards=NUM_SHARDS),
-                            parallel=parallel)
+        recovered = recover(directory, store=ShardedCuckooGraph(num_shards=NUM_SHARDS))
         seconds = time.perf_counter() - start
         assert recovered.num_edges == operations
         assert sorted(recovered.edges()) == sorted(edges)
@@ -203,8 +197,7 @@ def test_fig06d_durability(benchmark, tmp_path):
                 recovery_rows,
                 columns=["source", "snapshot_rows", "wal_ops", "edges",
                          "seconds", "edges_per_s"],
-                title="Recovery throughput: WAL replay (serial / per-shard "
-                      "parallel) and snapshot load"),
+                title="Recovery throughput: WAL replay and snapshot load"),
         ]),
     )
     write_bench_payload("fig06d", {
@@ -222,10 +215,10 @@ def test_fig06d_durability(benchmark, tmp_path):
     # recover() + close() pair is timed.
     bench_dir = build_dir("recover-bench", False)
 
-    def recover_wal_serial():
+    def recover_wal():
         recovered = recover(bench_dir, store=ShardedCuckooGraph(num_shards=NUM_SHARDS))
         count = recovered.num_edges
         recovered.close()
         return count
 
-    assert benchmark_callable(benchmark, recover_wal_serial) == operations
+    assert benchmark_callable(benchmark, recover_wal) == operations

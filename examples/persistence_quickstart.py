@@ -56,11 +56,10 @@ def main() -> None:
     # sync_on_commit=False: the reopened store buffers appends so the
     # durability point can move to the service's per-batch group commit.
     recovered = recover(base, store=ShardedCuckooGraph(num_shards=NUM_SHARDS),
-                        parallel=True, sync_on_commit=False)
+                        sync_on_commit=False)
     stats = recovered.last_recovery
     print("recovered:", recovered.num_edges, "edges "
-          f"(snapshot_rows={stats['snapshot_rows']}, wal_ops={stats['wal_ops']}, "
-          f"parallel={stats['parallel']})")
+          f"(snapshot_rows={stats['snapshot_rows']}, wal_ops={stats['wal_ops']})")
     # The torn record held the post-snapshot insert; everything else is back.
     survivors = [edge for edge in expected if edge != (1000, 1001)]
     assert sorted(recovered.edges()) == survivors

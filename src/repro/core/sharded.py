@@ -24,7 +24,11 @@ that front-end:
   request stream per shard first and then drain each group with the shard's
   bound method, amortizing routing, attribute lookups and dispatch over the
   whole group instead of paying them per edge.  Results are scattered back in
-  input order where order matters (:meth:`has_edges`).
+  input order where order matters (:meth:`has_edges`).  For the mutations the
+  two halves are public -- :meth:`partition_edges`, then
+  :meth:`insert_groups`/:meth:`delete_groups` -- so a wrapper that needs the
+  routing itself (the write-ahead log keeps one segment per shard) routes a
+  batch once and hands the groups back.
 
 * **Pluggable executor.**  ``executor="serial"`` (default) drains the
   per-shard groups one after another; ``executor="threads"`` submits each
@@ -38,7 +42,7 @@ that front-end:
   does: a long-lived pool of worker processes (see
   :mod:`~repro.core.shard_worker`) each *owns* its shards' state, the
   parent ships per-shard batch groups over the WAL op encoding
-  (:func:`repro.persist.wal.encode_ops`) and merges results, counters and
+  (:func:`repro.persist.wal.encode_edge_ops`) and merges results, counters and
   accesses back deterministically -- N shards on N cores, observably
   identical to the serial executor.
 
@@ -326,10 +330,11 @@ class ShardedCuckooGraph(DynamicGraphStore):
     def _partition(self, pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
         """Group ``(routing node, payload)`` pairs per owning shard.
 
-        The single place the batch paths route through; the expression is the
-        inlined body of :func:`shard_index` (kept inline so the per-item cost
-        stays one multiply, not a function call).  Per-shard payload order
-        follows input order.
+        What the batch reads route through (the mutations have
+        :meth:`partition_edges`); the expression is the inlined body of
+        :func:`shard_index` (kept inline so the per-item cost stays one
+        multiply, not a function call).  Per-shard payload order follows
+        input order.
         """
         num_shards = self.num_shards
         groups: dict[int, list] = {}
@@ -422,23 +427,44 @@ class ShardedCuckooGraph(DynamicGraphStore):
     # Batch operations (the point of the front-end)
     # ------------------------------------------------------------------ #
 
-    def _proc_apply(self, edges: Iterable[tuple[int, int]], tag: str) -> int:
-        """Ship a mutation batch to the workers as WAL-encoded op groups."""
-        from ..persist.wal import encode_ops
+    def partition_edges(
+        self, edges: Iterable[tuple[int, int]]
+    ) -> dict[int, list[tuple[int, int]]]:
+        """Group a mutation batch per owning shard: ``{shard index: edges}``.
 
-        groups = self._partition((edge[0], edge) for edge in edges)
+        Together with :meth:`insert_groups`/:meth:`delete_groups` this is the
+        public seam of the batch mutations: ``insert_edges(edges)`` *is*
+        ``insert_groups(partition_edges(edges))``.  A caller that needs the
+        routing for its own purposes -- :class:`~repro.persist.PersistentStore`
+        writes one WAL record per group -- partitions once and hands the same
+        groups back, instead of re-deriving them through :meth:`shard_of`.
+        Groups appear in first-seen order and keep input order within.
+        """
+        num_shards = self.num_shards
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for edge in edges:
+            index = (((edge[0] * _ROUTE_MULTIPLIER) & _MASK64) >> 32) % num_shards
+            group = groups.get(index)
+            if group is None:
+                groups[index] = [edge]
+            else:
+                group.append(edge)
+        return groups
+
+    def _proc_apply(self, groups: dict[int, list], tag: str) -> int:
+        """Ship mutation groups to the workers as WAL-encoded op records."""
+        from ..persist.wal import encode_edge_ops
+
         results = self._proc_groups(
-            groups, "apply",
-            lambda group: encode_ops((tag, u, v) for u, v in group),
-        )
+            groups, "apply", lambda group: encode_edge_ops(tag, group))
         return sum(results.values())
 
-    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Insert a batch of edges grouped per shard; return how many were new."""
+    def insert_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
+        """Insert :meth:`partition_edges` groups; return how many edges were new."""
         if self._procs is not None:
             from ..persist.wal import INSERT
 
-            return self._proc_apply(edges, INSERT)
+            return self._proc_apply(groups, INSERT)
         shards = self.shards
 
         def worker(index: int, group: list) -> int:
@@ -449,15 +475,14 @@ class ShardedCuckooGraph(DynamicGraphStore):
                     inserted += 1
             return inserted
 
-        groups = self._partition((edge[0], edge) for edge in edges)
         return sum(count for _, count in self._run_per_shard(groups, worker))
 
-    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Delete a batch of edges grouped per shard; return how many were present."""
+    def delete_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
+        """Delete :meth:`partition_edges` groups; return how many edges were present."""
         if self._procs is not None:
             from ..persist.wal import DELETE
 
-            return self._proc_apply(edges, DELETE)
+            return self._proc_apply(groups, DELETE)
         shards = self.shards
 
         def worker(index: int, group: list) -> int:
@@ -468,8 +493,15 @@ class ShardedCuckooGraph(DynamicGraphStore):
                     deleted += 1
             return deleted
 
-        groups = self._partition((edge[0], edge) for edge in edges)
         return sum(count for _, count in self._run_per_shard(groups, worker))
+
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Insert a batch of edges grouped per shard; return how many were new."""
+        return self.insert_groups(self.partition_edges(edges))
+
+    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Delete a batch of edges grouped per shard; return how many were present."""
+        return self.delete_groups(self.partition_edges(edges))
 
     def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
         """Membership of a batch of edges, in input order.

@@ -7,8 +7,11 @@ per batch call per touched segment -- which is what makes group commit
 cheap), a
 snapshot-plus-truncate compaction bounds log growth, and :func:`recover`
 replays snapshot and log into a fresh store of any registered scheme.
-Sharded stores log one WAL segment per shard, so recovery can replay them
-in parallel.
+Sharded stores log one WAL segment per shard; the segments are mutually
+independent, so a commit fsyncs every segment it touched side by side --
+on helper threads, while the calling thread applies the batch in memory --
+and returns once all of them are durable (:mod:`repro.persist.store` has
+the timeline and the failure semantics).
 
 Quickstart::
 
@@ -60,6 +63,7 @@ from .wal import (
     decode_edges,
     decode_nodes,
     decode_ops,
+    encode_edge_ops,
     encode_edges,
     encode_frame,
     encode_nodes,
@@ -92,6 +96,7 @@ __all__ = [
     "decode_edges",
     "decode_nodes",
     "decode_ops",
+    "encode_edge_ops",
     "encode_edges",
     "encode_frame",
     "encode_nodes",

@@ -34,6 +34,7 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple
 
@@ -76,8 +77,10 @@ def write_snapshot(path: os.PathLike | str, store: DynamicGraphStore,
     """
     path = Path(path)
     kind, rows = snapshot_rows(store)
-    packer = _WEIGHTED_ROW if kind == KIND_WEIGHTED else _PLAIN_ROW
-    body = b"".join(packer.pack(*row) for row in rows)
+    width = 3 if kind == KIND_WEIGHTED else 2
+    # Rows are ``width`` little-endian 8-byte ids each, so the whole body is
+    # one flat array of them: one pack call instead of one per row.
+    body = struct.pack(f"<{width * len(rows)}q", *chain.from_iterable(rows))
     header = SNAPSHOT_MAGIC + _HEADER.pack(kind, len(rows), generation, zlib.crc32(body))
     temp = path.with_name(path.name + ".tmp")
     with open(temp, "wb") as file:
@@ -115,8 +118,7 @@ def read_snapshot(path: os.PathLike | str) -> Tuple[int, int, List[tuple]]:
         )
     if zlib.crc32(body) != crc:
         raise SnapshotCorruptError(f"{path} failed its body checksum")
-    rows = [packer.unpack_from(body, index * packer.size) for index in range(count)]
-    return kind, generation, rows
+    return kind, generation, list(packer.iter_unpack(body))
 
 
 def snapshot_generation(path: os.PathLike | str) -> int:
@@ -152,7 +154,7 @@ def load_snapshot(path: os.PathLike | str, store: DynamicGraphStore) -> Tuple[in
         return 0, 0
     kind, generation, rows = read_snapshot(path)
     if kind == KIND_PLAIN:
-        store.insert_edges((u, v) for u, v in rows)
+        store.insert_edges(rows)
         return len(rows), generation
     insert_weighted = getattr(store, "insert_weighted_edge", None)
     multi_edge = callable(getattr(store, "edge_multiplicity", None))

@@ -1,12 +1,12 @@
 """`PersistentStore`: durability wrapper for any :class:`DynamicGraphStore`.
 
 The wrapper is write-ahead in the strict sense: every mutation (single-op
-or batch) is encoded into **one** WAL group-commit record and appended
-*before* it is applied to the wrapped store, so the on-disk log is always a
-superset of the in-memory state and a crash can lose at most the commits
-whose records never completed.  Reads delegate straight through -- the
-wrapped structure keeps its access characteristics, counters and memory
-model untouched.
+or batch) is encoded into **one** WAL group-commit record per touched
+segment and appended *before* it is applied to the wrapped store, so the
+on-disk log is always a superset of the in-memory state and a crash can
+lose at most the commits whose records never completed.  Reads delegate
+straight through -- the wrapped structure keeps its access characteristics,
+counters and memory model untouched.
 
 Layout of a store directory::
 
@@ -17,9 +17,51 @@ Layout of a store directory::
 Sharded stores get **one WAL segment per shard**, routed by the same
 ``shard_of`` hash that routes the operations themselves.  Because every
 operation on a source node lands in that node's segment, the segments are
-totally ordered per shard and mutually independent -- recovery can replay
-them in parallel (``recover(..., parallel=True)``) exactly the way the
-sharded executor fans batches out.
+totally ordered per shard and mutually independent: nothing orders their
+fsyncs against each other, which is what the commit below exploits.
+
+A commit (``sync_on_commit=True``) is one pipeline, for every mutation::
+
+    partition   the batch is routed once -- through the wrapped store's own
+                partition_edges() when it has one -- and the same groups
+                feed the WAL records and the apply
+    append      one record per group, each packed in one call, written to
+                the OS (not yet durable)
+    sync || apply   one fsync per touched segment goes in flight on the
+                store's helper threads (os.fsync releases the GIL) while
+                the calling thread applies the groups in memory
+    join        every fsync has returned
+    compact     the size check, and a checkpoint when it is due
+
+and the call returns after that: acknowledged => durable, exactly one fsync
+per touched segment.  A commit with one segment to sync and one operation
+to apply (every single-op call) has nothing worth a thread hand-off and
+syncs on the caller's thread, then applies.  With ``sync_on_commit=False``
+the pipeline stops after *append* (buffered) and the fsyncs move to
+:meth:`PersistentStore.sync` -- the service's group commit -- which syncs
+its dirty segments through the same helpers, or inline when only one is
+dirty.  *When* to fsync is decided here and nowhere else;
+:class:`~repro.persist.wal.WriteAheadLog` only appends and syncs on request.
+
+What the failures leave behind (``tests/persist/test_group_commit.py``):
+
+* **An fsync fails** (``OSError``).  The call raises it -- after every
+  other sync it had in flight has returned.  Nothing is rewound: the batch
+  may already be applied, and a record whose batch is in memory never
+  leaves the log (``recover()`` of the directory is a superset of memory).
+  The failed segment counts as unsynced again, so the next ``sync()`` or
+  ``close()`` retries the fsync; whether the kernel still holds the pages
+  to write by then is the OS's business, so the call that raised must be
+  treated as *not durable* (the service goes fail-stop on it).
+* **The apply fails.**  The in-flight syncs are joined, then every touched
+  segment is rewound to its size before the commit (and that truncation
+  fsynced): a mutation the store refused must not replay at every future
+  recovery.  The store may keep a partially applied batch in memory, as
+  batch exceptions always allowed; after a restart the commit is absent.
+* **The order the apply can rely on.**  When the apply starts, its records
+  are already in every touched segment file (write-ahead at the OS level);
+  when the call returns, every touched segment has been synced and none is
+  dirty.
 
 Recovery is :func:`recover`: load the snapshot (if any) into a fresh store
 of the recorded (or caller-supplied) scheme, replay every complete WAL
@@ -34,10 +76,14 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, TypeVar, Union
+from queue import SimpleQueue
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union,
+)
 
 from ..core.errors import PersistenceError, StoreClosedError
 from ..core.graph import CuckooGraph
@@ -60,6 +106,8 @@ from .wal import (
     WAL_HEADER_SIZE,
     WalPosition,
     WriteAheadLog,
+    encode_edge_ops,
+    encode_ops,
     read_wal_records,
 )
 
@@ -183,6 +231,66 @@ def _write_manifest(path: Path, manifest: dict) -> None:
     fsync_directory(path)
 
 
+class _SyncThreads:
+    """The helper threads of one store: each takes a segment and sits in its
+    ``fsync`` so the committing thread need not.
+
+    ``os.fsync`` releases the GIL, so a helper costs the caller nothing once
+    it is inside it -- but it needs the GIL to get there, and the apply that
+    follows may hold it for milliseconds.  Hence the hand-off in
+    :meth:`start`: it returns only after every helper has reported "about to
+    sync".  What is in flight belongs to the call that started it (a commit
+    and a ``sync()`` from ``Primary.sync_and_pump``'s thread can be in
+    progress at once); only the threads are shared.
+    """
+
+    def __init__(self, count: int):
+        self._tasks: SimpleQueue = SimpleQueue()
+        self._threads = [
+            threading.Thread(target=self._run, name=f"wal-sync-{index}", daemon=True)
+            for index in range(count)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def _run(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            wal, fd, entered, done = task
+            entered.put(None)
+            try:
+                wal.finish_sync(fd)
+            except BaseException as error:  # handed to, and raised by, the caller
+                done.put(error)
+            else:
+                done.put(None)
+
+    def start(self, syncing: Sequence[Tuple[WriteAheadLog, int]]) -> Tuple[SimpleQueue, int]:
+        """Put the fsync of every ``(segment, descriptor)`` in flight."""
+        entered: SimpleQueue = SimpleQueue()
+        done: SimpleQueue = SimpleQueue()
+        for wal, fd in syncing:
+            self._tasks.put((wal, fd, entered, done))
+        for _ in syncing:
+            entered.get()
+        return done, len(syncing)
+
+    @staticmethod
+    def join(in_flight: Optional[Tuple[SimpleQueue, int]]) -> Optional[BaseException]:
+        """Wait for every sync :meth:`start` put in flight; return the first
+        error among them (``in_flight`` is ``None`` when nothing was)."""
+        if in_flight is None:
+            return None
+        done, count = in_flight
+        errors = [done.get() for _ in range(count)]
+        return next((error for error in errors if error is not None), None)
+
+    def close(self) -> None:
+        for _ in self._threads:
+            self._tasks.put(None)
+        for thread in self._threads:
+            thread.join()
+
+
 class PersistentStore(DynamicGraphStore):
     """Write-ahead-logged wrapper implementing the full store contract.
 
@@ -195,9 +303,10 @@ class PersistentStore(DynamicGraphStore):
             not given; a *name* is recorded in the manifest so
             :func:`recover` can rebuild the store without being told.
         sync_on_commit: ``True`` makes every commit individually durable
-            (one fsync per mutation call); ``False`` buffers appends until
-            :meth:`sync` -- the deferral :class:`~repro.service.GraphService`
-            turns into per-micro-batch group commits.
+            (one fsync per touched segment per mutation call); ``False``
+            buffers appends until :meth:`sync` -- the deferral
+            :class:`~repro.service.GraphService` turns into
+            per-micro-batch group commits.
         compact_wal_bytes: WAL size threshold (summed over segments) past
             which the store snapshots itself and truncates the log;
             ``None`` disables compaction.
@@ -291,10 +400,16 @@ class PersistentStore(DynamicGraphStore):
         self._segments = segments
         self._wals = [
             WriteAheadLog(self._path / _segment_name(index),
-                          sync_on_commit=sync_on_commit,
                           generation=self._generation)
             for index in range(segments)
         ]
+        #: Guards which call syncs what: a segment's records are handed to
+        #: exactly one fsync, also when ``sync()`` arrives from another
+        #: thread mid-commit.  Held for appends and hand-overs only, never
+        #: across an fsync, an apply or a subscriber callback.
+        self._log_lock = threading.Lock()
+        #: Started by the first call with an fsync to overlap.
+        self._sync_threads: Optional[_SyncThreads] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -345,12 +460,16 @@ class PersistentStore(DynamicGraphStore):
 
         Terminal in the same sense as the sharded front-end's ``close``:
         further mutations raise :class:`StoreClosedError` instead of
-        silently writing to a released log.  An ephemeral (``path=None``)
-        store also removes its temporary directory here.
+        silently writing to a released log.  The sync helper threads, if a
+        commit ever started them, are joined here.  An ephemeral
+        (``path=None``) store also removes its temporary directory.
         """
         if self._closed:
             return
         self._closed = True
+        if self._sync_threads is not None:
+            self._sync_threads.close()
+            self._sync_threads = None
         for wal in self._wals:
             wal.close()
         if self._own_store:
@@ -376,30 +495,53 @@ class PersistentStore(DynamicGraphStore):
         if self._closed:
             raise StoreClosedError(f"{self.name} is closed; mutations are no longer accepted")
 
-    def _commit(self, ops: List[Op]) -> list:
-        """Append one group-commit record (per touched segment) for ``ops``.
+    def _start_syncs(self, syncing: Sequence[Tuple[WriteAheadLog, int]]):
+        """Put ``syncing`` in flight on the helper threads (started here, by
+        the first call that has any); the result is for ``_SyncThreads.join``."""
+        if not syncing:
+            return None
+        with self._log_lock:
+            if self._sync_threads is None:
+                self._sync_threads = _SyncThreads(self._segments)
+        return self._sync_threads.start(syncing)
 
-        Returns the ``(segment, size before append)`` pairs :meth:`_rollback`
-        needs to compensate if the subsequent store apply fails.
+    def _commit(self, records: Iterable[Tuple[int, bytes]], ops: int,
+                apply: Callable[[], _A]) -> _A:
+        """One durable commit: append, syncs in flight beside the apply, join.
+
+        ``records`` is one ``(segment index, payload)`` per touched segment
+        and ``ops`` the operations they carry.  The module docstring has the
+        order of events and what each failure leaves behind.
         """
-        if not ops:
-            return []
-        touched: list = []
-        if self._segments == 1:
-            wal = self._wals[0]
-            touched.append((wal, wal.size_bytes))
-            wal.append_batch(ops)
-        else:
-            shard_of = self._store.shard_of
-            groups: Dict[int, List[Op]] = {}
-            for op in ops:
-                groups.setdefault(shard_of(op[1]), []).append(op)
-            for index, group in groups.items():
+        touched: List[Tuple[WriteAheadLog, int]] = []
+        syncing: List[Tuple[WriteAheadLog, int]] = []
+        with self._log_lock:
+            for index, payload in records:
                 wal = self._wals[index]
                 touched.append((wal, wal.size_bytes))
-                wal.append_batch(group)
-        self.commits += 1
-        return touched
+                wal.append_payload(payload)
+                if self._sync_on_commit:
+                    syncing.append((wal, wal.begin_sync()))
+        if touched:
+            self.commits += 1
+        if len(syncing) == 1 and ops == 1:
+            # One fsync and one operation to overlap it with: not worth two
+            # thread hand-offs, so (like a lone dirty segment in ``sync()``)
+            # the caller syncs, then applies.
+            wal, fd = syncing.pop()
+            wal.finish_sync(fd)
+        in_flight = self._start_syncs(syncing)
+        try:
+            result = apply()
+        except Exception:
+            _SyncThreads.join(in_flight)  # their errors are moot: the records go
+            self._rollback(touched)
+            raise
+        error = _SyncThreads.join(in_flight)
+        if error is not None:
+            raise error
+        self._maybe_compact()
+        return result
 
     def _rollback(self, touched: list) -> None:
         """Drop the records of a commit whose apply raised.
@@ -414,18 +556,32 @@ class PersistentStore(DynamicGraphStore):
         """
         for wal, size in touched:
             wal.rewind_to(size)
-        self.commits -= 1
+        if touched:
+            self.commits -= 1
 
     def sync(self) -> None:
         """Fsync every segment's buffered records (one group commit).
 
         With ``sync_on_commit=False`` this is the durability point: the
         service layer calls it once per dispatched micro-batch, *before*
-        resolving the batch's futures.
+        resolving the batch's futures.  Several dirty segments are synced
+        side by side (the caller takes one, helper threads the rest); a
+        lone one -- every single-op request -- on the caller's thread.
         """
         self._ensure_writable()
-        for wal in self._wals:
-            wal.sync()
+        with self._log_lock:
+            syncing = [(wal, fd) for wal in self._wals
+                       if (fd := wal.begin_sync()) is not None]
+        if not syncing:
+            return
+        wal, fd = syncing.pop()
+        in_flight = self._start_syncs(syncing)
+        try:
+            wal.finish_sync(fd)
+        finally:
+            error = _SyncThreads.join(in_flight)
+        if error is not None:
+            raise error
 
     def wal_bytes(self) -> int:
         """Total WAL size across segments (header bytes included)."""
@@ -493,40 +649,60 @@ class PersistentStore(DynamicGraphStore):
     # Mutations: log first, then apply
     # ------------------------------------------------------------------ #
 
-    def _logged_apply(self, ops: List[Op], apply: Callable[[], _A]) -> _A:
-        """Write-ahead core: log ``ops``, run ``apply``, compensate on failure."""
-        touched = self._commit(ops)
-        try:
-            result = apply()
-        except Exception:
-            self._rollback(touched)
-            raise
-        self._maybe_compact()
-        return result
+    def _commit_op(self, op: Op, apply: Callable[[], _A]) -> _A:
+        """Commit one operation: one record, in its source node's segment."""
+        segment = self._store.shard_of(op[1]) if self._segments > 1 else 0
+        return self._commit([(segment, encode_ops((op,)))], 1, apply)
+
+    def _commit_edges(self, tag: str, edges: List[tuple[int, int]],
+                      apply_edges: Callable[[list], int],
+                      apply_groups: Optional[Callable[[dict], int]]) -> int:
+        """Commit a batch: route it once, log and apply it by the same groups.
+
+        ``apply_groups`` is the wrapped store's by-groups form of
+        ``apply_edges`` (``ShardedCuckooGraph.insert_groups`` for
+        ``insert_edges``); a store without that seam gets the whole batch
+        and routes it again itself.
+        """
+        if apply_groups is not None:
+            groups = self._store.partition_edges(edges)
+            apply = partial(apply_groups, groups)
+        else:
+            if self._segments == 1:
+                groups = {0: edges} if edges else {}
+            else:
+                shard_of = self._store.shard_of
+                groups = {}
+                for edge in edges:
+                    groups.setdefault(shard_of(edge[0]), []).append(edge)
+            apply = partial(apply_edges, edges)
+        records = [(index, encode_edge_ops(tag, group))
+                   for index, group in groups.items()]
+        return self._commit(records, len(edges), apply)
 
     def insert_edge(self, u: int, v: int) -> bool:
         self._ensure_writable()
-        return self._logged_apply([(INSERT, u, v)],
-                                  lambda: self._store.insert_edge(u, v))
+        return self._commit_op((INSERT, u, v),
+                               lambda: self._store.insert_edge(u, v))
 
     def delete_edge(self, u: int, v: int) -> bool:
         self._ensure_writable()
-        return self._logged_apply([(DELETE, u, v)],
-                                  lambda: self._store.delete_edge(u, v))
+        return self._commit_op((DELETE, u, v),
+                               lambda: self._store.delete_edge(u, v))
 
     def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
         """One group commit for the whole batch, then one batch apply."""
         self._ensure_writable()
-        edges = list(edges)
-        return self._logged_apply([(INSERT, u, v) for u, v in edges],
-                                  lambda: self._store.insert_edges(edges))
+        store = self._store
+        return self._commit_edges(INSERT, list(edges), store.insert_edges,
+                                  getattr(store, "insert_groups", None))
 
     def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
         """One group commit for the whole batch, then one batch apply."""
         self._ensure_writable()
-        edges = list(edges)
-        return self._logged_apply([(DELETE, u, v) for u, v in edges],
-                                  lambda: self._store.delete_edges(edges))
+        store = self._store
+        return self._commit_edges(DELETE, list(edges), store.delete_edges,
+                                  getattr(store, "delete_groups", None))
 
     def insert_weighted_edge(self, u: int, v: int, delta: int = 1) -> int:
         """Weighted insert, logged with its delta (wrapped store must support it)."""
@@ -534,8 +710,8 @@ class PersistentStore(DynamicGraphStore):
         insert_weighted = getattr(self._store, "insert_weighted_edge", None)
         if not callable(insert_weighted):
             raise TypeError(f"wrapped store {self._store.name!r} is not weighted")
-        return self._logged_apply([(INSERT_WEIGHTED, u, v, delta)],
-                                  lambda: insert_weighted(u, v, delta))
+        return self._commit_op((INSERT_WEIGHTED, u, v, delta),
+                               lambda: insert_weighted(u, v, delta))
 
     # ------------------------------------------------------------------ #
     # Reads: straight delegation
@@ -805,7 +981,6 @@ def recover(
     *,
     sync_on_commit: bool = True,
     compact_wal_bytes: Optional[int] = 1 << 20,
-    parallel: bool = False,
     own_store: Optional[bool] = None,
     upto: Optional[Union[int, WalPosition]] = None,
 ) -> PersistentStore:
@@ -818,9 +993,8 @@ def recover(
     registered name or factory), else the scheme name recorded in the
     directory's manifest.
 
-    ``parallel=True`` replays the per-shard segments of a sharded store
-    concurrently -- legal because each segment only ever routes to its own
-    shard, the same independence the executor exploits for batches.
+    Segments are replayed one after another: replay is pure Python under
+    the GIL, so threads buy it nothing (measured; see the README).
     ``own_store`` forces (or forbids) the returned wrapper closing the
     store on ``close``; by default the wrapper owns the store exactly when
     this function built it.
@@ -872,14 +1046,8 @@ def recover(
         while True:
             try:
                 snapshot_rows, generation = load_snapshot(path / SNAPSHOT_NAME, store)
-                if parallel and segments > 1:
-                    with ThreadPoolExecutor(max_workers=segments) as pool:
-                        stats = list(pool.map(
-                            lambda seg: _replay_segment(seg, store, generation),
-                            segment_paths))
-                else:
-                    stats = [_replay_segment(seg, store, generation)
-                             for seg in segment_paths]
+                stats = [_replay_segment(seg, store, generation)
+                         for seg in segment_paths]
                 break
             except _PoisonedTail:
                 # A poisoned final record was set aside; replay the now
@@ -916,7 +1084,6 @@ def recover(
         "wal_batches": sum(stat["batches"] for stat in stats),
         "wal_ops": sum(stat["ops"] for stat in stats),
         "seconds": seconds,
-        "parallel": parallel and segments > 1,
     }
     return recovered
 
@@ -933,13 +1100,12 @@ def open_or_create(
     manifest is :func:`recover`-ed (``store``/``scheme`` must match its
     segmentation), anything else becomes a fresh :class:`PersistentStore`.
     Keyword arguments (``sync_on_commit``, ``compact_wal_bytes``,
-    ``own_store``, and ``parallel`` for the recovery path) pass through.
+    ``own_store``) pass through.
     """
     path = Path(path)
     if (path / MANIFEST_NAME).exists():
         return recover(path, scheme=None if store is not None else scheme,
                        store=store, **kwargs)
-    kwargs.pop("parallel", None)  # creation has nothing to replay
     return PersistentStore(path, store=store, scheme=scheme, **kwargs)
 
 

@@ -17,10 +17,15 @@ the 8-byte **generation** the segment was created or last truncated at
 
 One record is one **group commit**: the payload concatenates every
 operation of one batched mutation call (``insert_edges`` of 500 edges is a
-single record, a single ``fsync``).  Each operation is an opcode byte plus
+single record, a single ``fsync``).  The log itself never decides to
+fsync: :class:`WriteAheadLog` appends and syncs on request, and the store
+that owns the segments says when.  Each operation is an opcode byte plus
 8-byte little-endian signed node identifiers (the paper uses 8-byte ids):
 ``insert``/``delete`` carry ``(u, v)``, ``insert_w`` carries
-``(u, v, delta)`` for weighted stores.
+``(u, v, delta)`` for weighted stores.  :func:`encode_ops` is the format's
+definition, one operation at a time; :func:`encode_edge_ops` produces the
+same bytes for a whole group of same-kind edge operations in one packing
+call, and is what the batch commit path and the shard RPC use.
 
 Torn tails.  A crash mid-append leaves a final record whose header, payload
 or checksum is incomplete.  :func:`read_wal` treats the first structurally
@@ -52,8 +57,9 @@ import os
 import struct
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.errors import PersistenceError, WalCorruptError
 
@@ -98,6 +104,9 @@ _ENCODERS = {
     DELETE: (OP_DELETE, _EDGE_OP),
     INSERT_WEIGHTED: (OP_INSERT_WEIGHTED, _WEIGHTED_OP),
 }
+
+#: The two-field operations :func:`encode_edge_ops` packs by the group.
+_EDGE_OPCODES = {INSERT: OP_INSERT, DELETE: OP_DELETE}
 
 #: ``opcode -> (tag, struct)`` for the decoder.
 _DECODERS = {
@@ -166,6 +175,47 @@ def encode_ops(ops: Iterable[Op]) -> bytes:
             raise PersistenceError(f"unknown WAL operation tag {tag!r}") from None
         parts.append(packer.pack(opcode, *op[1:]))
     return b"".join(parts)
+
+
+#: Edge ops packed per :func:`encode_edge_ops` call; a longer group is cut
+#: into chunks of this many, which bounds the layouts :func:`_edge_ops_struct`
+#: ever compiles.
+EDGE_OPS_CHUNK = 256
+
+
+@lru_cache(maxsize=EDGE_OPS_CHUNK)
+def _edge_ops_struct(count: int) -> struct.Struct:
+    """``count`` back-to-back ``_EDGE_OP`` layouts as one ``Struct``."""
+    return struct.Struct("<" + "Bqq" * count)
+
+
+def encode_edge_ops(tag: str, edges: Sequence[Tuple[int, int]]) -> bytes:
+    """Serialise one shard group of same-kind edge operations.
+
+    Byte-identical to ``encode_ops((tag, u, v) for u, v in edges)`` for
+    ``tag`` in ``("insert", "delete")``, but the whole group goes through
+    one ``Struct.pack`` call (one per :data:`EDGE_OPS_CHUNK` edges) instead
+    of one per operation -- the group commit of a batch mutation and the
+    shard RPC of ``ShardedCuckooGraph(executor="processes")`` both encode
+    per-shard groups of exactly this shape.
+    """
+    try:
+        opcode = _EDGE_OPCODES[tag]
+    except KeyError:
+        raise PersistenceError(f"{tag!r} is not an edge operation tag") from None
+    count = len(edges)
+    if count <= 1:
+        return _EDGE_OP.pack(opcode, *edges[0]) if count else b""
+    fields = [opcode] * (3 * count)
+    fields[1::3], fields[2::3] = zip(*edges)
+    if count <= EDGE_OPS_CHUNK:
+        return _edge_ops_struct(count).pack(*fields)
+    step = 3 * EDGE_OPS_CHUNK
+    return b"".join(
+        _edge_ops_struct(len(chunk) // 3).pack(*chunk)
+        for chunk in (fields[start:start + step]
+                      for start in range(0, len(fields), step))
+    )
 
 
 def decode_ops(payload: bytes) -> List[Op]:
@@ -343,29 +393,31 @@ class WriteAheadLog:
 
     Args:
         path: Segment file; created (with its header) on first append.
-        sync_on_commit: ``True`` fsyncs after every appended record, making
-            each commit individually durable; ``False`` buffers appends and
-            leaves the fsync to an explicit :meth:`sync` (the group-commit
-            deferral the service layer exploits).
         generation: Stamp written into the header of a *fresh* segment; an
             existing segment keeps the generation already on disk.
+
+    Appending never fsyncs.  A record is buffered by :meth:`append_payload`
+    and becomes durable at the next :meth:`sync` -- *when* that happens is
+    the caller's decision (:class:`~repro.persist.store.PersistentStore`
+    makes it: per commit, or per service group commit).  ``sync`` is
+    :meth:`begin_sync` (hand the records to the OS, on the appending thread)
+    followed by :meth:`finish_sync` (the ``fsync`` itself, which releases the
+    GIL and may therefore run on a helper thread while the caller works).
 
     The file handle is opened lazily, so a log constructed purely to *read*
     (recovery) never takes a second writer on the segment.
     """
 
-    def __init__(self, path: os.PathLike | str, sync_on_commit: bool = True,
-                 generation: int = 0):
+    def __init__(self, path: os.PathLike | str, generation: int = 0):
         self.path = Path(path)
-        self.sync_on_commit = sync_on_commit
         self.generation = generation
         self._file = None
         self._closed = False
-        self._dirty = False  # buffered records not yet fsynced
+        self._dirty = False  # appended records not yet handed to an fsync
         self._size = self.path.stat().st_size if self.path.exists() else 0
         #: Group-commit records appended through this handle.
         self.records_appended = 0
-        #: fsync calls issued (per-commit or explicit).
+        #: fsync calls issued (syncs, rewinds and truncations).
         self.syncs = 0
 
     # ------------------------------------------------------------------ #
@@ -415,27 +467,30 @@ class WriteAheadLog:
         """
         if self._closed:
             return
-        if self._file is not None:
-            self._file.flush()
-            if self._dirty:
-                os.fsync(self._file.fileno())
-                self.syncs += 1
-                self._dirty = False
-            self._file.close()
-            self._file = None
-        self._closed = True
+        try:
+            if self._file is not None:
+                self.sync()
+        finally:
+            self._closed = True
+            if self._file is not None:
+                self._file.close()
+                self._file = None
 
     # ------------------------------------------------------------------ #
     # Appending
     # ------------------------------------------------------------------ #
 
     def append_batch(self, ops: Iterable[Op]) -> int:
-        """Append one group-commit record; return the bytes written.
+        """Encode ``ops`` and append them as one group-commit record."""
+        return self.append_payload(encode_ops(ops))
 
-        An empty operation list is a no-op (nothing to make durable), so
-        callers can pass mutation batches through without special-casing.
+    def append_payload(self, payload: bytes) -> int:
+        """Append one already-encoded group-commit record; return its size.
+
+        The record is buffered, not synced (see the class docstring).  An
+        empty payload is a no-op (nothing to make durable), so callers can
+        pass mutation batches through without special-casing.
         """
-        payload = encode_ops(ops)
         if not payload:
             return 0
         file = self._ensure_open()
@@ -443,28 +498,45 @@ class WriteAheadLog:
         file.write(record)
         self._size += len(record)
         self.records_appended += 1
-        if self.sync_on_commit:
-            file.flush()
-            os.fsync(file.fileno())
-            self.syncs += 1
-        else:
-            self._dirty = True
+        self._dirty = True
         return len(record)
 
-    def sync(self) -> None:
-        """Flush buffered records to the disk (one fsync for all of them).
+    def begin_sync(self) -> Optional[int]:
+        """Hand every unsynced record to the OS; return the descriptor to fsync.
 
-        A no-op on a segment with nothing unsynced, so a multi-segment
-        store's group commit costs one fsync per segment the batch actually
-        *touched*, not one per shard.
+        ``None`` when nothing is unsynced, so a multi-segment store's group
+        commit costs one fsync per segment the batch actually *touched*, not
+        one per shard.  Otherwise the caller owes exactly one
+        :meth:`finish_sync` on the returned descriptor; the records count as
+        handed over from here on (a second ``begin_sync`` returns ``None``
+        until something new is appended or that fsync fails).
         """
         if self._closed:
             raise PersistenceError(f"WAL segment {self.path} is closed")
-        if self._file is not None and self._dirty:
-            self._file.flush()
-            os.fsync(self._file.fileno())
-            self.syncs += 1
-            self._dirty = False
+        if not self._dirty:
+            return None
+        self._file.flush()
+        self._dirty = False
+        self.syncs += 1
+        return self._file.fileno()
+
+    def finish_sync(self, fd: int) -> None:
+        """``fsync`` a descriptor :meth:`begin_sync` returned (any thread).
+
+        On an ``OSError`` the records are unsynced again -- the next
+        :meth:`sync` or :meth:`close` retries -- and the error propagates.
+        """
+        try:
+            os.fsync(fd)
+        except OSError:
+            self._dirty = True
+            raise
+
+    def sync(self) -> None:
+        """Make every appended record durable, on the calling thread."""
+        fd = self.begin_sync()
+        if fd is not None:
+            self.finish_sync(fd)
 
     def rewind_to(self, size: int) -> None:
         """Drop everything appended past byte offset ``size``.

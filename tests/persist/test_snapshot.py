@@ -1,5 +1,7 @@
 """Snapshots: logical-edge-set roundtrips, atomicity, corruption, compaction."""
 
+import struct
+
 import pytest
 
 from repro import CuckooGraph, MultiEdgeCuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
@@ -8,6 +10,7 @@ from repro.persist import (
     CompactionPolicy,
     KIND_PLAIN,
     KIND_WEIGHTED,
+    SNAPSHOT_MAGIC,
     load_snapshot,
     read_snapshot,
     snapshot_rows,
@@ -99,6 +102,27 @@ class TestRoundtrip:
         load_snapshot(path, target)
         assert sorted(target.edges()) == [(1, 2)]
         assert target.num_edges == 1
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_body_is_the_rows_packed_one_by_one(self, tmp_path, weighted):
+        """The body is packed (and read back) in one call; the bytes are what
+        packing row by row -- the format's definition -- produces."""
+        ids = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 12345]
+        store = WeightedCuckooGraph() if weighted else CuckooGraph()
+        for index, u in enumerate(ids):
+            for v in ids[:3 + index % 4]:
+                if weighted:
+                    store.insert_weighted_edge(u, v, index + 1)
+                else:
+                    store.insert_edge(u, v)
+        path = tmp_path / "snap.bin"
+        write_snapshot(path, store, generation=7)
+        kind, rows = snapshot_rows(store)
+        row = struct.Struct("<qqq" if weighted else "<qq")
+        body = b"".join(row.pack(*fields) for fields in rows)
+        assert path.read_bytes()[-len(body):] == body
+        assert len(path.read_bytes()) == len(SNAPSHOT_MAGIC) + 21 + len(body)
+        assert read_snapshot(path) == (kind, 7, rows)
 
     def test_missing_snapshot_loads_nothing(self, tmp_path):
         assert load_snapshot(tmp_path / "absent.bin", CuckooGraph()) == (0, 0)

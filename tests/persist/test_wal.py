@@ -1,6 +1,7 @@
 """Write-ahead log: framing, group commits, torn tails, corruption."""
 
 import os
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.persist import (
     WAL_MAGIC,
     WriteAheadLog,
     decode_ops,
+    encode_edge_ops,
     encode_ops,
     read_wal,
 )
@@ -24,8 +26,8 @@ BATCHES = [
 ]
 
 
-def write_batches(path, batches, sync_on_commit=True):
-    wal = WriteAheadLog(path, sync_on_commit=sync_on_commit)
+def write_batches(path, batches):
+    wal = WriteAheadLog(path)
     for batch in batches:
         wal.append_batch(batch)
     wal.close()
@@ -53,6 +55,55 @@ class TestFraming:
         payload = encode_ops([(INSERT, 1, 2)])
         with pytest.raises(WalCorruptError):
             decode_ops(payload[:-1])
+
+
+class TestFlatGroupEncoder:
+    """``encode_edge_ops`` packs a shard group in one call; the bytes are
+    ``encode_ops``'s, so every reader (recovery, tailers, shard workers)
+    is untouched by which of the two wrote a record."""
+
+    @pytest.mark.parametrize("tag", [INSERT, DELETE])
+    @pytest.mark.parametrize("size", [0, 1, 2, 255, 256, 257, 600])
+    def test_byte_identical_to_encode_ops_and_round_trips(self, tag, size):
+        rng = random.Random(size)
+        extremes = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63)]
+        edges = [(rng.choice(extremes), rng.randrange(-(2**62), 2**62))
+                 if rng.random() < 0.3 else
+                 (rng.randrange(-(2**62), 2**62), rng.choice(extremes))
+                 for _ in range(size)]
+        payload = encode_edge_ops(tag, edges)
+        assert payload == encode_ops((tag, u, v) for u, v in edges)
+        assert decode_ops(payload) == [(tag, u, v) for u, v in edges]
+
+    def test_accepts_any_sequence_of_pairs(self):
+        assert encode_edge_ops(INSERT, ([1, 2], (3, 4))) == \
+            encode_ops([(INSERT, 1, 2), (INSERT, 3, 4)])
+
+    def test_rejects_tags_that_are_not_edge_operations(self):
+        for tag in (INSERT_WEIGHTED, "upsert"):
+            with pytest.raises(PersistenceError):
+                encode_edge_ops(tag, [(1, 2)])
+
+    def test_process_executor_ships_the_same_bytes(self, monkeypatch):
+        """The shard RPC of executor="processes" encodes its groups with it."""
+        from repro.core.sharded import ShardedCuckooGraph
+
+        edges = [(node, node + 1) for node in range(40)]
+        shipped = {}
+        with ShardedCuckooGraph(num_shards=2, executor="processes") as graph:
+            scatter = graph._procs.scatter
+
+            def spy(requests):
+                for method, groups in requests.values():
+                    if method == "apply":
+                        shipped.update(dict(groups))
+                return scatter(requests)
+
+            monkeypatch.setattr(graph._procs, "scatter", spy)
+            assert graph.insert_edges(edges) == len(edges)
+            groups = graph.partition_edges(edges)
+        assert shipped == {index: encode_ops((INSERT, u, v) for u, v in group)
+                           for index, group in groups.items()}
 
 
 class TestAppendAndRead:
@@ -88,12 +139,14 @@ class TestAppendAndRead:
         wal.close()
 
     def test_sync_accounting(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.bin", sync_on_commit=True)
+        """Appending never fsyncs; each sync() is one fsync for all of them."""
+        wal = WriteAheadLog(tmp_path / "wal.bin")
         for batch in BATCHES:
             wal.append_batch(batch)
+            wal.sync()
         assert wal.syncs == len(BATCHES)
 
-        deferred = WriteAheadLog(tmp_path / "deferred.bin", sync_on_commit=False)
+        deferred = WriteAheadLog(tmp_path / "deferred.bin")
         for batch in BATCHES:
             deferred.append_batch(batch)
         assert deferred.syncs == 0
@@ -101,6 +154,27 @@ class TestAppendAndRead:
         assert deferred.syncs == 1
         wal.close()
         deferred.close()
+
+    def test_sync_in_two_halves(self, tmp_path):
+        """begin_sync hands the records to the OS and names the descriptor;
+        finish_sync is the fsync, and re-arms the segment when it fails."""
+        wal = WriteAheadLog(tmp_path / "wal.bin")
+        assert wal.begin_sync() is None  # nothing appended, nothing opened
+        wal.append_batch(BATCHES[0])
+        fd = wal.begin_sync()
+        assert read_wal(tmp_path / "wal.bin")[1] == BATCHES[:1]
+        assert wal.begin_sync() is None  # handed over: nobody else syncs it
+        wal.finish_sync(fd)
+        assert wal.syncs == 1
+
+        wal.append_batch(BATCHES[1])
+        wal.begin_sync()
+        stale = os.open(tmp_path, os.O_RDONLY)
+        os.close(stale)
+        with pytest.raises(OSError):
+            wal.finish_sync(stale)
+        assert wal.begin_sync() is not None  # unsynced again after the failure
+        wal.close()
 
     def test_closed_wal_refuses_appends(self, tmp_path):
         write_batches(tmp_path / "wal.bin", BATCHES[:1])
@@ -172,8 +246,9 @@ class TestTornAndCorrupt:
             wal.append_batch([(INSERT, 1, 2)])
 
     def test_fsync_actually_reaches_the_file(self, tmp_path):
-        wal = WriteAheadLog(tmp_path / "wal.bin", sync_on_commit=True)
+        wal = WriteAheadLog(tmp_path / "wal.bin")
         wal.append_batch(BATCHES[0])
+        wal.sync()
         # Without closing, the record must be visible to an independent reader.
         assert read_wal(tmp_path / "wal.bin")[1] == BATCHES[:1]
         assert os.path.getsize(tmp_path / "wal.bin") == wal.size_bytes
@@ -183,7 +258,7 @@ class TestTornAndCorrupt:
 class TestSyncSkipsCleanSegments:
     def test_sync_is_a_no_op_with_nothing_buffered(self, tmp_path):
         """Group commit must only pay fsyncs for segments the batch touched."""
-        wal = WriteAheadLog(tmp_path / "wal.bin", sync_on_commit=False)
+        wal = WriteAheadLog(tmp_path / "wal.bin")
         wal.append_batch(BATCHES[0])
         wal.sync()
         assert wal.syncs == 1
