@@ -6,9 +6,9 @@ whether the replication subsystem (:mod:`repro.replicate`) is deployable
 in front of it:
 
 * **Replication lag vs batch size** -- the durable replicated service under
-  ``freshness="any"``: reads sample how many group commits the replica
-  trails by when micro-batches (one group commit each) grow from 16 to 512
-  requests;
+  ``freshness="any"``: reads sample how many shipped records (one per WAL
+  segment a group commit touched) the replica trails by when micro-batches
+  (one group commit each) grow from 16 to 512 requests;
 * **Read throughput vs replica count** -- the same preloaded service serving
   a pipelined read mix (membership + successors) with 0 (primary-only),
   1, 2 and 4 read replicas under the read-your-writes barrier, with the
@@ -78,10 +78,12 @@ def test_fig06e_replication(benchmark, tmp_path):
 
     # ---------------- replication lag vs batch size -------------------- #
     # Buffered commits (durability="none", no per-run fsync): the log runs
-    # ahead of what the tailer can ship, so ``freshness="any"`` reads see
-    # genuine staleness and the lag gauge measures it in group commits.
-    # Bigger micro-batch windows coalesce the same traffic into fewer
-    # commits, so the *count* a replica trails by shrinks as batches grow.
+    # ahead of what the primary may ship (fsynced records only), so
+    # ``freshness="any"`` reads see genuine staleness and the lag gauge
+    # measures it in records -- one per segment a group commit touched, the
+    # unit ``commit_index`` counts in.  Bigger micro-batch windows coalesce
+    # the same traffic into fewer commits, so the *count* a replica trails
+    # by shrinks as batches grow.
     lag_rows = []
     for max_batch in LAG_BATCH_SIZES:
         store = _durable(tmp_path, f"lag-{max_batch}")
@@ -111,7 +113,7 @@ def test_fig06e_replication(benchmark, tmp_path):
     assert all(row["lag_samples"] > 0 for row in lag_rows)
     assert all(row["lag_max"] > 0 for row in lag_rows)
     # Bigger windows -> fewer group commits for the same traffic, and a
-    # correspondingly smaller commit-count lag.
+    # correspondingly smaller record-count lag.
     assert lag_rows[0]["group_commits"] > lag_rows[-1]["group_commits"]
     assert lag_rows[0]["lag_max"] > lag_rows[-1]["lag_max"]
 

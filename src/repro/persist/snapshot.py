@@ -173,7 +173,7 @@ def load_snapshot(path: os.PathLike | str, store: DynamicGraphStore) -> Tuple[in
 class CompactionEvent:
     """What a checkpoint is about to fold away, reported *before* truncation.
 
-    A WAL tailer (a replication primary, an incremental
+    Whoever follows the log (a replication primary, an incremental
     :func:`~repro.persist.store.replay_into` probe) keeps a byte position
     into each segment; truncation moves the segments out from under that
     position.  This event closes the window: it fires after the store state
@@ -204,7 +204,7 @@ class CompactionPolicy:
     :class:`CompactionEvent` every time a checkpoint is about to truncate
     the WAL -- threshold-triggered *and* explicit
     :meth:`~repro.persist.store.PersistentStore.checkpoint` calls both --
-    which is how a log tailer keeps its cursor valid across compactions.
+    which is how a log follower keeps its cursor valid across compactions.
     """
 
     max_wal_bytes: Optional[int] = 1 << 20

@@ -43,6 +43,13 @@ its dirty segments through the same helpers, or inline when only one is
 dirty.  *When* to fsync is decided here and nowhere else;
 :class:`~repro.persist.wal.WriteAheadLog` only appends and syncs on request.
 
+The same path feeds replication.  While a :class:`~repro.replicate.Primary`
+is subscribed (:meth:`PersistentStore.subscribe_feed`), every commit whose
+apply returned leaves its records' operations and end offsets in an in-memory
+**commit feed**; an entry is released once an fsync that covers its record
+has returned, and the primary ships it from there -- the log is written, and
+in steady state never read back.  With no subscriber nothing is collected.
+
 What the failures leave behind (``tests/persist/test_group_commit.py``):
 
 * **An fsync fails** (``OSError``).  The call raises it -- after every
@@ -78,6 +85,7 @@ import os
 import tempfile
 import threading
 import time
+from collections import deque
 from functools import partial
 from pathlib import Path
 from queue import SimpleQueue
@@ -85,7 +93,7 @@ from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union,
 )
 
-from ..core.errors import PersistenceError, StoreClosedError
+from ..core.errors import PersistenceError, ReplicationError, StoreClosedError
 from ..core.graph import CuckooGraph
 from ..core.sharded import ShardedCuckooGraph
 from ..core.weighted import WeightedCuckooGraph
@@ -410,6 +418,8 @@ class PersistentStore(DynamicGraphStore):
         self._log_lock = threading.Lock()
         #: Started by the first call with an fsync to overlap.
         self._sync_threads: Optional[_SyncThreads] = None
+        #: The commit feed; ``None`` (nothing collects) until :meth:`subscribe_feed`.
+        self._feed: Optional[deque] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -505,13 +515,15 @@ class PersistentStore(DynamicGraphStore):
                 self._sync_threads = _SyncThreads(self._segments)
         return self._sync_threads.start(syncing)
 
-    def _commit(self, records: Iterable[Tuple[int, bytes]], ops: int,
-                apply: Callable[[], _A]) -> _A:
+    def _commit(self, records: Sequence[Tuple[int, bytes]], ops: int,
+                apply: Callable[[], _A], shipped: Callable[[], List[tuple]]) -> _A:
         """One durable commit: append, syncs in flight beside the apply, join.
 
-        ``records`` is one ``(segment index, payload)`` per touched segment
-        and ``ops`` the operations they carry.  The module docstring has the
-        order of events and what each failure leaves behind.
+        ``records`` is one ``(segment index, payload)`` per touched segment,
+        ``ops`` the operations they carry and ``shipped()`` those operations
+        as one tuple of op tuples per record, built only when the commit feed
+        wants them.  The module docstring has the order of events and what
+        each failure leaves behind.
         """
         touched: List[Tuple[WriteAheadLog, int]] = []
         syncing: List[Tuple[WriteAheadLog, int]] = []
@@ -537,6 +549,13 @@ class PersistentStore(DynamicGraphStore):
             _SyncThreads.join(in_flight)  # their errors are moot: the records go
             self._rollback(touched)
             raise
+        feed = self._feed
+        if feed is not None:
+            with self._log_lock:  # tickets are read where begin_sync() writes them
+                for (index, _), record_ops in zip(records, shipped()):
+                    wal = self._wals[index]
+                    feed.append((wal, wal.sync_ticket, (
+                        index, self._generation, record_ops, wal.size_bytes)))
         error = _SyncThreads.join(in_flight)
         if error is not None:
             raise error
@@ -583,6 +602,47 @@ class PersistentStore(DynamicGraphStore):
         if error is not None:
             raise error
 
+    def subscribe_feed(self) -> None:
+        """Start collecting the **commit feed**, for one replication primary.
+
+        From here on every commit whose apply succeeded queues one entry per
+        touched segment, ``(segment, generation, ops, end_offset)`` -- what
+        the record it appended holds and where it ends -- in commit order,
+        and :meth:`take_feed` hands an entry out once an fsync covering its
+        record has returned.  A rolled-back commit never enters the feed; one
+        whose fsync failed waits in it for a ``sync()`` that succeeds.  Taking
+        is destructive, so a second subscriber is refused.
+        """
+        with self._log_lock:
+            if self._feed is not None:
+                raise ReplicationError(
+                    f"{self._path} already feeds a replication primary")
+            self._feed = deque()
+
+    def unsubscribe_feed(self) -> None:
+        """Stop collecting and drop what was not taken (idempotent)."""
+        self._feed = None
+
+    @property
+    def feed_backlog(self) -> int:
+        """Entries not yet taken, durable or still waiting (0 unsubscribed)."""
+        feed = self._feed
+        return len(feed) if feed is not None else 0
+
+    def take_feed(self) -> List[tuple]:
+        """Remove and return the durable entries at the head of the feed.
+
+        Commit order: an entry still waiting for its fsync holds back the
+        ones behind it, so a segment's entries always leave in record order.
+        """
+        taken: List[tuple] = []
+        feed = self._feed
+        if feed:  # the read barrier asks on every read: an empty feed costs no lock
+            with self._log_lock:
+                while feed and feed[0][0].synced(feed[0][1]):
+                    taken.append(feed.popleft()[2])
+        return taken
+
     def wal_bytes(self) -> int:
         """Total WAL size across segments (header bytes included)."""
         return sum(wal.size_bytes for wal in self._wals)
@@ -590,8 +650,7 @@ class PersistentStore(DynamicGraphStore):
     def wal_segment_sizes(self) -> List[int]:
         """Per-segment log end offsets, buffered (unflushed) appends included.
 
-        A tailer compares these with its cursor to decide whether it has
-        truly consumed the log or is merely waiting on an unflushed tail.
+        A replication primary starts its ship cursor here.
         """
         return [wal.size_bytes for wal in self._wals]
 
@@ -606,9 +665,9 @@ class PersistentStore(DynamicGraphStore):
         """
         self._ensure_writable()
         generation = self._generation + 1
-        # Pre-truncation event: tailers (replication primaries, incremental
-        # probes) must flush their cursors up to these offsets before the
-        # segments are cut out from under them.  ``size_bytes`` counts
+        # Pre-truncation event: a replication primary drains the commit
+        # feed, an incremental probe its cursor, up to these offsets before
+        # the segments are cut out from under them.  ``size_bytes`` counts
         # buffered-but-unsynced appends too, which is exactly what the
         # snapshot below will fold in.
         self._policy.notify(CompactionEvent(
@@ -652,7 +711,8 @@ class PersistentStore(DynamicGraphStore):
     def _commit_op(self, op: Op, apply: Callable[[], _A]) -> _A:
         """Commit one operation: one record, in its source node's segment."""
         segment = self._store.shard_of(op[1]) if self._segments > 1 else 0
-        return self._commit([(segment, encode_ops((op,)))], 1, apply)
+        return self._commit([(segment, encode_ops((op,)))], 1, apply,
+                            lambda: [(op,)])
 
     def _commit_edges(self, tag: str, edges: List[tuple[int, int]],
                       apply_edges: Callable[[list], int],
@@ -678,7 +738,9 @@ class PersistentStore(DynamicGraphStore):
             apply = partial(apply_edges, edges)
         records = [(index, encode_edge_ops(tag, group))
                    for index, group in groups.items()]
-        return self._commit(records, len(edges), apply)
+        return self._commit(
+            records, len(edges), apply,
+            lambda: [tuple([(tag, u, v) for u, v in group]) for group in groups.values()])
 
     def insert_edge(self, u: int, v: int) -> bool:
         self._ensure_writable()

@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -404,6 +405,13 @@ class WriteAheadLog:
     followed by :meth:`finish_sync` (the ``fsync`` itself, which releases the
     GIL and may therefore run on a helper thread while the caller works).
 
+    Every ``begin_sync`` (and every rewind or truncation, which fsync on the
+    spot) is one numbered **sync round**; :attr:`sync_ticket` names the round
+    that makes everything appended so far durable and :meth:`synced` says
+    whether it has returned.  Rounds only count up, so a ticket stays valid
+    across a failed fsync (a later round covers it) and across a rewind that
+    hands the same byte offsets out again.
+
     The file handle is opened lazily, so a log constructed purely to *read*
     (recovery) never takes a second writer on the segment.
     """
@@ -414,6 +422,9 @@ class WriteAheadLog:
         self._file = None
         self._closed = False
         self._dirty = False  # appended records not yet handed to an fsync
+        self._rounds = 0  # sync rounds begun
+        self._synced_round = 0  # newest round whose fsync is known to have returned
+        self._round_lock = threading.Lock()  # rounds begin and return on several threads
         self._size = self.path.stat().st_size if self.path.exists() else 0
         #: Group-commit records appended through this handle.
         self.records_appended = 0
@@ -517,6 +528,8 @@ class WriteAheadLog:
             return None
         self._file.flush()
         self._dirty = False
+        with self._round_lock:
+            self._rounds += 1
         self.syncs += 1
         return self._file.fileno()
 
@@ -526,11 +539,32 @@ class WriteAheadLog:
         On an ``OSError`` the records are unsynced again -- the next
         :meth:`sync` or :meth:`close` retries -- and the error propagates.
         """
+        covers = self._rounds  # every round begun by now flushed before this fsync
         try:
             os.fsync(fd)
         except OSError:
             self._dirty = True
             raise
+        with self._round_lock:
+            if covers > self._synced_round:
+                self._synced_round = covers
+
+    @property
+    def sync_ticket(self) -> int:
+        """The sync round that makes every record appended so far durable."""
+        return self._rounds + self._dirty
+
+    def synced(self, ticket: int) -> bool:
+        """Whether the fsync of round ``ticket``, or of a later one, has returned."""
+        return self._synced_round >= ticket
+
+    def _synced_in_place(self) -> None:
+        """A rewind or truncation just fsynced the whole file: a finished round."""
+        with self._round_lock:
+            self._rounds += 1
+            self._synced_round = self._rounds
+        self.syncs += 1
+        self._dirty = False
 
     def sync(self) -> None:
         """Make every appended record durable, on the calling thread."""
@@ -553,8 +587,7 @@ class WriteAheadLog:
         self._file.flush()
         self._file.truncate(size)
         os.fsync(self._file.fileno())
-        self.syncs += 1
-        self._dirty = False
+        self._synced_in_place()
         self._size = size
 
     def truncate(self, generation: int | None = None) -> None:
@@ -576,6 +609,5 @@ class WriteAheadLog:
         file.write(WAL_MAGIC + _GENERATION.pack(self.generation))
         file.flush()
         os.fsync(file.fileno())
-        self.syncs += 1
-        self._dirty = False
+        self._synced_in_place()
         self._size = WAL_HEADER_SIZE

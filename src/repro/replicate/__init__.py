@@ -2,9 +2,10 @@
 
 PR 4's durability subsystem made every store restartable from one ordered
 update log; this package makes that log the *replication stream*.  A
-:class:`Primary` tails the committed WAL records of a live
-:class:`~repro.persist.PersistentStore` (per-shard segments included) and
-ships them over a pluggable transport (in-process queues, or TCP via
+:class:`Primary` ships the committed WAL records of a live
+:class:`~repro.persist.PersistentStore` (per-shard segments included) from
+the store's in-memory commit feed, once their fsync has returned, over a
+pluggable transport (in-process deques, or TCP via
 :class:`ReplicationServer`/:class:`RemoteFollower`); :class:`Follower`
 replicas apply the stream into a store of any registered scheme, expose a
 monotonic ``commit_index`` plus a read-your-writes barrier (``wait_for``),

@@ -6,13 +6,16 @@ store, spawn one empty replica store per follower (same scheme as the
 primary's wrapped structure, via ``spawn_empty``), attach them all -- and
 adds the two read-side policies the service exposes:
 
-* ``"read_your_writes"`` -- before a read is served, flush + pump the
+* ``"read_your_writes"`` -- before a read is served, sync + pump the
   primary and run the follower's :meth:`~repro.replicate.Follower.wait_for`
   barrier to the primary's commit index, so the replica observes every
-  mutation dispatched before the read.
+  mutation dispatched before the read.  When nothing was committed since
+  the last pump (every read that follows a read) the primary's commit feed
+  is empty and the whole barrier is a few attribute reads: no fsync call,
+  no file, no lock but the primary's own.
 * ``"any"`` -- pump what is already durable and apply whatever has
   arrived; the replica may trail the primary (buffered commits are not
-  forced out), and the measured lag is reported per read.
+  forced out), and the measured lag is reported per read, in records.
 """
 
 from __future__ import annotations
@@ -115,7 +118,7 @@ class ReplicationGroup:
     def refresh(self, follower: Follower, freshness: str = "read_your_writes") -> int:
         """Bring ``follower`` up to the chosen freshness; return its lag.
 
-        ``"read_your_writes"`` flushes buffered commits, pumps and runs the
+        ``"read_your_writes"`` syncs buffered commits, pumps and runs the
         barrier to the primary's commit index (returned lag is the distance
         *closed* by the barrier -- how far the replica was trailing when
         the read arrived).  ``"any"`` pumps only what is already flushed
@@ -132,8 +135,8 @@ class ReplicationGroup:
             return behind
         self.primary.pump()
         follower.poll()
-        # Honest staleness: count commits the log holds that the replica
-        # cannot have, including appends still buffered behind an fsync.
+        # Honest staleness: count records the primary applied that the
+        # replica cannot have, including those still waiting for an fsync.
         return max(0, self.primary.logged_commit_index - follower.commit_index)
 
     def close(self) -> None:

@@ -1,37 +1,44 @@
-"""The replication primary: tails its own WAL and ships committed records.
+"""The replication primary: ships the store's commits from memory.
 
 The single-writer story stays exactly what PR 4 made it: one
 :class:`~repro.persist.PersistentStore` owns the directory, appends every
 group commit to the log, and holds the advisory lock.  :class:`Primary`
-adds no second writer -- it *tails* the same segments read-only with the
-incremental reader (:func:`~repro.persist.wal.read_wal_records` with
-``from_offset``), assigns each newly committed record a global, monotonic
-**commit index** in ship order, and fans it out to every attached follower
-over a pluggable transport.  Per-shard segments are tailed round-robin in
-segment order; because operations on a source node always land in that
-node's own segment, any interleave the tailer picks is a consistent order.
+adds no second writer and, in steady state, no reader either: it consumes
+the store's **commit feed** (:meth:`PersistentStore.subscribe_feed`) --
+per commit whose apply succeeded, the operations and end offset of each
+record it appended, released once an fsync covering the record has
+returned -- gives each record a global, monotonic **commit index** in ship
+order, and fans it out to every attached follower over a pluggable
+transport.  Ship order is commit order; a segment's records leave the feed
+in append order and operations on a source node always land in that node's
+own segment, so any such order is a consistent one.  The segment files are
+read only to *backfill*: ``attach``, :meth:`Primary.shipped_records` and the
+socket bootstrap built on it.
 
-Two invariants make the stream lossless:
+Three invariants make the stream lossless:
 
-* **Attach is backfill + subscribe.**  ``attach`` first pumps the log to
-  its current end (so the cursor and the disk agree), then replays the
-  directory -- snapshot plus every shipped record -- straight into the
+* **Acknowledged, then durable, then shipped.**  Nothing leaves the feed
+  before its fsync returned, so a follower is never ahead of the durable log
+  and ``recover(copy, upto=follower.position)`` always finds what the
+  position names.  A commit whose apply raised (and was rolled back out of
+  the log) never enters the feed.
+* **Attach is backfill + subscribe.**  ``attach`` first syncs and pumps (the
+  cursor then covers all that is durable), replays the directory --
+  snapshot plus every record up to the cursor -- straight into the
   follower's store, stamps it with the current commit index and position,
   and only then connects its channel.  A follower that crashed and lost
   its state simply re-attaches with a fresh store.
-* **Compaction cannot outrun the tailer.**  The primary subscribes to the
+* **A checkpoint folds nothing unshipped.**  The primary subscribes to the
   store's :class:`~repro.persist.CompactionPolicy`; the pre-truncation
-  :class:`~repro.persist.CompactionEvent` makes it flush and ship
-  everything up to the reported offsets *before* the checkpoint folds
-  those records into the snapshot and truncates the segments.  The
-  generation bump the tailer then observes is a clean cursor reset, which
-  it forwards to followers as a :class:`~repro.replicate.transport.GenerationBump`.
+  :class:`~repro.persist.CompactionEvent` makes it sync and ship the whole
+  feed *before* the snapshot folds those records and the segments are cut.
+  The next pump sees the store's new generation and forwards it as a
+  :class:`~repro.replicate.transport.GenerationBump`: a clean cursor reset.
 
-``pump`` is explicit and synchronous: call it after mutations (the service
-layer pumps once per dispatched mutation run), not from a second thread --
-a record appended but then compensated away by a failed apply must never
-be shipped, which is guaranteed exactly when pumping happens between store
-calls, not concurrently with them.
+``pump`` is explicit and synchronous (the service layer pumps once per
+dispatched mutation run, after its ``sync()``) and safe beside a committing
+thread: the feed is filled and taken under the store's log lock, and an
+entry is queued only after its apply returned.
 """
 
 from __future__ import annotations
@@ -54,12 +61,14 @@ from .transport import (
 
 
 class Primary:
-    """Log-shipping tailer over a live :class:`PersistentStore`.
+    """Log shipper over a live :class:`PersistentStore`'s commit feed.
 
     Args:
         store: The write side.  Must be a :class:`PersistentStore` -- the
             WAL is the replication stream, so only a write-ahead-logged
-            store can be a primary.
+            store can be a primary -- and one no other live primary is
+            subscribed to: the feed has one consumer, a second is refused
+            with :class:`ReplicationError` until the first is closed.
         transport: Channel factory; defaults to the in-process queue
             transport.  This is the seam where a socket transport plugs in.
     """
@@ -74,19 +83,20 @@ class Primary:
         self._store = store
         self._transport = transport or InProcessTransport()
         self._segment_paths = store.segment_paths
-        self._offsets: List[int] = [WAL_HEADER_SIZE] * store.segments
+        # The stream starts at the durable end of the log as it stands: what
+        # a reopened directory already holds reaches followers by backfill.
+        store.sync()
+        self._offsets: List[int] = [max(size, WAL_HEADER_SIZE)
+                                    for size in store.wal_segment_sizes()]
         self._generation = store.generation
         self._followers: List[object] = []  # Follower instances, fan-out order
         self._closed = False
         self._lock = threading.RLock()
         #: Group-commit records shipped so far, == the newest commit index.
         self.commit_index = 0
-        #: pump() invocations that shipped at least one record.
-        self.pumps = 0
         #: Followers evicted mid-broadcast because their channel died.
         self.evictions = 0
-        #: ``store.commits`` as of the last pump, for logged_commit_index.
-        self._commits_at_pump = store.commits
+        store.subscribe_feed()
         store.compaction_policy.subscribe(self._before_compaction)
 
     # ------------------------------------------------------------------ #
@@ -103,7 +113,7 @@ class Primary:
 
     @property
     def generation(self) -> int:
-        """Checkpoint generation the tail cursor is at."""
+        """Checkpoint generation the ship cursor is at."""
         return self._generation
 
     @property
@@ -116,13 +126,14 @@ class Primary:
     def logged_commit_index(self) -> int:
         """Commit index the *log* has reached, shipped or not.
 
-        ``commit_index`` counts shipped records; group commits the store
-        has logged since the last pump (including buffered appends an
-        unsynced store has not flushed yet) are ahead of the stream.  The
-        difference is the honest replication lag of a ``freshness="any"``
-        read: commits acknowledged to writers that a replica cannot have.
+        ``commit_index`` counts shipped records; the records of commits
+        still in the feed (waiting behind an fsync, or durable and not yet
+        pumped) are ahead of the stream.  Both count *records* -- one per
+        segment a commit touched -- so the difference is the honest
+        replication lag of a ``freshness="any"`` read: records applied on
+        the primary that a replica cannot have.
         """
-        return self.commit_index + max(0, self._store.commits - self._commits_at_pump)
+        return self.commit_index + self._store.feed_backlog
 
     @property
     def followers(self) -> Tuple[object, ...]:
@@ -174,13 +185,12 @@ class Primary:
                                        generation=generation))
 
     def pump(self) -> int:
-        """Ship every record committed (flushed) since the last pump.
+        """Ship every record that became durable since the last pump.
 
-        Returns the number of records shipped.  Only *complete, on-disk*
-        records travel: a buffered append the store has not flushed yet is
-        invisible (call the store's ``sync()`` first, or run the service's
-        group-commit durability which does), and a torn flush tail is left
-        for the next pump, exactly the way recovery would leave it.
+        Returns the number of records shipped.  Only *fsynced* commits
+        travel: one the store has appended but not synced yet stays in the
+        feed (call the store's ``sync()`` first, or run the service's
+        group-commit durability which does).
         """
         with self._lock:
             return self._pump_locked()
@@ -188,81 +198,46 @@ class Primary:
     def _pump_locked(self) -> int:
         if self._closed:
             raise ReplicationError("primary is closed")
-        shipped = 0
-        sizes = self._store.wal_segment_sizes()
-        # Cheap in-memory gate for the read-heavy case: at the store's own
-        # generation, a segment whose cursor sits exactly at its
-        # (buffered-inclusive) end has neither new records nor a truncation
-        # to observe -- skip the file I/O.  After a checkpoint the generation
-        # guard keeps reading until the bump is handled, even if later
-        # appends bring the size back to exactly the stale cursor value.
-        same_generation = self._generation == self._store.generation
-        for index, segment in enumerate(self._segment_paths):
-            if same_generation and (
-                    self._offsets[index] == sizes[index] or
-                    (sizes[index] == 0 and self._offsets[index] == WAL_HEADER_SIZE)):
-                continue
-            generation, records, valid_length = read_wal_records(
-                segment, from_offset=self._offsets[index],
-                expected_generation=self._generation)
-            if generation is None:
-                continue  # never appended to (or torn at create): nothing yet
+        entries = self._store.take_feed()
+        for segment, generation, ops, end_offset in entries:
             if generation != self._generation:
-                if generation < self._generation:
-                    # Stale pre-snapshot segment (healed by the next append);
-                    # its records are folded into the snapshot already.
-                    continue
                 # The store checkpointed: everything older was shipped by the
                 # pre-truncation hook, so this is a pure cursor reset.
                 self._bump_generation(generation)
-                generation, records, valid_length = read_wal_records(
-                    segment, from_offset=WAL_HEADER_SIZE,
-                    expected_generation=self._generation)
-            for ops, end_offset in records:
-                self.commit_index += 1
-                self._offsets[index] = end_offset
-                self._broadcast(RecordShipment(
-                    commit_index=self.commit_index,
-                    segment=index,
-                    generation=generation,
-                    ops=tuple(ops),
-                    end_offset=end_offset,
-                ))
-                shipped += 1
-            if valid_length > self._offsets[index]:
-                self._offsets[index] = valid_length
-        if shipped:
-            self.pumps += 1
-        if self._log_end_reached():
-            # Only a pump that truly consumed the log (no buffered tail
-            # pending behind an fsync) may declare the stream caught up;
-            # otherwise logged_commit_index keeps counting the gap.
-            self._commits_at_pump = self._store.commits
-        return shipped
-
-    def _log_end_reached(self) -> bool:
-        return all(
-            size == 0 or offset >= size
-            for offset, size in zip(self._offsets,
-                                    self._store.wal_segment_sizes())
-        )
+            self.commit_index += 1
+            self._offsets[segment] = end_offset
+            self._broadcast(RecordShipment(
+                commit_index=self.commit_index,
+                segment=segment,
+                generation=generation,
+                ops=ops,
+                end_offset=end_offset,
+            ))
+        if self._generation != self._store.generation:
+            self._bump_generation(self._store.generation)
+        return len(entries)
 
     def sync_and_pump(self) -> int:
-        """Flush the store's buffered commits, then ship them."""
+        """Fsync the store's buffered commits, then ship them.
+
+        Constant time when the feed is empty: every applied commit has then
+        been shipped, hence synced, and there is nothing to do for either.
+        """
         with self._lock:
-            self._store.sync()
+            if self._store.feed_backlog:
+                self._store.sync()
             return self._pump_locked()
 
     def _before_compaction(self, event: CompactionEvent) -> None:
-        """Pre-truncation hook: drain the log before the checkpoint folds it."""
+        """Pre-truncation hook: ship the whole feed before the checkpoint folds it.
+
+        The snapshot folds buffered appends too; the sync releases them from
+        the feed, and after the pump truncation only removes records every
+        follower channel already carries.
+        """
         with self._lock:
-            if self._closed:
-                return
-            # The event's offsets include buffered appends; flush so the tailer
-            # can read them, then ship everything.  After this, truncation only
-            # removes records every follower channel already carries.
-            self._store.sync()
-            self._pump_locked()
+            if not self._closed:
+                self.sync_and_pump()
 
     # ------------------------------------------------------------------ #
     # Membership
@@ -282,7 +257,7 @@ class Primary:
             if follower in self._followers:
                 raise ReplicationError("follower is already attached")
             self._store.sync()
-            self._pump_locked()  # cursor == disk: backfill is exactly the stream
+            self._pump_locked()  # the cursor covers all that is durable
             self._backfill(follower.store)
             channel = self._transport.connect()
             follower._connect(self, channel,
@@ -350,7 +325,7 @@ class Primary:
                 yield tuple(ops)
 
     def close(self) -> None:
-        """Detach every follower and stop tailing.  Idempotent.
+        """Detach every follower and give the store's feed back.  Idempotent.
 
         The wrapped store is left untouched (the primary never owned it);
         followers keep their stores and can still be promoted.
@@ -360,6 +335,7 @@ class Primary:
                 return
             self._closed = True
             self._store.compaction_policy.unsubscribe(self._before_compaction)
+            self._store.unsubscribe_feed()
             for follower in list(self._followers):
                 self.detach(follower)
 

@@ -3,19 +3,21 @@
 Log shipping needs surprisingly little from its transport: the primary
 fans each message out to every attached follower, a follower consumes its
 own totally ordered stream, and loss is handled by re-attaching (the
-primary backfills from disk).  :class:`ReplicationTransport` is that seam:
-``connect()`` yields a :class:`ReplicationChannel` -- ``send`` on the
-primary side, ``receive``/``drain`` on the follower side -- and the
-in-process implementation backs each channel with a plain queue.  A socket
-transport plugs in here later: the messages are flat, ``struct``-packable
-dataclasses (operation tuples, integers, no object graphs), so serialising
-them is the WAL encoder's job all over again.
+primary backfills from disk -- the one time it reads the log back; what it
+ships afterwards comes from memory, off the store's commit feed).
+:class:`ReplicationTransport` is that seam: ``connect()`` yields a
+:class:`ReplicationChannel` -- ``send`` on the primary side,
+``receive``/``drain`` on the follower side -- and the in-process
+implementation backs each channel with a ``deque``.  The socket transport
+(:mod:`repro.replicate.net`) plugs in here: the messages are flat,
+``struct``-packable dataclasses (operation tuples, integers, no object
+graphs), so serialising them is the WAL encoder's job all over again.
 
 Message vocabulary:
 
 * :class:`RecordShipment` -- one WAL group-commit record: its global
-  ``commit_index`` in the primary's ship order, the segment it came from,
-  the segment's generation, the decoded operations, and the absolute byte
+  ``commit_index`` in the primary's ship order, the segment it went to,
+  the segment's generation, the operations it holds, and the absolute byte
   offset just past the record (what lets a follower report an exact
   :class:`~repro.persist.wal.WalPosition` for point-in-time recovery).
 * :class:`GenerationBump` -- the primary checkpointed: segments were folded
@@ -27,7 +29,8 @@ Message vocabulary:
 
 from __future__ import annotations
 
-import queue
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -117,35 +120,39 @@ class ReplicationTransport:
 
 
 class InProcessChannel(ReplicationChannel):
-    """Queue-backed channel for followers living in the primary's process."""
+    """Deque-backed channel for followers living in the primary's process.
+
+    Unbounded: the primary also fills it synchronously during compaction,
+    where a full pipe could only deadlock.  ``append`` and ``popleft`` are
+    atomic, so polling an empty channel costs one failed truth test; only a
+    ``receive`` that is willing to wait takes the condition.
+    """
 
     notifies_on_send = True
 
-    def __init__(self, capacity: int = 0):
-        self._queue: "queue.Queue" = queue.Queue(maxsize=capacity)
+    def __init__(self):
+        self._messages: deque = deque()
+        self._arrival = threading.Condition()
         self._closed = False
 
     def send(self, message) -> None:
         if self._closed:
             raise ReplicationError("cannot ship on a closed replication channel")
-        self._queue.put(message)
+        with self._arrival:
+            self._messages.append(message)
+            self._arrival.notify()
         self._notify_listener()
 
     def receive(self, timeout: Optional[float] = None):
-        try:
-            if timeout is None:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        messages = self._messages
+        if timeout is not None and not messages:
+            with self._arrival:
+                self._arrival.wait_for(lambda: messages, timeout)
+        return messages.popleft() if messages else None  # the one consumer pops
 
     def drain(self) -> List[object]:
-        messages: List[object] = []
-        while True:
-            try:
-                messages.append(self._queue.get_nowait())
-            except queue.Empty:
-                return messages
+        messages = self._messages
+        return [messages.popleft() for _ in range(len(messages))]
 
     def _close(self) -> None:
         self._closed = True
@@ -156,15 +163,7 @@ class InProcessChannel(ReplicationChannel):
 
 
 class InProcessTransport(ReplicationTransport):
-    """In-process queue transport (the default; a socket transport's stand-in).
-
-    ``capacity`` bounds each follower's in-flight queue; 0 means unbounded,
-    which is the right default for an in-process pipe the primary also
-    drains synchronously during compaction.
-    """
-
-    def __init__(self, capacity: int = 0):
-        self.capacity = capacity
+    """In-process deque transport (the default; the socket transport's stand-in)."""
 
     def connect(self) -> InProcessChannel:
-        return InProcessChannel(capacity=self.capacity)
+        return InProcessChannel()

@@ -129,8 +129,10 @@ class GraphService:
             ``"read_your_writes"`` (default) runs the follower's barrier to
             the primary's commit index before serving, so a client that saw
             its mutation's future resolve always reads it back;
-            ``"any"`` serves whatever the replica has applied (durable
-            commits only), trading staleness for not forcing a flush.
+            ``"any"`` serves whatever the replica has applied (fsynced
+            commits only: under ``durability="none"`` that is what the last
+            checkpoint or barrier synced), trading staleness for not
+            forcing a sync.
         analytics: ``"engine"`` (default) recomputes every analytics job
             from scratch through a fresh :class:`TraversalEngine`;
             ``"incremental"`` attaches a delta-maintained
@@ -233,7 +235,7 @@ class GraphService:
         self._lifecycle_lock = threading.Lock()
         # Built last: every other argument has been validated by now, so a
         # constructor failure can no longer leak followers (or leave an
-        # orphaned tailer subscribed to the store's compaction policy).
+        # orphaned primary subscribed to the store's feed and compaction policy).
         self._replication: Optional[ReplicationGroup] = (
             ReplicationGroup(self.store, replicas=replicas,
                              transport=replica_transport,

@@ -171,3 +171,36 @@ class TestBroadcastIsolatesSendErrors:
             last.close()
             primary.close()
             store.close()
+
+
+class TestInProcessChannel:
+    """The deque-backed pipe: FIFO, never blocks a poll, wakes a timed wait."""
+
+    def test_poll_timed_receive_and_drain(self):
+        from repro.replicate import InProcessChannel, InProcessTransport
+
+        channel = InProcessTransport().connect()
+        assert isinstance(channel, InProcessChannel)
+        assert channel.receive() is None  # dry: no exception raised inside
+        started = time.monotonic()
+        assert channel.receive(timeout=0.05) is None
+        assert time.monotonic() - started >= 0.05
+
+        heard = []
+        channel.set_listener(lambda: heard.append(1))
+        sender = threading.Timer(0.05, channel.send, args=("late",))
+        sender.start()
+        assert channel.receive(timeout=10.0) == "late"  # woken, not timed out
+        sender.join(timeout=10)
+        assert not sender.is_alive()
+        for message in ("a", "b", "c"):
+            channel.send(message)
+        assert channel.receive() == "a"
+        assert channel.drain() == ["b", "c"]
+        assert channel.drain() == []
+        assert len(heard) == 4
+
+        channel.close()
+        assert channel.closed and len(heard) == 5  # close notifies too
+        with pytest.raises(ReplicationError, match="closed"):
+            channel.send("after close")

@@ -167,6 +167,8 @@ def test_chaos_kill9_failover_serves_byte_identical_state(fuzz_seed, tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10.0)
+        proc.stdin.close()  # the killed child never closes its end of the pipes
+        proc.stdout.close()
         for follower in followers.values():
             if not follower.closed and not follower.promoted:
                 follower.close()

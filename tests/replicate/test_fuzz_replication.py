@@ -22,6 +22,9 @@ seeded op stream committed through a WAL-wrapped primary,
 
 import random
 import shutil
+import sys
+import threading
+import time
 
 import pytest
 
@@ -35,7 +38,15 @@ from repro.analytics import (
     total_degrees,
 )
 from repro.persist import LOCK_NAME, PersistentStore, read_wal_records, recover
-from repro.replicate import Follower, Primary, RemoteFollower, ReplicationServer
+from repro.replicate import (
+    Follower,
+    InProcessTransport,
+    Primary,
+    RecordShipment,
+    RemoteFollower,
+    ReplicationGroup,
+    ReplicationServer,
+)
 
 from ..core.test_fuzz_differential import (
     NODE_RANGE,
@@ -167,6 +178,91 @@ def test_fuzz_follower_kill_restart_converges(num_shards, transport_lane,
         assert sorted(rewound.edges()) == expected, \
             f"{context} upto={wal_position}"
         rewound.close()
+
+
+@pytest.mark.parametrize("sync_on_commit", [False, True],
+                         ids=["group-commit", "sync-on-commit"])
+def test_stress_commits_against_a_second_threads_sync_and_pump(
+        sync_on_commit, fuzz_seed, tmp_path):
+    """The owner commits, syncs and advances; a second thread hammers
+    ``Primary.sync_and_pump()`` the way ``ReplicationServer._serve`` calls it
+    from a bootstrap.  However the two interleave -- the other thread's
+    ``sync()`` taking a record's fsync while its apply still runs, a pump
+    between an append and its feed entry, a checkpoint's drain -- every
+    record ships exactly once, with gap-free commit indices, each segment's
+    records in offset order, and the follower ends equal to the store."""
+    shards, commits = 8, 300
+    rng = random.Random(fuzz_seed)
+    sent = []
+
+    class Recording(InProcessTransport):
+        def connect(self):
+            channel = super().connect()
+            ship = channel.send
+            channel.send = lambda message: (sent.append(message), ship(message))[1]
+            return channel
+
+    inner = ShardedCuckooGraph(num_shards=shards)
+    store = PersistentStore(tmp_path / "p", store=inner, own_store=True,
+                            sync_on_commit=sync_on_commit, compact_wal_bytes=1 << 13)
+    group = ReplicationGroup(store, replicas=1, transport=Recording())
+    follower = group.followers[0]
+    expected_records = 0
+    stop = threading.Event()
+    failures = []
+    calls = [0]
+
+    def hammer():
+        try:
+            while not stop.is_set():
+                group.primary.sync_and_pump()
+                calls[0] += 1
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+
+    pumper = threading.Thread(target=hammer, name="stress-pumper")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    deadline = time.monotonic() + 120
+    try:
+        pumper.start()
+        for _ in range(commits):
+            assert time.monotonic() < deadline, "stress run overran its time bound"
+            batch = [(rng.randrange(1, 400), rng.randrange(1, 50))
+                     for _ in range(rng.randrange(2, 24))]
+            expected_records += len(inner.partition_edges(batch))
+            if rng.random() < 0.3:
+                store.delete_edges(batch)
+            else:
+                store.insert_edges(batch)
+            store.sync()
+            group.advance()
+            follower.poll()  # advance() polls only when this thread shipped
+    finally:
+        stop.set()
+        pumper.join(timeout=60)
+        sys.setswitchinterval(interval)
+    try:
+        assert not pumper.is_alive()
+        assert failures == [] and calls[0] > 0
+        assert store.compactions > 0
+        assert group.primary.sync_and_pump() == 0  # the owner left nothing behind
+        assert store.feed_backlog == 0
+
+        records = [m for m in sent if isinstance(m, RecordShipment)]
+        assert len(records) == expected_records == group.primary.commit_index
+        assert [m.commit_index for m in records] == list(range(1, len(records) + 1))
+        cuts = [(m.segment, m.generation, m.end_offset) for m in records]
+        assert len(set(cuts)) == len(cuts)
+        for segment in range(shards):
+            own = [cut[1:] for cut in cuts if cut[0] == segment]
+            assert own == sorted(own), f"segment {segment} shipped out of order"
+        follower.wait_for(group.primary.commit_index)
+        assert sorted(follower.store.edges()) == sorted(store.edges())
+        assert follower.position == group.primary.position
+    finally:
+        group.close()
+        store.close()
 
 
 ANALYTICS_ITERATIONS = 15  # enough sweeps for dirt to travel, fast to recompute

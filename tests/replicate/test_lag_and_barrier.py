@@ -24,10 +24,12 @@ import time
 
 import pytest
 
-from repro import CuckooGraph
+from repro import CuckooGraph, ShardedCuckooGraph
 from repro.core.errors import ReplicationError
 from repro.persist import PersistentStore
 from repro.replicate import Follower, Primary
+
+from ..persist.test_group_commit import SHARDS, edges_on_every_shard
 
 
 def make_pair(tmp_path):
@@ -62,6 +64,40 @@ class TestLagCountsUnshippedCommits:
             assert follower.lag() == 2  # shipped but not yet applied
             follower.poll()
             assert follower.lag() == 0
+        finally:
+            follower.close()
+            primary.close()
+            store.close()
+
+    def test_lag_counts_records_not_commits(self, tmp_path):
+        """``commit_index`` counts records -- one per segment a commit
+        touched -- so what is logged and unshipped must be counted the same
+        way: one 4-segment batch behind an fsync is lag 4, not lag 1."""
+        shards = SHARDS
+        store = PersistentStore(
+            tmp_path / "primary", store=ShardedCuckooGraph(num_shards=shards),
+            own_store=True, sync_on_commit=False, compact_wal_bytes=None)
+        primary = Primary(store)
+        follower = Follower(store=ShardedCuckooGraph(num_shards=shards))
+        primary.attach(follower)
+        try:
+            batch = edges_on_every_shard(1)
+            store.insert_edges(batch)  # one commit, buffered behind its fsync
+            store.insert_edge(*batch[0][::-1])
+            assert store.commits == 2
+            assert primary.pump() == 0
+            assert primary.logged_commit_index == shards + 1
+            assert follower.lag() == shards + 1
+
+            store.sync()
+            assert follower.lag() == shards + 1  # durable, not yet shipped
+            assert primary.pump() == shards + 1
+            assert follower.lag() == shards + 1  # shipped, not yet applied
+            follower.poll(max_records=3)
+            assert follower.lag() == shards + 1 - 3
+            follower.poll()
+            assert follower.lag() == 0
+            assert primary.logged_commit_index == primary.commit_index == shards + 1
         finally:
             follower.close()
             primary.close()
