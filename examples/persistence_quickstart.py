@@ -53,10 +53,7 @@ def main() -> None:
     print(f"simulated crash: tore 7 bytes off {segment.name}")
 
     # -- 4. recover ------------------------------------------------------ #
-    # sync_on_commit=False: the reopened store buffers appends so the
-    # durability point can move to the service's per-batch group commit.
-    recovered = recover(base, store=ShardedCuckooGraph(num_shards=NUM_SHARDS),
-                        sync_on_commit=False)
+    recovered = recover(base, store=ShardedCuckooGraph(num_shards=NUM_SHARDS))
     stats = recovered.last_recovery
     print("recovered:", recovered.num_edges, "edges "
           f"(snapshot_rows={stats['snapshot_rows']}, wal_ops={stats['wal_ops']})")
@@ -65,8 +62,9 @@ def main() -> None:
     assert sorted(recovered.edges()) == survivors
 
     # -- 5. serve it durably --------------------------------------------- #
-    # Group commit: the service makes each dispatched micro-batch durable
-    # with one fsync, *before* the batch's futures resolve.
+    # Group commit: each dispatched micro-batch is one store commit -- one
+    # fsync per touched segment, beside the apply -- and durable *before*
+    # the batch's futures resolve.
     with GraphService(recovered, own_store=True, durability="batch",
                       max_batch=256) as service:
         futures = [service.insert_edge(u, 9999) for u in range(200)]

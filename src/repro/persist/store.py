@@ -36,11 +36,17 @@ A commit (``sync_on_commit=True``) is one pipeline, for every mutation::
 and the call returns after that: acknowledged => durable, exactly one fsync
 per touched segment.  A commit with one segment to sync and one operation
 to apply (every single-op call) has nothing worth a thread hand-off and
-syncs on the caller's thread, then applies.  With ``sync_on_commit=False``
-the pipeline stops after *append* (buffered) and the fsyncs move to
-:meth:`PersistentStore.sync` -- the service's group commit -- which syncs
+syncs on the caller's thread, then applies.  This is also the service's
+group commit: ``GraphService(durability="batch")`` sets
+:attr:`PersistentStore.sync_on_commit` and makes every mutation run one
+commit.  With ``sync_on_commit=False`` the pipeline stops after *append*
+(buffered) and the fsyncs move to :meth:`PersistentStore.sync`, which syncs
 its dirty segments through the same helpers, or inline when only one is
-dirty.  *When* to fsync is decided here and nowhere else;
+dirty.  Its callers are whoever buffers -- a bulk load, a
+``durability="none"`` service's read barrier (``Primary.sync_and_pump``)
+-- and, on any store, ``Primary`` construction and ``attach``, the
+``sync_on_commit`` switch, the retry after a failed fsync and ``close()``.
+*When* to fsync is decided here and nowhere else;
 :class:`~repro.persist.wal.WriteAheadLog` only appends and syncs on request.
 
 The same path feeds replication.  While a :class:`~repro.replicate.Primary`
@@ -52,10 +58,12 @@ in steady state never read back.  With no subscriber nothing is collected.
 
 What the failures leave behind (``tests/persist/test_group_commit.py``):
 
-* **An fsync fails** (``OSError``).  The call raises it -- after every
-  other sync it had in flight has returned.  Nothing is rewound: the batch
-  may already be applied, and a record whose batch is in memory never
-  leaves the log (``recover()`` of the directory is a superset of memory).
+* **An fsync fails** (``OSError``).  The call raises it -- after the apply,
+  and after every other sync it had in flight has returned; the inline sync
+  of a single-op commit is no exception.  Nothing is rewound: the record is
+  in the log, so the batch is applied and its feed entry queued (held back
+  until a sync succeeds), and ``recover()`` of the directory is a superset
+  of memory.
   The failed segment counts as unsynced again, so the next ``sync()`` or
   ``close()`` retries the fsync; whether the kernel still holds the pages
   to write by then is the OS's business, so the call that raised must be
@@ -312,9 +320,10 @@ class PersistentStore(DynamicGraphStore):
             :func:`recover` can rebuild the store without being told.
         sync_on_commit: ``True`` makes every commit individually durable
             (one fsync per touched segment per mutation call); ``False``
-            buffers appends until :meth:`sync` -- the deferral
-            :class:`~repro.service.GraphService` turns into
-            per-micro-batch group commits.
+            buffers appends until :meth:`sync`.  Settable afterwards
+            (:attr:`sync_on_commit`), which is how
+            :class:`~repro.service.GraphService` (``durability="batch"``)
+            turns a buffering store into a group-committing one.
         compact_wal_bytes: WAL size threshold (summed over segments) past
             which the store snapshots itself and truncates the log;
             ``None`` disables compaction.
@@ -465,6 +474,19 @@ class PersistentStore(DynamicGraphStore):
         """Whether :meth:`close` has been called."""
         return self._closed
 
+    @property
+    def sync_on_commit(self) -> bool:
+        """Whether every commit syncs the segments it touched before it returns."""
+        return self._sync_on_commit
+
+    @sync_on_commit.setter
+    def sync_on_commit(self, value: bool) -> None:
+        """Switching it on first syncs what was buffered, so that "no segment
+        is dirty between commits" holds from the switch on."""
+        if value and not self._sync_on_commit:
+            self.sync()
+        self._sync_on_commit = value
+
     def close(self) -> None:
         """Flush and release the log, then the wrapped store.  Idempotent.
 
@@ -536,12 +558,18 @@ class PersistentStore(DynamicGraphStore):
                     syncing.append((wal, wal.begin_sync()))
         if touched:
             self.commits += 1
+        failed: Optional[OSError] = None
         if len(syncing) == 1 and ops == 1:
             # One fsync and one operation to overlap it with: not worth two
             # thread hand-offs, so (like a lone dirty segment in ``sync()``)
-            # the caller syncs, then applies.
+            # the caller syncs, then applies.  A failure is held until the
+            # apply is done, as a helper's is: the record stays in the log,
+            # so the operation has to reach memory and the feed.
             wal, fd = syncing.pop()
-            wal.finish_sync(fd)
+            try:
+                wal.finish_sync(fd)
+            except OSError as error:
+                failed = error
         in_flight = self._start_syncs(syncing)
         try:
             result = apply()
@@ -556,7 +584,7 @@ class PersistentStore(DynamicGraphStore):
                     wal = self._wals[index]
                     feed.append((wal, wal.sync_ticket, (
                         index, self._generation, record_ops, wal.size_bytes)))
-        error = _SyncThreads.join(in_flight)
+        error = _SyncThreads.join(in_flight) or failed
         if error is not None:
             raise error
         self._maybe_compact()
@@ -579,13 +607,13 @@ class PersistentStore(DynamicGraphStore):
             self.commits -= 1
 
     def sync(self) -> None:
-        """Fsync every segment's buffered records (one group commit).
+        """Fsync every segment's unsynced records.
 
-        With ``sync_on_commit=False`` this is the durability point: the
-        service layer calls it once per dispatched micro-batch, *before*
-        resolving the batch's futures.  Several dirty segments are synced
-        side by side (the caller takes one, helper threads the rest); a
-        lone one -- every single-op request -- on the caller's thread.
+        With ``sync_on_commit=False`` this is the durability point (see the
+        module docstring for who calls it); with ``True`` it finds nothing
+        to do unless a commit's fsync failed, which it retries.  Several
+        dirty segments are synced side by side (the caller takes one,
+        helper threads the rest); a lone one on the caller's thread.
         """
         self._ensure_writable()
         with self._log_lock:

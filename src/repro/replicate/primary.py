@@ -36,7 +36,7 @@ Three invariants make the stream lossless:
   :class:`~repro.replicate.transport.GenerationBump`: a clean cursor reset.
 
 ``pump`` is explicit and synchronous (the service layer pumps once per
-dispatched mutation run, after its ``sync()``) and safe beside a committing
+dispatched mutation run, after its commit) and safe beside a committing
 thread: the feed is filled and taken under the store's log lock, and an
 entry is queued only after its apply returned.
 """

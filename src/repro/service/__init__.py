@@ -9,6 +9,13 @@ analytics traversal engine, and routes results and exceptions back through
 one future per request.  :class:`GraphClient` is the synchronous facade that makes the
 whole thing look like a plain :class:`~repro.interfaces.DynamicGraphStore`.
 
+Durable serving is the same path over a
+:class:`~repro.persist.PersistentStore`: ``GraphClient.durable(path)``, or
+``GraphService(store, durability="batch")`` -- which sets the store's
+``sync_on_commit`` itself -- makes every dispatched mutation run one
+pipelined store commit (the group commit: fsyncs beside the apply), so a
+resolved future means the write is on disk.
+
 Quickstart::
 
     from repro.service import GraphClient

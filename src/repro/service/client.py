@@ -98,11 +98,12 @@ class GraphClient(DynamicGraphStore):
         """Client over a group-committing durable service.
 
         The sharded store is wrapped in a
-        :class:`~repro.persist.PersistentStore` (one WAL segment per shard)
-        with ``sync_on_commit=False``, and the service runs with
-        ``durability="batch"``: each dispatched micro-batch becomes one
-        group commit -- an fsync per WAL segment the batch touched, at most
-        ``num_shards`` -- before its futures resolve.  ``path=None`` keeps the
+        :class:`~repro.persist.PersistentStore` (one WAL segment per shard,
+        ``sync_on_commit=True``), and the service runs with
+        ``durability="batch"``: each dispatched mutation run is one store
+        commit, hence one group commit -- an fsync per WAL segment the run
+        touched, at most ``num_shards``, in flight beside the apply and all
+        returned before its futures resolve.  ``path=None`` keeps the
         store ephemeral (the directory is removed on close); a ``path``
         that already holds a persistent store is **recovered** first, so
         the same call works on the first run and on every restart
@@ -112,11 +113,11 @@ class GraphClient(DynamicGraphStore):
 
         inner = ShardedCuckooGraph(num_shards=num_shards, config=config)
         if path is not None:
-            store = open_or_create(path, store=inner, sync_on_commit=False,
+            store = open_or_create(path, store=inner, sync_on_commit=True,
                                    own_store=True)
         else:
             store = PersistentStore(
-                path=None, store=inner, sync_on_commit=False, own_store=True
+                path=None, store=inner, sync_on_commit=True, own_store=True
             )
         service = GraphService(
             store, own_store=True, durability="batch", **service_kwargs

@@ -88,8 +88,8 @@ ANALYTICS_HANDLERS: Dict[str, Callable] = {
 ANALYTICS_MODES = ("engine", "incremental")
 
 #: Durability modes: ``"none"`` leaves persistence entirely to the store;
-#: ``"batch"`` turns every dispatched mutation run into one group commit
-#: (``store.sync()``) *before* the run's futures resolve.
+#: ``"batch"`` makes every dispatched mutation run one durable store commit
+#: (a group commit) *before* the run's futures resolve.
 DURABILITY_MODES = ("none", "batch")
 
 
@@ -111,13 +111,13 @@ class GraphService:
         policy: Backpressure policy, ``"block"`` or ``"reject"``.
         own_store: Force (or forbid) closing the store on :meth:`close`.
         durability: ``"none"`` (default) or ``"batch"``.  With ``"batch"``
-            the store must expose a ``sync()`` durability point (a
-            :class:`~repro.persist.PersistentStore`, typically constructed
-            with ``sync_on_commit=False``); the dispatcher then calls it
-            once per mutation run, after the batch store calls and before
-            any of the run's futures resolve -- many client operations, one
-            group commit (an fsync only per WAL segment the run actually
-            touched), which is the whole point of group commit.
+            the store must be a :class:`~repro.persist.PersistentStore`;
+            the service sets its ``sync_on_commit`` (which syncs whatever
+            was buffered), so a mutation run's one store call is one group
+            commit: an fsync only per WAL segment the run touched, in
+            flight beside the apply, all returned before any of the run's
+            futures resolve.  A failed fsync is fail-stop
+            (:attr:`durability_failed`); a refused mutation fails its run.
         replicas: Number of read replicas (0 disables replication).  The
             store must then be a :class:`~repro.persist.PersistentStore`:
             the service builds a :class:`~repro.replicate.ReplicationGroup`
@@ -216,15 +216,14 @@ class GraphService:
             )
         self.durability = durability
         if durability == "batch":
-            sync = getattr(self.store, "sync", None)
-            if not callable(sync):
+            if not isinstance(self.store, PersistentStore):
                 raise ValueError(
-                    'durability="batch" needs a store with a sync() durability '
-                    "point (wrap it in repro.persist.PersistentStore)"
+                    'durability="batch" needs a store whose commits sync '
+                    "(wrap it in repro.persist.PersistentStore)"
                 )
-            self._durable_sync: Optional[Callable[[], None]] = sync
-        else:
-            self._durable_sync = None
+            # A mutation run is one store call: its commit is the group
+            # commit.  Anything still buffered is synced by the switch.
+            self.store.sync_on_commit = True
         self.max_batch = max_batch
         self.max_delay_s = max_delay_s
         self._queue = BoundedRequestQueue(capacity=queue_capacity, policy=policy)
@@ -498,26 +497,24 @@ class GraphService:
         # (see split_runs); either way its items reach the store as a batch.
         single = live[0].single
         items = [r.payload for r in live] if single else live[0].payload
+        mutation = kind in ("insert", "delete")
+        group_commit = mutation and self.durability == "batch"
         try:
+            # Group commit: a mutation run's store call returns durable.
             results, store_calls = self._execute_run(kind, items, single)
         except Exception as exc:
+            if group_commit and isinstance(exc, OSError):
+                # The commit's fsync failed (a refused apply is rolled back
+                # and raises its own error: that run fails alone).  Fail-
+                # stop: fsync-failure semantics are murky enough (the OS may
+                # drop the unflushed write silently) that promising
+                # durability for anything after it would be a lie.
+                self._durability_failed = exc
             self._fail_run(live, exc)
             return
-        if self._durable_sync is not None and kind in ("insert", "delete"):
-            # Group commit: the whole run becomes durable before any of the
-            # callers' futures resolve.  An fsync failure is fail-stop: the
-            # run's callers get the error, and the service refuses further
-            # submissions -- fsync-failure semantics are murky enough
-            # (the OS may drop the unflushed write silently) that promising
-            # durability for anything after it would be a lie.
-            try:
-                self._durable_sync()
-            except Exception as exc:
-                self._durability_failed = exc
-                self._fail_run(live, exc)
-                return
+        if group_commit:
             self.metrics.record_commit()
-        if self._replication is not None and kind in ("insert", "delete"):
+        if self._replication is not None and mutation:
             # Keep the replicas' queues draining at traffic pace: ship what
             # this run committed (only flushed records travel) and let every
             # follower apply it, so a write-heavy stretch never accumulates

@@ -16,10 +16,10 @@ performs the matching repair:
   follower without closing the old store first (a transient network drop
   rather than a process death).  Operationally the repair is the same
   attach path; the distinction is what the report labels it.
-* ``stall_fsync`` -- wrap the service's group-commit sync in a sleep, so
-  every dispatched mutation run pays the stall: queue depth and tail
-  latency climb, which is the backpressure signal the report captures.
-  Recovery unwraps the original sync.
+* ``stall_fsync`` -- put a sleep in front of every WAL ``fsync``, so every
+  dispatched mutation run pays the stall (once: a run's fsyncs are in
+  flight side by side): queue depth and tail latency climb, which is the
+  backpressure signal the report captures.  Recovery restores ``fsync``.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 from ..core.errors import ReplicationError
+from ..persist import wal
 from ..replicate import Follower
 from .config import FailureSpec
 
@@ -95,46 +96,27 @@ def _kill_replica(service, spec: FailureSpec, close_store: bool) -> _Injection:
     return _Injection(record=record, recover=recover)
 
 
-def _stall_fsync(service, spec: FailureSpec) -> _Injection:
-    original = service._durable_sync
-    if original is None:
-        # Replicated but not batch-durable: stall the primary's explicit
-        # sync path instead (refresh() calls sync_and_pump per read).
-        store = service.store
-        inner_sync = store.sync
-        stall_s = min(0.05, spec.duration_s / 4) or 0.01
-
-        def stalled_store_sync() -> None:
-            time.sleep(stall_s)
-            inner_sync()
-
-        store.sync = stalled_store_sync
-        record = InjectedFailure(
-            at_s=spec.at_s, kind=spec.kind, target=spec.target, injected=True,
-            detail=f"wrapped store.sync with a {stall_s * 1000:.0f}ms stall",
-        )
-
-        def recover() -> str:
-            del store.sync  # fall back to the class attribute
-            return "removed the store.sync stall wrapper"
-
-        return _Injection(record=record, recover=recover)
-
+def _stall_fsync(spec: FailureSpec) -> _Injection:
+    # ``wal.os.fsync`` is the one call every durability point ends in: a
+    # ``durability="batch"`` run's commit (helper threads and inline alike)
+    # and the ``sync()`` a replicated read barrier forces.  It is the
+    # process's ``os.fsync``, so whatever else syncs in the window stalls too.
+    original = wal.os.fsync
     stall_s = min(0.05, spec.duration_s / 4) or 0.01
 
-    def stalled_sync() -> None:
+    def stalled_fsync(fd) -> None:
         time.sleep(stall_s)
-        original()
+        original(fd)
 
-    service._durable_sync = stalled_sync
+    wal.os.fsync = stalled_fsync
     record = InjectedFailure(
         at_s=spec.at_s, kind=spec.kind, target=spec.target, injected=True,
-        detail=f"wrapped group-commit sync with a {stall_s * 1000:.0f}ms stall",
+        detail=f"stalled every WAL fsync by {stall_s * 1000:.0f}ms",
     )
 
     def recover() -> str:
-        service._durable_sync = original
-        return "restored the original group-commit sync"
+        wal.os.fsync = original
+        return "restored the original fsync"
 
     return _Injection(record=record, recover=recover)
 
@@ -152,7 +134,7 @@ def inject(service, spec: FailureSpec) -> _Injection:
         if spec.kind == "drop_channel":
             return _kill_replica(service, spec, close_store=False)
         if spec.kind == "stall_fsync":
-            return _stall_fsync(service, spec)
+            return _stall_fsync(spec)
         raise ReplicationError(f"unknown failure kind {spec.kind!r}")
     except Exception as exc:
         record = InjectedFailure(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import threading
 from collections import defaultdict
 
 import pytest
@@ -81,6 +82,28 @@ def pytest_generate_tests(metafunc):
         runs = metafunc.config.getoption("--fuzz-runs")
         seeds = [FUZZ_BASE_SEED + 7919 * run for run in range(max(1, runs))]
         metafunc.parametrize("fuzz_seed", seeds)
+
+
+#: Threads a test must not leave running, by name: a service's dispatcher
+#: and a persistent store's fsync helpers.  Both are joined by ``close()``.
+OWNED_THREAD_PREFIXES = ("graph-service", "wal-sync-")
+
+
+@pytest.fixture
+def no_leaked_threads():
+    """Fail a test that leaves a dispatcher or fsync helper thread alive.
+
+    ``tests/service`` and ``tests/persist`` make it autouse: it is set up
+    first, so it looks after every other fixture has been torn down.  A
+    leaked thread is a service or store some path forgot to close -- on a
+    durable service that is also an open WAL segment and a held directory.
+    """
+    before = set(threading.enumerate())
+    yield
+    leaked = [thread.name for thread in threading.enumerate()
+              if thread not in before
+              and thread.name.startswith(OWNED_THREAD_PREFIXES)]
+    assert not leaked, f"test left threads running: {leaked}"
 
 
 @pytest.fixture

@@ -124,12 +124,14 @@ class TestSyncPoolLifecycle:
 class _FsyncProbe:
     """Stand-in for ``repro.persist.wal.os.fsync``: counts the calls made
     while armed, fails the ``fail_at``-th of them and holds the others for
-    ``hold`` seconds, so "returned only after the others" is observable."""
+    ``hold`` seconds (and until ``gate``, an ``Event``, is set), so
+    "returned only after the others" is observable."""
 
-    def __init__(self, fail_at=None, hold=0.0):
+    def __init__(self, fail_at=None, hold=0.0, gate=None):
         self.real = os.fsync
         self.fail_at = fail_at
         self.hold = hold
+        self.gate = gate
         self.armed = False
         self.lock = threading.Lock()
         self.calls = 0
@@ -145,6 +147,8 @@ class _FsyncProbe:
         if mine == self.fail_at:
             raise OSError(5, "synthetic fsync failure")
         time.sleep(self.hold)
+        if self.gate is not None:
+            assert self.gate.wait(timeout=30), "nobody opened the fsync gate"
         self.real(fd)
         with self.lock:
             self.returned += 1
@@ -182,6 +186,38 @@ class TestFailureSemantics:
         assert store.insert_edges(edges_on_every_shard(1, start=90_000)) == SHARDS
         store.close()
         assert sync_threads() == []
+
+    def test_single_op_fsync_error_surfaces_after_the_apply_and_the_feed_entry(
+            self, tmp_path, monkeypatch):
+        """The inline shortcut fails the way a helper does: the record stays
+        in the log, so the edge must reach memory and the feed (held back)."""
+        probe = _FsyncProbe(fail_at=1)
+        monkeypatch.setattr("repro.persist.wal.os.fsync", probe)
+        store = sharded_store(tmp_path / "s")
+        store.insert_edges(edges_on_every_shard(1))  # creating a segment fsyncs too
+        store.subscribe_feed()
+        sizes = store.wal_segment_sizes()
+        helpers = sync_threads()
+
+        probe.armed = True
+        with pytest.raises(OSError, match="synthetic fsync failure"):
+            store.insert_edge(7, 8)
+        probe.armed = False
+        assert (probe.calls, probe.returned) == (1, 0)
+        assert store.has_edge(7, 8)
+        assert sum(store.wal_segment_sizes()) > sum(sizes)
+        assert store.feed_backlog == 1 and store.take_feed() == []
+
+        store.sync()  # retries the fsync: the entry leaves the feed, once
+        assert [entry[2] for entry in store.take_feed()] == [(("insert", 7, 8),)]
+        assert store.take_feed() == [] and store.feed_backlog == 0
+        assert sync_threads() == helpers  # one dirty segment: synced inline
+        copy = tmp_path / "copy"
+        shutil.copytree(tmp_path / "s", copy, ignore=shutil.ignore_patterns("lock"))
+        replayed = recover(copy, store=ShardedCuckooGraph(num_shards=SHARDS))
+        assert replayed.has_edge(7, 8)
+        replayed.close()
+        store.close()
 
     def test_failed_apply_rewinds_every_touched_segment_after_the_syncs(
             self, tmp_path, monkeypatch):

@@ -164,11 +164,19 @@ def test_failed_fsync_ships_nothing_and_fail_stops_the_service(tmp_path, fsync):
         service.close()
 
 
+@pytest.mark.parametrize("first", [[(1, 2), (1, 3)], [(1, 2)]], ids=["batch", "one-op"])
 @pytest.mark.parametrize("sync_on_commit", [False, True])
 def test_a_commit_behind_a_failed_fsync_ships_first_when_it_ships(
-        tmp_path, fsync, sync_on_commit):
-    """Two commits on one segment, the first one's fsync fails: whichever
-    fsync finally covers both, they leave the feed in append order."""
+        tmp_path, fsync, sync_on_commit, first):
+    """Two commits on one segment, the first one's fsync fails (on a helper
+    thread for the batch, inline for the single operation): whichever fsync
+    finally covers both, they leave the feed in append order."""
+    def commit_first():
+        if len(first) == 1:
+            store.insert_edge(*first[0])
+        else:
+            store.insert_edges(first)
+
     store = PersistentStore(tmp_path / "p", store=CuckooGraph(), own_store=True,
                             sync_on_commit=sync_on_commit, compact_wal_bytes=None)
     primary = Primary(store)
@@ -182,9 +190,9 @@ def test_a_commit_behind_a_failed_fsync_ships_first_when_it_ships(
         fsync.armed = True
         if sync_on_commit:
             with pytest.raises(OSError):
-                store.insert_edges([(1, 2), (1, 3)])
+                commit_first()
         else:
-            store.insert_edges([(1, 2), (1, 3)])
+            commit_first()
             with pytest.raises(OSError):
                 store.sync()
         fsync.armed = False
@@ -200,7 +208,7 @@ def test_a_commit_behind_a_failed_fsync_ships_first_when_it_ships(
         assert [m.commit_index for m in shipped] == [2, 3]
         follower.wait_for(3)
         assert sorted(follower.store.edges()) == sorted(store.edges()) == \
-            [(1, 3), (8, 8), (8, 9)]
+            first[1:] + [(8, 8), (8, 9)]
         assert follower.position == primary.position
     finally:
         follower.close()
