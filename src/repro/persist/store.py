@@ -36,10 +36,22 @@ A commit (``sync_on_commit=True``) is one pipeline, for every mutation::
 and the call returns after that: acknowledged => durable, exactly one fsync
 per touched segment.  A commit with one segment to sync and one operation
 to apply (every single-op call) has nothing worth a thread hand-off and
-syncs on the caller's thread, then applies.  This is also the service's
-group commit: ``GraphService(durability="batch")`` sets
-:attr:`PersistentStore.sync_on_commit` and makes every mutation run one
-commit.  With ``sync_on_commit=False`` the pipeline stops after *append*
+syncs on the caller's thread, then applies.
+
+This is also the service's group commit: ``GraphService(durability="batch")``
+sets :attr:`PersistentStore.sync_on_commit` and makes every mutation run one
+commit.  Its dispatcher is the one caller that does not sit through *join*:
+it hands the call a :class:`PendingCommit`, gets control back after *apply*
+with the fsyncs still in flight (always on the helpers: the inline shortcut
+is the cheap way to wait, and it does not wait), serves other requests, and
+runs *join* and *compact* later through :meth:`PendingCommit.finish` -- in
+commit order, before the run is acknowledged.  Several commits can then be in
+flight at once, two of them on one segment included: each has its own sync
+round, and a later round covers the earlier records.  A checkpoint that
+``finish`` triggers first waits out the later commits still in flight, which
+the dispatcher names to it.
+
+With ``sync_on_commit=False`` the pipeline stops after *append*
 (buffered) and the fsyncs move to :meth:`PersistentStore.sync`, which syncs
 its dirty segments through the same helpers, or inline when only one is
 dirty.  Its callers are whoever buffers -- a bulk load, a
@@ -58,9 +70,10 @@ in steady state never read back.  With no subscriber nothing is collected.
 
 What the failures leave behind (``tests/persist/test_group_commit.py``):
 
-* **An fsync fails** (``OSError``).  The call raises it -- after the apply,
-  and after every other sync it had in flight has returned; the inline sync
-  of a single-op commit is no exception.  Nothing is rewound: the record is
+* **An fsync fails** (``OSError``).  The call (or, for the dispatcher,
+  ``PendingCommit.finish``) raises it -- after the apply, and after every
+  other sync it had in flight has returned; the inline sync of a single-op
+  commit is no exception.  Nothing is rewound: the record is
   in the log, so the batch is applied and its feed entry queued (held back
   until a sync succeeds), and ``recover()`` of the directory is a superset
   of memory.
@@ -68,15 +81,16 @@ What the failures leave behind (``tests/persist/test_group_commit.py``):
   ``close()`` retries the fsync; whether the kernel still holds the pages
   to write by then is the OS's business, so the call that raised must be
   treated as *not durable* (the service goes fail-stop on it).
-* **The apply fails.**  The in-flight syncs are joined, then every touched
-  segment is rewound to its size before the commit (and that truncation
-  fsynced): a mutation the store refused must not replay at every future
-  recovery.  The store may keep a partially applied batch in memory, as
+* **The apply fails.**  The commit's own in-flight syncs are joined, then
+  every touched segment is rewound to its size before the commit (and that
+  truncation fsynced; earlier commits still in flight lie before that size):
+  a mutation the store refused must not replay at every future recovery.
+  The store may keep a partially applied batch in memory, as
   batch exceptions always allowed; after a restart the commit is absent.
 * **The order the apply can rely on.**  When the apply starts, its records
   are already in every touched segment file (write-ahead at the OS level);
-  when the call returns, every touched segment has been synced and none is
-  dirty.
+  when the call (for the dispatcher: ``finish``) returns, every touched
+  segment has been synced and none is dirty.
 
 Recovery is :func:`recover`: load the snapshot (if any) into a fresh store
 of the recorded (or caller-supplied) scheme, replay every complete WAL
@@ -255,9 +269,11 @@ class _SyncThreads:
     it is inside it -- but it needs the GIL to get there, and the apply that
     follows may hold it for milliseconds.  Hence the hand-off in
     :meth:`start`: it returns only after every helper has reported "about to
-    sync".  What is in flight belongs to the call that started it (a commit
-    and a ``sync()`` from ``Primary.sync_and_pump``'s thread can be in
-    progress at once); only the threads are shared.
+    sync".  The same hand-off bounds what can be in flight: a call whose
+    segments find no free helper waits for one.  What is in flight belongs to
+    the call that started it (several commits, and a ``sync()`` from
+    ``Primary.sync_and_pump``'s thread, can be in progress at once); only the
+    threads are shared.
     """
 
     def __init__(self, count: int):
@@ -271,7 +287,7 @@ class _SyncThreads:
 
     def _run(self) -> None:
         while (task := self._tasks.get()) is not None:
-            wal, fd, entered, done = task
+            wal, fd, entered, done, count, wake = task
             entered.put(None)
             try:
                 wal.finish_sync(fd)
@@ -279,13 +295,19 @@ class _SyncThreads:
                 done.put(error)
             else:
                 done.put(None)
+            # Nobody takes from ``done`` before looking at its size (see
+            # PendingCommit), so the helper that returns last sees it full.
+            if wake is not None and done.qsize() == count:
+                wake()
 
-    def start(self, syncing: Sequence[Tuple[WriteAheadLog, int]]) -> Tuple[SimpleQueue, int]:
-        """Put the fsync of every ``(segment, descriptor)`` in flight."""
+    def start(self, syncing: Sequence[Tuple[WriteAheadLog, int]],
+              wake: Optional[Callable[[], None]] = None) -> Tuple[SimpleQueue, int]:
+        """Put the fsync of every ``(segment, descriptor)`` in flight; the
+        helper that finishes the last of them calls ``wake`` (if any)."""
         entered: SimpleQueue = SimpleQueue()
         done: SimpleQueue = SimpleQueue()
         for wal, fd in syncing:
-            self._tasks.put((wal, fd, entered, done))
+            self._tasks.put((wal, fd, entered, done, len(syncing), wake))
         for _ in syncing:
             entered.get()
         return done, len(syncing)
@@ -305,6 +327,55 @@ class _SyncThreads:
             self._tasks.put(None)
         for thread in self._threads:
             thread.join()
+
+
+class PendingCommit:
+    """A commit whose caller waits for its fsyncs later, not inside the call.
+
+    The one caller is :class:`~repro.service.GraphService`'s dispatcher: it
+    hands an instance to ``insert_edges`` / ``delete_edges``, which return once
+    the batch is logged, its fsyncs are in flight and it is applied in memory,
+    and goes on to its next request.  ``wake`` is called -- on a helper thread,
+    so it may only signal -- when the last of the fsyncs has returned.  The
+    commit is **not durable, and must not be acknowledged, before**
+    :meth:`finish` **has returned**, and commits are finished in the order they
+    were made (the commit feed releases them in that order).  The caller keeps
+    the list of what it has in flight -- the store keeps none -- and tells
+    ``finish`` what is behind the commit it finishes.
+    """
+
+    __slots__ = ("wake", "_store", "_in_flight", "_error")
+
+    def __init__(self, wake: Optional[Callable[[], None]] = None):
+        self.wake = wake
+        self._store: Optional["PersistentStore"] = None
+        self._in_flight: Optional[Tuple[SimpleQueue, int]] = None
+        self._error: Optional[BaseException] = None
+
+    def done(self) -> bool:
+        """Whether :meth:`finish` would find every fsync returned."""
+        if self._in_flight is None:
+            return True
+        done, count = self._in_flight
+        return done.qsize() == count
+
+    def join(self) -> Optional[BaseException]:
+        """Wait until every fsync has returned; the first error among them is
+        returned, and kept for :meth:`finish` to raise."""
+        if self._in_flight is not None:
+            self._error = _SyncThreads.join(self._in_flight)
+            self._in_flight = None
+        return self._error
+
+    def finish(self, behind: Iterable["PendingCommit"] = ()) -> None:
+        """The tail of the commit: every fsync has returned -- the first
+        error among them is raised here, nothing having been rewound -- then
+        the compaction check.  ``behind`` is the caller's later commits still
+        in flight, which a checkpoint joins before it cuts the segments."""
+        error = self.join()
+        if error is not None:
+            raise error
+        self._store._maybe_compact(behind)
 
 
 class PersistentStore(DynamicGraphStore):
@@ -527,7 +598,8 @@ class PersistentStore(DynamicGraphStore):
         if self._closed:
             raise StoreClosedError(f"{self.name} is closed; mutations are no longer accepted")
 
-    def _start_syncs(self, syncing: Sequence[Tuple[WriteAheadLog, int]]):
+    def _start_syncs(self, syncing: Sequence[Tuple[WriteAheadLog, int]],
+                     wake: Optional[Callable[[], None]] = None):
         """Put ``syncing`` in flight on the helper threads (started here, by
         the first call that has any); the result is for ``_SyncThreads.join``."""
         if not syncing:
@@ -535,17 +607,19 @@ class PersistentStore(DynamicGraphStore):
         with self._log_lock:
             if self._sync_threads is None:
                 self._sync_threads = _SyncThreads(self._segments)
-        return self._sync_threads.start(syncing)
+        return self._sync_threads.start(syncing, wake)
 
     def _commit(self, records: Sequence[Tuple[int, bytes]], ops: int,
-                apply: Callable[[], _A], shipped: Callable[[], List[tuple]]) -> _A:
+                apply: Callable[[], _A], shipped: Callable[[], List[tuple]],
+                pending: Optional[PendingCommit] = None) -> _A:
         """One durable commit: append, syncs in flight beside the apply, join.
 
         ``records`` is one ``(segment index, payload)`` per touched segment,
         ``ops`` the operations they carry and ``shipped()`` those operations
         as one tuple of op tuples per record, built only when the commit feed
-        wants them.  The module docstring has the order of events and what
-        each failure leaves behind.
+        wants them.  A caller that passes ``pending`` does not wait here: the
+        join (and the compaction check) is ``pending.finish()``.  The module
+        docstring has the order of events and what each failure leaves behind.
         """
         touched: List[Tuple[WriteAheadLog, int]] = []
         syncing: List[Tuple[WriteAheadLog, int]] = []
@@ -559,18 +633,19 @@ class PersistentStore(DynamicGraphStore):
         if touched:
             self.commits += 1
         failed: Optional[OSError] = None
-        if len(syncing) == 1 and ops == 1:
-            # One fsync and one operation to overlap it with: not worth two
-            # thread hand-offs, so (like a lone dirty segment in ``sync()``)
-            # the caller syncs, then applies.  A failure is held until the
-            # apply is done, as a helper's is: the record stays in the log,
-            # so the operation has to reach memory and the feed.
+        if pending is None and len(syncing) == 1 and ops == 1:
+            # One fsync and one operation to overlap it with, and a caller
+            # that waits for it at once: not worth two thread hand-offs, so
+            # (like a lone dirty segment in ``sync()``) the caller syncs, then
+            # applies.  A failure is held until the apply is done, as a
+            # helper's is: the record stays in the log, so the operation has
+            # to reach memory and the feed.
             wal, fd = syncing.pop()
             try:
                 wal.finish_sync(fd)
             except OSError as error:
                 failed = error
-        in_flight = self._start_syncs(syncing)
+        in_flight = self._start_syncs(syncing, pending and pending.wake)
         try:
             result = apply()
         except Exception:
@@ -584,6 +659,10 @@ class PersistentStore(DynamicGraphStore):
                     wal = self._wals[index]
                     feed.append((wal, wal.sync_ticket, (
                         index, self._generation, record_ops, wal.size_bytes)))
+        if pending is not None:
+            pending._store = self
+            pending._in_flight = in_flight
+            return result
         error = _SyncThreads.join(in_flight) or failed
         if error is not None:
             raise error
@@ -712,8 +791,13 @@ class PersistentStore(DynamicGraphStore):
         self.compactions += 1
         return rows
 
-    def _maybe_compact(self) -> None:
+    def _maybe_compact(self, in_flight: Iterable[PendingCommit] = ()) -> None:
         if self._policy.should_compact(self.wal_bytes()):
+            # Nothing may be in flight when the segments are cut: a record
+            # still waiting for its fsync would stay in the feed with offsets
+            # of a log that no longer exists.
+            for pending in in_flight:
+                pending.join()
             self.checkpoint()
 
     def persistence_summary(self) -> Dict[str, object]:
@@ -744,7 +828,8 @@ class PersistentStore(DynamicGraphStore):
 
     def _commit_edges(self, tag: str, edges: List[tuple[int, int]],
                       apply_edges: Callable[[list], int],
-                      apply_groups: Optional[Callable[[dict], int]]) -> int:
+                      apply_groups: Optional[Callable[[dict], int]],
+                      pending: Optional[PendingCommit]) -> int:
         """Commit a batch: route it once, log and apply it by the same groups.
 
         ``apply_groups`` is the wrapped store's by-groups form of
@@ -768,7 +853,8 @@ class PersistentStore(DynamicGraphStore):
                    for index, group in groups.items()]
         return self._commit(
             records, len(edges), apply,
-            lambda: [tuple([(tag, u, v) for u, v in group]) for group in groups.values()])
+            lambda: [tuple([(tag, u, v) for u, v in group]) for group in groups.values()],
+            pending)
 
     def insert_edge(self, u: int, v: int) -> bool:
         self._ensure_writable()
@@ -780,19 +866,26 @@ class PersistentStore(DynamicGraphStore):
         return self._commit_op((DELETE, u, v),
                                lambda: self._store.delete_edge(u, v))
 
-    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        """One group commit for the whole batch, then one batch apply."""
+    def insert_edges(self, edges: Iterable[tuple[int, int]],
+                     _pending: Optional[PendingCommit] = None) -> int:
+        """One group commit for the whole batch, then one batch apply.
+
+        ``_pending`` is the service dispatcher's (see :class:`PendingCommit`):
+        with it the call returns before the commit is durable.
+        """
         self._ensure_writable()
         store = self._store
         return self._commit_edges(INSERT, list(edges), store.insert_edges,
-                                  getattr(store, "insert_groups", None))
+                                  getattr(store, "insert_groups", None), _pending)
 
-    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        """One group commit for the whole batch, then one batch apply."""
+    def delete_edges(self, edges: Iterable[tuple[int, int]],
+                     _pending: Optional[PendingCommit] = None) -> int:
+        """One group commit for the whole batch, then one batch apply
+        (``_pending`` as for :meth:`insert_edges`)."""
         self._ensure_writable()
         store = self._store
         return self._commit_edges(DELETE, list(edges), store.delete_edges,
-                                  getattr(store, "delete_groups", None))
+                                  getattr(store, "delete_groups", None), _pending)
 
     def insert_weighted_edge(self, u: int, v: int, delta: int = 1) -> int:
         """Weighted insert, logged with its delta (wrapped store must support it)."""

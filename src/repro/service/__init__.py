@@ -13,8 +13,10 @@ Durable serving is the same path over a
 :class:`~repro.persist.PersistentStore`: ``GraphClient.durable(path)``, or
 ``GraphService(store, durability="batch")`` -- which sets the store's
 ``sync_on_commit`` itself -- makes every dispatched mutation run one
-pipelined store commit (the group commit: fsyncs beside the apply), so a
-resolved future means the write is on disk.
+pipelined store commit (the group commit: fsyncs beside the apply, and
+beside the requests the dispatcher serves meanwhile), acknowledged in commit
+order, so a resolved future means the write -- and every write committed
+before it -- is on disk.
 
 Quickstart::
 

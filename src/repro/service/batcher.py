@@ -7,7 +7,8 @@ future resolves to a bare ``bool`` / ``list``.  Two pieces turn the queue
 into store calls, both order-preserving:
 
 * :func:`gather_window` pulls one *window* of requests off the queue --
-  blocking until a first request arrives (or the queue closes), taking up
+  blocking until a first request arrives (or the queue closes, or its
+  ``wake`` is called: both hand back an empty window), taking up
   to ``max_batch`` requests under that one lock acquisition, then waiting at
   most ``max_delay_s`` for stragglers.  ``max_delay_s=0`` is the
   latency-first mode: the window is whatever was queued at that moment, so
@@ -32,7 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from concurrent.futures import Future
-from typing import Iterator, List, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 from .queue import BoundedRequestQueue
 
@@ -64,15 +65,18 @@ class Request:
 
 
 def gather_window(
-    queue: BoundedRequestQueue, max_batch: int, max_delay_s: float
+    queue: BoundedRequestQueue, max_batch: int, max_delay_s: float,
+    woken: Optional[Callable[[], None]] = None,
 ) -> List[Request]:
-    """Collect the next dispatch window (empty once the queue is drained).
+    """Collect the next dispatch window.
 
-    Blocks -- untimed; ``BoundedRequestQueue.close`` wakes it -- until a
-    request is queued, and takes up to ``max_batch`` requests in that one
-    acquisition.  With ``max_delay_s > 0`` the window then keeps filling
-    until ``max_batch`` requests are in hand or the deadline (counted from
-    the first request's enqueue time) passes.
+    Blocks -- untimed; ``BoundedRequestQueue.close`` and ``wake`` end the
+    wait, with an empty window -- until a request is queued, and takes up to
+    ``max_batch`` requests in that one acquisition.  With ``max_delay_s > 0``
+    the window then keeps filling until ``max_batch`` requests are in hand or
+    the deadline (counted from the first request's enqueue time) passes; a
+    ``wake`` during that wait calls ``woken`` and the filling goes on (with no
+    ``woken`` it ends there).
     """
     window = queue.get_many(max_batch)
     if not window or max_delay_s <= 0:
@@ -83,9 +87,12 @@ def gather_window(
         if remaining <= 0:
             break
         more = queue.get_many(max_batch - len(window), timeout=remaining)
-        if not more:
-            break  # deadline hit, or the queue closed while waiting
-        window.extend(more)
+        if more:
+            window.extend(more)
+        elif woken is None or queue.closed:
+            break
+        else:
+            woken()  # or the deadline was hit: the next pass sees that
     return window
 
 

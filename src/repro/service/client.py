@@ -102,8 +102,8 @@ class GraphClient(DynamicGraphStore):
         ``sync_on_commit=True``), and the service runs with
         ``durability="batch"``: each dispatched mutation run is one store
         commit, hence one group commit -- an fsync per WAL segment the run
-        touched, at most ``num_shards``, in flight beside the apply and all
-        returned before its futures resolve.  ``path=None`` keeps the
+        touched, at most ``num_shards``, in flight beside the apply and the
+        runs dispatched after it, all returned before its futures resolve.  ``path=None`` keeps the
         store ephemeral (the directory is removed on close); a ``path``
         that already holds a persistent store is **recovered** first, so
         the same call works on the first run and on every restart

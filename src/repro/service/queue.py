@@ -1,12 +1,14 @@
 """Bounded FIFO request queue with explicit backpressure and close semantics.
 
-``queue.Queue`` almost fits, but the service needs four behaviours it does
+``queue.Queue`` almost fits, but the service needs five behaviours it does
 not provide cleanly: an immediate *reject* mode for full queues (the
 backpressure policy a traffic-shedding front door wants), a ``close`` that
 wakes every blocked producer/consumer exactly once, gets that keep draining
-items after close so in-flight requests are never dropped, and a
-``get_many`` that hands the consumer a whole dispatch window under one lock
-acquisition.  The implementation is a deque guarded by one lock with two
+items after close so in-flight requests are never dropped, a ``get_many``
+that hands the consumer a whole dispatch window under one lock acquisition,
+and a ``wake`` that brings the parked consumer back without an item (a
+durable commit's fsyncs finish on other threads while the dispatcher waits
+here).  The implementation is a deque guarded by one lock with two
 condition variables (producers wait for space, consumers for items), so a
 ``put`` never wakes another producer nor a ``get_many`` another consumer,
 and with nobody parked on the other side the hop is one lock round-trip.
@@ -39,7 +41,7 @@ class BoundedRequestQueue:
     :class:`ServiceClosedError` (including producers already blocked on a
     full queue), while ``get_many`` keeps returning queued items until the
     queue is drained -- a consumer discovers termination by getting nothing
-    back from an untimed ``get_many``.
+    back from a closed queue.
     """
 
     def __init__(self, capacity: int = 1024, policy: str = "block"):
@@ -54,9 +56,15 @@ class BoundedRequestQueue:
         self._not_empty = Condition(self._lock)
         self._not_full = Condition(self._lock)
         self._closed = False
+        self._woken = False
 
     def __len__(self) -> int:
         return len(self._items)
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has been called (items may still be queued)."""
+        return self._closed
 
     def put(self, item, timeout: Optional[float] = None) -> None:
         """Enqueue ``item``, honouring the backpressure policy.
@@ -96,16 +104,18 @@ class BoundedRequestQueue:
         """Dequeue up to ``limit`` of the oldest items in one acquisition.
 
         Blocks until at least one item is queued; returns an empty list on
-        timeout or once the queue is closed and drained.  ``timeout=None``
-        waits indefinitely (``close`` wakes the waiter), ``timeout=0``
-        never blocks.
+        timeout, once the queue is closed and drained, or when :meth:`wake`
+        was called since the last ``get_many`` returned.  ``timeout=None``
+        waits indefinitely (``close`` and ``wake`` end the wait),
+        ``timeout=0`` never blocks.
         """
         with self._lock:
             items = self._items
             if not items:
                 deadline = None if timeout is None else time.monotonic() + timeout
                 while not items:
-                    if self._closed:
+                    if self._closed or self._woken:
+                        self._woken = False
                         return []
                     remaining = None
                     if deadline is not None:
@@ -113,6 +123,7 @@ class BoundedRequestQueue:
                         if remaining <= 0:
                             return []
                     self._not_empty.wait(remaining)
+            self._woken = False
             if limit >= len(items):
                 taken = list(items)
                 items.clear()
@@ -120,6 +131,21 @@ class BoundedRequestQueue:
                 taken = [items.popleft() for _ in range(limit)]
             self._not_full.notify(len(taken))
             return taken
+
+    def wake(self) -> None:
+        """End the consumer's ``get_many`` -- the one it is in, or else its
+        next -- even with nothing queued (any thread).
+
+        For work the consumer has parked beside the queue: whoever completes
+        it calls this, and the consumer looks at that work every time
+        ``get_many`` returns, with items or without -- any return uses up the
+        wake-ups before it, and a wake-up that arrives after the consumer has
+        looked costs it one empty return.  The wait itself stays untimed:
+        nothing polls.
+        """
+        with self._lock:
+            self._woken = True
+            self._not_empty.notify()
 
     def close(self) -> list:
         """Refuse new puts and wake all waiters; return a snapshot of leftovers.

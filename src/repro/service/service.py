@@ -13,10 +13,12 @@ back, so clients never observe batching except as throughput.
 
 Design points:
 
-* **One dispatcher thread** owns the store.  Client threads only touch the
-  bounded queue, so the store itself needs no locking and the sharded
-  store's own executor (``executor="threads"``) remains free to fan a batch
-  out across shards.
+* **One dispatcher thread** owns the store, the followers and every future.
+  Client threads only touch the bounded queue, so the store itself needs no
+  locking and the sharded store's own executor (``executor="threads"``)
+  remains free to fan a batch out across shards.  The one thing the
+  dispatcher does not sit through is a group commit's ``fsync``: the store's
+  helper threads do, and all they do besides is wake the dispatcher.
 * **Order-preserving batching.**  A dispatch window is split into runs (see
   :mod:`repro.service.batcher`): a list request is a run of its own,
   consecutive single requests of one kind coalesce into one.  Each run is
@@ -30,11 +32,36 @@ Design points:
   (That attribution assumes distinct-edge store semantics; a weighted
   store still executes correctly but "delete actually removed the edge"
   degenerates to "edge was present".)
+* **Pipelined acknowledgement** (``durability="batch"``).  A mutation run
+  is logged, its fsyncs put in flight, applied in memory -- and the
+  dispatcher moves on to the next run while the disk works.  The run's
+  futures, its ``group_commits`` tick, the shipment to the replicas and the
+  compaction check come later, on the dispatcher thread, strictly in commit
+  order, once the fsyncs of that commit *and of every commit before it* have
+  returned (the helper that finishes a commit's last fsync wakes the
+  dispatcher through the queue's own condition: nothing polls, and a window
+  waiting ``max_delay_s`` for stragglers acknowledges on that wake-up and
+  goes on filling).
+  Acknowledged => durable => shipped, exactly as before; what changed is
+  who waits.  Submission order stays the contract for everything a client
+  can observe: the service remembers which sources the unacknowledged
+  commits wrote, and a ``has`` / ``successors`` run first acknowledges,
+  waiting if it must, every commit that wrote one of *its* sources; an
+  analytics job, which may read anything, acknowledges them all.  Reads of
+  other sources are served at once -- from a replica they see the shipped
+  prefix, and on the primary the only unacknowledged data lives under the
+  sources they did not ask about.  A failed fsync fails its run, every run
+  still unacknowledged behind it (once its own fsyncs have returned: nothing
+  stays in flight) and every mutation still queued (those without touching
+  the store); a refused apply is rolled back and fails its
+  run alone, after the commits before it.  As many commits can be in flight
+  as the store has helper threads (one per WAL segment).
 * **Backpressure.**  The queue is bounded; ``policy="block"`` makes
   submitters wait (pushback), ``policy="reject"`` sheds load by raising
   :class:`~repro.service.errors.QueueFullError`.
 * **Lifecycle.**  ``start`` launches the dispatcher, ``close`` stops intake,
-  drains every queued request, resolves their futures and joins the thread;
+  drains every queued request, waits out and acknowledges what is still in
+  flight, resolves their futures and joins the thread;
   both are idempotent and the class is a context manager.  Submissions
   before ``start`` simply queue up (the first window then coalesces them),
   which the spy-store tests use to make batching deterministic.
@@ -48,6 +75,8 @@ for real parallelism.
 from __future__ import annotations
 
 import threading
+from collections import deque
+from functools import partial
 from concurrent.futures import Future
 from typing import Callable, Dict, Iterable, List, Optional
 
@@ -64,7 +93,7 @@ from ..analytics import (
 )
 from ..core.sharded import ShardedCuckooGraph
 from ..interfaces import DynamicGraphStore
-from ..persist.store import PersistentStore
+from ..persist.store import PendingCommit, PersistentStore
 from ..replicate import FRESHNESS_POLICIES, ReplicationGroup
 from .batcher import CLOCK, KINDS, Request, gather_window, split_runs
 from .errors import QueueFullError, ServiceClosedError, ServiceError
@@ -89,7 +118,8 @@ ANALYTICS_MODES = ("engine", "incremental")
 
 #: Durability modes: ``"none"`` leaves persistence entirely to the store;
 #: ``"batch"`` makes every dispatched mutation run one durable store commit
-#: (a group commit) *before* the run's futures resolve.
+#: (a group commit), every fsync of which has returned *before* the run's
+#: futures resolve.
 DURABILITY_MODES = ("none", "batch")
 
 
@@ -115,9 +145,12 @@ class GraphService:
             the service sets its ``sync_on_commit`` (which syncs whatever
             was buffered), so a mutation run's one store call is one group
             commit: an fsync only per WAL segment the run touched, in
-            flight beside the apply, all returned before any of the run's
-            futures resolve.  A failed fsync is fail-stop
-            (:attr:`durability_failed`); a refused mutation fails its run.
+            flight beside the apply *and beside the runs dispatched after
+            it*, all returned -- as are those of every earlier commit --
+            before any of the run's futures resolve.  A failed fsync is
+            fail-stop (:attr:`durability_failed`) for that run, the runs in
+            flight behind it and the mutations still queued; a refused
+            mutation fails its run alone.
         replicas: Number of read replicas (0 disables replication).  The
             store must then be a :class:`~repro.persist.PersistentStore`:
             the service builds a :class:`~repro.replicate.ReplicationGroup`
@@ -232,6 +265,13 @@ class GraphService:
         self._closed = False
         self._durability_failed: Optional[Exception] = None
         self._lifecycle_lock = threading.Lock()
+        # Pipelined acknowledgement (dispatcher thread only): the group
+        # commits whose fsyncs are still in flight, oldest first, as
+        # ``(sequence number, PendingCommit, run, results, items, store calls)``,
+        # and ``source -> sequence number`` of the last of them that wrote it.
+        self._unacked: deque = deque()
+        self._commit_seq = 0
+        self._writing: Dict[int, int] = {}
         # Built last: every other argument has been validated by now, so a
         # constructor failure can no longer leak followers (or leave an
         # orphaned primary subscribed to the store's feed and compaction policy).
@@ -363,14 +403,19 @@ class GraphService:
             )
         return self._enqueue(Request(kind, items, single=False), len(items))
 
+    def _fail_stopped(self) -> ServiceError:
+        error = ServiceError(
+            "durability group commit failed earlier; the service is "
+            "fail-stopped (close it, then recover the store from disk)"
+        )
+        error.__cause__ = self._durability_failed
+        return error
+
     def _enqueue(self, request: Request, items: int) -> Future:
         if self._closed:
             raise ServiceClosedError("GraphService is closed")
         if self._durability_failed is not None:
-            raise ServiceError(
-                "durability group commit failed earlier; the service is "
-                "fail-stopped (close it, then recover the store from disk)"
-            ) from self._durability_failed
+            raise self._fail_stopped()
         try:
             self._queue.put(request)
         except QueueFullError:
@@ -452,12 +497,55 @@ class GraphService:
     # ------------------------------------------------------------------ #
 
     def _dispatch_loop(self) -> None:
+        queue, unacked = self._queue, self._unacked
         while True:
-            window = gather_window(self._queue, self.max_batch, self.max_delay_s)
-            if not window:
-                return  # only a closed, drained queue hands back nothing
+            # The helper that finishes the last fsync of a commit in flight
+            # ends this wait: the window is then empty and the queue open (a
+            # wake-up that comes after its commit was reaped does the same,
+            # once); one that arrives while a window is filling reaps there.
+            window = gather_window(queue, self.max_batch, self.max_delay_s, self._reap)
+            if not window and queue.closed:
+                break
             for kind, run in split_runs(window):
+                if unacked:
+                    self._reap()
                 self._dispatch_run(kind, run)
+            if unacked:
+                self._reap()
+        self._reap(self._commit_seq)
+
+    def _reap(self, through: int = 0) -> None:
+        """Acknowledge, oldest first, the group commits whose fsyncs have all
+        returned; wait for those numbered up to ``through``.
+
+        Commit order is the contract: the feed ships in it, so a run
+        acknowledged ahead of an earlier one could be read back from a replica
+        that cannot have it yet.  A failed fsync is fail-stop for everything
+        behind it: promising durability for anything after it would be a lie
+        (the OS may have dropped the unflushed write silently).
+        """
+        unacked = self._unacked
+        while unacked:
+            seq, pending, live, results, items, store_calls = unacked[0]
+            if seq > through and not pending.done():
+                return
+            unacked.popleft()
+            try:
+                pending.finish(entry[1] for entry in unacked)
+            except Exception as exc:
+                if not isinstance(exc, OSError):
+                    self._fail_run(live, exc)  # say, a compaction subscriber:
+                    continue                   # this run alone
+                self._durability_failed = exc  # visible before any future fails
+                self._fail_run(live, exc)
+                while unacked:
+                    _, pending, live, *_ = unacked.popleft()
+                    pending.join()  # nothing stays in flight; its own error is moot
+                    self._fail_run(live, self._fail_stopped())
+                break
+            self.metrics.record_commit()
+            self._acknowledge(live, results, items, store_calls, mutation=True)
+        self._writing.clear()
 
     def _read_store(self) -> DynamicGraphStore:
         """The store a read run executes against.
@@ -498,37 +586,63 @@ class GraphService:
         single = live[0].single
         items = [r.payload for r in live] if single else live[0].payload
         mutation = kind in ("insert", "delete")
-        group_commit = mutation and self.durability == "batch"
+        pending = None
+        if mutation and self.durability == "batch":
+            if self._durability_failed is not None:
+                # Fail-stop covers what was already queued: no store call.
+                self._fail_run(live, self._fail_stopped())
+                return
+            # Group commit: the store call returns with the run logged,
+            # applied and its fsyncs in flight; _reap() acknowledges it.
+            pending = PendingCommit(self._queue.wake)
+        elif self._unacked:
+            # A read observes every write submitted before it: acknowledge,
+            # waiting if need be, the commits that wrote one of its sources
+            # (applied on the primary, shipped to the replica by then).  The
+            # others stay in flight: nothing this read returns depends on them.
+            writing = self._writing
+            sources = items if kind == "successors" else [u for u, _ in items]
+            self._reap(max((writing[u] for u in sources if u in writing), default=0))
         try:
-            # Group commit: a mutation run's store call returns durable.
-            results, store_calls = self._execute_run(kind, items, single)
+            results, store_calls = self._execute_run(kind, items, single, pending)
         except Exception as exc:
-            if group_commit and isinstance(exc, OSError):
-                # The commit's fsync failed (a refused apply is rolled back
-                # and raises its own error: that run fails alone).  Fail-
-                # stop: fsync-failure semantics are murky enough (the OS may
-                # drop the unflushed write silently) that promising
-                # durability for anything after it would be a lie.
-                self._durability_failed = exc
+            if pending is not None:
+                # A refused apply was rolled back and fails its run alone,
+                # after the commits before it (failures keep commit order
+                # too); an OSError here is the log write itself: fail-stop.
+                self._reap(self._commit_seq)
+                if isinstance(exc, OSError) and self._durability_failed is None:
+                    self._durability_failed = exc
             self._fail_run(live, exc)
             return
-        if group_commit:
-            self.metrics.record_commit()
+        if pending is None:
+            self._acknowledge(live, results, len(items), store_calls, mutation)
+            return
+        self._commit_seq = seq = self._commit_seq + 1
+        self._unacked.append((seq, pending, live, results, len(items), store_calls))
+        writing = self._writing
+        for u, _ in items:
+            writing[u] = seq
+
+    def _acknowledge(self, live: List[Request], results: list, items: int,
+                     store_calls: int, mutation: bool) -> None:
+        """Resolve an executed (and, under group commit, durable) run."""
         if self._replication is not None and mutation:
             # Keep the replicas' queues draining at traffic pace: ship what
             # this run committed (only flushed records travel) and let every
             # follower apply it, so a write-heavy stretch never accumulates
             # the whole history in the in-process channels.
             self._replication.advance()
-        self.metrics.record_batch(len(items), store_calls=store_calls)
+        self.metrics.record_batch(items, store_calls=store_calls)
         now = CLOCK()
         for request, value in zip(live, results):
             request.future.set_result(value)
         self.metrics.record_resolved_many(
-            [now - r.enqueued_at for r in live], len(items))
+            [now - r.enqueued_at for r in live], items)
 
     def _dispatch_analytics(self, live: List[Request]) -> None:
         """Analytics jobs execute one by one against one consistent store."""
+        self._reap(self._commit_seq)  # a job may read any source
         incremental = self.analytics_mode == "incremental"
         try:
             target = (self._refresh_incremental() if incremental
@@ -544,7 +658,8 @@ class GraphService:
         for request in live:
             serve(request, target)
 
-    def _execute_run(self, kind: str, items: list, single: bool):
+    def _execute_run(self, kind: str, items: list, single: bool,
+                     pending: Optional[PendingCommit] = None):
         """One run's items -> batch store calls -> one result per request.
 
         ``single`` says the run holds one request per item (each resolves
@@ -564,6 +679,8 @@ class GraphService:
             return [list(fanned[u]) for u in items], 1
         mutate = (self.store.insert_edges if kind == "insert"
                   else self.store.delete_edges)
+        if pending is not None:
+            mutate = partial(mutate, _pending=pending)
         if not single:
             return [mutate(items)], 1
         if len(items) == 1:

@@ -93,7 +93,8 @@ OWNED_THREAD_PREFIXES = ("graph-service", "wal-sync-")
 def no_leaked_threads():
     """Fail a test that leaves a dispatcher or fsync helper thread alive.
 
-    ``tests/service`` and ``tests/persist`` make it autouse: it is set up
+    ``tests/service``, ``tests/persist``, ``tests/replicate``,
+    ``tests/traffic`` and ``tests/tiered`` make it autouse: it is set up
     first, so it looks after every other fixture has been torn down.  A
     leaked thread is a service or store some path forgot to close -- on a
     durable service that is also an open WAL segment and a held directory.

@@ -12,7 +12,9 @@ and re-inserts after delete -- are replayed three ways:
 * **through the GraphService front door**, submitting the whole stream as
   futures and checking every future's result against an oracle replay in
   submission order, then again as ``GraphClient`` batch calls of random
-  sizes around ``max_batch`` (each call travels as list requests);
+  sizes around ``max_batch`` (each call travels as list requests) -- over
+  the in-memory service, and over a group-committing service with a read
+  replica whose commits are still in flight when the next call arrives;
 * **persisted and recovered**: the stream runs through a WAL-wrapped
   :class:`~repro.persist.PersistentStore` in random batch chunks, and at
   random points (and at the end, and after a simulated torn-tail crash)
@@ -258,20 +260,43 @@ def test_fuzz_graph_client_batches(max_batch, fuzz_seed):
     short of it, exactly it, one over, several chunks -- interleaved with
     single-op calls, must return what the oracle says for the same items in
     the same order (duplicates within and across chunks included)."""
+    store = ShardedCuckooGraph(num_shards=3)
+    client = GraphClient(GraphService(store, own_store=True, max_batch=max_batch),
+                         close_service=True)
+    fuzz_client_batches(client, store, max_batch, fuzz_seed, durable=False)
+
+
+@pytest.mark.parametrize("max_batch", [1, 8, 64])
+def test_fuzz_graph_client_batches_durable_replicated(max_batch, fuzz_seed, tmp_path):
+    """The same stream over group commit and one read replica, its single
+    mutations sent as *un-awaited* service futures: their commits are still
+    in flight when the blocking reads and batch calls behind them -- of the
+    same sources and of others -- must already answer as the sequential
+    oracle does."""
+    client = GraphClient.durable(tmp_path / "svc", num_shards=3, replicas=1,
+                                 max_batch=max_batch)
+    fuzz_client_batches(client, client.service.store, max_batch, fuzz_seed, durable=True)
+
+
+def fuzz_client_batches(client, store, max_batch, fuzz_seed, durable):
     rng = random.Random(fuzz_seed * 131 + max_batch)
     ops = generate_ops(fuzz_seed, length=4 * STREAM_LENGTH)
     oracle = Oracle()
-    context = f"seed={fuzz_seed} max_batch={max_batch}"
+    context = f"seed={fuzz_seed} max_batch={max_batch} durable={durable}"
     sizes = [1, max(1, max_batch - 1), max_batch, max_batch + 1,
              2 * max_batch, 3 * max_batch + 2]
-    store = ShardedCuckooGraph(num_shards=3)
-    with GraphClient(GraphService(store, own_store=True, max_batch=max_batch),
-                     close_service=True) as client:
+    unawaited = []  # (future, what the oracle said at submission, op)
+    with client:
         position = 0
         while position < len(ops):
             if rng.random() < 0.2:  # a single-op call between the batches
                 op = ops[position]
                 position += 1
+                if durable and op[0] in ("insert", "delete"):
+                    submit = (client.service.insert_edge if op[0] == "insert"
+                              else client.service.delete_edge)
+                    unawaited.append((submit(op[1], op[2]), oracle.apply(op), op))
+                    continue
                 got, want = apply_to_store(client, op), oracle.apply(op)
                 if op[0] == "successors":
                     got, want = sorted(got), sorted(want)
@@ -300,11 +325,17 @@ def test_fuzz_graph_client_batches(max_batch, fuzz_seed):
                 for u, successors in fanned.items():
                     assert sorted(successors) == sorted(oracle.successors(u)), \
                         f"{where}: successors_many({u}) diverged"
+        for future, want, op in unawaited:
+            assert future.result(timeout=30) == want, f"{context} un-awaited {op}"
         assert_final_state(store, oracle, context)
         summary = client.service.metrics_summary()
         assert summary["failed"] == summary["cancelled"] == 0, context
         assert summary["resolved"] == summary["submitted_total"], context
         assert summary["items_resolved"] == summary["items_submitted"], context
+        if durable:
+            follower = client.service.replication.followers[0]
+            client.has_edge(0, 0)  # a read barrier: the replica catches up
+            assert sorted(follower.store.edges()) == oracle.edges(), context
 
 
 # --------------------------------------------------------------------- #

@@ -123,15 +123,17 @@ class TestSyncPoolLifecycle:
 
 class _FsyncProbe:
     """Stand-in for ``repro.persist.wal.os.fsync``: counts the calls made
-    while armed, fails the ``fail_at``-th of them and holds the others for
-    ``hold`` seconds (and until ``gate``, an ``Event``, is set), so
+    while armed, holds them until ``gate`` (an ``Event``) is set -- only the
+    calls numbered in ``gated``, when that is given -- then fails the
+    ``fail_at``-th of them and holds the others for ``hold`` seconds, so
     "returned only after the others" is observable."""
 
-    def __init__(self, fail_at=None, hold=0.0, gate=None):
+    def __init__(self, fail_at=None, hold=0.0, gate=None, gated=None):
         self.real = os.fsync
         self.fail_at = fail_at
         self.hold = hold
         self.gate = gate
+        self.gated = gated
         self.armed = False
         self.lock = threading.Lock()
         self.calls = 0
@@ -144,11 +146,11 @@ class _FsyncProbe:
         with self.lock:
             self.calls += 1
             mine = self.calls
+        if self.gate is not None and (self.gated is None or mine in self.gated):
+            assert self.gate.wait(timeout=30), "nobody opened the fsync gate"
         if mine == self.fail_at:
             raise OSError(5, "synthetic fsync failure")
         time.sleep(self.hold)
-        if self.gate is not None:
-            assert self.gate.wait(timeout=30), "nobody opened the fsync gate"
         self.real(fd)
         with self.lock:
             self.returned += 1

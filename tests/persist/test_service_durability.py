@@ -1,9 +1,13 @@
 """GraphService durability="batch": a mutation run is one pipelined store
 commit (its fsyncs beside the apply, all returned before it is acknowledged),
-fail-stop on an fsync error only, recovery, close alignment."""
+commits stay in flight while the dispatcher serves on and are acknowledged in
+commit order, fail-stop on an fsync error only, recovery, close alignment."""
 
+import random
 import shutil
+import sys
 import threading
+import time
 
 import pytest
 
@@ -72,6 +76,32 @@ def submit_run(service, edges, as_list):
     if as_list:
         return [service.insert_edges(edges)]
     return [service.insert_edge(u, v) for u, v in edges]
+
+
+def spy_on_commits(store, note):
+    """``note(edges)`` before every batch mutation the service hands ``store``."""
+    for name in ("insert_edges", "delete_edges"):
+        def spied(edges, _commit=getattr(store, name), **kwargs):
+            note(edges)
+            return _commit(edges, **kwargs)
+        setattr(store, name, spied)
+
+
+def one_edge_per_shard(start):
+    """``SHARDS`` edges, the i-th in segment i: one single-segment commit each."""
+    return edges_on_every_shard(1, start=start)
+
+
+def wait_until(condition, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never came true"
+        time.sleep(0.001)
+
+
+def stays_pending(*futures, seconds=0.1):
+    time.sleep(seconds)
+    return not any(future.done() for future in futures)
 
 
 class TestBatchDurability:
@@ -341,6 +371,41 @@ class TestSyncFailureFailStop:
         service.close()
 
     @pytest.mark.parametrize("as_list", [False, True], ids=["single", "list"])
+    def test_mutations_queued_behind_a_failed_fsync_fail_without_a_store_call(
+            self, tmp_path, fsync, as_list):
+        """Fail-stop covers what was queued before the failure was known; a
+        queued read is still served."""
+        store = warm_store(tmp_path / "svc")
+        service = GraphService(store, own_store=True, durability="batch")
+        first, second, third = ([edge] if not as_list else
+                                [edge, (edge[0], 8), (edge[0], 9), (edge[0], 10)]
+                                for edge in one_edge_per_shard(500)[:3])
+        calls = []
+        spy_on_commits(store, lambda edges: calls.append(service.durability_failed))
+        fsync.fail_at = 1
+        fsync.armed = True
+        failed = submit_run(service, first, as_list)
+        # Reads a source the first run wrote: acknowledges (here: fails) it first.
+        read = service.successors(first[0][0])
+        queued = submit_run(service, second, as_list)
+        queued += ([service.delete_edges(third)] if as_list
+                   else [service.delete_edge(*third[0])])
+        service.start()
+        with pytest.raises(OSError, match="synthetic fsync failure"):
+            failed[0].result(timeout=30)
+        assert isinstance(read.result(timeout=30), list)
+        for future in queued:
+            with pytest.raises(ServiceError, match="fail-stopped") as caught:
+                future.result(timeout=30)
+            assert caught.value.__cause__ is service.durability_failed
+        fsync.armed = False
+        assert calls == [None]  # the store saw the first run only
+        assert not any(store.has_edges(second + third))
+        summary = service.metrics_summary()
+        assert (summary["group_commits"], summary["failed"]) == (0, len(failed + queued))
+        service.close()
+
+    @pytest.mark.parametrize("as_list", [False, True], ids=["single", "list"])
     def test_refused_apply_fails_its_run_alone_and_leaves_the_log_clean(
             self, tmp_path, as_list):
         store = durable_store(tmp_path / "svc", num_shards=SHARDS,
@@ -376,3 +441,277 @@ class TestSyncFailureFailStop:
                                   own_store=True)
         assert reopened.has_edge(1, 2)
         reopened.close()
+
+
+class TestPipelinedAcknowledgement:
+    """Commits stay in flight across dispatch windows; futures settle in
+    commit order, after the fsyncs of their commit and of every earlier one.
+    (Writes travel as one-edge list requests: a run, hence a commit, each.)"""
+
+    @pytest.mark.parametrize("segments", ["another-segment", "same-segment"])
+    def test_a_later_commit_is_not_acknowledged_before_an_earlier_one(
+            self, tmp_path, fsync, segments):
+        store = warm_store(tmp_path / "svc")
+        first, second = (one_edge_per_shard(500) if segments == "another-segment"
+                         else edges_on_one_shard(2))[:2]
+        order = []
+        fsync.gate, fsync.gated = threading.Event(), {1}
+        with GraphService(store, own_store=True, durability="batch") as service:
+            fsync.armed = True
+            held = service.insert_edges([first])
+            held.add_done_callback(lambda _: order.append("first"))
+            later = service.insert_edges([second])
+            later.add_done_callback(lambda _: order.append("second"))
+            wait_until(lambda: fsync.returned == 1)  # the later commit's fsync
+            assert stays_pending(held, later)
+            assert service.metrics_summary()["group_commits"] == 0
+            fsync.gate.set()
+            assert held.result(timeout=30) == later.result(timeout=30) == 1
+            fsync.armed = False
+            assert order == ["first", "second"]
+            assert service.metrics_summary()["group_commits"] == 2
+        assert (fsync.calls, fsync.returned) == (2, 2)
+        assert {first, second} <= set(recovered_edges(tmp_path / "svc", tmp_path / "copy"))
+
+    @pytest.mark.parametrize("replicas", [0, 1])
+    def test_reads_wait_for_the_in_flight_commits_they_can_observe_only(
+            self, tmp_path, fsync, replicas):
+        store = warm_store(tmp_path / "svc")
+        (u, v), (other, w) = one_edge_per_shard(500)[:2]
+        fsync.gate = threading.Event()
+        with GraphService(store, own_store=True, durability="batch",
+                          replicas=replicas) as service:
+            assert service.insert_edges([(other, w)]).result(timeout=30) == 1
+            fsync.armed = True
+            held = service.insert_edges([(u, v)])
+            # Another source: served while the commit's fsync is in flight.
+            assert service.has_edge(other, w).result(timeout=30) is True
+            assert service.successors(other).result(timeout=30) == [w]
+            assert service.has_edges([(other, w), (other, v)]).result(timeout=30) == \
+                [True, False]
+            assert not held.done()
+            # The written source, and a job that may read anything: not
+            # before the write is acknowledged.
+            reads = [service.has_edge(u, v), service.successors(u),
+                     service.analytics("bfs", u)]
+            assert stays_pending(held, *reads)
+            fsync.gate.set()
+            assert held.result(timeout=30) == 1
+            assert [future.result(timeout=30) for future in reads] == \
+                [True, [v], [u, v]]
+            fsync.armed = False
+
+    def test_killed_inside_any_acknowledgement_every_acknowledged_edge_recovers(
+            self, tmp_path, fsync):
+        store = warm_store(tmp_path / "svc")
+        warm = edges_on_every_shard(1)
+        edges = one_edge_per_shard(500)[:3]
+        fsync.gate = threading.Event()
+        service = GraphService(store, own_store=True, durability="batch").start()
+        fsync.armed = True
+        futures = [service.insert_edges([edge]) for edge in edges]
+        for index, future in enumerate(futures):
+            # Runs on the dispatcher thread inside set_result(): the copy is
+            # the disk as a kill -9 at that instant would leave it.
+            future.add_done_callback(lambda _, index=index: shutil.copytree(
+                tmp_path / "svc", tmp_path / f"killed-{index}",
+                ignore=shutil.ignore_patterns("lock")))
+        wait_until(lambda: fsync.calls == 3)  # three commits in flight at once
+        assert stays_pending(*futures)
+        fsync.gate.set()
+        for future in futures:
+            assert future.result(timeout=30) == 1
+        fsync.armed = False
+        service.close()
+        for index in range(3):
+            killed = recover(tmp_path / f"killed-{index}",
+                             store=ShardedCuckooGraph(num_shards=SHARDS))
+            assert set(killed.edges()) >= set(warm + edges[:index + 1])
+            killed.close()
+
+    def test_a_failed_fsync_fails_every_commit_in_flight_and_every_queued_one(
+            self, tmp_path, fsync):
+        store = warm_store(tmp_path / "svc")
+        warm = edges_on_every_shard(1)
+        in_flight = one_edge_per_shard(500)[:3]
+        queued = one_edge_per_shard(900)[:2]
+        fsync.gate, fsync.gated, fsync.fail_at = threading.Event(), {1}, 1
+        commits = []
+        insert_edges = store.insert_edges
+        store.insert_edges = lambda edges, _pending: (
+            commits.append(_pending), insert_edges(edges, _pending=_pending))[1]
+        service = GraphService(store, own_store=True, durability="batch").start()
+        fsync.armed = True
+        futures = [service.insert_edges([edge]) for edge in in_flight]
+        wait_until(lambda: fsync.returned == 2)  # the two behind it are synced
+        # A read of the first commit's source parks the dispatcher on it, so
+        # what follows is still queued when the failure arrives.
+        read = service.has_edge(*in_flight[0])
+        futures += [service.insert_edges([edge]) for edge in queued]
+        assert stays_pending(read, *futures)
+        fsync.gate.set()
+        with pytest.raises(OSError, match="synthetic fsync failure"):
+            futures[0].result(timeout=30)
+        for future in futures[1:]:
+            with pytest.raises(ServiceError, match="fail-stopped"):
+                future.result(timeout=30)
+        read.result(timeout=30)
+        fsync.armed = False
+        assert isinstance(service.durability_failed, OSError)
+        assert not any(store.has_edges(queued))  # never reached the store
+        # Nothing is left in flight on either side of the service/store seam.
+        assert len(commits) == 3 and all(c._in_flight is None for c in commits)
+        assert not service._unacked and not service._writing
+        summary = service.metrics_summary()
+        assert (summary["group_commits"], summary["failed"]) == (0, 5)
+        assert set(recovered_edges(tmp_path / "svc", tmp_path / "copy")) >= set(warm)
+        service.close()
+
+    def test_a_commit_is_acknowledged_while_the_next_window_waits_for_stragglers(
+            self, tmp_path, fsync):
+        """``max_delay_s > 0``: the helper's wake-up also ends the timed wait
+        of a window that is filling, so the acknowledgement does not wait for
+        that window's deadline (and the window stays open)."""
+        store = warm_store(tmp_path / "svc")
+        (u, v), (other, w) = one_edge_per_shard(500)[:2]
+        fsync.gate = threading.Event()
+        delay = 4.0
+        service = GraphService(store, own_store=True, durability="batch",
+                               max_batch=2, max_delay_s=delay)
+        fsync.armed = True
+        held = service.insert_edges([(u, v)])
+        service.has_edge(other, w)  # fills the first window: no straggler wait
+        service.start()
+        wait_until(lambda: fsync.calls == 1)
+        straggler = service.has_edge(other, w)  # opens a window of its own
+        time.sleep(0.05)  # the dispatcher is in that window's timed wait
+        began = time.monotonic()
+        fsync.gate.set()
+        assert held.result(timeout=30) == 1
+        assert time.monotonic() - began < delay / 4
+        assert not straggler.done()
+        fsync.armed = False
+        service.close()  # ends the wait; the window is dispatched
+        assert straggler.result(timeout=30) is False
+
+    def test_a_refused_apply_between_two_commits_fails_alone_and_in_order(
+            self, tmp_path, fsync):
+        store = durable_store(tmp_path / "svc", num_shards=SHARDS,
+                              shard_factory=_FullShard)
+        warm = edges_on_every_shard(1)
+        store.insert_edges(warm)
+        store.sync()
+        before, after = one_edge_per_shard(500)[:2]
+        order = []
+        fsync.gate = threading.Event()
+        with GraphService(store, own_store=True, durability="batch") as service:
+            sizes = store.wal_segment_sizes()
+            fsync.armed = True
+            futures = [service.insert_edges([edge])
+                       for edge in (before, (666, 666), after)]
+            for name, future in zip(("before", "refused", "after"), futures):
+                future.add_done_callback(lambda _, name=name: order.append(name))
+            assert stays_pending(*futures)
+            fsync.gate.set()
+            assert futures[0].result(timeout=30) == 1
+            with pytest.raises(CapacityError):
+                futures[1].result(timeout=30)
+            assert futures[2].result(timeout=30) == 1
+            fsync.armed = False
+            assert order == ["before", "refused", "after"]
+            assert service.durability_failed is None
+            grown = [size for size, was in zip(store.wal_segment_sizes(), sizes)
+                     if size > was]
+            assert len(grown) == 2  # the refused record was rewound
+            assert service.insert_edge(7, 70).result(timeout=30) is True
+            summary = service.metrics_summary()
+            assert (summary["group_commits"], summary["failed"]) == (3, 1)
+        assert recovered_edges(tmp_path / "svc", tmp_path / "copy") == \
+            sorted(warm + [before, after, (7, 70)])
+
+
+def test_stress_blocking_clients_checkpoints_and_a_second_threads_barrier(tmp_path):
+    """Four blocking clients on disjoint sources over 8 shards, checkpoints
+    every few dozen commits, and another thread hammering the replication
+    barrier: one fsync per (commit, touched segment) pair plus one per segment
+    per checkpoint, however the threads interleave; follower == primary ==
+    disk == oracle and nothing left unacknowledged."""
+    shards, clients, requests = 8, 4, 150
+    inner = ShardedCuckooGraph(num_shards=shards)
+    store = PersistentStore(tmp_path / "svc", store=inner, sync_on_commit=False,
+                            compact_wal_bytes=1 << 10, own_store=True)
+    touched = []  # segments per commit, counted where the dispatcher commits
+    spy_on_commits(store, lambda edges: touched.append(len(inner.partition_edges(edges))))
+    service = GraphService(store, own_store=True, durability="batch", replicas=1)
+    client = GraphClient(service.start(), close_service=True)
+    primary = service.replication.primary
+    oracles = [set() for _ in range(clients)]
+    mutations = [0] * clients
+    failures = []
+    stop = threading.Event()
+    deadline = time.monotonic() + 120
+
+    def blocking_client(index):
+        rng = random.Random(20251001 + index)
+        mine = oracles[index]
+        try:
+            for _ in range(requests):
+                assert time.monotonic() < deadline, "stress run overran its time bound"
+                edge = (rng.randrange(40) * clients + index, rng.randrange(12))
+                draw = rng.random()
+                if draw < 0.5:
+                    assert client.insert_edge(*edge) == (edge not in mine)
+                    mine.add(edge)
+                    mutations[index] += 1
+                elif draw < 0.65:
+                    assert client.delete_edge(*edge) == (edge in mine)
+                    mine.discard(edge)
+                    mutations[index] += 1
+                elif draw < 0.85:
+                    assert client.has_edge(*edge) == (edge in mine)
+                else:
+                    assert sorted(client.successors(edge[0])) == \
+                        sorted(v for u, v in mine if u == edge[0])
+        except BaseException as error:  # reported by the main thread
+            failures.append(error)
+
+    def hammer():
+        try:
+            while not stop.is_set():
+                primary.sync_and_pump()
+        except BaseException as error:
+            failures.append(error)
+
+    threads = [threading.Thread(target=blocking_client, args=(index,),
+                                name=f"stress-client-{index}")
+               for index in range(clients)]
+    barrier = threading.Thread(target=hammer, name="stress-barrier")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        barrier.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        stop.set()
+        barrier.join(timeout=30)
+        sys.setswitchinterval(interval)
+    try:
+        assert not barrier.is_alive() and not any(t.is_alive() for t in threads)
+        assert failures == []
+        oracle = set().union(*oracles)
+        summary = store.persistence_summary()
+        assert summary["compactions"] >= 5
+        assert service.metrics_summary()["group_commits"] == len(touched) <= sum(mutations)
+        assert summary["wal_syncs"] == sum(touched) + shards * summary["compactions"]
+        follower = service.replication.followers[0]
+        assert client.has_edge(0, 0) == ((0, 0) in oracle)  # a last barrier
+        assert set(follower.store.edges()) == set(store.edges()) == oracle
+    finally:
+        client.close()
+    assert not service._unacked and not service._writing
+    replayed = recover(tmp_path / "svc", store=ShardedCuckooGraph(num_shards=shards))
+    assert set(replayed.edges()) == oracle
+    replayed.close()

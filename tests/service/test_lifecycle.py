@@ -13,7 +13,9 @@ from repro.service import (
     BoundedRequestQueue,
     GraphService,
     QueueFullError,
+    Request,
     ServiceClosedError,
+    gather_window,
 )
 
 #: Generous timeout for anything that waits on a thread.
@@ -203,6 +205,44 @@ class TestQueueWindows:
         drained.put("a")
         assert drained.close() == ["a"]
         assert drained.get_many(4) == ["a"] and drained.get_many(4) == []
+
+    @pytest.mark.parametrize("timeout", [None, WAIT_S], ids=["untimed", "timed"])
+    def test_wake_ends_a_blocked_get_many_and_an_open_queue_goes_on(self, timeout):
+        queue = BoundedRequestQueue(capacity=8)
+        got: list = []
+        thread = threading.Thread(target=lambda: got.append(queue.get_many(4, timeout)),
+                                  daemon=True)
+        thread.start()
+        time.sleep(0.05)  # let it park
+        queue.wake()
+        thread.join(WAIT_S)
+        assert got == [[]] and not queue.closed
+        # A wake-up nobody waited for costs the next call one empty return; a
+        # call that returns items uses up the wake-ups before it.
+        queue.wake()
+        assert queue.get_many(4) == []
+        queue.wake()
+        queue.put("a")
+        assert queue.get_many(4) == ["a"]
+        assert queue.get_many(4, timeout=0.01) == []  # the timeout, not a wake
+
+    def test_a_wake_while_a_window_fills_calls_back_and_the_filling_goes_on(self):
+        queue = BoundedRequestQueue(capacity=8)
+        queue.put(Request("has", (1, 2)))
+        woken: list = []
+
+        def straggler():
+            time.sleep(0.05)
+            queue.wake()
+            time.sleep(0.05)
+            queue.put(Request("has", (3, 4)))
+
+        thread = threading.Thread(target=straggler, daemon=True)
+        thread.start()
+        window = gather_window(queue, 2, WAIT_S, lambda: woken.append(len(queue)))
+        thread.join(WAIT_S)
+        assert [request.payload for request in window] == [(1, 2), (3, 4)]
+        assert woken == [0]
 
     def test_one_get_many_releases_every_producer_it_made_room_for(self):
         queue = BoundedRequestQueue(capacity=2, policy="block")
