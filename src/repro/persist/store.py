@@ -1174,7 +1174,10 @@ def recover(
     wrapper that appends where the previous process stopped.  The fresh
     store comes from ``store`` (an empty instance), else ``scheme`` (a
     registered name or factory), else the scheme name recorded in the
-    directory's manifest.
+    directory's manifest.  Under the writer lock it first deletes the
+    temporary files a crash between a write and its rename leaves behind
+    (``snapshot.bin.tmp``, ``manifest.json.tmp``); :func:`replay_into`, which
+    takes no lock, leaves them alone.
 
     Segments are replayed one after another: replay is pure Python under
     the GIL, so threads buy it nothing (measured; see the README).
@@ -1221,6 +1224,10 @@ def recover(
     lock = _DirectoryLock(path)
     lock.acquire()
     try:
+        # A crash between a write and its rename orphans the temporary file;
+        # the renamed-over original is intact, so the orphan is only garbage.
+        for name in (SNAPSHOT_NAME, MANIFEST_NAME):
+            (path / (name + ".tmp")).unlink(missing_ok=True)
         started = time.perf_counter()
         segment_paths = [path / _segment_name(index) for index in range(segments)]
         if upto is not None:
@@ -1305,8 +1312,9 @@ def replay_into(
     run against a **live, synced** writer (call the live store's ``sync()``
     first; unsynced buffered records are simply not visible yet).  Torn
     tails are skipped, stale (pre-snapshot-generation) segments are ignored,
-    and the stats dict mirrors ``last_recovery`` plus a ``"position"`` key:
-    the :class:`~repro.persist.wal.WalPosition` the replay ended at.
+    orphaned temporary files are left in place, and the stats dict mirrors
+    ``last_recovery`` plus a ``"position"`` key: the
+    :class:`~repro.persist.wal.WalPosition` the replay ended at.
 
     Passing that position back as ``cursor`` makes the next probe
     **incremental**: ``store`` is then the *same* (already populated) store

@@ -11,10 +11,12 @@ appends cleanly where the crash stopped.
 import json
 import random
 import shutil
+import struct
 
 import pytest
 
 from repro import CuckooGraph, ShardedCuckooGraph
+from repro.core.errors import SnapshotCorruptError
 from repro.persist import (
     DELETE,
     INSERT,
@@ -22,7 +24,9 @@ from repro.persist import (
     PersistentStore,
     WAL_HEADER_SIZE,
     encode_ops,
+    open_or_create,
     recover,
+    replay_into,
 )
 
 
@@ -283,6 +287,65 @@ def test_checkpoint_right_after_recovery_keeps_later_commits(tmp_path):
     assert sorted(final.edges()) == [(1, 2), (5, 6)]
     assert final.last_recovery["wal_ops"] == 1
     final.close()
+
+
+def test_flipped_snapshot_generation_is_refused_not_skipped(tmp_path):
+    """A damaged snapshot header must fail recovery, not re-date the log.
+
+    The generation decides which WAL segments are stale.  Flipped from 1 to
+    3, it would make recovery skip both post-checkpoint segments -- 10 of 20
+    acknowledged edges -- and truncate them as already folded in.
+    """
+    source = tmp_path / "source"
+    store = PersistentStore(source, store=ShardedCuckooGraph(num_shards=2),
+                            own_store=True, sync_on_commit=True,
+                            compact_wal_bytes=None)
+    store.insert_edges([(u, u + 1) for u in range(10)])
+    store.checkpoint()
+    store.insert_edges([(u, u + 1) for u in range(100, 110)])
+    store.close()
+
+    snapshot = source / "snapshot.bin"
+    data = bytearray(snapshot.read_bytes())
+    generation_at = 8 + 1 + 8 + 8  # magic, kind, rows, sources
+    assert struct.unpack_from("<Q", data, generation_at)[0] == 1
+    data[generation_at] ^= 0x02  # generation 1 -> 3
+    snapshot.write_bytes(bytes(data))
+    segments = {name: (source / name).read_bytes()
+                for name in ("wal-000.bin", "wal-001.bin")}
+    assert all(len(segment) > WAL_HEADER_SIZE for segment in segments.values())
+
+    with pytest.raises(SnapshotCorruptError):
+        recover(source, store=ShardedCuckooGraph(num_shards=2))
+    assert {name: (source / name).read_bytes() for name in segments} == segments
+
+
+@pytest.mark.parametrize("reopen", [
+    recover, lambda path: open_or_create(path, scheme="cuckoo"),
+], ids=["recover", "open_or_create"])
+def test_writable_recovery_deletes_orphaned_temp_files(tmp_path, reopen):
+    """A crash between a write and its rename leaves a ``.tmp`` sibling;
+    writable recovery deletes it under the writer lock, the lock-free
+    read-only replay_into() leaves it alone."""
+    source = tmp_path / "source"
+    store = PersistentStore(source, scheme="cuckoo", compact_wal_bytes=None)
+    store.insert_edge(1, 2)
+    store.checkpoint()
+    store.insert_edge(3, 4)
+    store.close()
+    orphans = [source / "snapshot.bin.tmp", source / (MANIFEST_NAME + ".tmp")]
+    for orphan in orphans:
+        orphan.write_bytes(b"half-written")
+
+    probe = CuckooGraph()
+    replay_into(source, probe)
+    assert sorted(probe.edges()) == [(1, 2), (3, 4)]
+    assert all(orphan.exists() for orphan in orphans)
+
+    reopened = reopen(source)
+    assert not any(orphan.exists() for orphan in orphans)
+    assert sorted(reopened.edges()) == [(1, 2), (3, 4)]
+    reopened.close()
 
 
 def test_poisoned_final_record_is_dropped_not_fatal(tmp_path):

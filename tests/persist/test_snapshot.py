@@ -1,6 +1,7 @@
 """Snapshots: logical-edge-set roundtrips, atomicity, corruption, compaction."""
 
 import struct
+import zlib
 
 import pytest
 
@@ -11,13 +12,57 @@ from repro.persist import (
     KIND_PLAIN,
     KIND_WEIGHTED,
     SNAPSHOT_MAGIC,
+    PersistentStore,
     load_snapshot,
     read_snapshot,
+    recover,
+    snapshot_generation,
     snapshot_rows,
     write_snapshot,
 )
 
 EDGES = [(1, 2), (1, 3), (2, 3), (40, 1), (5, 5)]
+
+#: Magic, then kind (u8), rows, sources, generation (u64 each), body CRC and
+#: header CRC (u32 each): the body starts here.
+HEADER_BYTES = 8 + 1 + 3 * 8 + 4 + 4
+
+
+def _plain():
+    store = CuckooGraph()
+    store.insert_edges(EDGES)
+    return store
+
+
+def _weighted():
+    store = WeightedCuckooGraph()
+    for u, v in EDGES:
+        store.insert_weighted_edge(u, v, u + v)
+    store.insert_weighted_edge(-(2**63), 2**63 - 1, 2**40)
+    return store
+
+
+def _multi_edge():
+    store = MultiEdgeCuckooGraph()
+    for edge_id, (u, v) in enumerate(EDGES + EDGES[:2]):
+        store.add_edge(u, v, edge_id=edge_id)
+    return store
+
+
+def _sharded_weighted():
+    store = ShardedCuckooGraph(num_shards=3, weighted=True)
+    for u, v in EDGES:
+        store.insert_weighted_edge(u, v, 7 * u + v)
+    return store
+
+
+def _v1_file(path, kind, rows, generation):
+    """A format-v1 snapshot, packed row by row: magic, kind, rows,
+    generation, body CRC, then the rows."""
+    row = struct.Struct("<qqq" if kind == KIND_WEIGHTED else "<qq")
+    body = b"".join(row.pack(*fields) for fields in rows)
+    path.write_bytes(b"CKGRSNP1" + struct.pack("<BQQI", kind, len(rows), generation,
+                                               zlib.crc32(body)) + body)
 
 
 class TestKinds:
@@ -104,9 +149,10 @@ class TestRoundtrip:
         assert target.num_edges == 1
 
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_body_is_the_rows_packed_one_by_one(self, tmp_path, weighted):
-        """The body is packed (and read back) in one call; the bytes are what
-        packing row by row -- the format's definition -- produces."""
+    def test_body_is_the_columns_packed_one_by_one(self, tmp_path, weighted):
+        """The format's definition: magic, header fields, their CRC, then the
+        zlib of the source-major columns -- each packed value by value here,
+        where the codec packs them in one call."""
         ids = [0, 1, -1, 2**62, -(2**62), 2**63 - 1, -(2**63), 12345]
         store = WeightedCuckooGraph() if weighted else CuckooGraph()
         for index, u in enumerate(ids):
@@ -118,11 +164,54 @@ class TestRoundtrip:
         path = tmp_path / "snap.bin"
         write_snapshot(path, store, generation=7)
         kind, rows = snapshot_rows(store)
-        row = struct.Struct("<qqq" if weighted else "<qq")
-        body = b"".join(row.pack(*fields) for fields in rows)
-        assert path.read_bytes()[-len(body):] == body
-        assert len(path.read_bytes()) == len(SNAPSHOT_MAGIC) + 21 + len(body)
+        sources = sorted({row[0] for row in rows})
+        columns = b"".join(struct.pack("<q", u) for u in sources)
+        columns += b"".join(struct.pack("<I", sum(row[0] == u for row in rows))
+                            for u in sources)
+        columns += b"".join(struct.pack("<q", row[1]) for row in rows)
+        if weighted:
+            columns += b"".join(struct.pack("<q", row[2]) for row in rows)
+        data = path.read_bytes()
+        fields, body = data[8:37], data[41:]
+        assert data[:8] == SNAPSHOT_MAGIC == b"CKGRSNP2"
+        assert struct.unpack("<BQQQI", fields) == (
+            kind, len(rows), len(sources), 7, zlib.crc32(body))
+        assert struct.unpack("<I", data[37:41])[0] == zlib.crc32(fields)
+        assert zlib.decompress(body) == columns
         assert read_snapshot(path) == (kind, 7, rows)
+        assert snapshot_generation(path) == 7
+
+    @pytest.mark.parametrize("factory", [
+        _plain, _weighted, _multi_edge, _sharded_weighted, CuckooGraph,
+        WeightedCuckooGraph,
+    ], ids=["plain", "weighted", "multi-edge", "sharded-weighted", "empty",
+            "empty-weighted"])
+    def test_columns_round_trip(self, tmp_path, factory):
+        store = factory()
+        path = tmp_path / "snapshot.bin"
+        kind, rows = snapshot_rows(store)
+        assert write_snapshot(path, store, generation=3) == len(rows)
+        assert read_snapshot(path) == (kind, 3, rows)
+        target = store.spawn_empty()
+        assert load_snapshot(path, target) == (len(rows), 3)
+        assert snapshot_rows(target) == (kind, rows)
+        for graph in (store, target):
+            if isinstance(graph, ShardedCuckooGraph):
+                graph.close()
+
+    def test_source_past_65535_destinations_round_trips(self, tmp_path):
+        """The degree column is u32: one source with 70 000 destinations,
+        between two ordinary ones (a stand-in store: a plain snapshot reads
+        nothing but ``edges()``)."""
+        rows = [(5, 1), (5, 2)] + [(2**40, v) for v in range(70_000)] + [(2**41, 3)]
+
+        class Edges:
+            def edges(self):
+                return iter(rows)
+
+        path = tmp_path / "snapshot.bin"
+        write_snapshot(path, Edges())
+        assert read_snapshot(path) == (KIND_PLAIN, 0, rows)
 
     def test_missing_snapshot_loads_nothing(self, tmp_path):
         assert load_snapshot(tmp_path / "absent.bin", CuckooGraph()) == (0, 0)
@@ -180,6 +269,98 @@ class TestCorruption:
         path.write_bytes(path.read_bytes()[:10])
         with pytest.raises(SnapshotCorruptError):
             read_snapshot(path)
+
+    def test_every_header_bit_is_checked(self, tmp_path):
+        """A flipped header bit -- the generation's included -- is refused by
+        the full read and by the header-only generation read alike."""
+        path = self._valid_snapshot(tmp_path)
+        data = path.read_bytes()
+        for index in range(HEADER_BYTES):
+            for bit in range(8):
+                damaged = bytearray(data)
+                damaged[index] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                with pytest.raises(SnapshotCorruptError):
+                    read_snapshot(path)
+                with pytest.raises(SnapshotCorruptError):
+                    snapshot_generation(path)
+
+    @pytest.mark.parametrize("factory", [_plain, _weighted], ids=["plain", "weighted"])
+    def test_every_damaged_byte_and_every_cut_is_refused(self, tmp_path, factory):
+        """Flip any byte, header or body, or cut the file anywhere: the result
+        is SnapshotCorruptError -- never another exception, never rows."""
+        path = tmp_path / "snapshot.bin"
+        write_snapshot(path, factory(), generation=1)
+        data = path.read_bytes()
+        damaged_files = [data[:cut] for cut in range(len(data))]
+        for index in range(len(data)):
+            for flip in (0x01, 0x80, 0xFF):
+                damaged = bytearray(data)
+                damaged[index] ^= flip
+                damaged_files.append(bytes(damaged))
+        for damaged in damaged_files:
+            path.write_bytes(damaged)
+            with pytest.raises(SnapshotCorruptError):
+                read_snapshot(path)
+
+    def test_decompressed_length_and_degree_sum_are_checked(self, tmp_path):
+        """Bodies whose checksums hold but whose columns do not fit the header."""
+        path = tmp_path / "snapshot.bin"
+
+        def write(body, rows, sources):
+            fields = struct.pack("<BQQQI", KIND_PLAIN, rows, sources, 0, zlib.crc32(body))
+            path.write_bytes(SNAPSHOT_MAGIC + fields + struct.pack("<I", zlib.crc32(fields))
+                             + body)
+
+        columns = struct.pack("<2q2I3q", 1, 2, 2, 1, 10, 11, 12)
+        write(zlib.compress(columns), 3, 2)
+        assert read_snapshot(path) == (KIND_PLAIN, 0, [(1, 10), (1, 11), (2, 12)])
+        for body, rows, sources in [
+            (b"not zlib", 3, 2),                               # does not decompress
+            (zlib.compress(columns + b"\0"), 3, 2),            # one byte too many
+            (zlib.compress(columns), 4, 2),                    # rows disagree
+            (zlib.compress(struct.pack("<2q2I3q", 1, 2, 2, 2, 10, 11, 12)), 3, 2),
+        ]:
+            write(body, rows, sources)
+            with pytest.raises(SnapshotCorruptError):
+                read_snapshot(path)
+
+
+class TestFormatV1:
+    """Directories checkpointed in format v1 still load; only v2 is written."""
+
+    @pytest.mark.parametrize("kind, rows", [
+        (KIND_PLAIN, [(1, 2), (1, 3), (4, -5)]),
+        (KIND_WEIGHTED, [(1, 2, 3), (7, 8, 1)]),
+    ])
+    def test_v1_file_loads_with_its_generation(self, tmp_path, kind, rows):
+        path = tmp_path / "snapshot.bin"
+        _v1_file(path, kind, rows, generation=4)
+        assert read_snapshot(path) == (kind, 4, rows)
+        assert snapshot_generation(path) == 4
+        damaged = bytearray(path.read_bytes())
+        damaged[-1] ^= 0xFF
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(SnapshotCorruptError):
+            read_snapshot(path)
+
+    def test_v1_directory_recovers_and_its_next_checkpoint_writes_v2(self, tmp_path):
+        source = tmp_path / "s"
+        store = PersistentStore(source, scheme="weighted", compact_wal_bytes=None)
+        store.insert_weighted_edge(1, 2, 5)
+        store.checkpoint()
+        kind, rows = snapshot_rows(store.store)
+        store.insert_weighted_edge(1, 2, 1)  # post-snapshot commit, weight 6
+        store.close()
+        _v1_file(source / "snapshot.bin", kind, rows, generation=1)
+
+        recovered = recover(source)
+        assert recovered.edge_weight(1, 2) == 6
+        assert recovered.last_recovery["wal_ops"] == 1
+        recovered.checkpoint()
+        recovered.close()
+        assert (source / "snapshot.bin").read_bytes()[:8] == SNAPSHOT_MAGIC
+        assert read_snapshot(source / "snapshot.bin") == (KIND_WEIGHTED, 2, [(1, 2, 6)])
 
 
 class TestCompactionPolicy:
