@@ -5,7 +5,7 @@
 CuckooGraph shards: every node's out-edges live on exactly one shard, the
 shard choice is a deterministic hash (stable across instances and
 processes), and a batch of operations is grouped per shard before being
-drained -- the layout a multi-core or multi-machine deployment scales on.
+drained on the calling thread, one group after another.
 
 Run with::
 
@@ -72,53 +72,6 @@ def batched_versus_single() -> None:
     print(f"sharded batch insert: {sharded_seconds:.3f}s (same edge set)")
 
 
-def threaded_executor() -> None:
-    """Fan per-shard groups out over a thread pool; observables are identical."""
-    edges = make_edges()
-    serial = ShardedCuckooGraph(num_shards=4)
-    serial.insert_edges(edges)
-
-    # executor="threads" drains independent shards concurrently.  Under
-    # CPython's GIL the pure-Python shards gain no wall-clock, but results,
-    # counters and accesses match the serial executor exactly -- the pool is
-    # the cut point where C-backed or subprocess shards would scale.
-    with ShardedCuckooGraph(num_shards=4, executor="threads") as threaded:
-        threaded.insert_edges(edges)
-        assert sorted(threaded.edges()) == sorted(serial.edges())
-        assert threaded.counters.snapshot() == serial.counters.snapshot()
-        frontier = [u for u, _ in edges[:1000]]
-        assert threaded.successors_many(frontier) == serial.successors_many(frontier)
-        print("\nthreaded executor: identical state across",
-              threaded.num_edges, "edges")
-
-
-def process_executor() -> None:
-    """True multicore: per-shard state owned by long-lived worker processes.
-
-    ``executor="processes"`` is the one that actually buys wall-clock on a
-    multi-core box: shard ``i`` lives in worker ``i % workers`` and every
-    batch crosses a pipe RPC whose payload encoding is the WAL op codec.
-    Observables stay byte-identical to the serial executor on any core
-    count; only the clock moves (see benchmarks/test_fig06f_multicore.py).
-    """
-    edges = make_edges()
-    serial = ShardedCuckooGraph(num_shards=4)
-    serial.insert_edges(edges)
-
-    with ShardedCuckooGraph(num_shards=4, executor="processes") as multicore:
-        multicore.insert_edges(edges)
-        assert sorted(multicore.edges()) == sorted(serial.edges())
-        assert multicore.counters.snapshot() == serial.counters.snapshot()
-        assert multicore.accesses == serial.accesses
-        frontier = [u for u, _ in edges[:1000]]
-        assert multicore.successors_many(frontier) == serial.successors_many(frontier)
-        print("\nprocess executor: identical state across",
-              multicore.num_edges, "edges in",
-              len(multicore._procs.workers), "worker processes")
-    # close() is terminal for the process executor: the shard state lived in
-    # the workers, so a closed store refuses reads instead of lying.
-
-
 def analytics_through_the_engine() -> None:
     """The analytics kernels drive any store through batched frontiers."""
     from repro.analytics import TraversalEngine, bfs, top_degree_nodes
@@ -137,6 +90,4 @@ if __name__ == "__main__":
     batch_basics()
     shard_balance()
     batched_versus_single()
-    threaded_executor()
-    process_executor()
     analytics_through_the_engine()

@@ -4,16 +4,16 @@ The paper's Section V-E kernels exercise a store through two operations:
 successor queries (frontier expansion) and edge queries (closure checks).
 Driving those one call per node -- ``store.successors(u)`` inside the hot
 loop -- forfeits the batch layer that every :class:`~repro.interfaces.\
-DynamicGraphStore` now exposes and keeps the sharded front-end serialized,
-because a single-node call can only ever touch one shard.
+DynamicGraphStore` now exposes and routes the sharded front-end one node at
+a time, because a single-node call can only ever touch one shard.
 
 :class:`TraversalEngine` is the single place the analytics layer talks to a
 store in bulk:
 
 * :meth:`expand` turns a *frontier* (any iterable of nodes) into a
   ``{node: successors}`` map with **one** ``successors_many`` call, so a
-  sharded store sees whole per-shard groups and a threaded executor can fan
-  the groups out concurrently.
+  sharded store sees whole per-shard groups and drains each with one bound
+  method.
 * :meth:`materialize` is the one-pass batched adjacency materializer used by
   the iterate-on-extracted-subgraph kernels (PageRank, betweenness
   centrality, triangles, LCC): it fetches the successor lists of every node

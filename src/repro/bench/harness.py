@@ -66,14 +66,6 @@ DURABLE = "Ours-Durable"
 #: lag / fan-out / PITR axes explicitly.
 REPLICATED = "Ours-Replicated"
 
-#: The multicore scheme: the sharded front-end with ``executor="processes"``
-#: -- per-shard CuckooGraph state owned by long-lived worker processes, the
-#: WAL op encoding as the shard RPC.  Observably byte-identical to
-#: :data:`SHARDED` (the differential suite enforces it); the only axis it
-#: moves is wall-clock, which is exactly what
-#: ``benchmarks/test_fig06f_multicore`` measures on multi-core hosts.
-MULTICORE = "Ours-Multicore"
-
 #: The tiered scheme: the hot/cold front-end with a quarter of the shards
 #: resident in the CuckooGraph tier and the rest spilled to the miniredis
 #: integration behind the touch-count LRU policy -- the configuration the
@@ -95,8 +87,7 @@ DEFAULT_HOT_SHARDS = 2
 #: durable or replicated).  The "CuckooGraph beats each competitor" shape
 #: checks iterate the complement of this set, so registering another of our
 #: own variants never turns it into a competitor.
-OURS_FAMILY = frozenset({OURS, SHARDED, MULTICORE, SERVICE, DURABLE, REPLICATED,
-                         TIERED})
+OURS_FAMILY = frozenset({OURS, SHARDED, SERVICE, DURABLE, REPLICATED, TIERED})
 
 
 def _durable_store(config: Optional[CuckooGraphConfig] = None) -> PersistentStore:
@@ -139,8 +130,6 @@ SCHEMES: dict[str, Callable[[], DynamicGraphStore]] = {
     "Sortledton": COMPETITORS["Sortledton"],
     OURS: CuckooGraph,
     SHARDED: lambda: ShardedCuckooGraph(num_shards=DEFAULT_SHARDS),
-    MULTICORE: lambda: ShardedCuckooGraph(num_shards=DEFAULT_SHARDS,
-                                          executor="processes"),
     SERVICE: lambda: GraphClient.local(num_shards=DEFAULT_SHARDS),
     DURABLE: _durable_store,
     REPLICATED: _replicated_client,
@@ -163,9 +152,6 @@ def build_store(scheme: str, config: Optional[CuckooGraphConfig] = None) -> Dyna
             return CuckooGraph(config)
         if scheme == SHARDED:
             return ShardedCuckooGraph(num_shards=DEFAULT_SHARDS, config=config)
-        if scheme == MULTICORE:
-            return ShardedCuckooGraph(num_shards=DEFAULT_SHARDS, config=config,
-                                      executor="processes")
         if scheme == SERVICE:
             return GraphClient.local(num_shards=DEFAULT_SHARDS, config=config)
         if scheme == DURABLE:
@@ -326,9 +312,9 @@ def _accesses_of(store: DynamicGraphStore) -> int:
 def _dispose(store: DynamicGraphStore) -> None:
     """Release a store built for one benchmark cell.
 
-    The sharded front-end and the service client hold executor threads; a
-    full figure run builds dozens of stores, so each driver closes what it
-    created instead of leaking dispatchers until interpreter exit.
+    The service client holds a dispatcher thread and the durable schemes a
+    WAL directory; a full figure run builds dozens of stores, so each driver
+    closes what it created instead of leaking them until interpreter exit.
     """
     close = getattr(store, "close", None)
     if callable(close):

@@ -34,10 +34,9 @@ class NotFoundError(CuckooGraphError):
 class StoreClosedError(CuckooGraphError):
     """Raised when a batch operation is issued against a closed store.
 
-    :meth:`repro.core.sharded.ShardedCuckooGraph.close` releases the
-    executor resources for good; the batch paths (which are the ones that
-    would lazily re-create a thread pool) refuse to run afterwards instead
-    of silently resurrecting it.  ``close`` itself is idempotent.
+    After :meth:`repro.core.sharded.ShardedCuckooGraph.close` the batch
+    paths refuse to run, so a wrapper that closed its store notices when
+    something still feeds it batches.  ``close`` itself is idempotent.
     """
 
 

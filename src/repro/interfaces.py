@@ -33,7 +33,7 @@ class DynamicGraphStore(ABC):
     expansion for every analytics kernel goes through it, so overriding it is
     how a store (or a front-end such as
     :class:`~repro.core.sharded.ShardedCuckooGraph`, which groups the batch
-    per shard and can fan the groups out across an executor) accelerates the
+    per shard and drains each group with one bound method) accelerates the
     whole analytics layer at once.  Overrides must preserve the default's
     observable semantics, spelled out in :meth:`successors_many`.
     """

@@ -60,13 +60,9 @@ from .wal import (
     WAL_MAGIC,
     WalPosition,
     WriteAheadLog,
-    decode_edges,
-    decode_nodes,
     decode_ops,
     encode_edge_ops,
-    encode_edges,
     encode_frame,
-    encode_nodes,
     encode_ops,
     read_wal,
     read_wal_records,
@@ -93,13 +89,9 @@ __all__ = [
     "WalPosition",
     "WriteAheadLog",
     "apply_op",
-    "decode_edges",
-    "decode_nodes",
     "decode_ops",
     "encode_edge_ops",
-    "encode_edges",
     "encode_frame",
-    "encode_nodes",
     "encode_ops",
     "fsync_directory",
     "load_snapshot",

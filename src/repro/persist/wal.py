@@ -25,7 +25,7 @@ that owns the segments says when.  Each operation is an opcode byte plus
 ``(u, v, delta)`` for weighted stores.  :func:`encode_ops` is the format's
 definition, one operation at a time; :func:`encode_edge_ops` produces the
 same bytes for a whole group of same-kind edge operations in one packing
-call, and is what the batch commit path and the shard RPC use.
+call, and is what the batch commit path uses.
 
 Torn tails.  A crash mid-append leaves a final record whose header, payload
 or checksum is incomplete.  :func:`read_wal` treats the first structurally
@@ -119,11 +119,6 @@ _DECODERS = {
 #: An op tuple: ``("insert"|"delete", u, v)`` or ``("insert_w", u, v, delta)``.
 Op = tuple
 
-#: Flat codecs for the query side of the shard RPC (see below): one edge and
-#: one node, little-endian signed 8-byte ids, matching the WAL op structs.
-_EDGE_PAIR = struct.Struct("<qq")
-_NODE_ID = struct.Struct("<q")
-
 
 @dataclass(frozen=True)
 class WalPosition:
@@ -196,8 +191,7 @@ def encode_edge_ops(tag: str, edges: Sequence[Tuple[int, int]]) -> bytes:
     Byte-identical to ``encode_ops((tag, u, v) for u, v in edges)`` for
     ``tag`` in ``("insert", "delete")``, but the whole group goes through
     one ``Struct.pack`` call (one per :data:`EDGE_OPS_CHUNK` edges) instead
-    of one per operation -- the group commit of a batch mutation and the
-    shard RPC of ``ShardedCuckooGraph(executor="processes")`` both encode
+    of one per operation -- the group commit of a batch mutation encodes
     per-shard groups of exactly this shape.
     """
     try:
@@ -242,50 +236,6 @@ def decode_ops(payload: bytes) -> List[Op]:
         ops.append((tag, *fields[1:]))
         offset = end
     return ops
-
-
-def encode_edges(edges: Iterable[Tuple[int, int]]) -> bytes:
-    """Serialise ``(u, v)`` pairs into a flat little-endian payload.
-
-    Together with :func:`encode_ops`/:func:`decode_ops` (the mutation side)
-    these four codecs are the complete serialization of the shard RPC used
-    by ``ShardedCuckooGraph(executor="processes")``: membership probes and
-    successor fan-outs cross the process boundary as the same 8-byte signed
-    node ids the WAL records use, so nothing bespoke crosses the pickle
-    boundary.
-    """
-    pack = _EDGE_PAIR.pack
-    return b"".join(pack(u, v) for u, v in edges)
-
-
-def decode_edges(payload: bytes) -> List[Tuple[int, int]]:
-    """Parse an :func:`encode_edges` payload back into ``(u, v)`` pairs."""
-    size = _EDGE_PAIR.size
-    if len(payload) % size:
-        raise PersistenceError(
-            f"edge payload length {len(payload)} is not a multiple of {size}"
-        )
-    unpack = _EDGE_PAIR.unpack_from
-    return [unpack(payload, offset) for offset in range(0, len(payload), size)]
-
-
-def encode_nodes(nodes: Iterable[int]) -> bytes:
-    """Serialise node ids into a flat little-endian payload (see
-    :func:`encode_edges`)."""
-    pack = _NODE_ID.pack
-    return b"".join(pack(u) for u in nodes)
-
-
-def decode_nodes(payload: bytes) -> List[int]:
-    """Parse an :func:`encode_nodes` payload back into node ids."""
-    size = _NODE_ID.size
-    if len(payload) % size:
-        raise PersistenceError(
-            f"node payload length {len(payload)} is not a multiple of {size}"
-        )
-    unpack = _NODE_ID.unpack_from
-    return [unpack(payload, offset)[0]
-            for offset in range(0, len(payload), size)]
 
 
 def read_wal_records(

@@ -242,21 +242,11 @@ class SocketChannel(ReplicationChannel):
                 raise ReplicationError(
                     f"replication socket died: {exc}") from None
 
-    def receive(self, timeout: Optional[float] = None):
+    def receive(self):
         try:
-            if timeout is None:
-                return self._queue.get_nowait()
-            return self._queue.get(timeout=timeout)
+            return self._queue.get_nowait()
         except queue.Empty:
             return None
-
-    def drain(self):
-        messages = []
-        while True:
-            try:
-                messages.append(self._queue.get_nowait())
-            except queue.Empty:
-                return messages
 
     def _close(self) -> None:
         with self._close_lock:

@@ -6,8 +6,8 @@ own totally ordered stream, and loss is handled by re-attaching (the
 primary backfills from disk -- the one time it reads the log back; what it
 ships afterwards comes from memory, off the store's commit feed).
 :class:`ReplicationTransport` is that seam: ``connect()`` yields a
-:class:`ReplicationChannel` -- ``send`` on the primary side,
-``receive``/``drain`` on the follower side -- and the in-process
+:class:`ReplicationChannel` -- ``send`` on the primary side, ``receive``
+on the follower side -- and the in-process
 implementation backs each channel with a ``deque``.  The socket transport
 (:mod:`repro.replicate.net`) plugs in here: the messages are flat,
 ``struct``-packable dataclasses (operation tuples, integers, no object
@@ -29,10 +29,9 @@ Message vocabulary:
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..core.errors import ReplicationError
 
@@ -81,12 +80,8 @@ class ReplicationChannel:
     def send(self, message) -> None:
         raise NotImplementedError
 
-    def receive(self, timeout: Optional[float] = None):
-        """Next message, blocking up to ``timeout``; ``None`` when dry."""
-        raise NotImplementedError
-
-    def drain(self) -> List[object]:
-        """Every message currently queued, without blocking."""
+    def receive(self):
+        """Next message without blocking; ``None`` when dry."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -124,35 +119,24 @@ class InProcessChannel(ReplicationChannel):
 
     Unbounded: the primary also fills it synchronously during compaction,
     where a full pipe could only deadlock.  ``append`` and ``popleft`` are
-    atomic, so polling an empty channel costs one failed truth test; only a
-    ``receive`` that is willing to wait takes the condition.
+    atomic, so polling an empty channel costs one failed truth test.
     """
 
     notifies_on_send = True
 
     def __init__(self):
         self._messages: deque = deque()
-        self._arrival = threading.Condition()
         self._closed = False
 
     def send(self, message) -> None:
         if self._closed:
             raise ReplicationError("cannot ship on a closed replication channel")
-        with self._arrival:
-            self._messages.append(message)
-            self._arrival.notify()
+        self._messages.append(message)
         self._notify_listener()
 
-    def receive(self, timeout: Optional[float] = None):
+    def receive(self):
         messages = self._messages
-        if timeout is not None and not messages:
-            with self._arrival:
-                self._arrival.wait_for(lambda: messages, timeout)
         return messages.popleft() if messages else None  # the one consumer pops
-
-    def drain(self) -> List[object]:
-        messages = self._messages
-        return [messages.popleft() for _ in range(len(messages))]
 
     def _close(self) -> None:
         self._closed = True

@@ -77,13 +77,10 @@ class GraphClient(DynamicGraphStore):
         cls,
         num_shards: int = 4,
         config: Optional[CuckooGraphConfig] = None,
-        executor: str = "serial",
         **service_kwargs,
     ) -> "GraphClient":
         """Client over a fresh service owning a fresh ``ShardedCuckooGraph``."""
-        store = ShardedCuckooGraph(
-            num_shards=num_shards, config=config, executor=executor
-        )
+        store = ShardedCuckooGraph(num_shards=num_shards, config=config)
         service = GraphService(store, own_store=True, **service_kwargs)
         return cls(service.start(), close_service=True)
 

@@ -15,8 +15,7 @@ Design points:
 
 * **One dispatcher thread** owns the store, the followers and every future.
   Client threads only touch the bounded queue, so the store itself needs no
-  locking and the sharded store's own executor (``executor="threads"``)
-  remains free to fan a batch out across shards.  The one thing the
+  locking.  The one thing the
   dispatcher does not sit through is a group commit's ``fsync``: the store's
   helper threads do, and all they do besides is wake the dispatcher.
 * **Order-preserving batching.**  A dispatch window is split into runs (see
@@ -68,8 +67,7 @@ Design points:
 
 Under CPython's GIL the dispatcher does not add parallel compute; the point
 is the *traffic shape* -- bounded intake, coalesced store calls, percentile
-latency accounting -- with the store's executor seam remaining the cut point
-for real parallelism.
+latency accounting.
 """
 
 from __future__ import annotations

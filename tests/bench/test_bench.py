@@ -5,6 +5,7 @@ import pytest
 from repro.bench import (
     ANALYTICS_TASKS,
     OURS,
+    OURS_FAMILY,
     SCHEMES,
     build_cuckoograph_for_stream,
     build_store,
@@ -20,6 +21,8 @@ from repro.bench import (
 )
 from repro.core import CuckooGraphConfig, WeightedCuckooGraph, CuckooGraph
 from repro.datasets import EdgeStream
+from repro.persist import PersistentStore
+from repro.service import GraphClient
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +50,23 @@ class TestStoreFactories:
     def test_config_only_applies_to_ours(self):
         config = CuckooGraphConfig(d=4)
         assert build_store(OURS, config).config.d == 4
+
+    @pytest.mark.parametrize("scheme", sorted(OURS_FAMILY))
+    def test_config_reaches_the_cuckoographs_of_every_ours_scheme(self, scheme):
+        store = build_store(scheme, CuckooGraphConfig(d=4))
+        try:
+            inner = store
+            if isinstance(inner, GraphClient):
+                inner = inner.service.store
+            if isinstance(inner, PersistentStore):
+                inner = inner.store
+            assert inner.config.d == 4
+            for shard in getattr(inner, "shards", ()):
+                assert shard.config.d == 4
+        finally:
+            close = getattr(store, "close", None)
+            if callable(close):
+                close()
 
     def test_weighted_variant_selected_for_duplicate_streams(self):
         duplicated = EdgeStream("dup", [(1, 2), (1, 2)])

@@ -30,12 +30,11 @@ ALL_STORE_FACTORIES = {
     "CuckooGraph": CuckooGraph,
     "WeightedCuckooGraph": WeightedCuckooGraph,
     "ShardedCuckooGraph": lambda: ShardedCuckooGraph(num_shards=4),
-    # The process-backed executor: shard state lives in two long-lived
-    # worker processes, every operation crosses the shard RPC.  Running the
-    # whole contract matrix against it is what keeps the RPC paths (single
-    # ops included) observably identical to the in-process executors.
-    "ShardedCuckooGraph-procs": lambda: ShardedCuckooGraph(
-        num_shards=4, executor="processes", max_workers=2
+    # Weighted shards behind the same front-end: duplicate inserts bump a
+    # weight and a delete only removes the edge at weight zero, so every
+    # routed single op and batch call must keep the weighted semantics.
+    "ShardedCuckooGraph-weighted": lambda: ShardedCuckooGraph(
+        num_shards=4, weighted=True
     ),
     "PersistentStore": lambda: PersistentStore(
         store=CuckooGraph(), sync_on_commit=False, own_store=True
@@ -93,9 +92,10 @@ OWNED_THREAD_PREFIXES = ("graph-service", "wal-sync-")
 def no_leaked_threads():
     """Fail a test that leaves a dispatcher or fsync helper thread alive.
 
-    ``tests/service``, ``tests/persist``, ``tests/replicate``,
-    ``tests/traffic`` and ``tests/tiered`` make it autouse: it is set up
-    first, so it looks after every other fixture has been torn down.  A
+    ``tests/core``, ``tests/service``, ``tests/persist``,
+    ``tests/replicate``, ``tests/traffic`` and ``tests/tiered`` make it
+    autouse: it is set up first, so it looks after every other fixture has
+    been torn down.  A
     leaked thread is a service or store some path forgot to close -- on a
     durable service that is also an open WAL segment and a held directory.
     """

@@ -14,13 +14,12 @@ After every batch the observable state of the three stores must be
 identical: per-operation results, edge sets, edge counts, successor lists
 and membership answers.
 
-The second half of the module differentially tests the sharded store's
-*executor*: the same randomized batches driven through
-``executor="serial"``, ``executor="threads"`` and ``executor="processes"``
-must produce identical results, edge state, aggregated counters and
-modelled accesses -- the fan-out strategy (in-process, thread pool, or
-worker processes speaking the WAL op encoding over pipes) may only change
-wall-clock, never observables.
+The second half pins the sharded store's *modelled* quantities.  A batch
+call only regroups its edges per shard, keeping input order within each
+shard, and shards never share state -- so the batch APIs must leave the
+modelled accesses, counters and structure summaries bit-identical to
+one-at-a-time calls, and each shard bit-identical to a standalone
+CuckooGraph fed exactly the edges routed to it.
 """
 
 import random
@@ -28,8 +27,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CuckooGraph, ShardedCuckooGraph
+from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.baselines import AdjacencyListGraph
+from repro.core.sharded import shard_index
 
 #: Node-id universe; small enough that inserts, deletes and queries collide.
 NODE_RANGE = 60
@@ -135,116 +135,105 @@ def test_hypothesis_batches_agree(batches, num_shards):
 
 
 # --------------------------------------------------------------------- #
-# Serial vs threaded executor
+# Batch calls vs single operations: modelled counts, bit for bit
 # --------------------------------------------------------------------- #
+
+
+def split_batch(batch):
+    inserts = [(u, v) for action, u, v in batch if action == "insert"]
+    deletes = [(u, v) for action, u, v in batch if action == "delete"]
+    queries = [(u, v) for action, u, v in batch if action == "query"]
+    return inserts, deletes, queries
+
+
+def assert_modelled_identical(left, right):
+    assert left.accesses == right.accesses
+    assert left.counters.snapshot() == right.counters.snapshot()
+    assert [shard.counters.snapshot() for shard in left.shards] == \
+           [shard.counters.snapshot() for shard in right.shards]
+    assert left.memory_bytes() == right.memory_bytes()
+    assert left.structure_summary() == right.structure_summary()
 
 
 @pytest.mark.parametrize("seed", [2, 13, 20250729])
 @pytest.mark.parametrize("num_shards", [2, 5])
-def test_threaded_executor_matches_serial(seed, num_shards):
-    """Randomized batches: the executor choice must be observably invisible."""
+def test_batch_calls_match_single_operations(seed, num_shards):
+    """Randomized batches: batching may regroup work, never change a count."""
     rng = random.Random(seed)
-    serial = ShardedCuckooGraph(num_shards=num_shards, executor="serial")
-    with ShardedCuckooGraph(num_shards=num_shards, executor="threads") as threaded:
-        for _ in range(10):
-            batch = random_batch(rng, rng.randrange(10, 150))
-            inserts = [(u, v) for action, u, v in batch if action == "insert"]
-            deletes = [(u, v) for action, u, v in batch if action == "delete"]
-            queries = [(u, v) for action, u, v in batch if action == "query"]
+    batched = ShardedCuckooGraph(num_shards=num_shards)
+    looped = ShardedCuckooGraph(num_shards=num_shards)
+    for _ in range(10):
+        inserts, deletes, queries = split_batch(
+            random_batch(rng, rng.randrange(10, 150)))
 
-            assert serial.insert_edges(inserts) == threaded.insert_edges(inserts)
-            assert serial.delete_edges(deletes) == threaded.delete_edges(deletes)
-            assert serial.has_edges(queries) == threaded.has_edges(queries)
+        assert batched.insert_edges(inserts) == \
+            sum(looped.insert_edge(u, v) for u, v in inserts)
+        assert batched.delete_edges(deletes) == \
+            sum(looped.delete_edge(u, v) for u, v in deletes)
+        assert batched.has_edges(queries) == \
+            [looped.has_edge(u, v) for u, v in queries]
 
-            frontier = [rng.randrange(NODE_RANGE) for _ in range(25)]
-            serial_fanout = serial.successors_many(frontier)
-            threaded_fanout = threaded.successors_many(frontier)
-            assert serial_fanout == threaded_fanout
-            # Same key order, not just the same mapping (batch contract).
-            assert list(serial_fanout) == list(threaded_fanout)
+        frontier = [rng.randrange(NODE_RANGE) for _ in range(25)]
+        fanout = batched.successors_many(frontier)
+        # Same key order, not just the same mapping (batch contract).
+        assert list(fanout) == list(dict.fromkeys(frontier))
+        assert fanout == {u: looped.successors(u) for u in fanout}
 
-            assert sorted(serial.edges()) == sorted(threaded.edges())
-            assert serial.num_edges == threaded.num_edges
-            assert serial.accesses == threaded.accesses
-            assert serial.counters.snapshot() == threaded.counters.snapshot()
-            assert [shard.counters.snapshot() for shard in serial.shards] == \
-                   [shard.counters.snapshot() for shard in threaded.shards]
-
-
-def test_threaded_executor_agrees_with_oracle():
-    """Threads vs the trivially correct oracle, end to end."""
-    rng = random.Random(99)
-    threaded = ShardedCuckooGraph(num_shards=4, executor="threads")
-    oracle = AdjacencyListGraph()
-    for _ in range(8):
-        batch = random_batch(rng, rng.randrange(20, 120))
-        inserts = [(u, v) for action, u, v in batch if action == "insert"]
-        deletes = [(u, v) for action, u, v in batch if action == "delete"]
-        queries = [(u, v) for action, u, v in batch if action == "query"]
-        assert threaded.insert_edges(inserts) == \
-            sum(oracle.insert_edge(u, v) for u, v in inserts)
-        assert threaded.delete_edges(deletes) == \
-            sum(oracle.delete_edge(u, v) for u, v in deletes)
-        assert threaded.has_edges(queries) == \
-            [oracle.has_edge(u, v) for u, v in queries]
-        fanned = threaded.successors_many(range(NODE_RANGE))
-        for u in range(NODE_RANGE):
-            assert sorted(fanned[u]) == sorted(oracle.successors(u))
-    threaded.close()
-
-
-# --------------------------------------------------------------------- #
-# Serial vs threads vs processes: all three executors, byte-identical
-# --------------------------------------------------------------------- #
+        assert sorted(batched.edges()) == sorted(looped.edges())
+        assert batched.shard_sizes() == looped.shard_sizes()
+        assert_modelled_identical(batched, looped)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 20260807])
 @pytest.mark.parametrize("num_shards", [2, 5])
-def test_process_executor_matches_serial_and_threads(seed, num_shards):
-    """The process-backed executor is observably identical to the others.
-
-    Per-shard state lives in worker processes and every batch crosses the
-    WAL-encoded shard RPC, yet results, edge state, shard sizes, aggregated
-    counters, modelled accesses and structure summaries must match the
-    in-process executors exactly -- crossing a pipe may not change a single
-    observable bit.
-    """
+def test_each_shard_equals_a_standalone_graph(seed, num_shards):
+    """Shards are independent: shard ``i`` is bit-identical to a lone
+    CuckooGraph (seeded ``seed + i``) that saw only the edges routed to it."""
     rng = random.Random(seed)
-    serial = ShardedCuckooGraph(num_shards=num_shards, executor="serial")
-    threaded = ShardedCuckooGraph(num_shards=num_shards, executor="threads")
-    procs = ShardedCuckooGraph(num_shards=num_shards, executor="processes")
-    try:
-        for _ in range(8):
-            batch = random_batch(rng, rng.randrange(10, 150))
-            inserts = [(u, v) for action, u, v in batch if action == "insert"]
-            deletes = [(u, v) for action, u, v in batch if action == "delete"]
-            queries = [(u, v) for action, u, v in batch if action == "query"]
+    sharded = ShardedCuckooGraph(num_shards=num_shards)
+    config = sharded.config
+    standalone = [CuckooGraph(config.with_overrides(seed=config.seed + index))
+                  for index in range(num_shards)]
 
-            inserted = serial.insert_edges(inserts)
-            assert threaded.insert_edges(inserts) == inserted
-            assert procs.insert_edges(inserts) == inserted
-            deleted = serial.delete_edges(deletes)
-            assert threaded.delete_edges(deletes) == deleted
-            assert procs.delete_edges(deletes) == deleted
-            answers = serial.has_edges(queries)
-            assert threaded.has_edges(queries) == answers
-            assert procs.has_edges(queries) == answers
+    def owner(u):
+        return standalone[shard_index(u, num_shards)]
 
-            frontier = [rng.randrange(NODE_RANGE) for _ in range(25)]
-            fanout = serial.successors_many(frontier)
-            assert threaded.successors_many(frontier) == fanout
-            procs_fanout = procs.successors_many(frontier)
-            assert procs_fanout == fanout
-            # Same key order, not just the same mapping (batch contract).
-            assert list(procs_fanout) == list(fanout)
+    for _ in range(8):
+        inserts, deletes, queries = split_batch(
+            random_batch(rng, rng.randrange(10, 150)))
+        assert sharded.insert_edges(inserts) == \
+            sum(owner(u).insert_edge(u, v) for u, v in inserts)
+        assert sharded.delete_edges(deletes) == \
+            sum(owner(u).delete_edge(u, v) for u, v in deletes)
+        assert sharded.has_edges(queries) == \
+            [owner(u).has_edge(u, v) for u, v in queries]
 
-            assert sorted(procs.edges()) == sorted(serial.edges())
-            assert procs.num_edges == serial.num_edges
-            assert procs.shard_sizes() == serial.shard_sizes()
-            assert procs.accesses == serial.accesses == threaded.accesses
-            assert procs.counters.snapshot() == serial.counters.snapshot() \
-                == threaded.counters.snapshot()
-        assert procs.structure_summary() == serial.structure_summary()
-    finally:
-        procs.close()
-        threaded.close()
+        for shard, alone in zip(sharded.shards, standalone):
+            assert sorted(shard.edges()) == sorted(alone.edges())
+            assert shard.accesses == alone.accesses
+            assert shard.counters.snapshot() == alone.counters.snapshot()
+        assert sharded.accesses == sum(alone.accesses for alone in standalone)
+        assert sharded.memory_bytes() == \
+            sum(alone.memory_bytes() for alone in standalone)
+    assert sharded.structure_summary()["shards"] == \
+        [alone.structure_summary() for alone in standalone]
+
+
+def test_weighted_batches_match_single_operations():
+    """Weighted shards: a duplicate in a batch is one weight increment, a
+    batch delete counts only edges whose weight reached zero -- exactly as
+    the same calls made one at a time, down to every weight."""
+    rng = random.Random(99)
+    batched = ShardedCuckooGraph(num_shards=4, weighted=True)
+    looped = ShardedCuckooGraph(num_shards=4, shard_factory=WeightedCuckooGraph)
+    for _ in range(8):
+        inserts, deletes, queries = split_batch(
+            random_batch(rng, rng.randrange(20, 120)))
+        assert batched.insert_edges(inserts) == \
+            sum(looped.insert_edge(u, v) for u, v in inserts)
+        assert batched.delete_edges(deletes) == \
+            sum(looped.delete_edge(u, v) for u, v in deletes)
+        assert batched.has_edges(queries) == \
+            [looped.has_edge(u, v) for u, v in queries]
+        assert sorted(batched.weighted_edges()) == sorted(looped.weighted_edges())
+        assert_modelled_identical(batched, looped)

@@ -7,8 +7,7 @@ and re-inserts after delete -- are replayed three ways:
 * **per-operation** against every store in the contract matrix
   (``ALL_STORE_FACTORIES``), asserting each individual result against the
   oracle;
-* **batched** through the sharded front-end's batch APIs under both the
-  serial and the threaded executor;
+* **batched** through the sharded front-end's batch APIs;
 * **through the GraphService front door**, submitting the whole stream as
   futures and checking every future's result against an oracle replay in
   submission order, then again as ``GraphClient`` batch calls of random
@@ -115,6 +114,11 @@ class Oracle:
         return self.successors(u)
 
 
+def is_weighted(store) -> bool:
+    """Weighted semantics: a weighted store, or a front-end over weighted shards."""
+    return isinstance(store, WeightedGraphStore) or getattr(store, "weighted", False)
+
+
 def apply_to_store(store, op) -> object:
     action, u, v = op
     if action == "insert":
@@ -132,6 +136,10 @@ def assert_final_state(store, oracle: Oracle, context: str) -> None:
     for u in range(NODE_RANGE):
         assert sorted(store.successors(u)) == sorted(oracle.successors(u)), \
             f"{context}: successors({u}) diverged"
+    if oracle.weighted:
+        for (u, v), weight in oracle.counts.items():
+            assert store.edge_weight(u, v) == weight, \
+                f"{context}: weight of {(u, v)} diverged"
 
 
 # --------------------------------------------------------------------- #
@@ -144,7 +152,7 @@ def test_fuzz_store_matrix(store_name, fuzz_seed):
     """Every per-op result of every store must match the oracle, op by op."""
     store = ALL_STORE_FACTORIES[store_name]()
     try:
-        oracle = Oracle(weighted=isinstance(store, WeightedGraphStore))
+        oracle = Oracle(weighted=is_weighted(store))
         for index, op in enumerate(generate_ops(fuzz_seed)):
             expected = oracle.apply(op)
             actual = apply_to_store(store, op)
@@ -164,19 +172,22 @@ def test_fuzz_store_matrix(store_name, fuzz_seed):
 
 
 # --------------------------------------------------------------------- #
-# 2. Batched replay through the sharded front-end, both executors
+# 2. Batched replay through the sharded front-end
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("weighted", [False, True], ids=["basic", "weighted"])
 @pytest.mark.parametrize("num_shards", [1, 4])
-def test_fuzz_sharded_batched(num_shards, executor, fuzz_seed):
-    """Random per-kind batches through the batch APIs agree with the oracle."""
+def test_fuzz_sharded_batched(num_shards, weighted, fuzz_seed):
+    """Random per-kind batches through the batch APIs agree with the oracle.
+
+    With weighted shards a duplicate in an insert batch bumps a weight and
+    a delete batch counts only the edges whose weight reached zero."""
     rng = random.Random(fuzz_seed * 31 + num_shards)
     ops = generate_ops(fuzz_seed)
-    oracle = Oracle()
-    context = f"seed={fuzz_seed} shards={num_shards} executor={executor}"
-    with ShardedCuckooGraph(num_shards=num_shards, executor=executor) as store:
+    oracle = Oracle(weighted=weighted)
+    context = f"seed={fuzz_seed} shards={num_shards} weighted={weighted}"
+    with ShardedCuckooGraph(num_shards=num_shards, weighted=weighted) as store:
         position = 0
         while position < len(ops):
             chunk = ops[position:position + rng.randrange(20, 90)]
@@ -206,19 +217,19 @@ def test_fuzz_sharded_batched(num_shards, executor, fuzz_seed):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-def test_fuzz_graph_service(executor, fuzz_seed):
+@pytest.mark.parametrize("num_shards", [1, 3])
+def test_fuzz_graph_service(num_shards, fuzz_seed):
     """Service futures must resolve to exactly the oracle's per-op results.
 
     The stream is submitted before the dispatcher starts, so the whole run
     flows through coalesced windows (maximum batching pressure), and the
     service's order-preserving run splitting is what keeps the sequential
-    oracle valid.
+    oracle valid -- whether a window's runs land on one shard or spread.
     """
     ops = generate_ops(fuzz_seed)
     oracle = Oracle()
-    context = f"seed={fuzz_seed} executor={executor}"
-    store = ShardedCuckooGraph(num_shards=3, executor=executor)
+    context = f"seed={fuzz_seed} shards={num_shards}"
+    store = ShardedCuckooGraph(num_shards=num_shards)
     service = GraphService(store, max_batch=64,
                            queue_capacity=len(ops), policy="block")
     futures = []
@@ -343,8 +354,9 @@ def fuzz_client_batches(client, store, max_batch, fuzz_seed, durable):
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["basic", "weighted"])
 @pytest.mark.parametrize("num_shards", [1, 3])
-def test_fuzz_persist_and_recover(num_shards, fuzz_seed, tmp_path):
+def test_fuzz_persist_and_recover(num_shards, weighted, fuzz_seed, tmp_path):
     """Recovery must reproduce the oracle at every probe point and at the end.
 
     The op stream is committed through the batch APIs in random chunks;
@@ -352,15 +364,16 @@ def test_fuzz_persist_and_recover(num_shards, fuzz_seed, tmp_path):
     a fresh store and compared to the oracle mid-flight.  At the end, the
     closed store is recovered, then a torn tail is simulated on one segment
     and recovery is checked to land on the previous group-commit boundary.
+    Over weighted shards every recovered weight must match too.
     """
     rng = random.Random(fuzz_seed * 17 + num_shards)
     ops = generate_ops(fuzz_seed)
-    oracle = Oracle()
-    context = f"seed={fuzz_seed} shards={num_shards} persist"
+    oracle = Oracle(weighted=weighted)
+    context = f"seed={fuzz_seed} shards={num_shards} weighted={weighted} persist"
     base = tmp_path / f"persist-{num_shards}"
 
     def fresh_inner():
-        return ShardedCuckooGraph(num_shards=num_shards)
+        return ShardedCuckooGraph(num_shards=num_shards, weighted=weighted)
 
     store = PersistentStore(base, store=fresh_inner(), own_store=True,
                             sync_on_commit=False, compact_wal_bytes=None)

@@ -3,13 +3,17 @@
 Contract conformance is covered by the cross-store suite in
 ``tests/baselines/test_store_contract.py`` (the sharded store is registered
 in ``ALL_STORE_FACTORIES``); this module checks the sharding-specific
-guarantees: routing stability, batch-vs-loop equivalence, aggregation of
-counters and memory, and the weighted pass-throughs.
+guarantees: routing stability, batch-vs-loop equivalence, the
+partition/group seam, aggregation of counters and memory, the close
+lifecycle, ``spawn_empty`` and the weighted pass-throughs.
 """
+
+import inspect
+import threading
 
 import pytest
 
-from repro import CuckooGraph, ShardedCuckooGraph
+from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.core import CuckooGraphConfig
 from repro.core.errors import ConfigurationError, StoreClosedError
 from repro.core.sharded import shard_index
@@ -160,86 +164,109 @@ class TestAggregation:
         assert graph.num_source_nodes == len(reference(small_edge_set))
 
 
-class TestExecutor:
-    """The pluggable executor: validation, lifecycle and equivalence."""
+class TestSerialOnly:
+    """One execution path: the executor knobs are gone, not ignored."""
 
-    def test_invalid_executor_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ShardedCuckooGraph(num_shards=2, executor="fibers")
+    def test_executor_argument_is_rejected(self):
+        # A caller still passing the removed knob must fail loudly rather
+        # than silently getting a different execution model.
+        with pytest.raises(TypeError):
+            ShardedCuckooGraph(num_shards=2, **{"executor": "serial"})
 
-    def test_serial_is_the_default_and_creates_no_pool(self, small_edge_set):
+    def test_constructor_has_no_execution_knobs(self):
+        parameters = inspect.signature(ShardedCuckooGraph).parameters
+        assert list(parameters) == ["num_shards", "config", "weighted", "shard_factory"]
+
+    def test_batches_run_on_the_calling_thread(self, small_edge_set):
         graph = ShardedCuckooGraph(num_shards=4)
-        assert graph.executor == "serial"
+        before = set(threading.enumerate())
         graph.insert_edges(small_edge_set)
-        assert graph._pool is None
-
-    def test_pool_is_lazy_and_closeable(self, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4, executor="threads")
-        assert graph._pool is None
-        graph.insert_edges(small_edge_set)
-        assert graph._pool is not None
+        graph.has_edges(small_edge_set)
+        graph.successors_many(u for u, _ in small_edge_set)
+        graph.delete_edges(small_edge_set[:300])
         graph.close()
-        assert graph._pool is None
-        assert graph.closed
+        assert set(threading.enumerate()) == before
 
-    def test_context_manager_closes_pool(self, small_edge_set):
-        with ShardedCuckooGraph(num_shards=4, executor="threads") as graph:
-            graph.insert_edges(small_edge_set)
-            assert graph._pool is not None
-        assert graph._pool is None
-        assert graph.closed
 
-    def test_threaded_batches_match_serial(self, small_edge_set, reference):
-        serial = ShardedCuckooGraph(num_shards=4)
-        with ShardedCuckooGraph(num_shards=4, executor="threads") as threaded:
-            assert threaded.insert_edges(small_edge_set) == \
-                serial.insert_edges(small_edge_set)
-            assert threaded.has_edges(small_edge_set) == serial.has_edges(small_edge_set)
-            adjacency = reference(small_edge_set)
-            fanned = threaded.successors_many(list(adjacency))
-            assert fanned == serial.successors_many(list(adjacency))
-            assert threaded.delete_edges(small_edge_set[:300]) == \
-                serial.delete_edges(small_edge_set[:300]) == 300
-            assert sorted(threaded.edges()) == sorted(serial.edges())
+class TestGroupSeam:
+    """``partition_edges`` + ``insert_groups``/``delete_groups`` *are* the
+    batch mutations; wrappers that route once rely on the equivalence."""
 
-    def test_threaded_counters_and_accesses_match_serial(self, small_edge_set):
-        serial = ShardedCuckooGraph(num_shards=4)
-        with ShardedCuckooGraph(num_shards=4, executor="threads") as threaded:
-            serial.insert_edges(small_edge_set)
-            threaded.insert_edges(small_edge_set)
-            serial.has_edges(small_edge_set)
-            threaded.has_edges(small_edge_set)
-            assert threaded.counters.snapshot() == serial.counters.snapshot()
-            assert threaded.accesses == serial.accesses
-            assert threaded.num_edges == serial.num_edges
+    def test_partition_groups_by_owner_in_first_seen_order(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
+        groups = graph.partition_edges(small_edge_set)
+        first_seen = list(dict.fromkeys(graph.shard_of(u) for u, _ in small_edge_set))
+        assert list(groups) == first_seen
+        for index, group in groups.items():
+            assert group == [edge for edge in small_edge_set
+                             if graph.shard_of(edge[0]) == index]
 
-    def test_max_workers_override(self, small_edge_set):
-        with ShardedCuckooGraph(num_shards=8, executor="threads",
-                                max_workers=2) as graph:
-            assert graph.insert_edges(small_edge_set) == len(small_edge_set)
-            assert graph._pool._max_workers == 2
+    def test_partition_touches_no_shard(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
+        graph.partition_edges(small_edge_set)
+        assert graph.num_edges == 0
+        assert graph.accesses == 0
+        assert graph.counters.snapshot() == ShardedCuckooGraph().counters.snapshot()
+
+    def test_insert_groups_is_insert_edges(self, small_edge_set):
+        seam = ShardedCuckooGraph(num_shards=4)
+        batch = ShardedCuckooGraph(num_shards=4)
+        assert seam.insert_groups(seam.partition_edges(small_edge_set)) == \
+            batch.insert_edges(small_edge_set) == len(small_edge_set)
+        assert seam.structure_summary() == batch.structure_summary()
+        assert seam.counters.snapshot() == batch.counters.snapshot()
+        assert seam.accesses == batch.accesses
+
+    def test_delete_groups_is_delete_edges(self, small_edge_set):
+        seam = ShardedCuckooGraph(num_shards=4)
+        batch = ShardedCuckooGraph(num_shards=4)
+        seam.insert_edges(small_edge_set)
+        batch.insert_edges(small_edge_set)
+        victims = small_edge_set[::3] + [(10**9, 1)]
+        assert seam.delete_groups(seam.partition_edges(victims)) == \
+            batch.delete_edges(victims) == len(small_edge_set[::3])
+        assert sorted(seam.edges()) == sorted(batch.edges())
+        assert seam.counters.snapshot() == batch.counters.snapshot()
+        assert seam.accesses == batch.accesses
+
+    def test_empty_batches_are_free(self):
+        graph = ShardedCuckooGraph(num_shards=4)
+        assert graph.partition_edges([]) == {}
+        assert graph.insert_edges([]) == 0
+        assert graph.delete_edges([]) == 0
+        assert graph.has_edges([]) == []
+        assert graph.successors_many([]) == {}
+        assert graph.accesses == 0
+
+    def test_batches_accept_one_shot_iterators(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
+        assert graph.insert_edges(iter(small_edge_set)) == len(small_edge_set)
+        assert graph.has_edges(edge for edge in small_edge_set) == \
+            [True] * len(small_edge_set)
+        nodes = [u for u, _ in small_edge_set[:20]]
+        assert list(graph.successors_many(iter(nodes))) == list(dict.fromkeys(nodes))
+        assert graph.delete_edges(iter(small_edge_set[:10])) == 10
 
 
 class TestCloseLifecycle:
-    """``close`` is idempotent; post-close batch calls fail loudly.
+    """``close`` is idempotent; post-close batch calls fail loudly, single
+    operations keep working so a closed store can still be inspected."""
 
-    The latent bug this pins down: ``close`` used to merely drop the thread
-    pool, so a second ``close`` raced a concurrent batch lazily resurrecting
-    it, and use-after-close silently rebuilt executor state.  Now the store
-    transitions to a terminal closed state instead.
-    """
-
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_close_is_idempotent(self, executor, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4, executor=executor)
+    def test_close_is_idempotent(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
         graph.insert_edges(small_edge_set[:50])
         graph.close()
         graph.close()  # second close must be a no-op, not an error
         assert graph.closed
 
-    @pytest.mark.parametrize("executor", ["serial", "threads", "processes"])
-    def test_batch_calls_after_close_raise(self, executor, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4, executor=executor)
+    def test_context_manager_closes(self, small_edge_set):
+        with ShardedCuckooGraph(num_shards=4) as graph:
+            graph.insert_edges(small_edge_set[:50])
+            assert not graph.closed
+        assert graph.closed
+
+    def test_batch_calls_after_close_raise(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
         graph.insert_edges(small_edge_set[:50])
         graph.close()
         with pytest.raises(StoreClosedError):
@@ -250,154 +277,91 @@ class TestCloseLifecycle:
             graph.has_edges([(1, 2)])
         with pytest.raises(StoreClosedError):
             graph.successors_many([1])
+        with pytest.raises(StoreClosedError):
+            graph.insert_groups(graph.partition_edges([(1, 2)]))
+        with pytest.raises(StoreClosedError):
+            graph.delete_groups(graph.partition_edges([(1, 2)]))
 
-    def test_single_operation_reads_survive_close(self, small_edge_set):
-        # threads only: closing merely drops the pool, the in-process shard
-        # state is still readable.  The process executor has no such state
-        # (see TestProcessExecutor.test_close_is_fully_terminal).
-        graph = ShardedCuckooGraph(num_shards=4, executor="threads")
+    def test_refused_batches_leave_the_store_untouched(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
+        graph.insert_edges(small_edge_set[:50])
+        graph.close()
+        summary, accesses = graph.structure_summary(), graph.accesses
+        for call, argument in ((graph.insert_edges, small_edge_set[50:]),
+                               (graph.delete_edges, small_edge_set[:50]),
+                               (graph.has_edges, small_edge_set)):
+            with pytest.raises(StoreClosedError):
+                call(argument)
+        assert graph.structure_summary() == summary
+        assert graph.accesses == accesses
+
+    def test_single_operations_survive_close(self, small_edge_set):
+        graph = ShardedCuckooGraph(num_shards=4)
         graph.insert_edges(small_edge_set[:50])
         graph.close()
         u, v = small_edge_set[0]
         assert graph.has_edge(u, v)
         assert v in graph.successors(u)
         assert graph.num_edges == 50
+        assert graph.insert_edge(10**9, 1) is True
 
     def test_close_before_any_batch_is_safe(self):
-        graph = ShardedCuckooGraph(num_shards=2, executor="threads")
+        graph = ShardedCuckooGraph(num_shards=2)
         graph.close()
-        assert graph.closed and graph._pool is None
-
-
-class TestProcessExecutor:
-    """Process-backed shards: equivalence, lifecycle and crash handling.
-
-    Unlike ``threads``, the shard state lives in long-lived worker
-    processes and every operation -- single ops included -- crosses the
-    WAL-op-encoded shard RPC.  These tests pin the executor-specific
-    guarantees; byte-identical observables across all three executors are
-    enforced by ``tests/core/test_differential.py`` and the fuzz lanes.
-    """
-
-    def test_batches_and_single_ops_match_serial(self, small_edge_set, reference):
-        serial = ShardedCuckooGraph(num_shards=4)
-        with ShardedCuckooGraph(num_shards=4, executor="processes") as procs:
-            assert procs.insert_edges(small_edge_set) == \
-                serial.insert_edges(small_edge_set)
-            assert procs.has_edges(small_edge_set) == \
-                serial.has_edges(small_edge_set)
-            adjacency = reference(small_edge_set)
-            fanned = procs.successors_many(list(adjacency))
-            assert fanned == serial.successors_many(list(adjacency))
-            for u, v in small_edge_set[:40]:
-                assert procs.has_edge(u, v) == serial.has_edge(u, v)
-                assert procs.out_degree(u) == serial.out_degree(u)
-                assert sorted(procs.successors(u)) == sorted(serial.successors(u))
-                assert procs.has_node(u) == serial.has_node(u)
-            assert procs.delete_edges(small_edge_set[:300]) == \
-                serial.delete_edges(small_edge_set[:300]) == 300
-            assert sorted(procs.edges()) == sorted(serial.edges())
-            assert sorted(procs.source_nodes()) == sorted(serial.source_nodes())
-            assert procs.num_edges == serial.num_edges
-            assert procs.num_source_nodes == serial.num_source_nodes
-            assert procs.shard_sizes() == serial.shard_sizes()
-            assert procs.memory_bytes() > 0
-
-    def test_counters_and_accesses_match_serial(self, small_edge_set):
-        serial = ShardedCuckooGraph(num_shards=4)
-        with ShardedCuckooGraph(num_shards=4, executor="processes") as procs:
-            serial.insert_edges(small_edge_set)
-            procs.insert_edges(small_edge_set)
-            serial.has_edges(small_edge_set)
-            procs.has_edges(small_edge_set)
-            assert procs.counters.snapshot() == serial.counters.snapshot()
-            assert procs.accesses == serial.accesses
-            procs.reset_accesses()
-            assert procs.accesses == 0
-            summary = procs.structure_summary()
-            assert summary["num_shards"] == 4
-            assert summary["num_edges"] == serial.num_edges
-
-    def test_spawn_empty_preserves_executor_and_workers(self):
-        with ShardedCuckooGraph(num_shards=4, executor="processes",
-                                max_workers=2) as graph:
-            graph.insert_edge(1, 2)
-            fresh = graph.spawn_empty()
-            try:
-                assert fresh.executor == "processes"
-                assert fresh.num_shards == 4
-                assert fresh._procs is not None
-                assert len(fresh._procs.workers) == 2
-                assert fresh.num_edges == 0
-                assert fresh.insert_edge(1, 2) is True
-                assert graph.num_edges == 1
-            finally:
-                fresh.close()
-
-    def test_close_is_fully_terminal(self, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4, executor="processes")
-        graph.insert_edges(small_edge_set[:50])
-        graph.close()
-        graph.close()  # idempotent
         assert graph.closed
-        u, v = small_edge_set[0]
-        # The shard state died with the workers: even single-op reads must
-        # fail loudly instead of answering from nothing.
+        assert graph.num_edges == 0
         with pytest.raises(StoreClosedError):
-            graph.has_edge(u, v)
-        with pytest.raises(StoreClosedError):
-            graph.successors(u)
-        with pytest.raises(StoreClosedError):
-            graph.insert_edge(9, 9)
+            graph.insert_edges([(1, 2)])
 
-    def test_worker_crash_surfaces_as_store_closed(self, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4, executor="processes",
-                                   max_workers=2)
-        try:
-            graph.insert_edges(small_edge_set[:100])
-            victim = graph._procs.workers[0].process
-            victim.kill()
-            victim.join(timeout=10)
-            with pytest.raises(StoreClosedError):
-                # Touch every shard so the dead worker is definitely hit.
-                graph.has_edges(small_edge_set[:100])
-            # The pool is dead for good, not limping on one worker.
-            with pytest.raises(StoreClosedError):
-                graph.insert_edge(1, 2)
-        finally:
-            graph.close()
 
-    def test_shard_factory_rejected(self):
-        from repro import WeightedCuckooGraph
+class TestSingleOperations:
+    def test_single_ops_agree_with_a_batch_built_store(self, small_edge_set):
+        batched = ShardedCuckooGraph(num_shards=4)
+        looped = ShardedCuckooGraph(num_shards=4)
+        batched.insert_edges(small_edge_set)
+        for u, v in small_edge_set:
+            looped.insert_edge(u, v)
+        for u, v in small_edge_set[:80] + [(10**9, 1)]:
+            assert batched.has_edge(u, v) == looped.has_edge(u, v)
+            assert batched.out_degree(u) == looped.out_degree(u)
+            assert batched.successors(u) == looped.successors(u)
+            assert batched.has_node(u) == looped.has_node(u)
+        assert sorted(batched.source_nodes()) == sorted(looped.source_nodes())
+        assert batched.num_source_nodes == looped.num_source_nodes
+        assert batched.shard_sizes() == looped.shard_sizes()
 
-        with pytest.raises(ConfigurationError):
-            ShardedCuckooGraph(num_shards=2, executor="processes",
-                               shard_factory=WeightedCuckooGraph)
 
-    def test_weighted_process_shards(self):
-        with ShardedCuckooGraph(num_shards=4, weighted=True,
-                                executor="processes") as graph:
-            assert graph.insert_weighted_edge(1, 2) == 1
-            assert graph.insert_weighted_edge(1, 2) == 2
-            assert graph.edge_weight(1, 2) == 2
-            assert graph.delete_edge(1, 2) is False  # decrements to weight 1
-            assert graph.has_edge(1, 2)
-            assert graph.delete_edge(1, 2) is True
-            assert not graph.has_edge(1, 2)
-            for u in range(30):
-                graph.insert_weighted_edge(u, u + 1)
-                graph.insert_weighted_edge(u, u + 1)
-            assert sorted(graph.weighted_edges()) == \
-                [(u, u + 1, 2) for u in range(30)]
+class TestSpawnEmpty:
+    def test_spawn_empty_keeps_shape_and_shares_nothing(self):
+        graph = ShardedCuckooGraph(num_shards=3, config=CuckooGraphConfig(seed=11))
+        graph.insert_edge(1, 2)
+        fresh = graph.spawn_empty()
+        assert fresh.num_shards == 3
+        assert fresh.config == graph.config
+        assert [s.config.seed for s in fresh.shards] == [11, 12, 13]
+        assert fresh.num_edges == 0 and not fresh.closed
+        assert fresh.insert_edge(1, 2) is True
+        assert graph.num_edges == 1
+        assert fresh.shards[0] is not graph.shards[0]
 
-    def test_fewer_workers_than_shards(self, small_edge_set):
-        with ShardedCuckooGraph(num_shards=8, executor="processes",
-                                max_workers=3) as graph:
-            serial = ShardedCuckooGraph(num_shards=8)
-            assert graph.insert_edges(small_edge_set) == \
-                serial.insert_edges(small_edge_set)
-            assert sorted(graph.edges()) == sorted(serial.edges())
-            assert len(graph._procs.workers) == 3
+    def test_spawn_empty_keeps_weighted_shards(self):
+        for graph in (ShardedCuckooGraph(num_shards=2, weighted=True),
+                      ShardedCuckooGraph(num_shards=2,
+                                         shard_factory=WeightedCuckooGraph)):
+            fresh = graph.spawn_empty()
+            assert fresh.weighted is True
+            assert all(isinstance(s, WeightedCuckooGraph) for s in fresh.shards)
+
+    def test_spawn_empty_does_not_carry_a_custom_factory(self):
+        built = []
+
+        def factory(config):
+            built.append(config.seed)
+            return CuckooGraph(config)
+
+        graph = ShardedCuckooGraph(num_shards=2, shard_factory=factory)
+        graph.spawn_empty()
+        assert built == [1, 2]  # only the original's two shards
 
 
 class TestWeightedSharding:
@@ -419,9 +383,18 @@ class TestWeightedSharding:
         triples = sorted(graph.weighted_edges())
         assert triples == [(u, u + 1, 2) for u in range(50)]
 
-    def test_custom_weighted_factory_enables_weighted_operations(self):
-        from repro import WeightedCuckooGraph
+    def test_weighted_batches_count_weights(self):
+        graph = ShardedCuckooGraph(num_shards=4, weighted=True)
+        edges = [(u, u + 1) for u in range(40)]
+        assert graph.insert_edges(edges + edges[:10]) == 40
+        assert graph.edge_weight(0, 1) == 2 and graph.edge_weight(39, 40) == 1
+        # The first delete of a weight-2 edge only decrements it.
+        assert graph.delete_edges(edges[:20]) == 10
+        assert graph.has_edges(edges[:20]) == [True] * 10 + [False] * 10
+        assert sorted(graph.weighted_edges()) == \
+            [(u, u + 1, 1) for u in range(10)] + [(u, u + 1, 1) for u in range(20, 40)]
 
+    def test_custom_weighted_factory_enables_weighted_operations(self):
         graph = ShardedCuckooGraph(num_shards=2, shard_factory=WeightedCuckooGraph)
         assert graph.weighted is True
         assert graph.insert_weighted_edge(1, 2) == 1

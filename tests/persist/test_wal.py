@@ -59,8 +59,8 @@ class TestFraming:
 
 class TestFlatGroupEncoder:
     """``encode_edge_ops`` packs a shard group in one call; the bytes are
-    ``encode_ops``'s, so every reader (recovery, tailers, shard workers)
-    is untouched by which of the two wrote a record."""
+    ``encode_ops``'s, so every reader (recovery, replication backfill) is
+    untouched by which of the two wrote a record."""
 
     @pytest.mark.parametrize("tag", [INSERT, DELETE])
     @pytest.mark.parametrize("size", [0, 1, 2, 255, 256, 257, 600])
@@ -84,26 +84,25 @@ class TestFlatGroupEncoder:
             with pytest.raises(PersistenceError):
                 encode_edge_ops(tag, [(1, 2)])
 
-    def test_process_executor_ships_the_same_bytes(self, monkeypatch):
-        """The shard RPC of executor="processes" encodes its groups with it."""
+    def test_routed_groups_replay_onto_their_own_shards(self):
+        """One record per ``partition_edges`` group: decoding every record
+        and handing the groups back rebuilds each shard exactly."""
         from repro.core.sharded import ShardedCuckooGraph
 
-        edges = [(node, node + 1) for node in range(40)]
-        shipped = {}
-        with ShardedCuckooGraph(num_shards=2, executor="processes") as graph:
-            scatter = graph._procs.scatter
+        rng = random.Random(5)
+        edges = [(rng.randrange(500), rng.randrange(500)) for _ in range(400)]
+        live = ShardedCuckooGraph(num_shards=3)
+        groups = live.partition_edges(edges)
+        records = {index: encode_edge_ops(INSERT, group)
+                   for index, group in groups.items()}
+        live.insert_groups(groups)
 
-            def spy(requests):
-                for method, groups in requests.values():
-                    if method == "apply":
-                        shipped.update(dict(groups))
-                return scatter(requests)
-
-            monkeypatch.setattr(graph._procs, "scatter", spy)
-            assert graph.insert_edges(edges) == len(edges)
-            groups = graph.partition_edges(edges)
-        assert shipped == {index: encode_ops((INSERT, u, v) for u, v in group)
-                           for index, group in groups.items()}
+        replica = ShardedCuckooGraph(num_shards=3)
+        replica.insert_groups({index: [(u, v) for _, u, v in decode_ops(payload)]
+                               for index, payload in records.items()})
+        assert [sorted(shard.edges()) for shard in replica.shards] == \
+            [sorted(shard.edges()) for shard in live.shards]
+        assert replica.counters.snapshot() == live.counters.snapshot()
 
 
 class TestAppendAndRead:

@@ -174,33 +174,102 @@ class TestBroadcastIsolatesSendErrors:
 
 
 class TestInProcessChannel:
-    """The deque-backed pipe: FIFO, never blocks a poll, wakes a timed wait."""
+    """The deque-backed pipe: FIFO, a dry poll returns ``None``, every send
+    and the close each wake the listener once."""
 
-    def test_poll_timed_receive_and_drain(self):
+    def test_fifo_poll_and_listener(self):
         from repro.replicate import InProcessChannel, InProcessTransport
 
         channel = InProcessTransport().connect()
         assert isinstance(channel, InProcessChannel)
         assert channel.receive() is None  # dry: no exception raised inside
-        started = time.monotonic()
-        assert channel.receive(timeout=0.05) is None
-        assert time.monotonic() - started >= 0.05
 
         heard = []
         channel.set_listener(lambda: heard.append(1))
-        sender = threading.Timer(0.05, channel.send, args=("late",))
-        sender.start()
-        assert channel.receive(timeout=10.0) == "late"  # woken, not timed out
-        sender.join(timeout=10)
-        assert not sender.is_alive()
         for message in ("a", "b", "c"):
             channel.send(message)
-        assert channel.receive() == "a"
-        assert channel.drain() == ["b", "c"]
-        assert channel.drain() == []
+        assert len(heard) == 3
+        assert [channel.receive() for _ in range(3)] == ["a", "b", "c"]
+        assert channel.receive() is None
+        channel.send("d")
+        assert channel.receive() == "d"
         assert len(heard) == 4
 
         channel.close()
         assert channel.closed and len(heard) == 5  # close notifies too
         with pytest.raises(ReplicationError, match="closed"):
             channel.send("after close")
+
+
+class TestSocketChannel:
+    """The follower end of the socket transport: its reader thread queues
+    frames in arrival order, a dry poll returns ``None``, the consumer end
+    refuses to ship, and a peer hang-up closes it and wakes the listener."""
+
+    def test_fifo_poll_listener_and_peer_close(self):
+        import socket
+
+        from repro.persist import INSERT, encode_frame
+        from repro.replicate import GenerationBump, RecordShipment
+        from repro.replicate.net import SocketChannel, encode_message
+
+        primary_end, follower_end = socket.socketpair()
+        channel = SocketChannel(follower_end)
+        arrivals = threading.Semaphore(0)
+        heard = []
+
+        def listener():
+            heard.append(1)
+            arrivals.release()
+
+        channel.set_listener(listener)
+        channel.start()
+        try:
+            assert channel.receive() is None
+            messages = [
+                RecordShipment(commit_index=index, segment=index % 2,
+                               generation=0, ops=((INSERT, index, index + 1),),
+                               end_offset=100 * index)
+                for index in range(1, 4)
+            ] + [GenerationBump(commit_index=3, generation=1)]
+            for message in messages:
+                primary_end.sendall(encode_frame(encode_message(message)))
+            for _ in messages:
+                assert arrivals.acquire(timeout=10)
+            assert [channel.receive() for _ in messages] == messages
+            assert channel.receive() is None
+            with pytest.raises(ReplicationError, match="consumer end"):
+                channel.send(messages[0])
+
+            primary_end.close()
+            assert arrivals.acquire(timeout=10)  # the close wakes it too
+            assert channel.closed and len(heard) == len(messages) + 1
+        finally:
+            primary_end.close()
+            channel.close()
+            if channel._reader is not None:
+                channel._reader.join(timeout=10)
+
+    def test_corrupt_frame_closes_the_channel(self):
+        import socket
+        import zlib
+
+        from repro.persist import FRAME_HEADER
+        from repro.replicate.net import SocketChannel
+
+        primary_end, follower_end = socket.socketpair()
+        channel = SocketChannel(follower_end)
+        closed = threading.Event()
+        channel.set_listener(closed.set)
+        channel.start()
+        try:
+            payload = b"\x01not a record"
+            bad_crc = zlib.crc32(payload) ^ 1
+            primary_end.sendall(FRAME_HEADER.pack(len(payload), bad_crc) + payload)
+            assert closed.wait(10)
+            assert channel.closed
+            assert channel.receive() is None  # nothing half-decoded queued
+        finally:
+            primary_end.close()
+            channel.close()
+            channel._reader.join(timeout=10)

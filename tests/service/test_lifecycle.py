@@ -11,6 +11,7 @@ from repro import ShardedCuckooGraph
 from repro.interfaces import DynamicGraphStore
 from repro.service import (
     BoundedRequestQueue,
+    GraphClient,
     GraphService,
     QueueFullError,
     Request,
@@ -81,6 +82,17 @@ class TestLifecycle:
         assert not store.closed
         assert store.insert_edges([(2, 3)]) == 1  # still fully usable
         store.close()
+
+    def test_local_client_takes_no_executor(self):
+        # The store has one execution path; a caller still asking for a
+        # thread or process executor fails before any thread starts.
+        before = threading.active_count()
+        with pytest.raises(TypeError):
+            GraphClient.local(num_shards=2, **{"executor": "threads"})
+        assert threading.active_count() == before
+        with GraphClient.local(num_shards=2) as client:
+            assert client.insert_edges([(1, 2), (2, 3)]) == 2
+            assert client.has_edges([(1, 2), (3, 1)]) == [True, False]
 
     def test_idle_dispatcher_sleeps_untimed_and_close_wakes_it(self):
         """No idle heartbeat: an idle dispatcher parks in one untimed wait

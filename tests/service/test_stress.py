@@ -11,7 +11,8 @@ Two traffic shapes:
   key range.  Interleaving is nondeterministic, but conservation laws are
   not: each distinct edge's "newly inserted" result must be handed out
   exactly once across all threads, and the final edge set must be exactly
-  the union of everything submitted.
+  the union of everything submitted.  Over weighted shards, each edge's
+  final weight must equal how often it was submitted.
 
 Both shapes assert the accounting invariant the ISSUE names: no request
 future is dropped (every future resolves) and none is double-resolved
@@ -25,6 +26,7 @@ from __future__ import annotations
 import random
 import sys
 import threading
+from collections import Counter
 
 from repro import ShardedCuckooGraph
 from repro.service import GraphService
@@ -136,28 +138,42 @@ def test_overlapping_keyspace_conserves_insert_results():
     assert summary["failed"] == summary["cancelled"] == 0
 
 
-def test_concurrent_clients_with_threaded_store_executor():
-    """Full stack: client threads -> service batcher -> threaded shard pool."""
-    with ShardedCuckooGraph(num_shards=4, executor="threads") as store:
-        service = GraphService(store, max_batch=128).start()
-        barrier = threading.Barrier(3)
-        totals = [0, 0, 0]
+def test_overlapping_keyspace_conserves_weights():
+    """Weighted shards under the same race: every duplicate insert must land
+    as one weight increment, so each edge's final weight is the number of
+    times any thread submitted it -- coalescing a window may not merge or
+    drop a duplicate."""
+    store = ShardedCuckooGraph(num_shards=4, weighted=True)
+    service = GraphService(store, max_batch=64, queue_capacity=128,
+                           policy="block").start()
+    barrier = threading.Barrier(THREADS)
+    new_counts = [0] * THREADS
+    submitted: list[Counter] = [Counter() for _ in range(THREADS)]
 
-        def client(index: int):
-            edges = [(index * 1000 + u, index * 1000 + u + 1) for u in range(200)]
-            barrier.wait(WAIT_S)
-            futures = [service.insert_edge(u, v) for u, v in edges]
-            totals[index] = sum(future.result(WAIT_S) for future in futures)
+    def client(index: int):
+        rng = random.Random(911 + index)
+        barrier.wait(WAIT_S)
+        futures = []
+        for _ in range(OPS_PER_THREAD):
+            u, v = rng.randrange(25), rng.randrange(25)
+            submitted[index][(u, v)] += 1
+            futures.append(service.insert_edge(u, v))
+        new_counts[index] = sum(future.result(WAIT_S) for future in futures)
 
-        threads = [threading.Thread(target=client, args=(index,))
-                   for index in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(WAIT_S)
-        service.close()
-        assert totals == [200, 200, 200]
-        assert store.num_edges == 600
+    threads = [threading.Thread(target=client, args=(index,))
+               for index in range(THREADS)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(WAIT_S)
+    service.close()
+
+    total = sum(submitted, Counter())
+    assert sum(new_counts) == len(total)
+    assert {(u, v): w for u, v, w in store.weighted_edges()} == dict(total)
+    summary = service.metrics_summary()
+    assert summary["resolved"] == THREADS * OPS_PER_THREAD
+    assert summary["failed"] == summary["cancelled"] == 0
 
 
 def test_tiny_queue_never_loses_a_wakeup_between_lists_and_singles():
