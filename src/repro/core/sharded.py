@@ -7,10 +7,10 @@ problem into per-cluster sub-problems.  :class:`ShardedCuckooGraph` implements
 that front-end:
 
 * **Partitioning.**  Every directed edge ``⟨u, v⟩`` lives on the shard owned
-  by its *source* node ``u``.  The shard index is a deterministic
-  multiply-shift hash of ``u`` reduced modulo the shard count, so the same
-  node always lands on the same shard -- across operations, across instances
-  and across processes.  Because all of ``u``'s out-edges share a shard,
+  by its *source* node ``u``, chosen by :func:`~repro.interfaces.shard_index`
+  -- the one routing hash every store and the write-ahead log share -- so
+  the same node always lands on the same shard, across operations, instances
+  and processes.  Because all of ``u``'s out-edges share a shard,
   ``successors(u)`` and ``out_degree(u)`` are single-shard operations.
 
 * **Independence.**  Each shard is a complete :class:`~repro.core.graph.CuckooGraph`
@@ -21,12 +21,12 @@ that front-end:
 
 * **Batching.**  The batch operations (:meth:`insert_edges`,
   :meth:`delete_edges`, :meth:`has_edges`, :meth:`successors_many`) group a
-  request stream per shard first and then drain each group, one after
-  another on the calling thread, with the shard's bound method, amortizing
-  routing, attribute lookups and dispatch over the whole group instead of
-  paying them per edge.  Results are scattered back in input order where
-  order matters (:meth:`has_edges`).  For the mutations the two halves are
-  public -- :meth:`partition_edges`, then
+  request stream per shard first (:func:`~repro.interfaces.partition`) and
+  then drain each group, one after another on the calling thread, with the
+  shard's bound method, amortizing attribute lookups and dispatch over the
+  whole group instead of paying them per edge.  Results are scattered back in
+  input order where order matters (:meth:`has_edges`).  The mutations are the
+  store contract's two halves -- ``partition_edges``, then
   :meth:`insert_groups`/:meth:`delete_groups` -- so a wrapper that needs the
   routing itself (the write-ahead log keeps one segment per shard) routes a
   batch once and hands the groups back.
@@ -45,29 +45,12 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Optional
 
-from ..interfaces import DynamicGraphStore, WeightedGraphStore
+from ..interfaces import DynamicGraphStore, WeightedGraphStore, partition, shard_index
 from .config import CuckooGraphConfig, PAPER_CONFIG
 from .counters import Counters
 from .errors import ConfigurationError, StoreClosedError
 from .graph import CuckooGraph
 from .weighted import WeightedCuckooGraph
-
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-#: Fixed odd multiplier for the shard-routing hash (multiply-shift).  It is a
-#: constant -- not drawn from a seeded RNG -- so that routing is stable across
-#: instances, which the rebalancing-free scale-out story depends on.
-_ROUTE_MULTIPLIER = 0x9E3779B97F4A7C15
-
-
-def shard_index(node: int, num_shards: int) -> int:
-    """Deterministic shard index of a source node.
-
-    A multiply-shift hash decorrelates the shard choice from the low bits of
-    the node id (sequential ids would otherwise stripe shards), and the high
-    32 bits are reduced modulo the shard count.
-    """
-    return (((node * _ROUTE_MULTIPLIER) & _MASK64) >> 32) % num_shards
 
 
 class ShardedCuckooGraph(DynamicGraphStore):
@@ -162,32 +145,8 @@ class ShardedCuckooGraph(DynamicGraphStore):
             num_shards=self.num_shards, config=self.config, weighted=self.weighted
         )
 
-    def shard_of(self, u: int) -> int:
-        """Shard index owning source node ``u`` (stable for the graph's lifetime)."""
-        return shard_index(u, self.num_shards)
-
     def _shard(self, u: int) -> CuckooGraph:
         return self.shards[shard_index(u, self.num_shards)]
-
-    def _partition(self, pairs: Iterable[tuple[int, object]]) -> dict[int, list]:
-        """Group ``(routing node, payload)`` pairs per owning shard.
-
-        What the batch reads route through (the mutations have
-        :meth:`partition_edges`); the expression is the inlined body of
-        :func:`shard_index` (kept inline so the per-item cost stays one
-        multiply, not a function call).  Per-shard payload order follows
-        input order.
-        """
-        num_shards = self.num_shards
-        groups: dict[int, list] = {}
-        for node, payload in pairs:
-            index = (((node * _ROUTE_MULTIPLIER) & _MASK64) >> 32) % num_shards
-            group = groups.get(index)
-            if group is None:
-                groups[index] = [payload]
-            else:
-                group.append(payload)
-        return groups
 
     # ------------------------------------------------------------------ #
     # DynamicGraphStore API (single-operation paths)
@@ -241,30 +200,6 @@ class ShardedCuckooGraph(DynamicGraphStore):
     # Batch operations (the point of the front-end)
     # ------------------------------------------------------------------ #
 
-    def partition_edges(
-        self, edges: Iterable[tuple[int, int]]
-    ) -> dict[int, list[tuple[int, int]]]:
-        """Group a mutation batch per owning shard: ``{shard index: edges}``.
-
-        Together with :meth:`insert_groups`/:meth:`delete_groups` this is the
-        public seam of the batch mutations: ``insert_edges(edges)`` *is*
-        ``insert_groups(partition_edges(edges))``.  A caller that needs the
-        routing for its own purposes -- :class:`~repro.persist.PersistentStore`
-        writes one WAL record per group -- partitions once and hands the same
-        groups back, instead of re-deriving them through :meth:`shard_of`.
-        Groups appear in first-seen order and keep input order within.
-        """
-        num_shards = self.num_shards
-        groups: dict[int, list[tuple[int, int]]] = {}
-        for edge in edges:
-            index = (((edge[0] * _ROUTE_MULTIPLIER) & _MASK64) >> 32) % num_shards
-            group = groups.get(index)
-            if group is None:
-                groups[index] = [edge]
-            else:
-                group.append(edge)
-        return groups
-
     def insert_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
         """Insert :meth:`partition_edges` groups; return how many edges were new."""
         self._check_open()
@@ -307,9 +242,8 @@ class ShardedCuckooGraph(DynamicGraphStore):
         self._check_open()
         edges = list(edges)
         shards = self.shards
-        groups = self._partition(
-            (edge[0], position) for position, edge in enumerate(edges)
-        )
+        groups = partition(range(len(edges)), self.num_shards,
+                           node=lambda position: edges[position][0])
         answers: list[bool] = [False] * len(edges)
         for index, positions in groups.items():
             query = shards[index].has_edge
@@ -330,7 +264,7 @@ class ShardedCuckooGraph(DynamicGraphStore):
         ordered = list(dict.fromkeys(nodes))
         shards = self.shards
         gathered: dict[int, list[int]] = {}
-        for index, group in self._partition((u, u) for u in ordered).items():
+        for index, group in partition(ordered, self.num_shards, node=lambda u: u).items():
             successors = shards[index].successors
             for u in group:
                 gathered[u] = successors(u)

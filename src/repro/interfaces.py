@@ -6,13 +6,57 @@ operations (insert / query / delete an edge, enumerate successors) and the
 same analytics kernels.  :class:`DynamicGraphStore` captures exactly that
 contract so the benchmark harness and the analytics package never special-case
 a particular scheme.
+
+Shard routing is part of the same contract and is decided here only:
+:func:`shard_index` places a source node, :func:`partition` groups a batch by
+it, and every store answers ``num_shards`` / ``shard_of`` /
+``partition_edges`` from those two.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from itertools import starmap
-from typing import Iterable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, TypeVar
+
+_T = TypeVar("_T")
+
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+#: Fixed odd multiplier for the shard-routing hash (multiply-shift).  It is a
+#: constant -- not drawn from a seeded RNG -- so that routing is stable across
+#: instances and processes.  WAL segment *i* holds exactly the sources routed
+#: to shard *i*, so changing the hash changes the on-disk format.
+_ROUTE_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def shard_index(node: int, num_shards: int) -> int:
+    """Deterministic shard index of a source node.
+
+    A multiply-shift hash decorrelates the shard choice from the low bits of
+    the node id (sequential ids would otherwise stripe shards), and the high
+    32 bits are reduced modulo the shard count.
+    """
+    return (((node * _ROUTE_MULTIPLIER) & _MASK64) >> 32) % num_shards
+
+
+def partition(items: Iterable[_T], num_shards: int,
+              node: Callable[[_T], int] = itemgetter(0)) -> dict[int, list[_T]]:
+    """Group ``items`` per shard owning ``node(item)`` (an edge's source).
+
+    Shards appear in first-seen order and items keep input order within a
+    shard; an empty input gives ``{}``.
+    """
+    groups: dict[int, list[_T]] = {}
+    for item in items:
+        index = shard_index(node(item), num_shards)
+        group = groups.get(index)
+        if group is None:
+            groups[index] = [item]
+        else:
+            group.append(item)
+    return groups
 
 
 class DynamicGraphStore(ABC):
@@ -36,10 +80,25 @@ class DynamicGraphStore(ABC):
     per shard and drains each group with one bound method) accelerates the
     whole analytics layer at once.  Overrides must preserve the default's
     observable semantics, spelled out in :meth:`successors_many`.
+
+    The batch mutations split into routing and applying:
+    :meth:`partition_edges` groups a batch per owning shard, and
+    :meth:`insert_groups` / :meth:`delete_groups` apply such groups.  A
+    partitioned store's ``insert_edges`` *is* ``insert_groups(
+    partition_edges(edges))``, so a wrapper that needs the routing itself
+    (the write-ahead log keeps one segment per shard) routes a batch once
+    and hands the same groups to the store.
     """
 
     #: Human-readable scheme name used in benchmark reports.
     name: str = "abstract"
+
+    #: Partitions the store routes source nodes over; a store that does not
+    #: partition is one shard.
+    num_shards: int = 1
+
+    #: Whether ``insert_weighted_edge`` works on this store.
+    weighted: bool = False
 
     #: Modelled memory accesses performed so far, at roughly cache-line
     #: granularity: one unit per bucket/block/list-node/index-level touched.
@@ -136,6 +195,30 @@ class DynamicGraphStore(ABC):
         return type(self)()
 
     # ------------------------------------------------------------------ #
+    # Routing
+    # ------------------------------------------------------------------ #
+
+    def shard_of(self, u: int) -> int:
+        """Shard index owning source node ``u``."""
+        return shard_index(u, self.num_shards)
+
+    def partition_edges(
+        self, edges: Iterable[tuple[int, int]]
+    ) -> dict[int, list[tuple[int, int]]]:
+        """Group a mutation batch per owning shard: ``{shard index: edges}``."""
+        return partition(edges, self.num_shards)
+
+    def insert_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
+        """Insert :meth:`partition_edges` groups; return how many edges were new."""
+        insert = self.insert_edges
+        return sum(insert(group) for group in groups.values())
+
+    def delete_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
+        """Delete :meth:`partition_edges` groups; return how many edges were present."""
+        delete = self.delete_edges
+        return sum(delete(group) for group in groups.values())
+
+    # ------------------------------------------------------------------ #
     # Batch operations shared by examples, benchmarks and front-ends
     # ------------------------------------------------------------------ #
     #
@@ -196,6 +279,8 @@ class WeightedGraphStore(DynamicGraphStore):
     duplicate edge arrives; deleting decrements the weight and removes the
     edge once it reaches zero.
     """
+
+    weighted = True
 
     @abstractmethod
     def edge_weight(self, u: int, v: int) -> int:

@@ -242,7 +242,7 @@ def load_snapshot(path: os.PathLike | str, store: DynamicGraphStore) -> Tuple[in
 
     A missing file loads zero rows at generation 0 (a store that never
     compacted has no snapshot, only WAL).  Weighted rows are applied
-    through ``insert_weighted_edge`` when the target supports it; a
+    through ``insert_weighted_edge`` when the target is ``weighted``; a
     multi-edge target gets one ``insert_edge`` per unit of multiplicity; a
     plain target collapses each triple to a single distinct edge.
     """
@@ -253,11 +253,11 @@ def load_snapshot(path: os.PathLike | str, store: DynamicGraphStore) -> Tuple[in
     if kind == KIND_PLAIN:
         store.insert_edges(rows)
         return len(rows), generation
-    insert_weighted = getattr(store, "insert_weighted_edge", None)
+    weighted = store.weighted
     multi_edge = callable(getattr(store, "edge_multiplicity", None))
     for u, v, weight in rows:
-        if callable(insert_weighted):
-            insert_weighted(u, v, weight)
+        if weighted:
+            store.insert_weighted_edge(u, v, weight)
         elif multi_edge:
             for _ in range(weight):
                 store.insert_edge(u, v)

@@ -14,17 +14,18 @@ Layout of a store directory::
     snapshot.bin      logical edge set at the last compaction (optional)
     wal-000.bin ...   one segment, or one per shard of a sharded store
 
-Sharded stores get **one WAL segment per shard**, routed by the same
-``shard_of`` hash that routes the operations themselves.  Because every
-operation on a source node lands in that node's segment, the segments are
-totally ordered per shard and mutually independent: nothing orders their
-fsyncs against each other, which is what the commit below exploits.
+A store gets **one WAL segment per shard** (its ``num_shards``, which is 1
+for an unpartitioned store), and an operation goes to the segment that
+``shard_of`` its source node names -- the routing the wrapped store applies
+it by.  The segments are therefore totally ordered per shard and mutually
+independent: nothing orders their fsyncs against each other, which is what
+the commit below exploits.
 
 A commit (``sync_on_commit=True``) is one pipeline, for every mutation::
 
-    partition   the batch is routed once -- through the wrapped store's own
-                partition_edges() when it has one -- and the same groups
-                feed the WAL records and the apply
+    partition   the batch is routed once (partition_edges) and the same
+                groups feed the WAL records and the store's insert_groups()
+                / delete_groups()
     append      one record per group, each packed in one call, written to
                 the OS (not yet durable)
     sync || apply   one fsync per touched segment goes in flight on the
@@ -224,13 +225,6 @@ def _resolve_factory(scheme: Union[str, Callable[[], DynamicGraphStore]]):
             f"unknown persistence scheme {scheme!r}; expected one of "
             f"{sorted(STORE_SCHEMES)} or a factory callable"
         ) from None
-
-
-def _segmentation_of(store: DynamicGraphStore) -> int:
-    """WAL segments a store needs: one per shard, else a single segment."""
-    if callable(getattr(store, "shard_of", None)):
-        return int(getattr(store, "num_shards", 1))
-    return 1
 
 
 def _read_manifest(path: Path) -> dict:
@@ -474,16 +468,16 @@ class PersistentStore(DynamicGraphStore):
                 )
             segments = int(_read_manifest(self._path)["segments"])
         else:
-            segments = _segmentation_of(self._store)
+            segments = self._store.num_shards
             _write_manifest(self._path, {
                 "format": MANIFEST_FORMAT,
                 "scheme": self._scheme_name,
                 "segments": segments,
             })
-        if segments != _segmentation_of(self._store):
+        if segments != self._store.num_shards:
             raise PersistenceError(
                 f"{self._path} is segmented for {segments} shard(s) but the "
-                f"store routes over {_segmentation_of(self._store)}"
+                f"store routes over {self._store.num_shards}"
             )
         self._segments = segments
         self._wals = [
@@ -524,6 +518,16 @@ class PersistentStore(DynamicGraphStore):
     def segments(self) -> int:
         """Number of WAL segments (one per shard of a sharded store)."""
         return self._segments
+
+    @property
+    def num_shards(self) -> int:
+        """The wrapped store's shard count: one segment per shard."""
+        return self._segments
+
+    @property
+    def weighted(self) -> bool:
+        """Whether the wrapped store keeps per-edge weights."""
+        return self._store.weighted
 
     @property
     def segment_paths(self) -> List[Path]:
@@ -822,37 +826,20 @@ class PersistentStore(DynamicGraphStore):
 
     def _commit_op(self, op: Op, apply: Callable[[], _A]) -> _A:
         """Commit one operation: one record, in its source node's segment."""
-        segment = self._store.shard_of(op[1]) if self._segments > 1 else 0
-        return self._commit([(segment, encode_ops((op,)))], 1, apply,
+        return self._commit([(self.shard_of(op[1]), encode_ops((op,)))], 1, apply,
                             lambda: [(op,)])
 
-    def _commit_edges(self, tag: str, edges: List[tuple[int, int]],
-                      apply_edges: Callable[[list], int],
-                      apply_groups: Optional[Callable[[dict], int]],
+    def _commit_edges(self, tag: str, edges: Iterable[tuple[int, int]],
+                      apply_groups: Callable[[dict], int],
                       pending: Optional[PendingCommit]) -> int:
-        """Commit a batch: route it once, log and apply it by the same groups.
-
-        ``apply_groups`` is the wrapped store's by-groups form of
-        ``apply_edges`` (``ShardedCuckooGraph.insert_groups`` for
-        ``insert_edges``); a store without that seam gets the whole batch
-        and routes it again itself.
-        """
-        if apply_groups is not None:
-            groups = self._store.partition_edges(edges)
-            apply = partial(apply_groups, groups)
-        else:
-            if self._segments == 1:
-                groups = {0: edges} if edges else {}
-            else:
-                shard_of = self._store.shard_of
-                groups = {}
-                for edge in edges:
-                    groups.setdefault(shard_of(edge[0]), []).append(edge)
-            apply = partial(apply_edges, edges)
+        """Commit a batch: route it once, log it and apply it by the same groups
+        (``apply_groups`` is the wrapped store's ``insert_groups`` or
+        ``delete_groups``)."""
+        groups = self.partition_edges(edges)
         records = [(index, encode_edge_ops(tag, group))
                    for index, group in groups.items()]
         return self._commit(
-            records, len(edges), apply,
+            records, sum(map(len, groups.values())), partial(apply_groups, groups),
             lambda: [tuple([(tag, u, v) for u, v in group]) for group in groups.values()],
             pending)
 
@@ -874,27 +861,22 @@ class PersistentStore(DynamicGraphStore):
         with it the call returns before the commit is durable.
         """
         self._ensure_writable()
-        store = self._store
-        return self._commit_edges(INSERT, list(edges), store.insert_edges,
-                                  getattr(store, "insert_groups", None), _pending)
+        return self._commit_edges(INSERT, edges, self._store.insert_groups, _pending)
 
     def delete_edges(self, edges: Iterable[tuple[int, int]],
                      _pending: Optional[PendingCommit] = None) -> int:
         """One group commit for the whole batch, then one batch apply
         (``_pending`` as for :meth:`insert_edges`)."""
         self._ensure_writable()
-        store = self._store
-        return self._commit_edges(DELETE, list(edges), store.delete_edges,
-                                  getattr(store, "delete_groups", None), _pending)
+        return self._commit_edges(DELETE, edges, self._store.delete_groups, _pending)
 
     def insert_weighted_edge(self, u: int, v: int, delta: int = 1) -> int:
         """Weighted insert, logged with its delta (wrapped store must support it)."""
         self._ensure_writable()
-        insert_weighted = getattr(self._store, "insert_weighted_edge", None)
-        if not callable(insert_weighted):
+        if not self._store.weighted:
             raise TypeError(f"wrapped store {self._store.name!r} is not weighted")
         return self._commit_op((INSERT_WEIGHTED, u, v, delta),
-                               lambda: insert_weighted(u, v, delta))
+                               lambda: self._store.insert_weighted_edge(u, v, delta))
 
     # ------------------------------------------------------------------ #
     # Reads: straight delegation
@@ -1009,7 +991,7 @@ def _check_replay_compatible(path: Path, store: DynamicGraphStore,
     could then misread as a crash artefact and set good records aside; a
     scheme mismatch is operator error and must fail loudly and losslessly.
     """
-    if callable(getattr(store, "insert_weighted_edge", None)):
+    if store.weighted:
         return
     if any(op[0] == INSERT_WEIGHTED for ops, _ in records for op in ops):
         raise PersistenceError(
@@ -1212,10 +1194,10 @@ def recover(
         store = _resolve_factory(chosen)()
     if store.num_edges != 0:
         raise PersistenceError("recovery target store must be empty")
-    if segments != _segmentation_of(store):
+    if segments != store.num_shards:
         raise PersistenceError(
             f"{path} holds {segments} WAL segment(s) but the recovery store "
-            f"routes over {_segmentation_of(store)}; shard counts must match"
+            f"routes over {store.num_shards}; shard counts must match"
         )
 
     # Exclusive hold for the whole replay (recovery truncates torn tails; a
@@ -1332,10 +1314,10 @@ def replay_into(
     segments = _read_manifest(path)["segments"]
     if cursor is None and store.num_edges != 0:
         raise PersistenceError("replay target store must be empty")
-    if segments != _segmentation_of(store):
+    if segments != store.num_shards:
         raise PersistenceError(
             f"{path} holds {segments} WAL segment(s) but the replay store "
-            f"routes over {_segmentation_of(store)}; shard counts must match"
+            f"routes over {store.num_shards}; shard counts must match"
         )
     if cursor is not None and len(cursor.offsets) != segments:
         raise PersistenceError(

@@ -72,8 +72,7 @@ def apply_shipped_ops(store: DynamicGraphStore, ops) -> None:
     """
     for tag, run in groupby(ops, key=itemgetter(0)):
         run = list(run)
-        if tag == INSERT_WEIGHTED and \
-                not callable(getattr(store, "insert_weighted_edge", None)):
+        if tag == INSERT_WEIGHTED and not store.weighted:
             raise ReplicationError(
                 f"stream holds weighted records but the follower store "
                 f"({store.name!r}) is not weighted"

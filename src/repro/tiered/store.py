@@ -7,9 +7,12 @@ implements that split over the same source-node partitioning as
 :class:`~repro.core.sharded.ShardedCuckooGraph`:
 
 * **Routing.**  Every edge ``⟨u, v⟩`` lives on the shard owned by ``u``,
-  chosen by the same multiply-shift hash (:func:`~repro.core.sharded.shard_index`),
-  so a node's residency tier is a pure function of the shard layout, never of
-  the access history.
+  chosen by the store contract's routing (``shard_of``, ``partition_edges``;
+  :func:`~repro.interfaces.shard_index`), so a node's shard is a pure
+  function of the shard count, never of the access history.  The batch
+  mutations are ``insert_groups``/``delete_groups`` over those groups, which
+  is also what a :class:`~repro.persist.PersistentStore` over this store
+  hands them after logging one WAL record per group.
 
 * **Tiers.**  A hot shard is a complete :class:`~repro.core.graph.CuckooGraph`;
   a cold shard lives in one of the database integrations
@@ -40,13 +43,12 @@ implements that split over the same source-node partitioning as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from ..core.config import CuckooGraphConfig, PAPER_CONFIG
 from ..core.errors import ConfigurationError, StoreClosedError
 from ..core.graph import CuckooGraph
-from ..core.sharded import shard_index
-from ..interfaces import DynamicGraphStore
+from ..interfaces import DynamicGraphStore, partition
 
 #: Names accepted for the built-in cold-tier backends.
 COLD_BACKENDS = ("redis", "neo4j")
@@ -171,10 +173,6 @@ class TieredStore(DynamicGraphStore):
     def _new_hot_store(self, shard: int) -> CuckooGraph:
         return CuckooGraph(self.config.with_overrides(seed=self.config.seed + shard))
 
-    def shard_of(self, u: int) -> int:
-        """Shard index owning node ``u`` (same hash as the sharded store)."""
-        return shard_index(u, self.num_shards)
-
     def is_hot(self, shard: int) -> bool:
         """Whether ``shard`` currently resides in the CuckooGraph tier."""
         return self._hot[shard]
@@ -250,16 +248,8 @@ class TieredStore(DynamicGraphStore):
         self._touch(shard, 1, mutating=False)
         return self._stores[shard].successors(u)
 
-    def _group(self, positions: Iterable[Tuple[int, object]]):
-        """Group ``(shard, item)`` pairs per shard, preserving input order."""
-        groups: Dict[int, list] = {}
-        for shard, item in positions:
-            groups.setdefault(shard, []).append(item)
-        return groups
-
-    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+    def insert_groups(self, groups: Dict[int, List[tuple[int, int]]]) -> int:
         self._ensure_open()
-        groups = self._group((self.shard_of(u), (u, v)) for u, v in edges)
         inserted = 0
         for shard, group in groups.items():
             # Touch (and maybe migrate) before the batch executes, so the
@@ -268,34 +258,37 @@ class TieredStore(DynamicGraphStore):
             inserted += self._stores[shard].insert_edges(group)
         return inserted
 
-    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+    def delete_groups(self, groups: Dict[int, List[tuple[int, int]]]) -> int:
         self._ensure_open()
-        groups = self._group((self.shard_of(u), (u, v)) for u, v in edges)
         deleted = 0
         for shard, group in groups.items():
             self._touch(shard, len(group), mutating=True)
             deleted += self._stores[shard].delete_edges(group)
         return deleted
 
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return self.insert_groups(self.partition_edges(edges))
+
+    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return self.delete_groups(self.partition_edges(edges))
+
     def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
         self._ensure_open()
         pairs = list(edges)
-        groups = self._group(
-            (self.shard_of(u), (position, (u, v)))
-            for position, (u, v) in enumerate(pairs)
-        )
+        groups = partition(range(len(pairs)), self.num_shards,
+                           node=lambda position: pairs[position][0])
         results: list[bool] = [False] * len(pairs)
-        for shard, group in groups.items():
-            self._touch(shard, len(group), mutating=False)
-            answers = self._stores[shard].has_edges([edge for _, edge in group])
-            for (position, _), answer in zip(group, answers):
+        for shard, positions in groups.items():
+            self._touch(shard, len(positions), mutating=False)
+            answers = self._stores[shard].has_edges([pairs[p] for p in positions])
+            for position, answer in zip(positions, answers):
                 results[position] = answer
         return results
 
     def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
         self._ensure_open()
         distinct = list(dict.fromkeys(nodes))
-        groups = self._group((self.shard_of(u), u) for u in distinct)
+        groups = partition(distinct, self.num_shards, node=lambda u: u)
         fanned: Dict[int, list[int]] = {}
         for shard, group in groups.items():
             self._touch(shard, len(group), mutating=False)

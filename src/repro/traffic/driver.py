@@ -90,8 +90,8 @@ def build_service(config: ScenarioConfig):
     """The deployment a scenario runs against: ``(service, routing_store)``.
 
     ``routing_store`` is the sharded/tiered structure itself (unwrapped from
-    any durability layer) -- the object that owns ``shard_of`` routing and,
-    for the tiered scheme, the tier counters.
+    any durability layer) -- the object whose ``num_shards`` the key layout
+    routes over and, for the tiered scheme, that holds the tier counters.
     """
     if config.scheme == "tiered":
         inner = TieredStore(num_shards=config.num_shards,
@@ -187,7 +187,8 @@ def run_scenario(config: ScenarioConfig, *,
 
     Builds (and closes) the deployment described by ``config`` unless a
     running ``service`` is supplied, in which case ``routing_store`` must be
-    the structure that owns shard routing and the caller keeps ownership.
+    the structure whose shards the keys are laid out over, and the caller
+    keeps ownership.
     """
     own_service = service is None
     if own_service:
@@ -196,11 +197,7 @@ def run_scenario(config: ScenarioConfig, *,
     elif routing_store is None:
         raise ValueError("an external service needs its routing_store")
     try:
-        ranked = ranked_keys(
-            config,
-            shard_of=getattr(routing_store, "shard_of", None),
-            num_shards=getattr(routing_store, "num_shards", None),
-        )
+        ranked = ranked_keys(config, routing_store.num_shards)
         schedules = [tenant_schedule(config, tenant)
                      for tenant in range(config.tenants)]
         keys = [tenant_keys(config, ranked, tenant)

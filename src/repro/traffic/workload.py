@@ -1,7 +1,7 @@
 """Seeded workload generation: arrivals, zipfian keys, tenant schedules.
 
 Everything here is a pure function of a :class:`~repro.traffic.config.ScenarioConfig`
-(plus, for the shard-major key layout, the target store's routing function):
+(plus, for the shard-major key layout, the target store's shard count):
 the same config always produces the same arrival times, the same request
 kinds and the same key sequence, which is what makes a scenario replayable
 and what the determinism property tests pin down.
@@ -13,9 +13,10 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.errors import ConfigurationError
+from ..interfaces import shard_index
 from .config import ScenarioConfig
 
 #: Windows the bursty arrival process slices the run into.
@@ -132,11 +133,7 @@ class ZipfRanks:
 # Key layout
 # --------------------------------------------------------------------- #
 
-def ranked_keys(
-    config: ScenarioConfig,
-    shard_of: Optional[Callable[[int], int]] = None,
-    num_shards: Optional[int] = None,
-) -> List[int]:
+def ranked_keys(config: ScenarioConfig, num_shards: Optional[int] = None) -> List[int]:
     """The node-id universe ordered by popularity rank (index 0 hottest).
 
     ``"hashed"`` layout ranks plain integer ids, so popular keys stripe
@@ -150,10 +147,9 @@ def ranked_keys(
     total = config.total_keys
     if config.key_layout == "hashed":
         return list(range(total))
-    if shard_of is None or num_shards is None:
+    if num_shards is None:
         raise ConfigurationError(
-            'key_layout="shard_major" needs the target store\'s shard '
-            "routing (shard_of + num_shards)"
+            'key_layout="shard_major" needs the target store\'s num_shards'
         )
     per_shard = math.ceil(total / num_shards)
     buckets: List[List[int]] = [[] for _ in range(num_shards)]
@@ -161,8 +157,7 @@ def ranked_keys(
     candidate = 0
     # Walk candidate ids until every shard bucket can contribute its quota.
     while filled < total:
-        shard = shard_of(candidate)
-        bucket = buckets[shard]
+        bucket = buckets[shard_index(candidate, num_shards)]
         if len(bucket) < per_shard:
             bucket.append(candidate)
             filled += 1

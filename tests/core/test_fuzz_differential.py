@@ -33,9 +33,10 @@ import random
 
 import pytest
 
-from repro import ShardedCuckooGraph, WeightedGraphStore
+from repro import ShardedCuckooGraph
 from repro.persist import PersistentStore, recover, replay_into
 from repro.service import GraphClient, GraphService
+from repro.tiered import TieredStore
 
 from ..conftest import ALL_STORE_FACTORIES
 
@@ -114,11 +115,6 @@ class Oracle:
         return self.successors(u)
 
 
-def is_weighted(store) -> bool:
-    """Weighted semantics: a weighted store, or a front-end over weighted shards."""
-    return isinstance(store, WeightedGraphStore) or getattr(store, "weighted", False)
-
-
 def apply_to_store(store, op) -> object:
     action, u, v = op
     if action == "insert":
@@ -152,7 +148,7 @@ def test_fuzz_store_matrix(store_name, fuzz_seed):
     """Every per-op result of every store must match the oracle, op by op."""
     store = ALL_STORE_FACTORIES[store_name]()
     try:
-        oracle = Oracle(weighted=is_weighted(store))
+        oracle = Oracle(weighted=store.weighted)
         for index, op in enumerate(generate_ops(fuzz_seed)):
             expected = oracle.apply(op)
             actual = apply_to_store(store, op)
@@ -354,9 +350,10 @@ def fuzz_client_batches(client, store, max_batch, fuzz_seed, durable):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("weighted", [False, True], ids=["basic", "weighted"])
-@pytest.mark.parametrize("num_shards", [1, 3])
-def test_fuzz_persist_and_recover(num_shards, weighted, fuzz_seed, tmp_path):
+@pytest.mark.parametrize("num_shards, kind", [
+    (1, "basic"), (1, "weighted"), (3, "basic"), (3, "weighted"), (3, "tiered"),
+], ids=["1-basic", "1-weighted", "3-basic", "3-weighted", "3-tiered"])
+def test_fuzz_persist_and_recover(num_shards, kind, fuzz_seed, tmp_path):
     """Recovery must reproduce the oracle at every probe point and at the end.
 
     The op stream is committed through the batch APIs in random chunks;
@@ -364,16 +361,21 @@ def test_fuzz_persist_and_recover(num_shards, weighted, fuzz_seed, tmp_path):
     a fresh store and compared to the oracle mid-flight.  At the end, the
     closed store is recovered, then a torn tail is simulated on one segment
     and recovery is checked to land on the previous group-commit boundary.
-    Over weighted shards every recovered weight must match too.
+    Over weighted shards every recovered weight must match too.  The tiered
+    lane has one hot shard of three, so shards migrate between tiers while
+    the stream is being logged (the deployment ``repro.traffic`` builds for
+    ``scheme="tiered"`` with a WAL).
     """
     rng = random.Random(fuzz_seed * 17 + num_shards)
     ops = generate_ops(fuzz_seed)
-    oracle = Oracle(weighted=weighted)
-    context = f"seed={fuzz_seed} shards={num_shards} weighted={weighted} persist"
+    oracle = Oracle(weighted=kind == "weighted")
+    context = f"seed={fuzz_seed} shards={num_shards} {kind} persist"
     base = tmp_path / f"persist-{num_shards}"
 
     def fresh_inner():
-        return ShardedCuckooGraph(num_shards=num_shards, weighted=weighted)
+        if kind == "tiered":
+            return TieredStore(num_shards=num_shards, hot_shards=1)
+        return ShardedCuckooGraph(num_shards=num_shards, weighted=kind == "weighted")
 
     store = PersistentStore(base, store=fresh_inner(), own_store=True,
                             sync_on_commit=False, compact_wal_bytes=None)
@@ -398,6 +400,8 @@ def test_fuzz_persist_and_recover(num_shards, weighted, fuzz_seed, tmp_path):
             assert_final_state(probe, oracle, f"{context} mid-flight")
             probe.close()
 
+    if kind == "tiered":
+        assert store.store.promotions > 0, f"{context}: no shard ever migrated"
     store.close()
     recovered = recover(base, store=fresh_inner())
     assert_final_state(recovered, oracle, f"{context} final")

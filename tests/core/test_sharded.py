@@ -4,8 +4,8 @@ Contract conformance is covered by the cross-store suite in
 ``tests/baselines/test_store_contract.py`` (the sharded store is registered
 in ``ALL_STORE_FACTORIES``); this module checks the sharding-specific
 guarantees: routing stability, batch-vs-loop equivalence, the
-partition/group seam, aggregation of counters and memory, the close
-lifecycle, ``spawn_empty`` and the weighted pass-throughs.
+partition/group seam (on the tiered store too), aggregation of counters and
+memory, the close lifecycle, ``spawn_empty`` and the weighted pass-throughs.
 """
 
 import inspect
@@ -17,6 +17,7 @@ from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.core import CuckooGraphConfig
 from repro.core.errors import ConfigurationError, StoreClosedError
 from repro.core.sharded import shard_index
+from repro.tiered import TieredStore
 
 
 class TestRouting:
@@ -188,58 +189,64 @@ class TestSerialOnly:
         assert set(threading.enumerate()) == before
 
 
+def _observed(store):
+    """What a batch may change: shape, tier telemetry and modelled costs."""
+    counters = getattr(store, "counters", None)
+    return (store.structure_summary(), store.accesses,
+            None if counters is None else counters.snapshot())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ShardedCuckooGraph(num_shards=4),
+    lambda: TieredStore(num_shards=4, hot_shards=1),
+], ids=["sharded", "tiered"])
 class TestGroupSeam:
     """``partition_edges`` + ``insert_groups``/``delete_groups`` *are* the
     batch mutations; wrappers that route once rely on the equivalence."""
 
-    def test_partition_groups_by_owner_in_first_seen_order(self, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4)
+    def test_partition_groups_by_owner_in_first_seen_order(self, make, small_edge_set):
+        graph = make()
         groups = graph.partition_edges(small_edge_set)
-        first_seen = list(dict.fromkeys(graph.shard_of(u) for u, _ in small_edge_set))
+        first_seen = list(dict.fromkeys(shard_index(u, 4) for u, _ in small_edge_set))
         assert list(groups) == first_seen
         for index, group in groups.items():
             assert group == [edge for edge in small_edge_set
                              if graph.shard_of(edge[0]) == index]
 
-    def test_partition_touches_no_shard(self, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4)
+    def test_partition_touches_no_shard(self, make, small_edge_set):
+        graph = make()
         graph.partition_edges(small_edge_set)
-        assert graph.num_edges == 0
-        assert graph.accesses == 0
-        assert graph.counters.snapshot() == ShardedCuckooGraph().counters.snapshot()
+        assert _observed(graph) == _observed(make())
 
-    def test_insert_groups_is_insert_edges(self, small_edge_set):
-        seam = ShardedCuckooGraph(num_shards=4)
-        batch = ShardedCuckooGraph(num_shards=4)
+    def test_insert_groups_is_insert_edges(self, make, small_edge_set):
+        seam = make()
+        batch = make()
         assert seam.insert_groups(seam.partition_edges(small_edge_set)) == \
             batch.insert_edges(small_edge_set) == len(small_edge_set)
-        assert seam.structure_summary() == batch.structure_summary()
-        assert seam.counters.snapshot() == batch.counters.snapshot()
-        assert seam.accesses == batch.accesses
+        assert _observed(seam) == _observed(batch)
 
-    def test_delete_groups_is_delete_edges(self, small_edge_set):
-        seam = ShardedCuckooGraph(num_shards=4)
-        batch = ShardedCuckooGraph(num_shards=4)
+    def test_delete_groups_is_delete_edges(self, make, small_edge_set):
+        seam = make()
+        batch = make()
         seam.insert_edges(small_edge_set)
         batch.insert_edges(small_edge_set)
         victims = small_edge_set[::3] + [(10**9, 1)]
         assert seam.delete_groups(seam.partition_edges(victims)) == \
             batch.delete_edges(victims) == len(small_edge_set[::3])
         assert sorted(seam.edges()) == sorted(batch.edges())
-        assert seam.counters.snapshot() == batch.counters.snapshot()
-        assert seam.accesses == batch.accesses
+        assert _observed(seam) == _observed(batch)
 
-    def test_empty_batches_are_free(self):
-        graph = ShardedCuckooGraph(num_shards=4)
+    def test_empty_batches_are_free(self, make):
+        graph = make()
         assert graph.partition_edges([]) == {}
         assert graph.insert_edges([]) == 0
         assert graph.delete_edges([]) == 0
         assert graph.has_edges([]) == []
         assert graph.successors_many([]) == {}
-        assert graph.accesses == 0
+        assert _observed(graph) == _observed(make())
 
-    def test_batches_accept_one_shot_iterators(self, small_edge_set):
-        graph = ShardedCuckooGraph(num_shards=4)
+    def test_batches_accept_one_shot_iterators(self, make, small_edge_set):
+        graph = make()
         assert graph.insert_edges(iter(small_edge_set)) == len(small_edge_set)
         assert graph.has_edges(edge for edge in small_edge_set) == \
             [True] * len(small_edge_set)

@@ -1,6 +1,7 @@
 """PersistentStore: contract behaviour, segmentation, compaction, lifecycle."""
 
 import json
+import random
 
 import pytest
 
@@ -13,6 +14,8 @@ from repro.persist import (
     recover,
     register_scheme,
 )
+from repro.persist.wal import DELETE, INSERT, read_wal_records
+from repro.tiered import TieredStore
 
 EDGES = [(1, 2), (1, 3), (2, 3), (40, 1), (5, 5), (7, 1), (7, 2)]
 
@@ -88,6 +91,52 @@ class TestBasics:
                 store.insert_weighted_edge(1, 2)
             # Nothing must have been logged for the refused operation.
             assert store.commits == 0
+
+
+class TestRoutedOnce:
+    def test_a_tiered_batch_is_routed_once(self, tmp_path):
+        """The groups a commit logs are the groups the store applies: one
+        ``insert_groups``/``delete_groups`` call per batch, never a second
+        routing through the store's own ``insert_edges``/``delete_edges``,
+        and the tiers end where a bare store fed the same batches ends."""
+        rng = random.Random(3)
+        inner = TieredStore(num_shards=4, hot_shards=1)
+        bare = TieredStore(num_shards=4, hot_shards=1)
+        applied = []  # (tag, groups) per apply call, in commit order
+
+        def spy(tag, apply):
+            def call(groups):
+                applied.append((tag, groups))
+                return apply(groups)
+            return call
+
+        def refuse(edges):
+            raise AssertionError("the commit routed its batch a second time")
+
+        inner.insert_groups = spy(INSERT, inner.insert_groups)
+        inner.delete_groups = spy(DELETE, inner.delete_groups)
+        inner.insert_edges = inner.delete_edges = refuse
+        with PersistentStore(tmp_path / "s", store=inner, own_store=True,
+                             compact_wal_bytes=None) as store:
+            for call in range(40):
+                batch = [(rng.randrange(64), rng.randrange(64))
+                         for _ in range(rng.randrange(0, 50))]
+                if call % 3 == 2:
+                    assert store.delete_edges(batch) == bare.delete_edges(batch)
+                else:
+                    assert store.insert_edges(batch) == bare.insert_edges(batch)
+                assert len(applied) == call + 1
+            assert inner.promotions > 0  # shards migrated while being logged
+            assert inner.tier_stats() == bare.tier_stats()
+            assert inner.accesses == bare.accesses
+            assert sorted(inner.edges()) == sorted(bare.edges())
+            segments = store.segment_paths
+        for index, segment in enumerate(segments):
+            _, records, _ = read_wal_records(segment)
+            logged = [list(ops) for ops, _ in records]
+            assert logged == [[(tag, u, v) for u, v in groups[index]]
+                              for tag, groups in applied if index in groups], index
+        bare.close()
 
 
 class TestLifecycle:
@@ -327,21 +376,51 @@ class TestWriterExclusivity:
         final.close()
 
 
+#: (scheme name, weighted store, plain store): a lone graph, and a sharded
+#: front-end, which has ``insert_weighted_edge`` whether or not it is weighted.
+WEIGHTED_AND_PLAIN = pytest.mark.parametrize("scheme, weighted, plain", [
+    ("weighted", WeightedCuckooGraph, CuckooGraph),
+    ("sharded-weighted", lambda: ShardedCuckooGraph(num_shards=4, weighted=True),
+     lambda: ShardedCuckooGraph(num_shards=4)),
+], ids=["single", "sharded"])
+
+
 class TestSchemeMismatchSafety:
-    def test_weighted_log_into_plain_store_fails_without_data_loss(self, tmp_path):
+    @WEIGHTED_AND_PLAIN
+    def test_weighted_log_into_plain_store_fails_without_data_loss(
+            self, tmp_path, scheme, weighted, plain):
         """Recovering with the wrong scheme must error out, not destroy records."""
-        with PersistentStore(tmp_path / "s", scheme="weighted",
+        with PersistentStore(tmp_path / "s", scheme=scheme,
                              compact_wal_bytes=None) as store:
-            store.insert_weighted_edge(1, 2, 5)
-        wal_bytes_before = (tmp_path / "s" / "wal-000.bin").stat().st_size
+            for u in range(1, 5):
+                store.insert_edge(u, u + 1)
+            store.insert_weighted_edge(1, 50, 2)
+        segments = sorted((tmp_path / "s").glob("wal-*.bin"))
+        sizes_before = [segment.stat().st_size for segment in segments]
         with pytest.raises(PersistenceError, match="not weighted"):
-            recover(tmp_path / "s", store=CuckooGraph())
+            recover(tmp_path / "s", store=plain())
         # Nothing was truncated or set aside by the failed attempt.
-        assert (tmp_path / "s" / "wal-000.bin").stat().st_size == wal_bytes_before
+        assert [segment.stat().st_size for segment in segments] == sizes_before
         assert not list((tmp_path / "s").glob("*.poisoned"))
-        recovered = recover(tmp_path / "s")  # manifest scheme: weighted
-        assert recovered.edge_weight(1, 2) == 5
+        recovered = recover(tmp_path / "s")  # the manifest's weighted scheme
+        assert recovered.num_edges == 5
+        assert recovered.edge_weight(1, 50) == 2
         recovered.close()
+
+    @WEIGHTED_AND_PLAIN
+    def test_weightedness_is_the_wrapped_stores(self, tmp_path, scheme, weighted, plain):
+        assert weighted().weighted is True and plain().weighted is False
+        with PersistentStore(tmp_path / "w", store=weighted()) as store:
+            assert store.weighted is True
+            assert store.insert_weighted_edge(1, 2, 3) == 3
+        with PersistentStore(tmp_path / "p", store=plain()) as store:
+            assert store.weighted is False
+            logged = store.wal_bytes()
+            with pytest.raises(TypeError, match="not weighted"):
+                store.insert_weighted_edge(1, 2)
+            # Refused before anything was logged.
+            assert store.commits == 0
+            assert store.wal_bytes() == logged
 
     def test_poisoned_record_bytes_are_preserved_in_a_sidecar(self, tmp_path):
         import json

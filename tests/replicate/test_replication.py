@@ -152,11 +152,18 @@ def test_follower_of_a_different_scheme_converges(tmp_path):
     store.close()
 
 
-def test_weighted_stream_into_unweighted_follower_is_refused(tmp_path):
-    store = PersistentStore(tmp_path / "p", store=WeightedCuckooGraph(),
+# A sharded front-end has ``insert_weighted_edge`` whether or not its shards
+# are weighted, so the refusal must read ``store.weighted``, not the method.
+@pytest.mark.parametrize("weighted, plain", [
+    (WeightedCuckooGraph, CuckooGraph),
+    (lambda: ShardedCuckooGraph(num_shards=2, weighted=True),
+     lambda: ShardedCuckooGraph(num_shards=2)),
+], ids=["single", "sharded"])
+def test_weighted_stream_into_unweighted_follower_is_refused(tmp_path, weighted, plain):
+    store = PersistentStore(tmp_path / "p", store=weighted(),
                             own_store=True, compact_wal_bytes=None)
     primary = Primary(store)
-    follower = Follower(store=CuckooGraph())
+    follower = Follower(store=plain())
     primary.attach(follower)
     store.insert_weighted_edge(1, 2, 5)
     primary.pump()

@@ -125,15 +125,14 @@ def test_shard_major_layout_groups_hot_ranks():
                             num_shards=4, hot_shards=1)
     store = TieredStore(num_shards=4, hot_shards=1)
     try:
-        ranked = ranked_keys(config, shard_of=store.shard_of, num_shards=4)
+        ranked = ranked_keys(config, num_shards=4)
         assert len(ranked) == 128
         assert len(set(ranked)) == 128
         # The hottest quarter of the ranking lives on a single shard.
         head = ranked[:32]
         assert len({store.shard_of(u) for u in head}) == 1
         # Deterministic given the seed.
-        assert ranked == ranked_keys(config, shard_of=store.shard_of,
-                                     num_shards=4)
+        assert ranked == ranked_keys(config, num_shards=4)
     finally:
         store.close()
 
