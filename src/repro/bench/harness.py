@@ -305,50 +305,34 @@ def _timed(operation: Callable[[], None]) -> float:
     return time.perf_counter() - start
 
 
-def _accesses_of(store: DynamicGraphStore) -> int:
-    return getattr(store, "accesses", 0)
-
-
-def _dispose(store: DynamicGraphStore) -> None:
-    """Release a store built for one benchmark cell.
-
-    The service client holds a dispatcher thread and the durable schemes a
-    WAL directory; a full figure run builds dozens of stores, so each driver
-    closes what it created instead of leaking them until interpreter exit.
-    """
-    close = getattr(store, "close", None)
-    if callable(close):
-        close()
-
-
 def run_insertion(store: DynamicGraphStore, stream: Sequence[tuple[int, int]],
                   scheme: str, dataset: str) -> ThroughputResult:
     """Insert every stream arrival and report the average insertion throughput."""
     edges = list(stream)
-    before = _accesses_of(store)
+    before = store.accesses
     seconds = _timed(lambda: [store.insert_edge(u, v) for u, v in edges])
     return ThroughputResult(scheme, dataset, "insert", len(edges), seconds,
-                            _accesses_of(store) - before)
+                            store.accesses - before)
 
 
 def run_query(store: DynamicGraphStore, stream: Sequence[tuple[int, int]],
               scheme: str, dataset: str) -> ThroughputResult:
     """Query every stream edge and report the average query throughput."""
     edges = list(stream)
-    before = _accesses_of(store)
+    before = store.accesses
     seconds = _timed(lambda: [store.has_edge(u, v) for u, v in edges])
     return ThroughputResult(scheme, dataset, "query", len(edges), seconds,
-                            _accesses_of(store) - before)
+                            store.accesses - before)
 
 
 def run_deletion(store: DynamicGraphStore, stream: Sequence[tuple[int, int]],
                  scheme: str, dataset: str) -> ThroughputResult:
     """Delete every stream edge one by one and report the deletion throughput."""
     edges = list(stream)
-    before = _accesses_of(store)
+    before = store.accesses
     seconds = _timed(lambda: [store.delete_edge(u, v) for u, v in edges])
     return ThroughputResult(scheme, dataset, "delete", len(edges), seconds,
-                            _accesses_of(store) - before)
+                            store.accesses - before)
 
 
 def run_basic_tasks(
@@ -370,7 +354,7 @@ def run_basic_tasks(
     distinct = stream.deduplicated()
     query = run_query(store, distinct.edges, scheme, dataset)
     deletion = run_deletion(store, distinct.edges, scheme, dataset)
-    _dispose(store)
+    store.close()
     return {"insert": insertion, "query": query, "delete": deletion}
 
 
@@ -395,7 +379,7 @@ def run_memory_curve(
         store.insert_edge(u, v)
         if index % sample_every == 0 or index == len(distinct):
             points.append(MemoryPoint(scheme, dataset, index, store.memory_bytes()))
-    _dispose(store)
+    store.close()
     return points
 
 
@@ -419,7 +403,7 @@ def _engine_result(scheme: str, dataset: str, task: str, seconds: float, detail:
     return RunningTimeResult(
         scheme, dataset, task, seconds, detail,
         batch_calls=engine.batch_calls,
-        accesses=_accesses_of(engine.store) - accesses_before,
+        accesses=engine.store.accesses - accesses_before,
     )
 
 
@@ -433,13 +417,13 @@ def run_bfs_task(scheme: str, dataset: str, stream: EdgeStream,
     store = _load_full_graph(scheme, stream)
     roots = top_degree_nodes(store, root_count)
     engine = TraversalEngine(store)
-    accesses_before = _accesses_of(store)
+    accesses_before = store.accesses
     start = time.perf_counter()
     visited_total = sum(len(bfs(store, root, engine=engine)) for root in roots)
     seconds = (time.perf_counter() - start) / max(1, len(roots))
     result = _engine_result(scheme, dataset, "BFS", seconds, f"visited={visited_total}",
                             engine, accesses_before)
-    _dispose(store)
+    store.close()
     return result
 
 
@@ -450,7 +434,7 @@ def run_sssp_task(scheme: str, dataset: str, stream: EdgeStream,
     subgraph, top_nodes = top_degree_subgraph(store, subgraph_nodes)
     sources = top_nodes[:source_count]
     engine = TraversalEngine(subgraph)
-    accesses_before = _accesses_of(subgraph)
+    accesses_before = subgraph.accesses
     start = time.perf_counter()
     reached = 0
     for source in sources:
@@ -458,8 +442,8 @@ def run_sssp_task(scheme: str, dataset: str, stream: EdgeStream,
     seconds = (time.perf_counter() - start) / max(1, len(sources))
     result = _engine_result(scheme, dataset, "SSSP", seconds, f"reached={reached}",
                             engine, accesses_before)
-    _dispose(subgraph)
-    _dispose(store)
+    subgraph.close()
+    store.close()
     return result
 
 
@@ -469,13 +453,13 @@ def run_triangle_task(scheme: str, dataset: str, stream: EdgeStream,
     store = _load_full_graph(scheme, stream)
     nodes = top_degree_nodes(store, node_count)
     engine = TraversalEngine(store)
-    accesses_before = _accesses_of(store)
+    accesses_before = store.accesses
     start = time.perf_counter()
     triangles = sum(count_triangles_of_node(store, node, engine=engine) for node in nodes)
     seconds = time.perf_counter() - start
     result = _engine_result(scheme, dataset, "TC", seconds, f"triangles={triangles}",
                             engine, accesses_before)
-    _dispose(store)
+    store.close()
     return result
 
 
@@ -485,14 +469,14 @@ def run_cc_task(scheme: str, dataset: str, stream: EdgeStream,
     store = _load_full_graph(scheme, stream)
     subgraph, _ = top_degree_subgraph(store, subgraph_nodes)
     engine = TraversalEngine(subgraph)
-    accesses_before = _accesses_of(subgraph)
+    accesses_before = subgraph.accesses
     start = time.perf_counter()
     components = strongly_connected_components(subgraph, engine=engine)
     seconds = time.perf_counter() - start
     result = _engine_result(scheme, dataset, "CC", seconds,
                             f"components={len(components)}", engine, accesses_before)
-    _dispose(subgraph)
-    _dispose(store)
+    subgraph.close()
+    store.close()
     return result
 
 
@@ -502,14 +486,14 @@ def run_pagerank_task(scheme: str, dataset: str, stream: EdgeStream,
     store = _load_full_graph(scheme, stream)
     subgraph, _ = top_degree_subgraph(store, subgraph_nodes)
     engine = TraversalEngine(subgraph)
-    accesses_before = _accesses_of(subgraph)
+    accesses_before = subgraph.accesses
     start = time.perf_counter()
     scores = pagerank(subgraph, iterations=iterations, engine=engine)
     seconds = time.perf_counter() - start
     result = _engine_result(scheme, dataset, "PR", seconds, f"nodes={len(scores)}",
                             engine, accesses_before)
-    _dispose(subgraph)
-    _dispose(store)
+    subgraph.close()
+    store.close()
     return result
 
 
@@ -519,14 +503,14 @@ def run_bc_task(scheme: str, dataset: str, stream: EdgeStream,
     store = _load_full_graph(scheme, stream)
     subgraph, _ = top_degree_subgraph(store, subgraph_nodes)
     engine = TraversalEngine(subgraph)
-    accesses_before = _accesses_of(subgraph)
+    accesses_before = subgraph.accesses
     start = time.perf_counter()
     scores = betweenness_centrality(subgraph, engine=engine)
     seconds = time.perf_counter() - start
     result = _engine_result(scheme, dataset, "BC", seconds, f"nodes={len(scores)}",
                             engine, accesses_before)
-    _dispose(subgraph)
-    _dispose(store)
+    subgraph.close()
+    store.close()
     return result
 
 
@@ -536,14 +520,14 @@ def run_lcc_task(scheme: str, dataset: str, stream: EdgeStream,
     store = _load_full_graph(scheme, stream)
     subgraph, _ = top_degree_subgraph(store, subgraph_nodes)
     engine = TraversalEngine(subgraph)
-    accesses_before = _accesses_of(subgraph)
+    accesses_before = subgraph.accesses
     start = time.perf_counter()
     coefficients = all_local_clustering_coefficients(subgraph, engine=engine)
     seconds = time.perf_counter() - start
     result = _engine_result(scheme, dataset, "LCC", seconds,
                             f"nodes={len(coefficients)}", engine, accesses_before)
-    _dispose(subgraph)
-    _dispose(store)
+    subgraph.close()
+    store.close()
     return result
 
 

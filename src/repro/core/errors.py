@@ -32,11 +32,13 @@ class NotFoundError(CuckooGraphError):
 
 
 class StoreClosedError(CuckooGraphError):
-    """Raised when a batch operation is issued against a closed store.
+    """Raised when a closed store is handed a call it no longer accepts.
 
-    After :meth:`repro.core.sharded.ShardedCuckooGraph.close` the batch
-    paths refuse to run, so a wrapper that closed its store notices when
-    something still feeds it batches.  ``close`` itself is idempotent.
+    Which calls those are is each scheme's choice (the sharded front-end
+    refuses batches, the tiered store every operation, the persistent store
+    mutations, the service client every call through the service), so a
+    wrapper that closed its store notices when something still feeds it.
+    ``close`` itself is idempotent.
     """
 
 

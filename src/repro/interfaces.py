@@ -10,7 +10,23 @@ a particular scheme.
 Shard routing is part of the same contract and is decided here only:
 :func:`shard_index` places a source node, :func:`partition` groups a batch by
 it, and every store answers ``num_shards`` / ``shard_of`` /
-``partition_edges`` from those two.
+``partition_edges`` from those two.  So is the lifecycle: every store has
+``close()``, ``closed``, the context-manager protocol,
+``structure_summary()`` and ``counters``; which calls a closed store still
+accepts is the scheme's choice.
+
+Two bases carry the contract for the stores built out of other stores:
+
+* :class:`DelegatingStore` forwards every member to one wrapped store; the
+  write-ahead log (:class:`~repro.persist.PersistentStore`) overrides only
+  its logged mutations, the service client
+  (:class:`~repro.service.GraphClient`) only the calls it sends through the
+  service.
+* :class:`PartitionedStore` owns one store per shard and does the routing,
+  the batch scatter/gather and the aggregation once; the sharded front-end
+  (:class:`~repro.core.sharded.ShardedCuckooGraph`) and the tiered store
+  (:class:`~repro.tiered.TieredStore`) differ only in its one hook,
+  :meth:`PartitionedStore._serve` -- which store serves a shard.
 """
 
 from __future__ import annotations
@@ -93,6 +109,12 @@ class DynamicGraphStore(ABC):
     #: Human-readable scheme name used in benchmark reports.
     name: str = "abstract"
 
+    #: Operation counters (:class:`~repro.core.counters.Counters`) of a
+    #: structure that keeps them; ``None`` for one that does not.
+    counters = None
+
+    _closed: bool = False
+
     #: Partitions the store routes source nodes over; a store that does not
     #: partition is one shard.
     num_shards: int = 1
@@ -113,6 +135,42 @@ class DynamicGraphStore(ABC):
     def reset_accesses(self) -> None:
         """Zero the modelled memory-access counter."""
         self.accesses = 0
+
+    # ------------------------------------------------------------------ #
+    # Lifecycle
+    # ------------------------------------------------------------------ #
+
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` has been called."""
+        return self._closed
+
+    def close(self) -> None:
+        """Release what the store holds.  Idempotent.
+
+        A plain in-memory structure holds nothing and keeps serving after
+        ``close``; a store that refuses calls once closed raises
+        :class:`~repro.core.errors.StoreClosedError` from them (see
+        :meth:`_check_open`), and each says which calls it refuses.
+        """
+        self._closed = True
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _check_open(self, refused: str = "operations") -> None:
+        """Raise :class:`~repro.core.errors.StoreClosedError` once closed."""
+        if self._closed:
+            from .core.errors import StoreClosedError  # the core imports this module
+
+            raise StoreClosedError(f"{self.name} is closed; {refused} are no longer accepted")
+
+    def structure_summary(self) -> dict[str, object]:
+        """A snapshot of the structural state, for reports and debugging."""
+        return {"num_edges": self.num_edges}
 
     # ------------------------------------------------------------------ #
     # Required operations
@@ -289,3 +347,241 @@ class WeightedGraphStore(DynamicGraphStore):
     def insert_weighted_edge(self, u: int, v: int, delta: int = 1) -> int:
         """Insert ``⟨u, v⟩`` or bump its weight by ``delta``; return the new weight."""
         raise NotImplementedError
+
+
+class DelegatingStore(DynamicGraphStore):
+    """A store that forwards the whole contract to the store it wraps.
+
+    Every member a store answers in its own way -- the single and batch
+    operations, ``edges``/``source_nodes``/``num_edges``/``memory_bytes``,
+    ``accesses``, ``counters``, ``structure_summary``, ``weighted``,
+    ``num_shards``, ``edge_weight`` and ``spawn_empty`` -- goes to
+    ``self._store`` unchanged.  What the contract derives from those stays
+    derived: routing (``shard_of``, ``partition_edges``) from ``num_shards``,
+    and the group appliers (``insert_groups``/``delete_groups``) from
+    ``insert_edges``/``delete_edges``, so a subclass that intercepts the
+    batch mutations intercepts the groups as well.
+
+    ``close`` marks only the wrapper closed; a subclass that owns the
+    wrapped store closes it too.
+    """
+
+    def __init__(self, store: DynamicGraphStore):
+        self._store = store
+
+    @property
+    def num_shards(self) -> int:
+        return self._store.num_shards
+
+    @property
+    def weighted(self) -> bool:
+        return self._store.weighted
+
+    @property
+    def accesses(self) -> int:
+        return self._store.accesses
+
+    def reset_accesses(self) -> None:
+        self._store.reset_accesses()
+
+    @property
+    def counters(self):
+        return self._store.counters
+
+    def structure_summary(self) -> dict[str, object]:
+        return self._store.structure_summary()
+
+    def spawn_empty(self) -> DynamicGraphStore:
+        return self._store.spawn_empty()
+
+    def insert_edge(self, u: int, v: int) -> bool:
+        return self._store.insert_edge(u, v)
+
+    def delete_edge(self, u: int, v: int) -> bool:
+        return self._store.delete_edge(u, v)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self._store.has_edge(u, v)
+
+    def successors(self, u: int) -> list[int]:
+        return self._store.successors(u)
+
+    def out_degree(self, u: int) -> int:
+        return self._store.out_degree(u)
+
+    def has_node(self, u: int) -> bool:
+        return self._store.has_node(u)
+
+    def edge_weight(self, u: int, v: int) -> int:
+        return self._store.edge_weight(u, v)
+
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return self._store.insert_edges(edges)
+
+    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return self._store.delete_edges(edges)
+
+    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
+        return self._store.has_edges(edges)
+
+    def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
+        return self._store.successors_many(nodes)
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        return self._store.edges()
+
+    def source_nodes(self) -> Iterator[int]:
+        return self._store.source_nodes()
+
+    @property
+    def num_edges(self) -> int:
+        return self._store.num_edges
+
+    def memory_bytes(self) -> int:
+        return self._store.memory_bytes()
+
+
+def _itself(node: int) -> int:
+    return node
+
+
+class PartitionedStore(DynamicGraphStore):
+    """A store made of one independent store per shard.
+
+    ``self.shards[i]`` (built by the subclass, beside ``num_shards``) holds
+    the sources :func:`shard_index` routes to shard *i*.  This base routes
+    the single operations, groups a batch per shard (:func:`partition`,
+    first-seen shard order), scatters ``has_edges`` answers back to input
+    order, re-keys ``successors_many`` to first-occurrence order, sums
+    ``edges``, ``source_nodes``, ``num_edges``, ``memory_bytes`` and
+    ``accesses`` shard by shard, and closes the shards with itself.
+
+    Every operation reaches a shard through one hook, :meth:`_serve` --
+    once per single operation and once per group of a batch, before the
+    group runs -- and a group runs through the shard store's own batch
+    method.  A closed partitioned store refuses batch calls
+    (:class:`~repro.core.errors.StoreClosedError`); whether it still serves
+    single operations is the hook's decision.
+    """
+
+    #: One store per shard, in shard order.
+    shards: list[DynamicGraphStore]
+
+    def _serve(self, index: int, count: int, mutating: bool) -> DynamicGraphStore:
+        """The store that serves shard ``index`` for ``count`` operations,
+        ``mutating`` or not."""
+        return self.shards[index]
+
+    # ------------------------------------------------------------------ #
+    # Single operations: one shard each
+    # ------------------------------------------------------------------ #
+
+    def insert_edge(self, u: int, v: int) -> bool:
+        return self._serve(shard_index(u, self.num_shards), 1, True).insert_edge(u, v)
+
+    def delete_edge(self, u: int, v: int) -> bool:
+        return self._serve(shard_index(u, self.num_shards), 1, True).delete_edge(u, v)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return self._serve(shard_index(u, self.num_shards), 1, False).has_edge(u, v)
+
+    def successors(self, u: int) -> list[int]:
+        return self._serve(shard_index(u, self.num_shards), 1, False).successors(u)
+
+    def out_degree(self, u: int) -> int:
+        return self._serve(shard_index(u, self.num_shards), 1, False).out_degree(u)
+
+    def has_node(self, u: int) -> bool:
+        return self._serve(shard_index(u, self.num_shards), 1, False).has_node(u)
+
+    # ------------------------------------------------------------------ #
+    # Batches: one call per shard group
+    # ------------------------------------------------------------------ #
+
+    def insert_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
+        self._check_open("batch operations")
+        serve = self._serve
+        inserted = 0
+        for index, group in groups.items():
+            inserted += serve(index, len(group), True).insert_edges(group)
+        return inserted
+
+    def delete_groups(self, groups: dict[int, list[tuple[int, int]]]) -> int:
+        self._check_open("batch operations")
+        serve = self._serve
+        deleted = 0
+        for index, group in groups.items():
+            deleted += serve(index, len(group), True).delete_edges(group)
+        return deleted
+
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return self.insert_groups(self.partition_edges(edges))
+
+    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        return self.delete_groups(self.partition_edges(edges))
+
+    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
+        self._check_open("batch operations")
+        edges = list(edges)
+        serve = self._serve
+        groups = partition(range(len(edges)), self.num_shards,
+                           node=lambda position: edges[position][0])
+        if len(groups) == 1:  # one shard's answers are already in input order
+            (index, positions), = groups.items()
+            return serve(index, len(positions), False).has_edges(edges)
+        answers = [False] * len(edges)
+        for index, positions in groups.items():
+            found = serve(index, len(positions), False).has_edges(
+                list(map(edges.__getitem__, positions)))
+            for position, answer in zip(positions, found):
+                answers[position] = answer
+        return answers
+
+    def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
+        self._check_open("batch operations")
+        ordered = list(dict.fromkeys(nodes))
+        serve = self._serve
+        groups = partition(ordered, self.num_shards, node=_itself)
+        if len(groups) == 1:  # one shard's answer is already keyed in input order
+            (index, group), = groups.items()
+            return serve(index, len(group), False).successors_many(group)
+        gathered: dict[int, list[int]] = {}
+        for index, group in groups.items():
+            gathered.update(serve(index, len(group), False).successors_many(group))
+        return {u: gathered[u] for u in ordered}
+
+    # ------------------------------------------------------------------ #
+    # Aggregates and lifecycle
+    # ------------------------------------------------------------------ #
+
+    def edges(self) -> Iterator[tuple[int, int]]:
+        for store in self.shards:
+            yield from store.edges()
+
+    def source_nodes(self) -> Iterator[int]:
+        for store in self.shards:
+            yield from store.source_nodes()
+
+    @property
+    def num_edges(self) -> int:
+        return sum(store.num_edges for store in self.shards)
+
+    def memory_bytes(self) -> int:
+        return sum(store.memory_bytes() for store in self.shards)
+
+    @property
+    def accesses(self) -> int:
+        return sum(store.accesses for store in self.shards)
+
+    def reset_accesses(self) -> None:
+        for store in self.shards:
+            store.reset_accesses()
+
+    def close(self) -> None:
+        """Close every shard store; batch calls are refused from here on.
+        Idempotent."""
+        if self._closed:
+            return
+        self._closed = True
+        for store in self.shards:
+            store.close()

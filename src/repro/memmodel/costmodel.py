@@ -59,12 +59,12 @@ class OperationCost:
 
 
 def _counter_snapshot(store: DynamicGraphStore) -> dict[str, int]:
-    counters = getattr(store, "counters", None)
+    counters = store.counters
     return counters.snapshot() if counters is not None else {}
 
 
 def _counter_delta(store: DynamicGraphStore, before: dict[str, int]) -> dict[str, int]:
-    counters = getattr(store, "counters", None)
+    counters = store.counters
     return counters.diff(before) if counters is not None else {}
 
 

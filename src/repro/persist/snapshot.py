@@ -104,7 +104,7 @@ _V1_HEADER = struct.Struct("<BQQI")  # kind, rows, generation, CRC32 of the body
 def snapshot_rows(store: DynamicGraphStore) -> Tuple[int, List[tuple]]:
     """The ``(kind, rows)`` a snapshot of ``store`` should contain."""
     weighted_edges = getattr(store, "weighted_edges", None)
-    if callable(weighted_edges) and getattr(store, "weighted", True):
+    if callable(weighted_edges) and store.weighted:
         return KIND_WEIGHTED, sorted(weighted_edges())
     multiplicity = getattr(store, "edge_multiplicity", None)
     if callable(multiplicity):

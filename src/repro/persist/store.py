@@ -4,9 +4,13 @@ The wrapper is write-ahead in the strict sense: every mutation (single-op
 or batch) is encoded into **one** WAL group-commit record per touched
 segment and appended *before* it is applied to the wrapped store, so the
 on-disk log is always a superset of the in-memory state and a crash can
-lose at most the commits whose records never completed.  Reads delegate
-straight through -- the wrapped structure keeps its access characteristics,
-counters and memory model untouched.
+lose at most the commits whose records never completed.  Everything else --
+reads, batch reads, ``edges``, ``num_edges``, ``memory_bytes``,
+``accesses``, ``counters``, ``weighted``, ``num_shards`` -- is forwarded by
+:class:`~repro.interfaces.DelegatingStore`, so the wrapped structure keeps
+its access characteristics, counters and memory model untouched; this
+module adds only the logged mutations, ``structure_summary`` (the store's
+own plus the log's) and ``spawn_empty``.
 
 Layout of a store directory::
 
@@ -113,14 +117,14 @@ from functools import partial
 from pathlib import Path
 from queue import SimpleQueue
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar, Union,
 )
 
-from ..core.errors import PersistenceError, ReplicationError, StoreClosedError
+from ..core.errors import PersistenceError, ReplicationError
 from ..core.graph import CuckooGraph
 from ..core.sharded import ShardedCuckooGraph
 from ..core.weighted import WeightedCuckooGraph
-from ..interfaces import DynamicGraphStore
+from ..interfaces import DelegatingStore, DynamicGraphStore
 from .snapshot import (
     CompactionEvent,
     CompactionPolicy,
@@ -372,7 +376,7 @@ class PendingCommit:
         self._store._maybe_compact(behind)
 
 
-class PersistentStore(DynamicGraphStore):
+class PersistentStore(DelegatingStore):
     """Write-ahead-logged wrapper implementing the full store contract.
 
     Args:
@@ -393,10 +397,10 @@ class PersistentStore(DynamicGraphStore):
             which the store snapshots itself and truncates the log;
             ``None`` disables compaction.
 
-    ``close`` is terminal and idempotent, matching
-    :class:`~repro.core.sharded.ShardedCuckooGraph`: post-close mutations
-    raise :class:`~repro.core.errors.StoreClosedError`, reads keep
-    delegating to the wrapped store.
+    ``close`` is terminal and idempotent: post-close mutations (and
+    ``sync``/``checkpoint``) raise
+    :class:`~repro.core.errors.StoreClosedError`, reads keep delegating to
+    the wrapped store.
     """
 
     name = "PersistentStore"
@@ -445,7 +449,6 @@ class PersistentStore(DynamicGraphStore):
 
         self._sync_on_commit = sync_on_commit
         self._policy = CompactionPolicy(max_wal_bytes=compact_wal_bytes)
-        self._closed = False
         self._spawn_counter = 0
         #: Checkpoint counter; bumped by every snapshot-and-truncate cycle
         #: and stamped into both the snapshot and the WAL segment headers
@@ -520,16 +523,6 @@ class PersistentStore(DynamicGraphStore):
         return self._segments
 
     @property
-    def num_shards(self) -> int:
-        """The wrapped store's shard count: one segment per shard."""
-        return self._segments
-
-    @property
-    def weighted(self) -> bool:
-        """Whether the wrapped store keeps per-edge weights."""
-        return self._store.weighted
-
-    @property
     def segment_paths(self) -> List[Path]:
         """The WAL segment files, in segment order."""
         return [self._path / _segment_name(index) for index in range(self._segments)]
@@ -543,11 +536,6 @@ class PersistentStore(DynamicGraphStore):
     def scheme_name(self) -> Optional[str]:
         """Registered scheme name recorded in the manifest (``None`` if untracked)."""
         return self._scheme_name
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called."""
-        return self._closed
 
     @property
     def sync_on_commit(self) -> bool:
@@ -565,9 +553,9 @@ class PersistentStore(DynamicGraphStore):
     def close(self) -> None:
         """Flush and release the log, then the wrapped store.  Idempotent.
 
-        Terminal in the same sense as the sharded front-end's ``close``:
-        further mutations raise :class:`StoreClosedError` instead of
-        silently writing to a released log.  The sync helper threads, if a
+        Terminal for writes: further mutations raise
+        :class:`~repro.core.errors.StoreClosedError` instead of silently
+        writing to a released log.  The sync helper threads, if a
         commit ever started them, are joined here.  An ephemeral
         (``path=None``) store also removes its temporary directory.
         """
@@ -580,27 +568,15 @@ class PersistentStore(DynamicGraphStore):
         for wal in self._wals:
             wal.close()
         if self._own_store:
-            close = getattr(self._store, "close", None)
-            if callable(close):
-                close()
+            self._store.close()
         self._lock.release()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None
 
-    def __enter__(self) -> "PersistentStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Logging
     # ------------------------------------------------------------------ #
-
-    def _ensure_writable(self) -> None:
-        if self._closed:
-            raise StoreClosedError(f"{self.name} is closed; mutations are no longer accepted")
 
     def _start_syncs(self, syncing: Sequence[Tuple[WriteAheadLog, int]],
                      wake: Optional[Callable[[], None]] = None):
@@ -698,7 +674,7 @@ class PersistentStore(DynamicGraphStore):
         dirty segments are synced side by side (the caller takes one,
         helper threads the rest); a lone one on the caller's thread.
         """
-        self._ensure_writable()
+        self._check_open("mutations")
         with self._log_lock:
             syncing = [(wal, fd) for wal in self._wals
                        if (fd := wal.begin_sync()) is not None]
@@ -774,7 +750,7 @@ class PersistentStore(DynamicGraphStore):
         in between leaves some segments at generation ``G``; recovery skips
         them because their records are provably folded into the snapshot.
         """
-        self._ensure_writable()
+        self._check_open("mutations")
         generation = self._generation + 1
         # Pre-truncation event: a replication primary drains the commit
         # feed, an incremental probe its cursor, up to these offsets before
@@ -844,12 +820,12 @@ class PersistentStore(DynamicGraphStore):
             pending)
 
     def insert_edge(self, u: int, v: int) -> bool:
-        self._ensure_writable()
+        self._check_open("mutations")
         return self._commit_op((INSERT, u, v),
                                lambda: self._store.insert_edge(u, v))
 
     def delete_edge(self, u: int, v: int) -> bool:
-        self._ensure_writable()
+        self._check_open("mutations")
         return self._commit_op((DELETE, u, v),
                                lambda: self._store.delete_edge(u, v))
 
@@ -860,78 +836,27 @@ class PersistentStore(DynamicGraphStore):
         ``_pending`` is the service dispatcher's (see :class:`PendingCommit`):
         with it the call returns before the commit is durable.
         """
-        self._ensure_writable()
+        self._check_open("mutations")
         return self._commit_edges(INSERT, edges, self._store.insert_groups, _pending)
 
     def delete_edges(self, edges: Iterable[tuple[int, int]],
                      _pending: Optional[PendingCommit] = None) -> int:
         """One group commit for the whole batch, then one batch apply
         (``_pending`` as for :meth:`insert_edges`)."""
-        self._ensure_writable()
+        self._check_open("mutations")
         return self._commit_edges(DELETE, edges, self._store.delete_groups, _pending)
 
     def insert_weighted_edge(self, u: int, v: int, delta: int = 1) -> int:
         """Weighted insert, logged with its delta (wrapped store must support it)."""
-        self._ensure_writable()
+        self._check_open("mutations")
         if not self._store.weighted:
             raise TypeError(f"wrapped store {self._store.name!r} is not weighted")
         return self._commit_op((INSERT_WEIGHTED, u, v, delta),
                                lambda: self._store.insert_weighted_edge(u, v, delta))
 
-    # ------------------------------------------------------------------ #
-    # Reads: straight delegation
-    # ------------------------------------------------------------------ #
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._store.has_edge(u, v)
-
-    def successors(self, u: int) -> list[int]:
-        return self._store.successors(u)
-
-    def out_degree(self, u: int) -> int:
-        return self._store.out_degree(u)
-
-    def has_node(self, u: int) -> bool:
-        return self._store.has_node(u)
-
-    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
-        return self._store.has_edges(edges)
-
-    def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
-        return self._store.successors_many(nodes)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return self._store.edges()
-
-    def source_nodes(self) -> Iterator[int]:
-        return self._store.source_nodes()
-
-    @property
-    def num_edges(self) -> int:
-        return self._store.num_edges
-
-    def edge_weight(self, u: int, v: int) -> int:
-        return self._store.edge_weight(u, v)
-
-    def memory_bytes(self) -> int:
-        """Memory model of the wrapped structure (the log lives on disk)."""
-        return self._store.memory_bytes()
-
-    @property
-    def accesses(self) -> int:
-        return getattr(self._store, "accesses", 0)
-
-    def reset_accesses(self) -> None:
-        self._store.reset_accesses()
-
-    @property
-    def counters(self):
-        return getattr(self._store, "counters", None)
-
     def structure_summary(self) -> dict[str, object]:
-        summary = getattr(self._store, "structure_summary", None)
-        inner = summary() if callable(summary) else {"num_edges": self.num_edges}
-        return {"persistence": self.persistence_summary(), "store": inner}
+        return {"persistence": self.persistence_summary(),
+                "store": self._store.structure_summary()}
 
     def spawn_empty(self) -> "PersistentStore":
         """Fresh empty persistent store of the same configuration.

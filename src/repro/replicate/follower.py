@@ -389,9 +389,7 @@ class Follower:
         else:
             self._disconnect()
         if self._own_store:
-            close = getattr(self._store, "close", None)
-            if callable(close):
-                close()
+            self._store.close()
 
     def __enter__(self) -> "Follower":
         return self

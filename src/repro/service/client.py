@@ -12,23 +12,35 @@ one store call whose return value is the answer), and the chunks are
 pipelined -- all submitted first, then collected -- so other clients'
 requests interleave between them in FIFO order while this client waits once.
 
-Introspection (``edges``, ``num_edges``, ``memory_bytes``, ``accesses``,
-``counters``) reads the underlying store directly.  That is a deliberate
-trade: those are snapshot/diagnostic reads used by benchmarks and reports on
-a quiesced service; issuing them through the queue would serialize a full
+The client is a :class:`~repro.interfaces.DelegatingStore` over the served
+store and overrides exactly the calls that travel through the service: the
+single and batch operations, ``out_degree`` and ``has_node`` (answered
+from ``successors``, so they queue like it), and the analytics jobs.
+Everything else -- introspection (``edges``, ``source_nodes``,
+``num_edges``, ``memory_bytes``, ``accesses``, ``counters``,
+``structure_summary``) and ``spawn_empty`` (an empty store of the *served*
+scheme: a subgraph extraction must not spin up a nested service) -- is
+forwarded to the underlying store directly.  That is a deliberate trade:
+those are snapshot/diagnostic reads used by benchmarks and reports on a
+quiesced service; issuing them through the queue would serialize a full
 scan behind traffic.  Call them only when no conflicting writes are in
 flight.
+``weighted`` stays ``False`` whatever the store: the service has no
+weighted request kind.
+
+``close()`` is terminal and idempotent: every call through the service
+raises :class:`~repro.core.errors.StoreClosedError` afterwards, while the
+forwarded introspection keeps working.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from ..core.config import CuckooGraphConfig
-from ..core.errors import StoreClosedError
 from ..core.sharded import ShardedCuckooGraph
-from ..interfaces import DynamicGraphStore
+from ..interfaces import DelegatingStore, DynamicGraphStore
 from .service import GraphService
 
 #: Most items one list request of a batch *read* (``has_edges`` /
@@ -46,7 +58,7 @@ from .service import GraphService
 READ_CHUNK = 8
 
 
-class GraphClient(DynamicGraphStore):
+class GraphClient(DelegatingStore):
     """Blocking :class:`DynamicGraphStore` view of a :class:`GraphService`.
 
     Args:
@@ -65,10 +77,13 @@ class GraphClient(DynamicGraphStore):
 
     name = "GraphServiceClient"
 
+    #: The service has no weighted request kind.
+    weighted = False
+
     def __init__(self, service: GraphService, *, close_service: bool = False):
+        super().__init__(service.store)
         self._service = service
         self._close_service = close_service
-        self._closed = False
         if not service.running and not service.closed:
             service.start()
 
@@ -125,21 +140,15 @@ class GraphClient(DynamicGraphStore):
     def service(self) -> GraphService:
         return self._service
 
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has been called on this client."""
-        return self._closed
-
     def close(self) -> None:
-        """Terminal close, aligned with the sharded front-end's semantics.
+        """Terminal close.  Idempotent.
 
-        Idempotent.  The underlying service is closed too when this client
-        owns it; either way, further operations through the client raise
+        The underlying service is closed too when this client owns it;
+        either way, further operations through the client raise
         :class:`~repro.core.errors.StoreClosedError` (a non-owning client
         must not keep feeding a service it has declared itself done with).
         Quiesced introspection reads (``edges``, ``num_edges``, ...) keep
-        working, exactly like single-operation reads on a closed
-        :class:`~repro.core.sharded.ShardedCuckooGraph`.
+        working.
         """
         if self._closed:
             return
@@ -147,37 +156,29 @@ class GraphClient(DynamicGraphStore):
         if self._close_service:
             self._service.close()
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError(
-                f"{self.name} is closed; operations are no longer accepted"
-            )
-
-    def __enter__(self) -> "GraphClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Single-operation paths: one request, block on its future
     # ------------------------------------------------------------------ #
 
     def insert_edge(self, u: int, v: int) -> bool:
-        self._ensure_open()
+        self._check_open()
         return self._service.insert_edge(u, v).result()
 
     def delete_edge(self, u: int, v: int) -> bool:
-        self._ensure_open()
+        self._check_open()
         return self._service.delete_edge(u, v).result()
 
     def has_edge(self, u: int, v: int) -> bool:
-        self._ensure_open()
+        self._check_open()
         return self._service.has_edge(u, v).result()
 
     def successors(self, u: int) -> list[int]:
-        self._ensure_open()
+        self._check_open()
         return self._service.successors(u).result()
+
+    # Through ``successors``, i.e. the queue, not straight to the store.
+    out_degree = DynamicGraphStore.out_degree
+    has_node = DynamicGraphStore.has_node
 
     # ------------------------------------------------------------------ #
     # Batch paths: ceil(n / chunk) pipelined list requests
@@ -186,7 +187,7 @@ class GraphClient(DynamicGraphStore):
     def _pipelined(self, submit, items: Iterable, size: int) -> list:
         """``submit`` one list request per ``size`` items of ``items`` --
         all of them before waiting on any -- and return their results."""
-        self._ensure_open()
+        self._check_open()
         items = list(items)
         futures = [submit(items[start:start + size])
                    for start in range(0, len(items), size)]
@@ -220,73 +221,27 @@ class GraphClient(DynamicGraphStore):
     # ------------------------------------------------------------------ #
 
     def bfs(self, source: int, **kwargs) -> list[int]:
-        self._ensure_open()
+        self._check_open()
         return self._service.analytics("bfs", source, **kwargs).result()
 
     def sssp(self, source: int, **kwargs) -> dict[int, float]:
-        self._ensure_open()
+        self._check_open()
         return self._service.analytics("sssp", source, **kwargs).result()
 
     def pagerank(self, **kwargs) -> dict[int, float]:
-        self._ensure_open()
+        self._check_open()
         return self._service.analytics("pagerank", **kwargs).result()
 
     def components(self, **kwargs) -> list[list[int]]:
-        self._ensure_open()
+        self._check_open()
         return self._service.analytics("components", **kwargs).result()
 
     def wcc(self, **kwargs) -> list[list[int]]:
         """Weakly connected components in canonical form (delta-maintained
         when the service runs ``analytics="incremental"``)."""
-        self._ensure_open()
+        self._check_open()
         return self._service.analytics("wcc", **kwargs).result()
 
     def top_degree_nodes(self, count: int, **kwargs) -> list[int]:
-        self._ensure_open()
+        self._check_open()
         return self._service.analytics("top_degree_nodes", count, **kwargs).result()
-
-    # ------------------------------------------------------------------ #
-    # Quiesced introspection: direct store reads (see module docstring)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def _store(self) -> DynamicGraphStore:
-        return self._service.store
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return self._store.edges()
-
-    def source_nodes(self) -> Iterator[int]:
-        return self._store.source_nodes()
-
-    @property
-    def num_edges(self) -> int:
-        return self._store.num_edges
-
-    def memory_bytes(self) -> int:
-        return self._store.memory_bytes()
-
-    @property
-    def accesses(self) -> int:
-        return getattr(self._store, "accesses", 0)
-
-    def reset_accesses(self) -> None:
-        self._store.reset_accesses()
-
-    @property
-    def counters(self):
-        return getattr(self._store, "counters", None)
-
-    def structure_summary(self) -> dict[str, object]:
-        summary = getattr(self._store, "structure_summary", None)
-        return summary() if callable(summary) else {"num_edges": self.num_edges}
-
-    def spawn_empty(self) -> DynamicGraphStore:
-        """Empty store of the *served* scheme, for subgraph extraction.
-
-        Extracting a subgraph should not spin up a nested service (that
-        would leak a dispatcher per extraction); analytics on an extracted
-        subgraph measure the underlying store, the service front door
-        having already carried the traffic that built it.
-        """
-        return self._store.spawn_empty()

@@ -355,9 +355,7 @@ class GraphService:
         if self._replication is not None:
             self._replication.close()
         if self._own_store:
-            close = getattr(self.store, "close", None)
-            if callable(close):
-                close()
+            self.store.close()
 
     def __enter__(self) -> "GraphService":
         return self.start()

@@ -9,17 +9,24 @@ implements that split over the same source-node partitioning as
 * **Routing.**  Every edge ``⟨u, v⟩`` lives on the shard owned by ``u``,
   chosen by the store contract's routing (``shard_of``, ``partition_edges``;
   :func:`~repro.interfaces.shard_index`), so a node's shard is a pure
-  function of the shard count, never of the access history.  The batch
-  mutations are ``insert_groups``/``delete_groups`` over those groups, which
-  is also what a :class:`~repro.persist.PersistentStore` over this store
-  hands them after logging one WAL record per group.
+  function of the shard count, never of the access history.  Routing, the
+  per-shard batch groups, the ``has_edges``/``successors_many`` gather and
+  the summed aggregates are :class:`~repro.interfaces.PartitionedStore`'s,
+  shared with the sharded front-end; this class supplies its one hook,
+  ``_serve`` -- check the store is open, touch the shard, maybe migrate it,
+  hand back its current store -- which is the only place a touch happens:
+  once per single operation and once per group of a batch, counting the
+  group's length, before the group runs.  A
+  :class:`~repro.persist.PersistentStore` over this store routes a batch
+  once and hands the same groups to ``insert_groups``/``delete_groups``.
 
 * **Tiers.**  A hot shard is a complete :class:`~repro.core.graph.CuckooGraph`;
   a cold shard lives in one of the database integrations
   (:class:`~repro.integrations.RedisGraphStore` by default, or any factory the
   caller supplies).  Both speak the full :class:`~repro.interfaces.DynamicGraphStore`
-  contract, so every operation delegates unchanged -- only latency and the
-  modelled access counts differ between tiers.
+  contract, so every operation (a group through the shard store's own batch
+  method) delegates unchanged -- only latency and the modelled access counts
+  differ between tiers.
 
 * **Admission/eviction policy.**  A pluggable policy (default
   :class:`TouchLRUPolicy`: touch-count admission, least-recently-touched
@@ -34,6 +41,10 @@ implements that split over the same source-node partitioning as
   (byte-identical PageRank, order-identical BFS) require of every store in
   ``ALL_STORE_FACTORIES``.
 
+* **Lifecycle.**  ``close()`` closes every tier store and is terminal: every
+  later operation, read or write, raises
+  :class:`~repro.core.errors.StoreClosedError`.
+
 * **Observability.**  ``hits`` / ``misses`` / ``promotions`` / ``demotions``
   plus per-shard touch counts surface through :meth:`tier_stats`, which the
   service layer folds into :class:`~repro.service.metrics.ServiceMetrics`
@@ -43,12 +54,12 @@ implements that split over the same source-node partitioning as
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.config import CuckooGraphConfig, PAPER_CONFIG
-from ..core.errors import ConfigurationError, StoreClosedError
+from ..core.errors import ConfigurationError
 from ..core.graph import CuckooGraph
-from ..interfaces import DynamicGraphStore, partition
+from ..interfaces import DynamicGraphStore, PartitionedStore
 
 #: Names accepted for the built-in cold-tier backends.
 COLD_BACKENDS = ("redis", "neo4j")
@@ -105,7 +116,7 @@ class TouchLRUPolicy:
         return victim
 
 
-class TieredStore(DynamicGraphStore):
+class TieredStore(PartitionedStore):
     """Hot/cold tiered store speaking the full ``DynamicGraphStore`` contract.
 
     Args:
@@ -148,11 +159,10 @@ class TieredStore(DynamicGraphStore):
         )
         self.policy = policy if policy is not None else TouchLRUPolicy()
         self._hot: List[bool] = [index < hot_shards for index in range(num_shards)]
-        self._stores: List[DynamicGraphStore] = [
+        self.shards: List[DynamicGraphStore] = [
             self._new_hot_store(index) if self._hot[index] else self._cold_factory()
             for index in range(num_shards)
         ]
-        self._closed = False
         # -- tier telemetry ------------------------------------------------ #
         self.hits = 0          # touches served by the hot tier
         self.misses = 0        # touches served by the cold tier
@@ -177,28 +187,28 @@ class TieredStore(DynamicGraphStore):
         """Whether ``shard`` currently resides in the CuckooGraph tier."""
         return self._hot[shard]
 
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise StoreClosedError("store is closed")
+    def _serve(self, index: int, count: int, mutating: bool) -> DynamicGraphStore:
+        """Record ``count`` operations landing on shard ``index``; maybe migrate.
 
-    def _touch(self, shard: int, count: int, mutating: bool) -> None:
-        """Record ``count`` operations landing on ``shard``; maybe migrate.
-
-        Reads only update the counters; only a mutating touch may trigger a
-        promotion/demotion swap (read stability, see the module docstring).
+        The one place a touch happens.  Reads only update the counters; only
+        a mutating touch may trigger a promotion/demotion swap (read
+        stability, see the module docstring), and it happens before the
+        operations run, so a whole group lands in the shard's new tier.
         """
+        self._check_open()
         self._clock += 1
-        self._touches[shard] += count
-        self._window_touches[shard] += count
-        self._last_touch[shard] = self._clock
-        if self._hot[shard]:
+        self._touches[index] += count
+        self._window_touches[index] += count
+        self._last_touch[index] = self._clock
+        if self._hot[index]:
             self.hits += count
         else:
             self.misses += count
             if mutating:
-                victim = self.policy.pick_swap(self, shard)
+                victim = self.policy.pick_swap(self, index)
                 if victim is not None:
-                    self._swap(promote=shard, demote=victim)
+                    self._swap(promote=index, demote=victim)
+        return self.shards[index]
 
     def _swap(self, promote: int, demote: int) -> None:
         """Promote one cold shard, demote one hot shard, reset their windows."""
@@ -212,100 +222,11 @@ class TieredStore(DynamicGraphStore):
         self._window_touches[demote] = 0
 
     def _migrate(self, shard: int, target: DynamicGraphStore) -> None:
-        source = self._stores[shard]
+        source = self.shards[shard]
         target.insert_edges(list(source.edges()))
-        self._carried_accesses += getattr(source, "accesses", 0)
-        close = getattr(source, "close", None)
-        if callable(close):
-            close()
-        self._stores[shard] = target
-
-    # ------------------------------------------------------------------ #
-    # DynamicGraphStore contract
-    # ------------------------------------------------------------------ #
-
-    def insert_edge(self, u: int, v: int) -> bool:
-        self._ensure_open()
-        shard = self.shard_of(u)
-        self._touch(shard, 1, mutating=True)
-        return self._stores[shard].insert_edge(u, v)
-
-    def delete_edge(self, u: int, v: int) -> bool:
-        self._ensure_open()
-        shard = self.shard_of(u)
-        self._touch(shard, 1, mutating=True)
-        return self._stores[shard].delete_edge(u, v)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._ensure_open()
-        shard = self.shard_of(u)
-        self._touch(shard, 1, mutating=False)
-        return self._stores[shard].has_edge(u, v)
-
-    def successors(self, u: int) -> list[int]:
-        self._ensure_open()
-        shard = self.shard_of(u)
-        self._touch(shard, 1, mutating=False)
-        return self._stores[shard].successors(u)
-
-    def insert_groups(self, groups: Dict[int, List[tuple[int, int]]]) -> int:
-        self._ensure_open()
-        inserted = 0
-        for shard, group in groups.items():
-            # Touch (and maybe migrate) before the batch executes, so the
-            # whole group lands in the shard's post-migration tier.
-            self._touch(shard, len(group), mutating=True)
-            inserted += self._stores[shard].insert_edges(group)
-        return inserted
-
-    def delete_groups(self, groups: Dict[int, List[tuple[int, int]]]) -> int:
-        self._ensure_open()
-        deleted = 0
-        for shard, group in groups.items():
-            self._touch(shard, len(group), mutating=True)
-            deleted += self._stores[shard].delete_edges(group)
-        return deleted
-
-    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        return self.insert_groups(self.partition_edges(edges))
-
-    def delete_edges(self, edges: Iterable[tuple[int, int]]) -> int:
-        return self.delete_groups(self.partition_edges(edges))
-
-    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
-        self._ensure_open()
-        pairs = list(edges)
-        groups = partition(range(len(pairs)), self.num_shards,
-                           node=lambda position: pairs[position][0])
-        results: list[bool] = [False] * len(pairs)
-        for shard, positions in groups.items():
-            self._touch(shard, len(positions), mutating=False)
-            answers = self._stores[shard].has_edges([pairs[p] for p in positions])
-            for position, answer in zip(positions, answers):
-                results[position] = answer
-        return results
-
-    def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
-        self._ensure_open()
-        distinct = list(dict.fromkeys(nodes))
-        groups = partition(distinct, self.num_shards, node=lambda u: u)
-        fanned: Dict[int, list[int]] = {}
-        for shard, group in groups.items():
-            self._touch(shard, len(group), mutating=False)
-            fanned.update(self._stores[shard].successors_many(group))
-        # Re-key in first-occurrence order of the input (the batch contract).
-        return {u: fanned[u] for u in distinct}
-
-    def memory_bytes(self) -> int:
-        return sum(store.memory_bytes() for store in self._stores)
-
-    @property
-    def num_edges(self) -> int:
-        return sum(store.num_edges for store in self._stores)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        for store in self._stores:
-            yield from store.edges()
+        self._carried_accesses += source.accesses
+        source.close()
+        self.shards[shard] = target
 
     def spawn_empty(self) -> "TieredStore":
         return TieredStore(
@@ -317,14 +238,12 @@ class TieredStore(DynamicGraphStore):
         )
 
     # ------------------------------------------------------------------ #
-    # Telemetry and lifecycle
+    # Telemetry
     # ------------------------------------------------------------------ #
 
     @property
     def accesses(self) -> int:
-        return self._carried_accesses + sum(
-            getattr(store, "accesses", 0) for store in self._stores
-        )
+        return self._carried_accesses + super().accesses
 
     @accesses.setter
     def accesses(self, value: int) -> None:
@@ -334,10 +253,7 @@ class TieredStore(DynamicGraphStore):
 
     def reset_accesses(self) -> None:
         self._carried_accesses = 0
-        for store in self._stores:
-            reset = getattr(store, "reset_accesses", None)
-            if callable(reset):
-                reset()
+        super().reset_accesses()
 
     def tier_stats(self) -> Dict[str, object]:
         """Snapshot of the tier telemetry (all counters are cumulative)."""
@@ -364,27 +280,13 @@ class TieredStore(DynamicGraphStore):
             "tiers": {
                 str(index): {
                     "tier": "hot" if self._hot[index] else "cold",
-                    "backend": self._stores[index].name,
-                    "edges": self._stores[index].num_edges,
+                    "backend": self.shards[index].name,
+                    "edges": self.shards[index].num_edges,
                 }
                 for index in range(self.num_shards)
             },
             **{"tier_stats": self.tier_stats()},
         }
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Close every tier store.  Terminal and idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for store in self._stores:
-            close = getattr(store, "close", None)
-            if callable(close):
-                close()
 
     def __repr__(self) -> str:
         hot = sum(self._hot)

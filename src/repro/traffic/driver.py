@@ -180,22 +180,14 @@ def _warmup(service: GraphService, config: ScenarioConfig,
     return len(futures)
 
 
-def run_scenario(config: ScenarioConfig, *,
-                 service: Optional[GraphService] = None,
-                 routing_store=None) -> Dict[str, object]:
+def run_scenario(config: ScenarioConfig) -> Dict[str, object]:
     """Execute one scenario and return its SLO report (a JSON-safe dict).
 
-    Builds (and closes) the deployment described by ``config`` unless a
-    running ``service`` is supplied, in which case ``routing_store`` must be
-    the structure whose shards the keys are laid out over, and the caller
-    keeps ownership.
+    Builds the deployment described by ``config`` (:func:`build_service`),
+    runs it and closes it.
     """
-    own_service = service is None
-    if own_service:
-        service, routing_store = build_service(config)
-        service.start()
-    elif routing_store is None:
-        raise ValueError("an external service needs its routing_store")
+    service, routing_store = build_service(config)
+    service.start()
     try:
         ranked = ranked_keys(config, routing_store.num_shards)
         schedules = [tenant_schedule(config, tenant)
@@ -203,8 +195,8 @@ def run_scenario(config: ScenarioConfig, *,
         keys = [tenant_keys(config, ranked, tenant)
                 for tenant in range(config.tenants)]
         warmed = _warmup(service, config, ranked)
-        tier_stats = getattr(routing_store, "tier_stats", None)
-        tier_before = tier_stats() if callable(tier_stats) else None
+        tiered = isinstance(routing_store, TieredStore)
+        tier_before = routing_store.tier_stats() if tiered else None
 
         recorder = _ClassRecorder()
         futures: List = []
@@ -241,13 +233,12 @@ def run_scenario(config: ScenarioConfig, *,
         stop.set()
         injector.join(timeout=DRAIN_TIMEOUT_S)
 
-        tier_after = tier_stats() if callable(tier_stats) else None
+        tier_after = routing_store.tier_stats() if tiered else None
         metrics = service.metrics_summary()
         return _assemble_report(config, recorder, failure_records, metrics,
                                 measured_s, warmed, tier_before, tier_after)
     finally:
-        if own_service:
-            service.close()
+        service.close()
 
 
 def _tier_window(before, after) -> Dict[str, object]:

@@ -72,9 +72,7 @@ def store(request):
     for u, v in EDGES:
         built.insert_edge(u, v)
     yield built
-    close = getattr(built, "close", None)
-    if callable(close):
-        close()
+    built.close()
 
 
 # --------------------------------------------------------------------- #

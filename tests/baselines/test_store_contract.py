@@ -20,9 +20,7 @@ from ..conftest import ALL_STORE_FACTORIES
 def store(request) -> DynamicGraphStore:
     built = ALL_STORE_FACTORIES[request.param]()
     yield built
-    close = getattr(built, "close", None)
-    if callable(close):
-        close()
+    built.close()
 
 
 class TestContract:
@@ -55,6 +53,7 @@ class TestContract:
         assert not fresh.has_edge(1, 2)
         assert fresh.insert_edge(1, 2) is True  # usable, independent state
         assert store.num_edges == 1
+        fresh.close()  # a spawned persistent store holds a directory
 
     def test_successors_match_reference(self, store, small_edge_set, reference):
         for u, v in small_edge_set:
@@ -102,6 +101,19 @@ class TestContract:
         assert store.insert_edges(small_edge_set) == len(small_edge_set)
         assert store.delete_edges(small_edge_set[:20]) == 20
 
+    def test_lifecycle(self, store):
+        """``with`` closes the store, ``closed`` flips, a second ``close()``
+        is a no-op and ``structure_summary()`` is a dict.  What a closed
+        store still accepts is each scheme's own (pinned in its tests)."""
+        store.insert_edge(1, 2)
+        assert isinstance(store.structure_summary(), dict)
+        assert not store.closed
+        with store as entered:
+            assert entered is store
+        assert store.closed
+        store.close()
+        assert store.closed
+
 
 # The weighted CuckooGraph (alone or as the shards of the sharded front-end)
 # deliberately has different deletion semantics (delete decrements the weight
@@ -142,9 +154,7 @@ def test_any_store_matches_reference_model(ops, name):
         assert sorted(store.edges()) == expected
         assert store.num_edges == len(expected)
     finally:
-        close = getattr(store, "close", None)
-        if callable(close):
-            close()
+        store.close()
 
 
 def test_deletion_order_independence(small_edge_set):
@@ -162,6 +172,4 @@ def test_deletion_order_independence(small_edge_set):
             assert store.num_edges == 0, name
             assert list(store.edges()) == [], name
         finally:
-            close = getattr(store, "close", None)
-            if callable(close):
-                close()
+            store.close()

@@ -19,6 +19,7 @@ from repro.baselines import (
     WindBellIndex,
 )
 from repro.integrations import Neo4jGraphStore, RedisGraphStore
+from repro.service import GraphClient
 from repro.tiered import TieredStore
 
 #: Every DynamicGraphStore implementation that must honour the common contract.
@@ -52,6 +53,9 @@ ALL_STORE_FACTORIES = {
     # mutations drive promotion/demotion mid-sequence, so the matrix
     # exercises reads and writes against both tiers and across migrations.
     "TieredStore": lambda: TieredStore(num_shards=4, hot_shards=2),
+    # The service front door: every operation is a request through the
+    # queue and the dispatcher thread (which close() joins).
+    "GraphClient": lambda: GraphClient.local(num_shards=4),
 }
 
 
@@ -93,9 +97,10 @@ def no_leaked_threads():
     """Fail a test that leaves a dispatcher or fsync helper thread alive.
 
     ``tests/core``, ``tests/service``, ``tests/persist``,
-    ``tests/replicate``, ``tests/traffic`` and ``tests/tiered`` make it
-    autouse: it is set up first, so it looks after every other fixture has
-    been torn down.  A
+    ``tests/replicate``, ``tests/traffic``, ``tests/tiered``,
+    ``tests/baselines`` and ``tests/analytics`` make it autouse (the store
+    matrix holds a ``GraphClient``): it is set up first, so it looks after
+    every other fixture has been torn down.  A
     leaked thread is a service or store some path forgot to close -- on a
     durable service that is also an open WAL segment and a held directory.
     """

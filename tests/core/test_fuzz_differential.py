@@ -162,9 +162,7 @@ def test_fuzz_store_matrix(store_name, fuzz_seed):
         assert_final_state(store, oracle,
                            f"seed={fuzz_seed} store={store_name}")
     finally:
-        close = getattr(store, "close", None)
-        if callable(close):
-            close()
+        store.close()
 
 
 # --------------------------------------------------------------------- #

@@ -191,7 +191,7 @@ class TestSerialOnly:
 
 def _observed(store):
     """What a batch may change: shape, tier telemetry and modelled costs."""
-    counters = getattr(store, "counters", None)
+    counters = store.counters
     return (store.structure_summary(), store.accesses,
             None if counters is None else counters.snapshot())
 
