@@ -21,7 +21,7 @@ drop-in peer of the baseline schemes in every benchmark and analytics task.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from ..interfaces import DynamicGraphStore
 from ..memmodel.layout import CuckooLayout
@@ -368,6 +368,190 @@ class CuckooGraph(DynamicGraphStore):
         if self._sdl._entries:
             result.extend(v for v, _ in self._sdl.successors_of(u))
         return result
+
+    # The batch calls run in one frame each, and charge every count exactly
+    # what the per-edge calls on the same items would.  ``insert_edges`` runs
+    # one source at a time: the first edge of a run of equal sources goes
+    # through ``insert_edge`` (new nodes, L-DL cells and S-DL hits stay
+    # there), and the rest reuse the Part 2 it left and the L-CHT walk that
+    # finds it -- only inserting or removing a node changes the L-CHT, and
+    # placing destinations does neither.  ``delete_edges`` keeps the
+    # per-edge loop.
+
+    def insert_edges(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Insert a batch of edges; return the number that were new.
+
+        Each edge is charged what :meth:`insert_edge` would charge for it, in
+        input order.  A subclass that overrides ``insert_edge`` must bind
+        ``insert_edges = DynamicGraphStore.insert_edges``, as the weighted and
+        multi-edge versions do.
+        """
+        insert = self.insert_edge
+        park = self._park_small
+        counters = self.counters
+        lcht = self._lcht
+        ldl = self._ldl._cells
+        sdl = self._sdl._entries
+        inserted = reused = added = probes = cells = hits = attempts = 0
+        previous = run = None
+        try:
+            for u, v in edges:
+                if u != run:
+                    run = None
+                    if u == previous:
+                        # Second edge of a run: walk the L-CHT as
+                        # ``insert_edge`` would, and keep what the walk found
+                        # for the rest of the run.
+                        walk_probes = walk_cells = 0
+                        for array, hash_of, count in lcht._sides:
+                            bucket = array[hash_of(u) % count]
+                            walk_probes += 1
+                            walk_cells += len(bucket)
+                            if u in bucket:
+                                part2 = bucket[u]
+                                break
+                        else:
+                            part2 = ldl.get(u)
+                        if part2 is not None:  # else the first edge was refused
+                            run = u
+                    previous = u
+                    if run is None:
+                        inserted += insert(u, v)
+                        continue
+
+                reused += 1
+                probes += walk_probes
+                cells += walk_cells
+                chain = part2._chain
+                if chain is None:
+                    slots = part2._slots
+                    cells += len(slots)
+                    if v in slots:
+                        continue
+                    if sdl and (u, v) in sdl:
+                        hits += 1
+                        continue
+                    if len(slots) < part2.slot_capacity:
+                        slots[v] = None
+                    else:
+                        park(u, part2._transform_to_chain((v, None)), part2)
+                else:
+                    bucket1 = None
+                    for array, hash_of, count in chain._sides:
+                        bucket0, bucket1 = bucket1, array[hash_of(v) % count]
+                        probes += 1
+                        cells += len(bucket1)
+                        if v in bucket1:
+                            break
+                    if v in bucket1:
+                        continue
+                    if sdl and (u, v) in sdl:
+                        hits += 1
+                        continue
+                    newest = chain.tables[-1]
+                    room = bucket0 if len(bucket0) < newest.d else bucket1
+                    if newest._size <= chain._grow_above and len(room) < newest.d:
+                        room[v] = None
+                        newest._size += 1
+                        chain._size += 1
+                        attempts += 1
+                        probes += 2
+                    else:
+                        park(u, chain.insert(v, None, True, (bucket0, bucket1)), part2)
+                added += 1
+            return inserted + added
+        finally:
+            self._num_edges += added
+            counters.edges_inserted += reused
+            counters.denylist_hits += hits
+            counters.insert_attempts += attempts
+            counters.bucket_probes += probes
+            counters.cell_probes += cells
+
+    def has_edges(self, edges: Iterable[tuple[int, int]]) -> list[bool]:
+        """Membership of a batch of edges, in input order (:meth:`has_edge`
+        for each, in one frame)."""
+        counters = self.counters
+        sides = self._lcht._sides
+        ldl = self._ldl._cells
+        sdl = self._sdl._entries
+        answers: list[bool] = []
+        answer = answers.append
+        probes = cells = hits = 0
+        try:
+            for u, v in edges:
+                for array, hash_of, count in sides:
+                    bucket = array[hash_of(u) % count]
+                    probes += 1
+                    cells += len(bucket)
+                    if u in bucket:
+                        part2 = bucket[u]
+                        break
+                else:
+                    part2 = ldl.get(u)
+
+                if part2 is not None:
+                    chain = part2._chain
+                    if chain is None:
+                        cells += len(part2._slots)
+                        if v in part2._slots:
+                            answer(True)
+                            continue
+                    else:
+                        for array, hash_of, count in chain._sides:
+                            bucket = array[hash_of(v) % count]
+                            probes += 1
+                            cells += len(bucket)
+                            if v in bucket:
+                                break
+                        if v in bucket:
+                            answer(True)
+                            continue
+                if sdl and (u, v) in sdl:
+                    hits += 1
+                    answer(True)
+                else:
+                    answer(False)
+            return answers
+        finally:
+            counters.edges_queried += len(answers)
+            counters.denylist_hits += hits
+            counters.bucket_probes += probes
+            counters.cell_probes += cells
+
+    def successors_many(self, nodes: Iterable[int]) -> dict[int, list[int]]:
+        """Successor lists of the distinct ``nodes``, keyed in first-occurrence
+        order (:meth:`successors` for each, in one frame)."""
+        counters = self.counters
+        sides = self._lcht._sides
+        ldl = self._ldl._cells
+        parked = self._sdl._by_source
+        lists: dict[int, list[int]] = {}
+        probes = cells = 0
+        try:
+            for u in dict.fromkeys(nodes):
+                for array, hash_of, count in sides:
+                    bucket = array[hash_of(u) % count]
+                    probes += 1
+                    cells += len(bucket)
+                    if u in bucket:
+                        part2 = bucket[u]
+                        break
+                else:
+                    part2 = ldl.get(u)
+                if part2 is None:
+                    found = []
+                elif part2._chain is None:
+                    found = list(part2._slots)
+                else:
+                    found = part2._chain.keys()
+                if parked:
+                    found.extend(parked.get(u, ()))
+                lists[u] = found
+            return lists
+        finally:
+            counters.bucket_probes += probes
+            counters.cell_probes += cells
 
     def out_degree(self, u: int) -> int:
         """Out-degree of ``u`` without materialising the successor list twice."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+from ..interfaces import DynamicGraphStore
 from ..memmodel.layout import ALLOC_OVERHEAD_BYTES, ID_BYTES, POINTER_BYTES
 from .graph import CuckooGraph
 
@@ -73,6 +74,10 @@ class MultiEdgeCuckooGraph(CuckooGraph):
         new_pair = not self.has_edge(u, v)
         self.add_edge(u, v, edge_id=self.counters.edges_inserted)
         return new_pair
+
+    # ``CuckooGraph.insert_edges`` places repeats of a run itself, with no
+    # edge list; a multi-edge batch is one ``insert_edge`` per edge.
+    insert_edges = DynamicGraphStore.insert_edges
 
     def find_edges(self, u: int, v: int) -> Iterator[int]:
         """Iterate over the identifiers of every edge between ``u`` and ``v``.

@@ -14,7 +14,7 @@ follows:
 
 from __future__ import annotations
 
-from ..interfaces import WeightedGraphStore
+from ..interfaces import DynamicGraphStore, WeightedGraphStore
 from .graph import CuckooGraph
 
 
@@ -91,6 +91,10 @@ class WeightedCuckooGraph(CuckooGraph, WeightedGraphStore):
         deduplicating benchmarks built on it) keep working.
         """
         return self.insert_weighted_edge(u, v) == 1
+
+    # ``CuckooGraph.insert_edges`` places repeats of a run itself, with no
+    # weight; a weighted batch is one ``insert_edge`` per edge.
+    insert_edges = DynamicGraphStore.insert_edges
 
     def edge_weight(self, u: int, v: int) -> int:
         """Current weight of ``⟨u, v⟩`` (0 if the edge is absent)."""

@@ -97,6 +97,16 @@ class DynamicGraphStore(ABC):
     whole analytics layer at once.  Overrides must preserve the default's
     observable semantics, spelled out in :meth:`successors_many`.
 
+    Who overrides the family: :class:`~repro.core.graph.CuckooGraph` runs
+    ``insert_edges``, ``has_edges`` and ``successors_many`` in one frame
+    each, charging every count as the per-edge calls would (its weighted and
+    multi-edge versions keep this loop for ``insert_edges``, because they
+    override ``insert_edge``); :class:`PartitionedStore` routes each batch
+    to its shards' batch methods; :class:`DelegatingStore` forwards it (the
+    write-ahead log and the service client log or send it first).  Every
+    other structure uses the loops below, as every structure does for
+    ``delete_edges``.
+
     The batch mutations split into routing and applying:
     :meth:`partition_edges` groups a batch per owning shard, and
     :meth:`insert_groups` / :meth:`delete_groups` apply such groups.  A

@@ -241,10 +241,14 @@ def load_snapshot(path: os.PathLike | str, store: DynamicGraphStore) -> Tuple[in
     """Load a snapshot into a fresh ``store``; return ``(rows, generation)``.
 
     A missing file loads zero rows at generation 0 (a store that never
-    compacted has no snapshot, only WAL).  Weighted rows are applied
-    through ``insert_weighted_edge`` when the target is ``weighted``; a
-    multi-edge target gets one ``insert_edge`` per unit of multiplicity; a
-    plain target collapses each triple to a single distinct edge.
+    compacted has no snapshot, only WAL).  A plain snapshot's rows go to
+    the target in one ``insert_edges`` call, source-major as the file holds
+    them, so a :class:`~repro.core.graph.CuckooGraph` (or each shard of a
+    partitioned store) finds a source's L-CHT cell once per run of its
+    destinations.  Weighted rows are applied through
+    ``insert_weighted_edge`` when the target is ``weighted``; a multi-edge
+    target gets one ``insert_edge`` per unit of multiplicity; a plain target
+    collapses each triple to a single distinct edge.
     """
     path = Path(path)
     if not path.exists():

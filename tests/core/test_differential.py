@@ -19,17 +19,28 @@ call only regroups its edges per shard, keeping input order within each
 shard, and shards never share state -- so the batch APIs must leave the
 modelled accesses, counters and structure summaries bit-identical to
 one-at-a-time calls, and each shard bit-identical to a standalone
-CuckooGraph fed exactly the edges routed to it.
+CuckooGraph fed exactly the edges routed to it.  Each such test also runs on
+source-sorted batches, whose long same-source runs are what
+``CuckooGraph.insert_edges`` places without walking the L-CHT again.
 """
 
 import random
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
+from repro import (
+    CuckooGraph,
+    CuckooGraphConfig,
+    MultiEdgeCuckooGraph,
+    ShardedCuckooGraph,
+    WeightedCuckooGraph,
+)
 from repro.baselines import AdjacencyListGraph
 from repro.core.sharded import shard_index
+
+from .test_golden_counts import TIGHT
 
 #: Node-id universe; small enough that inserts, deletes and queries collide.
 NODE_RANGE = 60
@@ -139,10 +150,15 @@ def test_hypothesis_batches_agree(batches, num_shards):
 # --------------------------------------------------------------------- #
 
 
-def split_batch(batch):
+def split_batch(batch, order="random"):
+    """Inserts, deletes and queries of ``batch``; ``source_sorted`` orders
+    each by source (stably), so equal sources arrive as one run."""
     inserts = [(u, v) for action, u, v in batch if action == "insert"]
     deletes = [(u, v) for action, u, v in batch if action == "delete"]
     queries = [(u, v) for action, u, v in batch if action == "query"]
+    if order == "source_sorted":
+        for edges in (inserts, deletes, queries):
+            edges.sort(key=itemgetter(0))
     return inserts, deletes, queries
 
 
@@ -155,16 +171,17 @@ def assert_modelled_identical(left, right):
     assert left.structure_summary() == right.structure_summary()
 
 
+@pytest.mark.parametrize("order", ["random", "source_sorted"])
 @pytest.mark.parametrize("seed", [2, 13, 20250729])
 @pytest.mark.parametrize("num_shards", [2, 5])
-def test_batch_calls_match_single_operations(seed, num_shards):
+def test_batch_calls_match_single_operations(seed, num_shards, order):
     """Randomized batches: batching may regroup work, never change a count."""
     rng = random.Random(seed)
     batched = ShardedCuckooGraph(num_shards=num_shards)
     looped = ShardedCuckooGraph(num_shards=num_shards)
     for _ in range(10):
         inserts, deletes, queries = split_batch(
-            random_batch(rng, rng.randrange(10, 150)))
+            random_batch(rng, rng.randrange(10, 150)), order)
 
         assert batched.insert_edges(inserts) == \
             sum(looped.insert_edge(u, v) for u, v in inserts)
@@ -184,9 +201,10 @@ def test_batch_calls_match_single_operations(seed, num_shards):
         assert_modelled_identical(batched, looped)
 
 
+@pytest.mark.parametrize("order", ["random", "source_sorted"])
 @pytest.mark.parametrize("seed", [3, 17, 20260807])
 @pytest.mark.parametrize("num_shards", [2, 5])
-def test_each_shard_equals_a_standalone_graph(seed, num_shards):
+def test_each_shard_equals_a_standalone_graph(seed, num_shards, order):
     """Shards are independent: shard ``i`` is bit-identical to a lone
     CuckooGraph (seeded ``seed + i``) that saw only the edges routed to it."""
     rng = random.Random(seed)
@@ -200,7 +218,7 @@ def test_each_shard_equals_a_standalone_graph(seed, num_shards):
 
     for _ in range(8):
         inserts, deletes, queries = split_batch(
-            random_batch(rng, rng.randrange(10, 150)))
+            random_batch(rng, rng.randrange(10, 150)), order)
         assert sharded.insert_edges(inserts) == \
             sum(owner(u).insert_edge(u, v) for u, v in inserts)
         assert sharded.delete_edges(deletes) == \
@@ -237,3 +255,78 @@ def test_weighted_batches_match_single_operations():
             [looped.has_edge(u, v) for u, v in queries]
         assert sorted(batched.weighted_edges()) == sorted(looped.weighted_edges())
         assert_modelled_identical(batched, looped)
+
+
+def assert_graphs_identical(left, right):
+    assert left.counters.snapshot() == right.counters.snapshot()
+    assert left.structure_summary() == right.structure_summary()
+    assert left.memory_bytes() == right.memory_bytes()
+    assert list(left.edges()) == list(right.edges())
+
+
+@pytest.mark.parametrize("collapse", [False, True])
+def test_tight_source_runs_match_single_operations(collapse):
+    """On golden's tight configuration, S-DL parking, insert failures and
+    S-DL hits all happen inside same-source runs: at the first edge of a run
+    (``insert_edge``'s own path) and at later ones (the reused Part 2, in
+    S-CHT mode, and in small-slot mode once a thinned chain has collapsed)."""
+    rng = random.Random(29)
+    config = CuckooGraphConfig(collapse_chain_to_slots=collapse, **TIGHT)
+    batched, looped = CuckooGraph(config), CuckooGraph(config)
+    for _ in range(6):
+        edges = sorted(((rng.randrange(12), rng.randrange(400)) for _ in range(600)),
+                       key=itemgetter(0))
+        assert batched.insert_edges(edges) == sum(looped.insert_edge(u, v) for u, v in edges)
+        assert_graphs_identical(batched, looped)
+    parked = list(batched.small_denylist._entries)[:6]
+    assert batched.counters.insert_failures > 0 and len(parked) == 6
+
+    # Thin each parked source down to one stored neighbour besides its
+    # parked ones, then send every parked edge again, as the first edge of
+    # its run and inside one.
+    # (Every lookup goes to both graphs: ``part2_of`` charges its probes.)
+    for u in dict.fromkeys(u for u, _ in parked):
+        stored = batched.part2_of(u).neighbours()
+        assert looped.part2_of(u).neighbours() == stored
+        for v in stored[1:]:
+            assert batched.delete_edge(u, v) == looped.delete_edge(u, v) is True
+    modes = [graph.part2_of(u).is_transformed for graph in (batched, looped) for u, _ in parked]
+    assert (False in modes) == collapse
+    hits = batched.counters.denylist_hits
+    repeats = [edge for u, v in parked for edge in ((u, v), (u, v + 1000), (u, v))]
+    assert batched.insert_edges(repeats) == sum(looped.insert_edge(u, v) for u, v in repeats)
+    assert batched.counters.denylist_hits - hits == 2 * len(parked)
+    assert_graphs_identical(batched, looped)
+    queries = [(u, v) for u, _ in repeats for v in range(0, 1400, 7)]
+    assert batched.has_edges(queries) == [looped.has_edge(u, v) for u, v in queries]
+    fanout = batched.successors_many(u for u, _ in repeats)
+    assert fanout == {u: looped.successors(u) for u in fanout}
+    assert_graphs_identical(batched, looped)
+
+
+def _weights(store):
+    return sorted(store.weighted_edges())
+
+
+def _edge_ids(store):
+    return sorted((u, v, list(store.find_edges(u, v))) for u, v in store.edges())
+
+
+@pytest.mark.parametrize("factory, payloads", [
+    (WeightedCuckooGraph, _weights),
+    (lambda: ShardedCuckooGraph(num_shards=4, weighted=True), _weights),
+    (MultiEdgeCuckooGraph, _edge_ids),
+], ids=["weighted", "sharded-weighted", "multi-edge"])
+def test_payload_variants_batch_inserts_match_single_operations(factory, payloads):
+    """A source-sorted batch with repeated edges: every repeat is one more
+    weight (or one more edge id), exactly as one ``insert_edge`` at a time --
+    a batch that placed a run's repeats itself would skip the increment."""
+    rng = random.Random(31)
+    edges = sorted(((rng.randrange(6), rng.randrange(20)) for _ in range(400)),
+                   key=itemgetter(0))
+    batched, looped = factory(), factory()
+    assert batched.insert_edges(edges) == sum(looped.insert_edge(u, v) for u, v in edges)
+    found = payloads(batched)
+    assert found == payloads(looped)
+    assert len(found) < len(edges)  # the batch did carry repeats
+    assert_graphs_identical(batched, looped)

@@ -10,6 +10,12 @@ modelled memory and digests of ``edges()`` / ``successors(u)`` order and of
 every operation's return value with literals recorded at commit d70e5f0 (the
 parent of the hot-path rewrite).
 
+The same stream runs a second time through the batch calls --
+``insert_edges``, ``has_edges`` and ``successors_many`` in chunks of
+``CHUNK`` items, deletes one edge at a time -- and every checkpoint must
+reproduce the same literals, except the operation results, which the batch
+calls return in another shape and are compared as counts.
+
 The literals live in ``golden_counts.json`` beside this file.  To re-record
 after a change that is *meant* to move the counts, run
 ``PYTHONPATH=src python tests/core/test_golden_counts.py``.
@@ -18,6 +24,8 @@ after a change that is *meant* to move the counts, run
 import hashlib
 import json
 import random
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
@@ -29,6 +37,9 @@ GOLDEN_PATH = Path(__file__).with_name("golden_counts.json")
 SEED = 20250928
 NUM_NODES = 1200
 NUM_DRAWS = 8000
+
+#: Items per call in the batch lane.
+CHUNK = 256
 
 #: A configuration small enough that kick-out failures, both denylists and
 #: reverse transformations all fire on this stream.
@@ -81,45 +92,74 @@ def checkpoint(graph, sources, results) -> dict:
     }
 
 
-def run_stream(graph, seed: int = SEED) -> dict:
+def chunked(items: list) -> list:
+    return [items[start:start + CHUNK] for start in range(0, len(items), CHUNK)]
+
+
+def apply(graph, ops: list, batch: bool) -> list:
+    """Run ``(call, u, v)`` ops in order.  The batch lane sends each run of
+    ``insert_edge`` or ``has_edge`` ops as ``insert_edges`` / ``has_edges``
+    calls of at most ``CHUNK`` edges; an ``insert_edges`` result is a count."""
+    results = []
+    for call, run in groupby(ops, key=itemgetter(0)):
+        edges = [(u, v) for _, u, v in run]
+        if not batch or call == "delete_edge":
+            method = getattr(graph, call)
+            results += [method(u, v) for u, v in edges]
+        elif call == "has_edge":
+            for chunk in chunked(edges):
+                results += graph.has_edges(chunk)
+        else:
+            results += [graph.insert_edges(chunk) for chunk in chunked(edges)]
+    return results
+
+
+def tally(results: list) -> int:
+    """``results`` as one count: true outcomes plus successor-list lengths
+    (the form in which both lanes' results compare)."""
+    return sum(len(result) if isinstance(result, list) else int(result) for result in results)
+
+
+def run_stream(graph, seed: int = SEED, batch: bool = False) -> tuple[dict, dict]:
     """insert -> has hits and misses -> successors -> delete half ->
-    interleaved mix -> delete the rest; one checkpoint after each phase."""
+    interleaved mix -> delete the rest; one checkpoint after each phase.
+    Returns the checkpoints and each phase's :func:`tally`."""
     stream = powerlaw_stream(seed)
     rng = random.Random(seed ^ 0xC0DE)
     sources = list(dict.fromkeys(u for u, _ in stream))
     miss = 1 << 62
-    record = {}
+    record, tallies = {}, {}
 
-    results = [graph.insert_edge(u, v) for u, v in stream]
-    record["insert"] = checkpoint(graph, sources, results)
+    def close_phase(phase, results):
+        record[phase] = checkpoint(graph, sources, results)
+        tallies[phase] = tally(results)
 
-    results = [graph.has_edge(u, v) for u, v in stream[::3]]
-    results += [graph.has_edge(u, v | miss) for u, v in stream[::5]]
-    results += [graph.has_edge(u | miss, v) for u, v in stream[::7]]
-    record["has"] = checkpoint(graph, sources, results)
+    close_phase("insert", apply(graph, [("insert_edge", u, v) for u, v in stream], batch))
 
-    results = [graph.successors(u) for u in sources + [miss, miss + 1]]
+    queries = stream[::3] + [(u, v | miss) for u, v in stream[::5]]
+    queries += [(u | miss, v) for u, v in stream[::7]]
+    close_phase("has", apply(graph, [("has_edge", u, v) for u, v in queries], batch))
+
+    nodes = sources + [miss, miss + 1]
+    if batch:
+        results = [found for chunk in chunked(nodes)
+                   for found in graph.successors_many(chunk).values()]
+    else:
+        results = [graph.successors(u) for u in nodes]
     results += [graph.has_node(u) for u in sources[::4] + [miss]]
-    record["successors"] = checkpoint(graph, sources, results)
+    close_phase("successors", results)
 
     distinct = list(dict.fromkeys(stream))
     rng.shuffle(distinct)
     half = len(distinct) // 2
-    results = [graph.delete_edge(u, v) for u, v in distinct[:half]]
-    record["delete_half"] = checkpoint(graph, sources, results)
+    close_phase("delete_half",
+                apply(graph, [("delete_edge", u, v) for u, v in distinct[:half]], batch))
 
-    results = []
+    mixed = []
     for index, (u, v) in enumerate(distinct):
-        kind = index % 4
-        if kind == 0:
-            results.append(graph.insert_edge(u, v))
-        elif kind == 1:
-            results.append(graph.delete_edge(u, v))
-        elif kind == 2:
-            results.append(graph.has_edge(u, v))
-        else:
-            results.append(graph.insert_edge(v, u))
-    record["mixed"] = checkpoint(graph, sources, results)
+        mixed.append([("insert_edge", u, v), ("delete_edge", u, v), ("has_edge", u, v),
+                      ("insert_edge", v, u)][index % 4])
+    close_phase("mixed", apply(graph, mixed, batch))
 
     # Weighted edges need one delete per unit of weight: go round until empty.
     results = []
@@ -128,8 +168,8 @@ def run_stream(graph, seed: int = SEED) -> dict:
         if not remaining:
             break
         results += [graph.delete_edge(u, v) for u, v in remaining]
-    record["delete_rest"] = checkpoint(graph, sources, results)
-    return record
+    close_phase("delete_rest", results)
+    return record, tallies
 
 
 @pytest.fixture(scope="module")
@@ -139,11 +179,26 @@ def golden() -> dict:
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_counts_match_parent_commit(variant, golden):
-    record = run_stream(VARIANTS[variant]())
+    record, _ = run_stream(VARIANTS[variant]())
     for phase, got in record.items():
         assert got == golden[variant][phase], (
             f"{variant}: state diverged after phase {phase!r}")
     assert record["delete_rest"]["summary"]["num_edges"] == 0
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_batch_calls_reproduce_the_per_edge_counts(variant, golden):
+    """The batch lane leaves every checkpoint where the per-edge literals
+    are, and its results count the same outcomes as the per-edge lane's."""
+    record, tallies = run_stream(VARIANTS[variant](), batch=True)
+    _, per_edge_tallies = run_stream(VARIANTS[variant]())
+    for phase, got in record.items():
+        got = dict(got)
+        del got["results"]
+        expected = {key: value for key, value in golden[variant][phase].items()
+                    if key != "results"}
+        assert got == expected, f"{variant}: batch lane diverged after phase {phase!r}"
+    assert tallies == per_edge_tallies
 
 
 def test_stream_exercises_every_mechanism(golden):
@@ -163,5 +218,5 @@ def test_stream_exercises_every_mechanism(golden):
 
 
 if __name__ == "__main__":
-    recorded = {name: run_stream(build()) for name, build in sorted(VARIANTS.items())}
+    recorded = {name: run_stream(build())[0] for name, build in sorted(VARIANTS.items())}
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n")
