@@ -167,13 +167,14 @@ class TableChain:
         return self._size / self._cells
 
     def items(self) -> list[tuple[int, object]]:
-        """Every ``(key, value)`` pair stored in the chain, oldest table first."""
-        # At most R lists to concatenate.
-        return sum((table.items() for table in self.tables), [])
+        """Every ``(key, value)`` pair stored in the chain: oldest table first,
+        each table in the order of :meth:`CuckooHashTable.items`."""
+        return [item for array, _, _ in self._sides for bucket in array
+                for item in bucket.items()]
 
     def keys(self) -> list[int]:
         """Every key stored in the chain, in the order of :meth:`items`."""
-        return sum((table.keys() for table in self.tables), [])
+        return [key for array, _, _ in self._sides for bucket in array for key in bucket]
 
     def __contains__(self, key: int) -> bool:
         return self.get(key, _MISSING) is not _MISSING

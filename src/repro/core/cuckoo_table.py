@@ -21,7 +21,6 @@ versions) and the L-CHT stores whole cells (``u -> Part 2``).
 from __future__ import annotations
 
 import random
-from itertools import chain
 from typing import Iterable, Optional
 
 from .counters import Counters
@@ -125,17 +124,14 @@ class CuckooHashTable:
         return any(key in array[hash_of(key) % count]
                    for array, hash_of, count in self._sides)
 
-    def _buckets(self) -> chain:
-        """Every bucket, first array then second."""
-        return chain(self._sides[0][0], self._sides[1][0])
-
     def items(self) -> list[tuple[int, object]]:
         """All ``(key, value)`` pairs: first array then second, bucket by bucket."""
-        return list(chain.from_iterable(map(dict.items, self._buckets())))
+        return [item for array, _, _ in self._sides for bucket in array
+                for item in bucket.items()]
 
     def keys(self) -> list[int]:
         """All keys, in the order of :meth:`items`."""
-        return list(chain.from_iterable(self._buckets()))
+        return [key for array, _, _ in self._sides for bucket in array for key in bucket]
 
     # ------------------------------------------------------------------ #
     # Core operations
@@ -235,8 +231,9 @@ class CuckooHashTable:
     def pop_all(self) -> list[tuple[int, object]]:
         """Remove and return every ``(key, value)`` pair (used by rebuilds)."""
         drained = self.items()
-        for bucket in self._buckets():
-            bucket.clear()
+        for array, _, _ in self._sides:
+            for bucket in array:
+                bucket.clear()
         self._size = 0
         return drained
 

@@ -176,12 +176,13 @@ class CuckooGraph(DynamicGraphStore):
     # DynamicGraphStore API
     # ------------------------------------------------------------------ #
 
-    # The three per-edge operations run in one frame each: they probe the
-    # L-CHT chain, the small slots or the S-CHT chain, and the denylists (only
-    # when non-empty) through the chains' sides, and charge ``bucket_probes``
-    # and ``cell_probes`` once on the way out with the totals the component
-    # calls would charge.  Whatever transforms, kicks or parks goes through
-    # the component methods, as the extended versions do throughout.
+    # The three per-edge operations and ``successors`` run in one frame each:
+    # they probe the L-CHT chain, the small slots or the S-CHT chain, and the
+    # denylists (only when non-empty) through the chains' sides, and charge
+    # ``bucket_probes`` and ``cell_probes`` once on the way out with the
+    # totals the component calls would charge.  Whatever transforms, kicks or
+    # parks goes through the component methods, as the extended versions do
+    # throughout.
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Insert the directed edge ``⟨u, v⟩``; return ``True`` if it was new.
@@ -362,12 +363,32 @@ class CuckooGraph(DynamicGraphStore):
             counters.cell_probes += cells
 
     def successors(self, u: int) -> list[int]:
-        """Out-neighbours of ``u`` (successor query used by the analytics tasks)."""
-        part2 = self._find_part2(u)
-        result = part2.neighbours() if part2 is not None else []
-        if self._sdl._entries:
-            result.extend(v for v, _ in self._sdl.successors_of(u))
-        return result
+        """Out-neighbours of ``u`` (successor query used by the analytics
+        tasks): its small slots or S-CHT chain, then its S-DL entries.  The
+        L-CHT walk is charged as ``TableChain.get`` charges it."""
+        counters = self.counters
+        probes = cells = 0
+        for array, hash_of, count in self._lcht._sides:
+            bucket = array[hash_of(u) % count]
+            probes += 1
+            cells += len(bucket)
+            if u in bucket:
+                part2 = bucket[u]
+                break
+        else:
+            part2 = self._ldl._cells.get(u)
+        counters.bucket_probes += probes
+        counters.cell_probes += cells
+        if part2 is None:
+            found = []
+        elif part2._chain is None:
+            found = list(part2._slots)
+        else:
+            found = part2._chain.keys()
+        parked = self._sdl._by_source
+        if parked:
+            found.extend(parked.get(u, ()))
+        return found
 
     # The batch calls run in one frame each, and charge every count exactly
     # what the per-edge calls on the same items would.  ``insert_edges`` runs
@@ -557,7 +578,7 @@ class CuckooGraph(DynamicGraphStore):
         """Out-degree of ``u`` without materialising the successor list twice."""
         part2 = self._find_part2(u)
         degree = len(part2) if part2 is not None else 0
-        return degree + len(self._sdl.successors_of(u))
+        return degree + len(self._sdl._by_source.get(u, ()))
 
     def has_node(self, u: int) -> bool:
         """Whether ``u`` is currently stored as a source node."""
@@ -573,6 +594,20 @@ class CuckooGraph(DynamicGraphStore):
             for v in part2.neighbours():
                 yield (u, v)
         yield from self._sdl._entries
+
+    def nodes(self) -> Iterator[int]:
+        """Every node incident to a stored edge, in the default's order (first
+        occurrence in :meth:`edges`), from one pass over the cells."""
+        seen: dict[int, None] = {}
+        for u, part2 in self._cells():
+            neighbours = part2.neighbours()
+            if neighbours:
+                seen[u] = None
+                seen.update(dict.fromkeys(neighbours))
+        for u, v in self._sdl._entries:
+            seen[u] = None
+            seen[v] = None
+        return iter(seen)
 
     @property
     def num_edges(self) -> int:

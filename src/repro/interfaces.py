@@ -32,7 +32,7 @@ Two bases carry the contract for the stores built out of other stores:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from itertools import starmap
+from itertools import chain, starmap
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -99,13 +99,16 @@ class DynamicGraphStore(ABC):
 
     Who overrides the family: :class:`~repro.core.graph.CuckooGraph` runs
     ``insert_edges``, ``has_edges`` and ``successors_many`` in one frame
-    each, charging every count as the per-edge calls would (its weighted and
-    multi-edge versions keep this loop for ``insert_edges``, because they
-    override ``insert_edge``); :class:`PartitionedStore` routes each batch
-    to its shards' batch methods; :class:`DelegatingStore` forwards it (the
-    write-ahead log and the service client log or send it first).  Every
-    other structure uses the loops below, as every structure does for
-    ``delete_edges``.
+    each, as it runs ``successors``, charging every count as the per-edge
+    calls would (its weighted and multi-edge versions keep this loop for
+    ``insert_edges``, because they override ``insert_edge``), and lists
+    :meth:`nodes` in one pass over its cells; :class:`PartitionedStore`
+    routes each batch to its shards' batch methods and de-duplicates their
+    ``nodes()``; :class:`DelegatingStore` forwards it (the write-ahead log
+    and the service client log or send it first).  Every other structure
+    uses the loops below, as every structure does for ``delete_edges``.
+    An override of :meth:`nodes` must yield the default's order, first
+    occurrence in ``edges()``: PageRank sums in that order.
 
     The batch mutations split into routing and applying:
     :meth:`partition_edges` groups a batch per owning shard, and
@@ -571,6 +574,11 @@ class PartitionedStore(DynamicGraphStore):
     def source_nodes(self) -> Iterator[int]:
         for store in self.shards:
             yield from store.source_nodes()
+
+    def nodes(self) -> Iterator[int]:
+        # First occurrence over the shards' ``nodes()`` in shard order is
+        # first occurrence over the summed ``edges()``: the default's order.
+        return iter(dict.fromkeys(chain.from_iterable(store.nodes() for store in self.shards)))
 
     @property
     def num_edges(self) -> int:

@@ -28,9 +28,9 @@ Design points:
   needs per-request results the store does not return; those are recovered
   from a batched pre-probe (``has_edges``) plus in-window bookkeeping --
   two batch calls for the run, still zero per-operation store calls.
-  (That attribution assumes distinct-edge store semantics; a weighted
-  store still executes correctly but "delete actually removed the edge"
-  degenerates to "edge was present".)
+  A weighted store reads each distinct edge's weight instead (one
+  ``edge_weight`` per edge) and steps it through the run, so every request
+  resolves to what the store's own per-call result would be.
 * **Pipelined acknowledgement** (``durability="batch"``).  A mutation run
   is logged, its fsyncs put in flight, applied in memory -- and the
   dispatcher moves on to the next run while the disk works.  The run's
@@ -682,6 +682,8 @@ class GraphService:
         if len(items) == 1:
             # One caller: the store's own count is the answer, no pre-probe.
             return [bool(mutate(items))], 1
+        if self.store.weighted:
+            return self._execute_weighted_run(kind, items, mutate)
         # Several single mutations: per-request results come from a batched
         # pre-probe plus in-window bookkeeping (an edge's first insert in
         # the run wins, as does its first delete).
@@ -694,6 +696,26 @@ class GraphService:
             results.append(bool(was_present) == wanted and edge not in done)
             done.add(edge)
         return results, 2
+
+    def _execute_weighted_run(self, kind: str, items: list, mutate):
+        """Several single mutations on a weighted store: each distinct
+        edge's weight is read once before the run and stepped through it in
+        order.  An insert is new iff the weight was 0; a delete removes the
+        edge iff it takes the weight from 1 to 0 -- the weighted store's own
+        per-call results."""
+        edge_weight = self.store.edge_weight
+        weights = {edge: edge_weight(*edge) for edge in dict.fromkeys(items)}
+        mutate(items)
+        results = []
+        for edge in items:
+            weight = weights[edge]
+            if kind == "insert":
+                results.append(weight == 0)
+                weights[edge] = weight + 1
+            else:
+                results.append(weight == 1)
+                weights[edge] = max(weight - 1, 0)
+        return results, len(weights) + 1
 
     def _refresh_incremental(self):
         """Barrier the analytics follower, fold the delta into its kernels.

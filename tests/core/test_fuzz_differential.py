@@ -33,7 +33,7 @@ import random
 
 import pytest
 
-from repro import ShardedCuckooGraph
+from repro import ShardedCuckooGraph, WeightedCuckooGraph
 from repro.persist import PersistentStore, recover, replay_into
 from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore
@@ -211,19 +211,24 @@ def test_fuzz_sharded_batched(num_shards, weighted, fuzz_seed):
 # --------------------------------------------------------------------- #
 
 
+@pytest.mark.parametrize("weighted", [False, True], ids=["basic", "weighted"])
 @pytest.mark.parametrize("num_shards", [1, 3])
-def test_fuzz_graph_service(num_shards, fuzz_seed):
+def test_fuzz_graph_service(num_shards, weighted, fuzz_seed):
     """Service futures must resolve to exactly the oracle's per-op results.
 
     The stream is submitted before the dispatcher starts, so the whole run
     flows through coalesced windows (maximum batching pressure), and the
     service's order-preserving run splitting is what keeps the sequential
     oracle valid -- whether a window's runs land on one shard or spread.
+    On weighted shards the oracle is a standalone ``WeightedCuckooGraph``
+    fed the same ops one call at a time: a duplicate insert bumps a weight,
+    and only the delete that takes it to zero resolves ``True``.
     """
     ops = generate_ops(fuzz_seed)
     oracle = Oracle()
-    context = f"seed={fuzz_seed} shards={num_shards}"
-    store = ShardedCuckooGraph(num_shards=num_shards)
+    reference = WeightedCuckooGraph() if weighted else None
+    context = f"seed={fuzz_seed} shards={num_shards} weighted={weighted}"
+    store = ShardedCuckooGraph(num_shards=num_shards, weighted=weighted)
     service = GraphService(store, max_batch=64,
                            queue_capacity=len(ops), policy="block")
     futures = []
@@ -238,7 +243,10 @@ def test_fuzz_graph_service(num_shards, fuzz_seed):
         else:
             futures.append(service.successors(u))
         # the oracle replays the identical stream in submission order
-    expected = [oracle.apply(op) for op in ops]
+    if weighted:
+        expected = [apply_to_store(reference, op) for op in ops]
+    else:
+        expected = [oracle.apply(op) for op in ops]
 
     service.start()
     try:
@@ -250,7 +258,11 @@ def test_fuzz_graph_service(num_shards, fuzz_seed):
                 f"{context} op#{index}={op}: future resolved to {got!r}, "
                 f"oracle says {want!r}"
             )
-        assert_final_state(store, oracle, context)
+        if weighted:
+            assert sorted(store.weighted_edges()) == sorted(reference.weighted_edges()), \
+                context
+        else:
+            assert_final_state(store, oracle, context)
         summary = service.metrics_summary()
         assert summary["resolved"] == len(ops), context
         assert summary["failed"] == 0, context

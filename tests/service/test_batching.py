@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import CuckooGraph, ShardedCuckooGraph
+from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.analytics import bfs, pagerank
 from repro.interfaces import DynamicGraphStore
+from repro.persist import PersistentStore
 from repro.service import GraphClient, GraphService, Request, split_runs
 from repro.service.client import READ_CHUNK
 
@@ -158,6 +159,28 @@ class TestOrderingSemantics:
         futures = [service.delete_edge(3, 4) for _ in range(3)]
         with service:
             assert [f.result(10) for f in futures] == [True, False, False]
+
+    @pytest.mark.parametrize("durable", [False, True], ids=["weighted", "persistent_sharded"])
+    def test_weighted_single_mutations_resolve_as_the_store_does(self, durable, tmp_path):
+        """insert, insert, delete, delete of one edge on a weighted store: the
+        futures resolve to the store's own per-call results -- the second
+        delete is the one that removes the edge -- and reads cost one
+        ``edge_weight`` per distinct edge."""
+        if durable:
+            store = PersistentStore(tmp_path / "w", store=ShardedCuckooGraph(
+                num_shards=3, weighted=True), own_store=True, sync_on_commit=False)
+        else:
+            store = WeightedCuckooGraph()
+        reference = WeightedCuckooGraph()
+        service = GraphService(store, own_store=True, max_batch=16)
+        futures = [service.insert_edge(1, 2), service.insert_edge(1, 2),
+                   service.delete_edge(1, 2), service.delete_edge(1, 2)]
+        expected = [reference.insert_edge(1, 2), reference.insert_edge(1, 2),
+                    reference.delete_edge(1, 2), reference.delete_edge(1, 2)]
+        with service:
+            assert [f.result(10) for f in futures] == expected == [True, False, False, True]
+            assert service.metrics_summary()["store_batch_calls"] == 4
+        assert list(store.edges()) == []
 
     def test_split_runs_preserves_order_and_maximality(self):
         window = [Request(kind, None) for kind in
