@@ -1,7 +1,8 @@
 """Shared fixtures and helpers for the per-figure benchmarks.
 
 Every file under ``benchmarks/`` regenerates one table or figure of the
-paper's evaluation section (see DESIGN.md for the index).  Each benchmark
+paper's evaluation section (see README, *Running the benchmarks*).
+Each benchmark
 
 * drives the same scaled synthetic datasets through the scheme(s) the figure
   compares,
@@ -13,7 +14,8 @@ paper's evaluation section (see DESIGN.md for the index).  Each benchmark
 
 The scaled workloads are kept small enough for the whole suite to run in a
 few minutes of pure Python; the *shape* conclusions are drawn from the
-modelled memory accesses and memory bytes, as explained in EXPERIMENTS.md.
+modelled memory accesses and memory bytes, as explained in README,
+*Running the benchmarks*.
 """
 
 from __future__ import annotations

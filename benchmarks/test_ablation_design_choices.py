@@ -1,11 +1,11 @@
-"""Ablations of CuckooGraph design choices called out in DESIGN.md.
+"""Ablations of CuckooGraph design choices the paper does not ablate.
 
 Beyond the paper's own DENYLIST ablation (Figure 5), three implementation
 choices materially affect the space/time balance: the hash family, the
 initial S-CHT length ``n``, and whether a shrunken chain collapses back into
 the cell's small slots.  This benchmark sweeps each choice on the CAIDA-like
 stream and reports modelled accesses and memory so the trade-offs are
-visible.
+visible (see README, *Running the benchmarks*).
 """
 
 from repro.bench import format_table

@@ -24,7 +24,8 @@ def test_fig06_insertion_throughput(benchmark, basic_task_results):
     # sorted-block / matrix schemes.  Against Spruce the access model shows
     # rough parity (ties within ~25%) rather than the paper's 33x -- that
     # factor comes from constant-cost effects (cache misses, allocation)
-    # below the granularity of an access count; see EXPERIMENTS.md.
+    # below the granularity of an access count; see README, *Running the
+    # benchmarks*.
     for competitor in ("LiveGraph", "Sortledton", "WBI"):
         wins = sum(
             1 for dataset, per_scheme in basic_task_results.items()

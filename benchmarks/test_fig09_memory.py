@@ -28,7 +28,8 @@ def test_fig09_memory_curves(benchmark):
     # are *not* asserted here: at scaled-down sizes with dense synthetic node
     # identifiers their index overheads (vEB bit vectors over the identifier
     # space, the K x K bucket matrix) all but vanish, which flatters them
-    # relative to the paper's full-scale runs -- see EXPERIMENTS.md.
+    # relative to the paper's full-scale runs -- see README, *Running the
+    # benchmarks*.
     for competitor in ("LiveGraph", "Sortledton"):
         wins = sum(
             1 for dataset in DATASET_ORDER

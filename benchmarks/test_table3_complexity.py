@@ -12,14 +12,15 @@ from repro.bench import SCHEMES, format_table, build_store
 from .conftest import benchmark_callable, write_report
 
 
-def _accesses_per_query(store, degree: int, probes: int = 200) -> float:
-    for v in range(1, degree + 1):
-        store.insert_edge(0, v)
-    store.reset_accesses() if hasattr(store, "reset_accesses") else None
-    before = store.accesses
-    for v in range(1, probes + 1):
-        store.has_edge(0, v)
-    return (store.accesses - before) / probes
+def _accesses_per_query(scheme: str, degree: int, probes: int = 200) -> float:
+    """Accesses per ``has_edge`` probe on a fresh store with one hub of ``degree``."""
+    with build_store(scheme) as store:
+        for v in range(1, degree + 1):
+            store.insert_edge(0, v)
+        store.reset_accesses()
+        for v in range(1, probes + 1):
+            store.has_edge(0, v)
+        return store.accesses / probes
 
 
 def test_table3_query_cost_scaling(benchmark):
@@ -27,8 +28,8 @@ def test_table3_query_cost_scaling(benchmark):
     rows = []
     growth: dict[str, float] = {}
     for scheme in SCHEMES:
-        low = _accesses_per_query(build_store(scheme), degree=32)
-        high = _accesses_per_query(build_store(scheme), degree=2048)
+        low = _accesses_per_query(scheme, degree=32)
+        high = _accesses_per_query(scheme, degree=2048)
         growth[scheme] = high / low if low else float("inf")
         rows.append({
             "scheme": scheme,
@@ -45,4 +46,4 @@ def test_table3_query_cost_scaling(benchmark):
     # LiveGraph's O(deg(v)) query must grow substantially with degree.
     assert growth["LiveGraph"] > 8.0
 
-    benchmark_callable(benchmark, _accesses_per_query, build_store("Ours"), 2048)
+    benchmark_callable(benchmark, _accesses_per_query, "Ours", 2048)

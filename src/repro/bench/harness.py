@@ -31,9 +31,6 @@ from ..baselines import COMPETITORS
 from ..core import CuckooGraph, CuckooGraphConfig, ShardedCuckooGraph, WeightedCuckooGraph
 from ..datasets import EdgeStream, load_dataset
 from ..interfaces import DynamicGraphStore
-from ..persist import PersistentStore
-from ..service import GraphClient
-from ..tiered import TieredStore
 
 #: Name the paper uses for CuckooGraph in every figure legend.
 OURS = "Ours"
@@ -42,82 +39,14 @@ OURS = "Ours"
 #: scheme from the paper); four shards is the default deployment unit.
 SHARDED = "Ours-Sharded"
 
-#: The request-queue service layer over the sharded front-end: every
-#: operation travels through the GraphService micro-batcher, so this scheme
-#: measures the full front-door path (queue + coalescing + batch dispatch),
-#: not the bare structure.
-SERVICE = "Ours-Service"
-
-#: The durable scheme: the sharded front-end wrapped in the write-ahead-log
-#: :class:`~repro.persist.PersistentStore` (one WAL segment per shard), so
-#: this scheme measures the in-memory structure *plus* the logging path.
-#: Built by name it runs ephemeral (temporary directory, removed on close)
-#: and unsynced -- buffered appends, no fsync per operation -- which is the
-#: logging-overhead-only configuration; ``benchmarks/test_fig06d_durability``
-#: measures the fsync/group-commit axis explicitly.
-DURABLE = "Ours-Durable"
-
-#: The replicated scheme: the durable service with read replicas.  Every
-#: mutation travels client -> service -> WAL-wrapped sharded store (one
-#: group commit per dispatched micro-batch), the primary's log is shipped
-#: to two followers, and read/analytics runs are served round-robin by the
-#: replicas under the read-your-writes barrier -- the full log-shipping
-#: path, end to end.  ``benchmarks/test_fig06e_replication`` measures the
-#: lag / fan-out / PITR axes explicitly.
-REPLICATED = "Ours-Replicated"
-
-#: The tiered scheme: the hot/cold front-end with a quarter of the shards
-#: resident in the CuckooGraph tier and the rest spilled to the miniredis
-#: integration behind the touch-count LRU policy -- the configuration the
-#: traffic-SLO benchmark (``benchmarks/test_fig06h_traffic_slo``) gates its
-#: hit-rate criterion on.
-TIERED = "Ours-Tiered"
-
 #: Default shard count used when the sharded scheme is built by name.
 DEFAULT_SHARDS = 4
 
-#: Default replica count for the replicated scheme.
-DEFAULT_REPLICAS = 2
-
-#: Tiered-scheme defaults: 25% of the shards hot (the fig06h gate's sizing).
-DEFAULT_TIERED_SHARDS = 8
-DEFAULT_HOT_SHARDS = 2
-
-#: Schemes that *are* CuckooGraph (single-instance, sharded, served, made
-#: durable or replicated).  The "CuckooGraph beats each competitor" shape
-#: checks iterate the complement of this set, so registering another of our
-#: own variants never turns it into a competitor.
-OURS_FAMILY = frozenset({OURS, SHARDED, SERVICE, DURABLE, REPLICATED, TIERED})
-
-
-def _durable_store(config: Optional[CuckooGraphConfig] = None) -> PersistentStore:
-    """Ephemeral durable scheme: WAL-wrapped sharded store, buffered appends.
-
-    Compaction is disabled so the cells measure pure logging overhead at any
-    dataset scale; the snapshot/truncate axis is what
-    ``benchmarks/test_fig06d_durability.py`` measures explicitly.
-    """
-    return PersistentStore(
-        store=ShardedCuckooGraph(num_shards=DEFAULT_SHARDS, config=config),
-        sync_on_commit=False,
-        compact_wal_bytes=None,
-        own_store=True,
-    )
-
-
-def _replicated_client(config: Optional[CuckooGraphConfig] = None) -> GraphClient:
-    """Ephemeral replicated scheme: durable service + read replicas.
-
-    Group-commit durability (one fsync per dispatched micro-batch) with
-    compaction left at its default; reads are served by
-    :data:`DEFAULT_REPLICAS` followers under read-your-writes, so every
-    figure cell measures the complete replicated read path.
-    """
-    return GraphClient.durable(
-        num_shards=DEFAULT_SHARDS,
-        config=config,
-        replicas=DEFAULT_REPLICAS,
-    )
+#: Schemes that *are* CuckooGraph (single-instance and sharded).  The
+#: "CuckooGraph beats each competitor" shape checks iterate the complement of
+#: this set, so registering another of our own variants never turns it into a
+#: competitor.
+OURS_FAMILY = frozenset({OURS, SHARDED})
 
 #: Scheme name -> store factory, in the order the figures list them.
 #: WBI's bucket matrix is sized so that its edges-per-bucket load on the
@@ -130,11 +59,6 @@ SCHEMES: dict[str, Callable[[], DynamicGraphStore]] = {
     "Sortledton": COMPETITORS["Sortledton"],
     OURS: CuckooGraph,
     SHARDED: lambda: ShardedCuckooGraph(num_shards=DEFAULT_SHARDS),
-    SERVICE: lambda: GraphClient.local(num_shards=DEFAULT_SHARDS),
-    DURABLE: _durable_store,
-    REPLICATED: _replicated_client,
-    TIERED: lambda: TieredStore(num_shards=DEFAULT_TIERED_SHARDS,
-                                hot_shards=DEFAULT_HOT_SHARDS),
     "WBI": lambda: COMPETITORS["WBI"](matrix_size=16),
 }
 
@@ -152,15 +76,6 @@ def build_store(scheme: str, config: Optional[CuckooGraphConfig] = None) -> Dyna
             return CuckooGraph(config)
         if scheme == SHARDED:
             return ShardedCuckooGraph(num_shards=DEFAULT_SHARDS, config=config)
-        if scheme == SERVICE:
-            return GraphClient.local(num_shards=DEFAULT_SHARDS, config=config)
-        if scheme == DURABLE:
-            return _durable_store(config)
-        if scheme == REPLICATED:
-            return _replicated_client(config)
-        if scheme == TIERED:
-            return TieredStore(num_shards=DEFAULT_TIERED_SHARDS,
-                               hot_shards=DEFAULT_HOT_SHARDS, config=config)
     return SCHEMES[scheme]()
 
 
@@ -175,6 +90,19 @@ def build_cuckoograph_for_stream(
     if stream.statistics().has_duplicates:
         return WeightedCuckooGraph(config) if config is not None else WeightedCuckooGraph()
     return CuckooGraph(config) if config is not None else CuckooGraph()
+
+
+def _store_for_stream(scheme: str, stream: EdgeStream,
+                      config: Optional[CuckooGraphConfig] = None) -> DynamicGraphStore:
+    """The store one Figures 6-16 cell drives.
+
+    ``Ours`` follows the stream's duplicates
+    (:func:`build_cuckoograph_for_stream`); every other scheme is built by
+    name.
+    """
+    if scheme == OURS:
+        return build_cuckoograph_for_stream(stream, config)
+    return build_store(scheme)
 
 
 # --------------------------------------------------------------------- #
@@ -194,7 +122,7 @@ class ThroughputResult:
     * ``accesses_per_op`` -- modelled memory accesses per operation, the
       quantity the paper's own analysis argues about.  The figure *shape*
       (which scheme wins, roughly by how much) is read from this column; see
-      EXPERIMENTS.md.
+      README, *Running the benchmarks*.
     """
 
     scheme: str
@@ -346,10 +274,7 @@ def run_basic_tasks(
     Follows the paper's methodology: insert the full (possibly duplicated)
     stream, query every inserted edge, then delete edges one by one.
     """
-    if scheme == OURS:
-        store = build_cuckoograph_for_stream(stream, config)
-    else:
-        store = build_store(scheme)
+    store = _store_for_stream(scheme, stream, config)
     insertion = run_insertion(store, stream.edges, scheme, dataset)
     distinct = stream.deduplicated()
     query = run_query(store, distinct.edges, scheme, dataset)
@@ -388,11 +313,8 @@ def run_memory_curve(
 # --------------------------------------------------------------------- #
 
 
-def _load_full_graph(scheme: str, stream: EdgeStream,
-                     config: Optional[CuckooGraphConfig] = None) -> DynamicGraphStore:
-    store = (
-        build_cuckoograph_for_stream(stream, config) if scheme == OURS else build_store(scheme)
-    )
+def _load_full_graph(scheme: str, stream: EdgeStream) -> DynamicGraphStore:
+    store = _store_for_stream(scheme, stream)
     store.insert_edges(stream)
     return store
 

@@ -1,8 +1,7 @@
 """Formatting helpers for benchmark reports.
 
 Each benchmark prints the rows/series the corresponding figure or table in
-the paper reports, in a plain-text form that is easy to diff between runs and
-to paste into EXPERIMENTS.md.
+the paper reports, in a plain-text form that is easy to diff between runs.
 """
 
 from __future__ import annotations

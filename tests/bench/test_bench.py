@@ -7,6 +7,7 @@ from repro.bench import (
     OURS,
     OURS_FAMILY,
     SCHEMES,
+    SHARDED,
     build_cuckoograph_for_stream,
     build_store,
     dataset_stream,
@@ -21,8 +22,6 @@ from repro.bench import (
 )
 from repro.core import CuckooGraphConfig, WeightedCuckooGraph, CuckooGraph
 from repro.datasets import EdgeStream
-from repro.persist import PersistentStore
-from repro.service import GraphClient
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +32,9 @@ def tiny_stream() -> EdgeStream:
 class TestStoreFactories:
     def test_every_scheme_buildable(self):
         for scheme in SCHEMES:
-            store = build_store(scheme)
-            try:
+            with build_store(scheme) as store:
                 store.insert_edge(1, 2)
                 assert store.has_edge(1, 2)
-            finally:
-                # The served schemes own a dispatcher thread (and a WAL dir).
-                store.close()
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(KeyError):
@@ -51,19 +46,10 @@ class TestStoreFactories:
 
     @pytest.mark.parametrize("scheme", sorted(OURS_FAMILY))
     def test_config_reaches_the_cuckoographs_of_every_ours_scheme(self, scheme):
-        store = build_store(scheme, CuckooGraphConfig(d=4))
-        try:
-            inner = store
-            if isinstance(inner, GraphClient):
-                inner = inner.service.store
-            if isinstance(inner, PersistentStore):
-                inner = inner.store
-            assert inner.config.d == 4
-            for shard in getattr(inner, "shards", ()):
-                if isinstance(shard, CuckooGraph):  # a tiered store's hot tier
-                    assert shard.config.d == 4
-        finally:
-            store.close()
+        with build_store(scheme, CuckooGraphConfig(d=4)) as store:
+            assert store.config.d == 4
+            shards = store.shards if scheme == SHARDED else []
+            assert all(shard.config.d == 4 for shard in shards)
 
     def test_weighted_variant_selected_for_duplicate_streams(self):
         duplicated = EdgeStream("dup", [(1, 2), (1, 2)])

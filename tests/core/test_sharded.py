@@ -17,6 +17,7 @@ from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.core import CuckooGraphConfig
 from repro.core.errors import ConfigurationError, StoreClosedError
 from repro.core.sharded import shard_index
+from repro.datasets import load_dataset
 from repro.tiered import TieredStore
 
 
@@ -46,6 +47,12 @@ class TestRouting:
         sizes = graph.shard_sizes()
         assert sum(sizes) == len(small_edge_set)
         assert all(size > 0 for size in sizes)
+        # The skewed CAIDA stand-in over 8 shards: no shard holds more than
+        # three times its fair share.
+        caida = list(load_dataset("CAIDA").prefix(8000).deduplicated())
+        graph = ShardedCuckooGraph(num_shards=8)
+        graph.insert_edges(caida)
+        assert max(graph.shard_sizes()) <= 3 * len(caida) / 8
 
     def test_single_shard_matches_plain_cuckoograph(self, small_edge_set):
         sharded = ShardedCuckooGraph(num_shards=1)

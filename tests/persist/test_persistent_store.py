@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
+from repro.core import CuckooGraphConfig
 from repro.core.errors import PersistenceError, StoreClosedError
 from repro.persist import (
     MANIFEST_NAME,
@@ -30,8 +31,10 @@ class TestBasics:
             assert store.delete_edge(1, 2) is True
             assert store.num_edges == 0
 
-    def test_batch_calls_are_single_group_commits(self, tmp_path):
-        with PersistentStore(tmp_path / "s", scheme="cuckoo") as store:
+    @pytest.mark.parametrize("sync_on_commit", [True, False], ids=["fsync", "buffered"])
+    def test_batch_calls_are_single_group_commits(self, tmp_path, sync_on_commit):
+        with PersistentStore(tmp_path / "s", scheme="cuckoo",
+                             sync_on_commit=sync_on_commit) as store:
             assert store.insert_edges(EDGES) == len(EDGES)
             assert store.commits == 1
             assert store.delete_edges(EDGES[:2]) == 2
@@ -40,6 +43,22 @@ class TestBasics:
             store.has_edges(EDGES)
             store.successors_many([1, 7])
             assert store.commits == 2
+            # One segment: a commit is one fsync, and a buffered store issues
+            # none before close.
+            syncs = store.persistence_summary()["wal_syncs"]
+            assert syncs == (store.commits if sync_on_commit else 0)
+
+    def test_fsyncs_fall_as_batches_grow(self, tmp_path):
+        edges = [(u, u + 1) for u in range(64)]
+        fsyncs = []
+        for batch in (1, 16, 64):
+            with PersistentStore(tmp_path / f"batch-{batch}", scheme="sharded") as store:
+                for start in range(0, len(edges), batch):
+                    store.insert_edges(edges[start:start + batch])
+                fsyncs.append(store.persistence_summary()["wal_syncs"])
+        # One fsync per segment a commit touched: one per edge at batch 1,
+        # four per commit once a batch spans all four segments.
+        assert fsyncs == [64, 4 * 4, 1 * 4]
 
     def test_manifest_records_scheme_and_segments(self, tmp_path):
         with PersistentStore(tmp_path / "s", scheme="sharded"):
@@ -196,6 +215,13 @@ class TestLifecycle:
         fresh.close()
         store.close()
 
+    def test_spawn_empty_keeps_the_wrapped_config(self, tmp_path):
+        inner = ShardedCuckooGraph(num_shards=4, config=CuckooGraphConfig(d=4))
+        with PersistentStore(tmp_path / "s", store=inner, own_store=True) as store:
+            with store.spawn_empty() as fresh:
+                assert fresh.store.config.d == 4
+                assert [shard.config.d for shard in fresh.store.shards] == [4] * 4
+
     def test_spawned_store_is_itself_recoverable(self, tmp_path):
         store = PersistentStore(tmp_path / "s", scheme="cuckoo")
         fresh = store.spawn_empty()
@@ -233,6 +259,7 @@ class TestCompaction:
         store.close()
         recovered = recover(tmp_path / "s")
         assert recovered.last_recovery["wal_ops"] == 0
+        assert recovered.last_recovery["snapshot_rows"] == rows
         assert recovered.edge_weight(1, 2) == 5
         recovered.close()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ShardedCuckooGraph
+from repro.core import CuckooGraphConfig
 from repro.service import GraphClient, GraphService
 
 
@@ -53,3 +54,21 @@ def test_weighted_stays_false_over_a_weighted_store():
         assert store.weighted
         assert client.weighted is False
         assert client.num_shards == 2
+
+
+@pytest.mark.parametrize("factory, replicas", [
+    ("local", 0), ("durable", 0), ("durable", 2),
+], ids=["local", "durable", "durable-replicated"])
+def test_factories_pass_config_to_every_shard(factory, replicas):
+    """The factories build the served store, so a config must reach each of
+    its shards, and each shard of every follower spawned from it."""
+    build = getattr(GraphClient, factory)
+    with build(num_shards=4, config=CuckooGraphConfig(d=4), replicas=replicas) as client:
+        served = client.service.store
+        # ``durable`` wraps the sharded store in a PersistentStore.
+        stores = [served.store if factory == "durable" else served]
+        if replicas:
+            stores += [follower.store for follower in client.service.replication.followers]
+        assert len(stores) == 1 + replicas
+        for store in stores:
+            assert [shard.config.d for shard in store.shards] == [4] * 4

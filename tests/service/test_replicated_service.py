@@ -140,6 +140,27 @@ def test_any_freshness_may_lag_but_reports_it(tmp_path):
         assert follower.store.has_edge(19, 20)
 
 
+def test_any_freshness_lag_shrinks_as_windows_grow(tmp_path):
+    """Bigger windows log the same inserts as fewer records, so an ``"any"``
+    read trails by fewer.  Nothing is fsynced, so nothing ships, and every
+    request is queued before the dispatcher starts: the windows, and with
+    them the lag, depend on ``max_batch`` alone."""
+    lags = []
+    for max_batch in (8, 64):
+        store = durable_store(tmp_path / f"max-batch-{max_batch}")
+        service = GraphService(store, replicas=1, freshness="any",
+                               own_store=True, max_batch=max_batch)
+        inserts = [service.insert_edge(u, u + 1) for u in range(64)]
+        read = service.has_edge(0, 1)
+        with service:
+            assert all(future.result(timeout=30) for future in inserts)
+            read.result(timeout=30)
+            lags.append(service.metrics_summary()["replication"]["lag_max"])
+    # One record per segment a commit touched, and every window of these
+    # inserts touches both: 8 commits then 1.
+    assert lags == [8 * 2, 1 * 2]
+
+
 def test_replication_lag_is_measured_under_read_your_writes(tmp_path):
     store = durable_store(tmp_path)
     with GraphService(store, replicas=2, durability="batch",

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.core import CuckooGraphConfig
 from repro.core.errors import ConfigurationError, StoreClosedError
 from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore, TouchLRUPolicy
@@ -177,6 +178,24 @@ def test_spawn_empty_reproduces_config():
     assert child.hot_shards == 3
     assert child.num_edges == 0
     assert [child.is_hot(s) for s in range(4)] == [True, True, True, False]
+    child.close()
+    store.close()
+
+
+def test_config_reaches_every_hot_shard():
+    """Hot shards are built from the store's config, one seed per shard,
+    at construction, on promotion and in a spawned store."""
+    store = TieredStore(num_shards=4, hot_shards=1, config=CuckooGraphConfig(d=4, seed=10),
+                        policy=TouchLRUPolicy(promote_after=1))
+    cold = cold_shard_of(store)
+    u = node_on_shard(store, cold)
+    store.insert_edge(u, u + 1)
+    store.insert_edge(u, u + 2)
+    assert store.is_hot(cold) and store.promotions == 1
+    child = store.spawn_empty()
+    for tiered, hot in ((store, cold), (child, 0)):
+        assert tiered.shards[hot].config.d == 4
+        assert tiered.shards[hot].config.seed == 10 + hot
     child.close()
     store.close()
 
