@@ -1,12 +1,5 @@
-"""Memory-layout and operation-cost models shared by every graph store."""
+"""Memory-layout model shared by every graph store."""
 
-from .costmodel import (
-    OperationCost,
-    measure_deletions,
-    measure_insertions,
-    measure_queries,
-    memory_curve,
-)
 from .layout import (
     ALLOC_OVERHEAD_BYTES,
     CuckooLayout,
@@ -23,15 +16,10 @@ __all__ = [
     "ALLOC_OVERHEAD_BYTES",
     "CuckooLayout",
     "ID_BYTES",
-    "OperationCost",
     "POINTER_BYTES",
     "WEIGHT_BYTES",
     "WORD_BYTES",
     "adjacency_entry_bytes",
     "adjacency_node_bytes",
-    "measure_deletions",
-    "measure_insertions",
-    "measure_queries",
-    "memory_curve",
     "vector_entry_bytes",
 ]

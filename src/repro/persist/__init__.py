@@ -45,11 +45,9 @@ from .store import (
     PersistentStore,
     SNAPSHOT_NAME,
     STORE_SCHEMES,
-    apply_op,
+    apply_record,
     open_or_create,
     recover,
-    register_scheme,
-    replay_into,
 )
 from .wal import (
     DELETE,
@@ -64,7 +62,6 @@ from .wal import (
     encode_edge_ops,
     encode_frame,
     encode_ops,
-    read_wal,
     read_wal_records,
 )
 
@@ -88,7 +85,7 @@ __all__ = [
     "WAL_MAGIC",
     "WalPosition",
     "WriteAheadLog",
-    "apply_op",
+    "apply_record",
     "decode_ops",
     "encode_edge_ops",
     "encode_frame",
@@ -97,11 +94,8 @@ __all__ = [
     "load_snapshot",
     "open_or_create",
     "read_snapshot",
-    "read_wal",
     "read_wal_records",
     "recover",
-    "register_scheme",
-    "replay_into",
     "snapshot_generation",
     "snapshot_rows",
     "write_snapshot",

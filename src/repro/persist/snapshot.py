@@ -223,7 +223,7 @@ def snapshot_generation(path: os.PathLike | str) -> int:
     """The checkpoint generation stamped in a snapshot's header (0 if absent).
 
     Reads only the header -- the body is left to :func:`read_snapshot` -- so
-    cursor/position validation against the current checkpoint baseline stays
+    position validation against the current checkpoint baseline stays
     cheap on large snapshots; the header checksum is verified, so what it
     returns is what the checkpoint wrote.  A v1 header is returned unchecked.
     """
@@ -274,8 +274,7 @@ def load_snapshot(path: os.PathLike | str, store: DynamicGraphStore) -> Tuple[in
 class CompactionEvent:
     """What a checkpoint is about to fold away, reported *before* truncation.
 
-    Whoever follows the log (a replication primary, an incremental
-    :func:`~repro.persist.store.replay_into` probe) keeps a byte position
+    Whoever follows the log (a replication primary) keeps a byte position
     into each segment; truncation moves the segments out from under that
     position.  This event closes the window: it fires after the store state
     is final for the checkpoint but before the snapshot rename and the

@@ -114,6 +114,8 @@ import threading
 import time
 from collections import deque
 from functools import partial
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from queue import SimpleQueue
 from typing import (
@@ -167,12 +169,13 @@ class _DirectoryLock:
 
     Exactly one writer -- a live :class:`PersistentStore` or an in-progress
     :func:`recover` (which truncates torn tails) -- may hold a directory at
-    a time.  Without this, a recovery probe racing a live unsynced writer
+    a time.  Without this, a recovery racing a live unsynced writer
     could truncate a half-flushed record and stitch the writer's next flush
     onto the wrong offset, corrupting the log for good.  ``flock`` conflicts
     across open file descriptions, so a second store in the *same* process
-    is refused too.  For read-only online inspection use
-    :func:`replay_into`, which neither locks nor truncates.
+    is refused too.  A live store is read through a replication
+    :class:`~repro.replicate.Follower`, or by recovering a copy of its
+    directory.
     """
 
     def __init__(self, directory: Path):
@@ -199,20 +202,14 @@ class _DirectoryLock:
             os.close(self._fd)
             self._fd = None
 
-#: Scheme registry used by :func:`recover` to rebuild a store by name.
-#: ``register_scheme`` extends it (the bench layer registers nothing here;
-#: these are the schemes whose constructors the persist layer owns).
+#: The schemes :func:`recover` rebuilds a store from by the name recorded in
+#: the manifest; any other store is recovered with ``store=`` or a factory.
 STORE_SCHEMES: Dict[str, Callable[[], DynamicGraphStore]] = {
     "cuckoo": CuckooGraph,
     "weighted": WeightedCuckooGraph,
     "sharded": lambda: ShardedCuckooGraph(num_shards=4),
     "sharded-weighted": lambda: ShardedCuckooGraph(num_shards=4, weighted=True),
 }
-
-
-def register_scheme(name: str, factory: Callable[[], DynamicGraphStore]) -> None:
-    """Register a zero-argument store factory under ``name`` for recovery."""
-    STORE_SCHEMES[name] = factory
 
 
 def _segment_name(index: int) -> str:
@@ -753,10 +750,9 @@ class PersistentStore(DelegatingStore):
         self._check_open("mutations")
         generation = self._generation + 1
         # Pre-truncation event: a replication primary drains the commit
-        # feed, an incremental probe its cursor, up to these offsets before
-        # the segments are cut out from under them.  ``size_bytes`` counts
-        # buffered-but-unsynced appends too, which is exactly what the
-        # snapshot below will fold in.
+        # feed up to these offsets before the segments are cut out from
+        # under them.  ``size_bytes`` counts buffered-but-unsynced appends
+        # too, which is exactly what the snapshot below will fold in.
         self._policy.notify(CompactionEvent(
             path=self._path,
             generation=self._generation,
@@ -897,15 +893,42 @@ class _PoisonedTail(Exception):
     """
 
 
-def apply_op(store: DynamicGraphStore, op: Op) -> None:
-    """Apply one decoded WAL operation tuple to ``store``."""
-    tag = op[0]
-    if tag == INSERT:
-        store.insert_edge(op[1], op[2])
-    elif tag == DELETE:
-        store.delete_edge(op[1], op[2])
-    else:
-        store.insert_weighted_edge(op[1], op[2], op[3])
+def apply_record(store: DynamicGraphStore, ops: Sequence[Op]) -> None:
+    """Apply one WAL record's decoded operations to ``store``.
+
+    The one way from the log to a store: recovery, a replica's live stream
+    and both bootstraps (``Primary.attach``, the socket follower) all come
+    through here.  Each maximal run of plain inserts (or deletes) goes to the
+    store as one ``insert_edges`` / ``delete_edges`` call -- the commit that
+    logged the record applied it as that batch, so the store sees the calls
+    it saw then (a store that acts per call, such as a tiered one, included).
+    Weighted inserts carry a delta each and stay per-op, as does a run of
+    one, where a batch call's fixed cost buys nothing.
+
+    Raises :class:`ReplicationError` (instead of a bare ``AttributeError``
+    deep in a store) when a weighted record meets an unweighted store;
+    recovery refuses that case up front (``_check_replay_compatible``).
+    """
+    for tag, run in groupby(ops, key=itemgetter(0)):
+        run = list(run)
+        if tag == INSERT_WEIGHTED:
+            if not store.weighted:
+                raise ReplicationError(
+                    f"stream holds weighted records but the store "
+                    f"({store.name!r}) is not weighted"
+                )
+            for _, u, v, delta in run:
+                store.insert_weighted_edge(u, v, delta)
+        elif len(run) == 1:
+            _, u, v = run[0]
+            if tag == INSERT:
+                store.insert_edge(u, v)
+            else:
+                store.delete_edge(u, v)
+        elif tag == INSERT:
+            store.insert_edges([(u, v) for _, u, v in run])
+        else:
+            store.delete_edges([(u, v) for _, u, v in run])
 
 
 def _check_replay_compatible(path: Path, store: DynamicGraphStore,
@@ -971,8 +994,7 @@ def _replay_segment(path: Path, store: DynamicGraphStore,
     start = WAL_HEADER_SIZE
     for index, (batch, end) in enumerate(records):
         try:
-            for op in batch:
-                apply_op(store, op)
+            apply_record(store, batch)
         except Exception as error:
             if index == len(records) - 1:
                 # The final commit's apply fails deterministically -- the
@@ -1083,12 +1105,13 @@ def recover(
     registered name or factory), else the scheme name recorded in the
     directory's manifest.  Under the writer lock it first deletes the
     temporary files a crash between a write and its rename leaves behind
-    (``snapshot.bin.tmp``, ``manifest.json.tmp``); :func:`replay_into`, which
-    takes no lock, leaves them alone.
+    (``snapshot.bin.tmp``, ``manifest.json.tmp``).
 
-    Segments are replayed one after another: replay is pure Python under
-    the GIL, so threads buy it nothing (measured; see the README).
-    ``own_store`` forces (or forbids) the returned wrapper closing the
+    Segments are replayed one after another, each record through
+    :func:`apply_record` (the batch calls its commit made): replay is pure
+    Python under the GIL, so threads buy it nothing (measured; see the
+    README).  A live store's directory is locked; to inspect one, recover a
+    copy of it.  ``own_store`` forces (or forbids) the returned wrapper closing the
     store on ``close``; by default the wrapper owns the store exactly when
     this function built it.
 
@@ -1204,102 +1227,3 @@ def open_or_create(
         return recover(path, scheme=None if store is not None else scheme,
                        store=store, **kwargs)
     return PersistentStore(path, store=store, scheme=scheme, **kwargs)
-
-
-def replay_into(
-    path: Union[str, Path],
-    store: DynamicGraphStore,
-    *,
-    cursor: Optional[WalPosition] = None,
-) -> Dict[str, object]:
-    """Read-only replay of a store directory into ``store``.
-
-    The online-inspection counterpart of :func:`recover`: it takes no lock,
-    never truncates, and never opens a segment for append, so it is safe to
-    run against a **live, synced** writer (call the live store's ``sync()``
-    first; unsynced buffered records are simply not visible yet).  Torn
-    tails are skipped, stale (pre-snapshot-generation) segments are ignored,
-    orphaned temporary files are left in place, and the stats dict mirrors
-    ``last_recovery`` plus a ``"position"`` key: the
-    :class:`~repro.persist.wal.WalPosition` the replay ended at.
-
-    Passing that position back as ``cursor`` makes the next probe
-    **incremental**: ``store`` is then the *same* (already populated) store
-    the previous call filled, the snapshot is not reloaded, and each
-    segment is read from its cursor offset instead of byte 0 -- a polling
-    probe pays for the new records only.  A compaction between probes moves
-    the log out from under the cursor; that is detected via the generation
-    stamp and raises :class:`~repro.core.errors.PersistenceError` (restart
-    with a fresh store -- or subscribe to the live store's
-    ``compaction_policy`` to drain the log just before it is truncated).
-    """
-    path = Path(path)
-    if not (path / MANIFEST_NAME).exists():
-        raise PersistenceError(f"{path} has no {MANIFEST_NAME}; nothing to replay")
-    segments = _read_manifest(path)["segments"]
-    if cursor is None and store.num_edges != 0:
-        raise PersistenceError("replay target store must be empty")
-    if segments != store.num_shards:
-        raise PersistenceError(
-            f"{path} holds {segments} WAL segment(s) but the replay store "
-            f"routes over {store.num_shards}; shard counts must match"
-        )
-    if cursor is not None and len(cursor.offsets) != segments:
-        raise PersistenceError(
-            f"cursor covers {len(cursor.offsets)} segment(s) but {path} "
-            f"holds {segments}"
-        )
-    if cursor is None:
-        snapshot_rows, generation = load_snapshot(path / SNAPSHOT_NAME, store)
-    else:
-        snapshot_rows, generation = 0, cursor.generation
-        baseline = snapshot_generation(path / SNAPSHOT_NAME)
-        if baseline != cursor.generation:
-            raise PersistenceError(
-                f"{path}: cursor is at generation {cursor.generation} but the "
-                f"snapshot baseline is {baseline}; a compaction folded the "
-                f"records past the cursor (restart the probe from scratch)"
-            )
-    batches = ops = 0
-    offsets: List[int] = []
-    for index in range(segments):
-        segment = path / _segment_name(index)
-        from_offset = None
-        if cursor is not None:
-            from_offset = max(cursor.offsets[index], WAL_HEADER_SIZE)
-            if not segment.exists():
-                offsets.append(WAL_HEADER_SIZE)
-                continue
-        seg_generation, records, valid_length = read_wal_records(
-            segment, from_offset=from_offset,
-            expected_generation=None if cursor is None else generation)
-        if seg_generation is None:
-            # Segment missing or torn at create: no complete header yet, so
-            # no records either; the cursor stays at the header boundary.
-            offsets.append(WAL_HEADER_SIZE)
-            continue
-        if seg_generation < generation:
-            # Folded into the snapshot by an interrupted checkpoint (the
-            # next append heals the stamp): benign for a fresh probe and
-            # for an incremental one alike -- skip, don't wedge.
-            offsets.append(WAL_HEADER_SIZE)
-            continue
-        if cursor is not None and seg_generation > generation:
-            raise PersistenceError(
-                f"{segment} is stamped generation {seg_generation}, past the "
-                f"cursor's {generation}; a compaction moved the log under "
-                f"the probe (restart it from scratch)"
-            )
-        offsets.append(max(valid_length, WAL_HEADER_SIZE))
-        _check_replay_compatible(segment, store, records)
-        for record_ops, _ in records:
-            for op in record_ops:
-                apply_op(store, op)
-            ops += len(record_ops)
-            batches += 1
-    return {
-        "snapshot_rows": snapshot_rows,
-        "wal_batches": batches,
-        "wal_ops": ops,
-        "position": WalPosition(generation=generation, offsets=tuple(offsets)),
-    }

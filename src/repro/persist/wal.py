@@ -28,16 +28,16 @@ same bytes for a whole group of same-kind edge operations in one packing
 call, and is what the batch commit path uses.
 
 Torn tails.  A crash mid-append leaves a final record whose header, payload
-or checksum is incomplete.  :func:`read_wal` treats the first structurally
-incomplete record as the end of the log -- the standard WAL reading rule:
-it returns every complete record before that point plus the byte offset up
-to which the file is valid, and :func:`~repro.persist.store.recover`
-truncates the file there before appending resumes.  Damage the reader *can*
-prove a crashed append never produces -- a foreign magic header, a checksum
-mismatch on a record with more data after it, an undecodable opcode inside
-a checksum-valid record -- raises
-:class:`~repro.core.errors.WalCorruptError` instead of being skipped.  (A
-corrupted *length* field that claims past end-of-file is structurally
+or checksum is incomplete.  :func:`read_wal_records` treats the first
+structurally incomplete record as the end of the log -- the standard WAL
+reading rule: it returns every complete record before that point plus the
+byte offset up to which the file is valid, and
+:func:`~repro.persist.store.recover` truncates the file there before
+appending resumes.  Damage the reader *can* prove a crashed append never
+produces -- a foreign magic header, a checksum mismatch on a record with
+more data after it, an undecodable opcode inside a checksum-valid record --
+raises :class:`~repro.core.errors.WalCorruptError` instead of being skipped.
+(A corrupted *length* field that claims past end-of-file is structurally
 indistinguishable from a torn tail and is treated as one.)
 
 Generations.  Compaction must be crash-atomic: the snapshot is written (and
@@ -240,8 +240,6 @@ def decode_ops(payload: bytes) -> List[Op]:
 
 def read_wal_records(
     path: os.PathLike | str,
-    from_offset: int | None = None,
-    expected_generation: int | None = None,
 ) -> Tuple[int | None, List[Tuple[List[Op], int]], int]:
     """Read a WAL segment, tolerating a torn final record.
 
@@ -254,23 +252,6 @@ def read_wal_records(
     appending resumes.  A missing or empty file yields ``(None, [], 0)``; a
     partially written header (torn initial create) also yields
     ``(None, [], 0)``.  A *wrong* magic raises :class:`WalCorruptError`.
-
-    ``from_offset`` makes the read incremental: only the bytes past that
-    (absolute, record-boundary) offset are read from disk -- the header is
-    still consulted for the generation, but a tailer polling a growing
-    segment pays for the *new* records, not the whole file on every probe.
-    Record end offsets and ``valid_length`` stay absolute, so the returned
-    ``valid_length`` is the natural ``from_offset`` of the next poll.  An
-    offset past the current end of file returns no records and
-    ``valid_length == from_offset`` (nothing new yet).
-
-    A cursor offset is only meaningful at the generation it was taken:
-    compaction truncates the segment, and later appends can regrow it past
-    the old offset, where parsing would start mid-record.  Always pass the
-    cursor's generation as ``expected_generation`` alongside
-    ``from_offset``; when the header disagrees the call returns
-    ``(generation, [], from_offset)`` without touching record data, and
-    the caller resets its cursor for the new generation.
     """
     path = Path(path)
     if not path.exists():
@@ -286,27 +267,6 @@ def read_wal_records(
         if len(head) < WAL_HEADER_SIZE:
             return None, [], 0  # generation stamp torn mid-create
         generation = _GENERATION.unpack_from(head, len(WAL_MAGIC))[0]
-        start = WAL_HEADER_SIZE
-        if from_offset is not None:
-            if from_offset < WAL_HEADER_SIZE:
-                raise PersistenceError(
-                    f"from_offset {from_offset} is inside the {path} header"
-                )
-            if expected_generation is not None and \
-                    generation != expected_generation:
-                # The cursor belongs to another generation: a compaction
-                # truncated the segment, and later appends may have regrown
-                # it past the old offset -- where parsing would start
-                # mid-record and misread payload bytes as framing.  Return
-                # the header verdict untouched; the caller resets.
-                return generation, [], from_offset
-            size = path.stat().st_size
-            if from_offset > size:
-                # The segment shrank (compaction truncated it); report
-                # "nothing new" -- the caller sees the generation and resets.
-                return generation, [], from_offset
-            file.seek(from_offset)
-            start = from_offset
         data = file.read()
 
     records: List[Tuple[List[Op], int]] = []
@@ -326,17 +286,11 @@ def read_wal_records(
                 break  # torn final record: checksum never completed
             raise WalCorruptError(
                 f"{path}: checksum mismatch in a non-final record at "
-                f"offset {start + offset}"
+                f"offset {WAL_HEADER_SIZE + offset}"
             )
-        records.append((decode_ops(payload), start + payload_end))
+        records.append((decode_ops(payload), WAL_HEADER_SIZE + payload_end))
         offset = payload_end
-    return generation, records, start + offset
-
-
-def read_wal(path: os.PathLike | str) -> Tuple[int | None, List[List[Op]], int]:
-    """Like :func:`read_wal_records`, returning just the op batches."""
-    generation, records, valid_length = read_wal_records(path)
-    return generation, [ops for ops, _ in records], valid_length
+    return generation, records, WAL_HEADER_SIZE + offset
 
 
 class WriteAheadLog:

@@ -40,12 +40,7 @@ Networked (each side may live in its own process)::
 """
 
 from .failover import DEFAULT_LEASE_S, Failover, FailoverManager
-from .follower import (
-    DEFAULT_BARRIER_TIMEOUT_S,
-    DEFAULT_POLL_SLICE_S,
-    Follower,
-    apply_shipped_ops,
-)
+from .follower import DEFAULT_BARRIER_TIMEOUT_S, DEFAULT_POLL_SLICE_S, Follower
 from .group import FRESHNESS_POLICIES, ReplicationGroup
 from .net import (
     DEFAULT_CONNECT_TIMEOUT_S,
@@ -88,7 +83,6 @@ __all__ = [
     "ReplicationServer",
     "ReplicationTransport",
     "SocketChannel",
-    "apply_shipped_ops",
     "decode_message",
     "encode_message",
 ]

@@ -32,19 +32,13 @@ from __future__ import annotations
 
 import threading
 import time
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, List, Optional, Union
 
 from ..core.errors import ReplicationError
 from ..interfaces import DynamicGraphStore
-from ..persist import INSERT, INSERT_WEIGHTED, WAL_HEADER_SIZE, WalPosition
-from ..persist.store import (
-    PersistentStore,
-    _resolve_factory,
-    apply_op,
-)
+from ..persist import WAL_HEADER_SIZE, WalPosition
+from ..persist.store import PersistentStore, _resolve_factory, apply_record
 from .transport import GenerationBump, RecordShipment, ReplicationChannel
 
 #: How long ``wait_for`` waits for the primary by default (seconds).
@@ -54,36 +48,6 @@ DEFAULT_BARRIER_TIMEOUT_S = 30.0
 #: notification (seconds).  Constructor-overridable so tight convergence
 #: loops (the incremental-analytics fuzz lane) do not burn wall-clock.
 DEFAULT_POLL_SLICE_S = 0.05
-
-
-def apply_shipped_ops(store: DynamicGraphStore, ops) -> None:
-    """Apply one shipment's decoded operations to a follower store.
-
-    Each maximal run of plain inserts (or deletes) goes to the store as one
-    ``insert_edges`` / ``delete_edges`` call -- the primary applied them as
-    a batch, and so does the replica (a store that acts per call, such as a
-    tiered one, then sees the same calls on both).  Weighted inserts carry
-    a delta each and stay per-op, as does a run of one, where a batch
-    call's fixed cost buys nothing.
-
-    Raises :class:`ReplicationError` (instead of a bare ``AttributeError``
-    deep in a store) when a weighted record meets an unweighted store --
-    the same scheme-mismatch refusal recovery makes, surfaced per shipment.
-    """
-    for tag, run in groupby(ops, key=itemgetter(0)):
-        run = list(run)
-        if tag == INSERT_WEIGHTED and not store.weighted:
-            raise ReplicationError(
-                f"stream holds weighted records but the follower store "
-                f"({store.name!r}) is not weighted"
-            )
-        if tag == INSERT_WEIGHTED or len(run) == 1:
-            for op in run:
-                apply_op(store, op)
-        elif tag == INSERT:
-            store.insert_edges([(u, v) for _, u, v in run])
-        else:
-            store.delete_edges([(u, v) for _, u, v in run])
 
 
 class Follower:
@@ -256,7 +220,7 @@ class Follower:
         channel), so subclasses must also treat :meth:`_connect` as a full
         invalidation point.
         """
-        apply_shipped_ops(self._store, ops)
+        apply_record(self._store, ops)
 
     def poll(self, max_records: Optional[int] = None) -> int:
         """Apply queued shipments without blocking; return how many.

@@ -20,10 +20,9 @@ adds the two read-side policies the service exposes:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.errors import ReplicationError
-from ..interfaces import DynamicGraphStore
 from ..persist.store import PersistentStore
 from .follower import Follower
 from .primary import Primary
@@ -42,21 +41,17 @@ class ReplicationGroup:
         replicas: int = 1,
         *,
         transport: Optional[ReplicationTransport] = None,
-        follower_factory: Optional[Callable[[], DynamicGraphStore]] = None,
         analytics: bool = False,
-        analytics_kwargs: Optional[dict] = None,
     ):
         if analytics:
             if replicas < 0:
                 raise ReplicationError(f"replicas must be >= 0, got {replicas}")
         elif replicas < 1:
             raise ReplicationError(f"replicas must be >= 1, got {replicas}")
-        if analytics_kwargs and not analytics:
-            raise ReplicationError("analytics_kwargs given without analytics=True")
         self._next_replica = 0
         self._closed = False
         self.primary = Primary(store, transport=transport)
-        factory = follower_factory or store.store.spawn_empty
+        factory = store.store.spawn_empty
         self.followers: List[Follower] = []
         #: The delta-maintained analytics replica (``None`` unless
         #: ``analytics=True``).  It rides the same change feed as the plain
@@ -73,8 +68,7 @@ class ReplicationGroup:
                 from ..analytics.incremental import AnalyticsFollower
 
                 self.analytics_follower = AnalyticsFollower(
-                    store=factory(), own_store=True, **(analytics_kwargs or {})
-                )
+                    store=factory(), own_store=True)
                 self.primary.attach(self.analytics_follower)
         except BaseException:
             self.close()

@@ -63,9 +63,16 @@ from typing import Callable, Optional, Tuple, Union
 
 from ..core.errors import ReplicationError
 from ..interfaces import DynamicGraphStore
-from ..persist import FRAME_HEADER, SNAPSHOT_NAME, decode_ops, encode_frame, encode_ops
+from ..persist import (
+    FRAME_HEADER,
+    SNAPSHOT_NAME,
+    apply_record,
+    decode_ops,
+    encode_frame,
+    encode_ops,
+)
 from ..persist.snapshot import load_snapshot
-from .follower import DEFAULT_POLL_SLICE_S, Follower, apply_shipped_ops
+from .follower import DEFAULT_POLL_SLICE_S, Follower
 from .primary import Primary
 from .transport import GenerationBump, RecordShipment, ReplicationChannel
 
@@ -633,7 +640,7 @@ class RemoteFollower(Follower):
                     snapshot_file.write(payload[1:])
                 elif kind == MSG_BACKFILL:
                     finalize_snapshot()
-                    apply_shipped_ops(self._store, decode_ops(payload[1:]))
+                    apply_record(self._store, decode_ops(payload[1:]))
                 elif kind == MSG_ATTACHED:
                     finalize_snapshot()
                     _, commit_index, generation, segments = \

@@ -50,8 +50,7 @@ from typing import Iterator, List, Optional, Tuple
 from ..core.errors import ReplicationError
 from ..persist import WAL_HEADER_SIZE, WalPosition, load_snapshot, read_wal_records
 from ..persist.snapshot import CompactionEvent
-from ..persist.store import SNAPSHOT_NAME, PersistentStore
-from .follower import apply_shipped_ops
+from ..persist.store import SNAPSHOT_NAME, PersistentStore, apply_record
 from .transport import (
     GenerationBump,
     InProcessTransport,
@@ -293,9 +292,9 @@ class Primary:
     def _backfill(self, store) -> None:
         """Replay snapshot + shipped records into an empty follower store.
 
-        Deliberately not :func:`~repro.persist.replay_into`: the follower
-        may be *any* scheme (its own segmentation is irrelevant -- it never
-        logs), so only the logical stream is replayed.
+        Each record goes through :func:`~repro.persist.apply_record`, as in
+        recovery.  The follower may be *any* scheme (its own segmentation is
+        irrelevant -- it never logs), so only the logical stream is replayed.
         """
         if store.num_edges != 0:
             raise ReplicationError(
@@ -304,7 +303,7 @@ class Primary:
             )
         load_snapshot(self.path / SNAPSHOT_NAME, store)
         for ops in self.shipped_records():
-            apply_shipped_ops(store, ops)
+            apply_record(store, ops)
 
     def shipped_records(self) -> Iterator[Tuple[tuple, ...]]:
         """Ops of every already-shipped record, in backfill (segment) order.

@@ -156,6 +156,9 @@ class GraphService:
             and analytics jobs round-robin across the followers, while
             every mutation stays on the primary.  Per-replica read counts
             and the observed replication lag land in :class:`ServiceMetrics`.
+            A replica in another process attaches through a
+            :class:`~repro.replicate.ReplicationServer` wrapped around
+            ``service.replication.primary``.
         freshness: Read policy with ``replicas > 0``:
             ``"read_your_writes"`` (default) runs the follower's barrier to
             the primary's commit index before serving, so a client that saw
@@ -178,13 +181,6 @@ class GraphService:
             (:func:`~repro.analytics.canonical_pagerank`), whose float
             accumulation order is sorted-by-node rather than the legacy
             kernel's store-iteration order.
-        replica_transport: Optional
-            :class:`~repro.replicate.ReplicationTransport` the replication
-            group's followers are connected through; defaults to the
-            in-process queue transport.  Remote replicas do not use this
-            seam -- they attach through a
-            :class:`~repro.replicate.ReplicationServer` wrapped around
-            ``service.replication.primary``.
 
     Example:
         >>> with GraphService() as service:
@@ -206,7 +202,6 @@ class GraphService:
         replicas: int = 0,
         freshness: str = "read_your_writes",
         analytics: str = "engine",
-        replica_transport=None,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -275,7 +270,6 @@ class GraphService:
         # orphaned primary subscribed to the store's feed and compaction policy).
         self._replication: Optional[ReplicationGroup] = (
             ReplicationGroup(self.store, replicas=replicas,
-                             transport=replica_transport,
                              analytics=analytics == "incremental")
             if replicas or analytics == "incremental" else None
         )

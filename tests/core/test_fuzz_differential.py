@@ -30,11 +30,12 @@ CI uses the small fixed sweep on every push and an extended sweep on main.
 from __future__ import annotations
 
 import random
+import shutil
 
 import pytest
 
 from repro import ShardedCuckooGraph, WeightedCuckooGraph
-from repro.persist import PersistentStore, recover, replay_into
+from repro.persist import PersistentStore, recover
 from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore
 
@@ -367,10 +368,11 @@ def test_fuzz_persist_and_recover(num_shards, kind, fuzz_seed, tmp_path):
     """Recovery must reproduce the oracle at every probe point and at the end.
 
     The op stream is committed through the batch APIs in random chunks;
-    after random chunks the WAL (flushed, not yet closed) is recovered into
-    a fresh store and compared to the oracle mid-flight.  At the end, the
-    closed store is recovered, then a torn tail is simulated on one segment
-    and recovery is checked to land on the previous group-commit boundary.
+    after random chunks a copy of the directory (flushed, not yet closed)
+    is recovered into a fresh store and compared to the oracle mid-flight.
+    At the end, the closed store is recovered, then a torn tail is
+    simulated on one segment and recovery is checked to land on the
+    previous group-commit boundary.
     Over weighted shards every recovered weight must match too.  The tiered
     lane has one hot shard of three, so shards migrate between tiers while
     the stream is being logged (the deployment ``repro.traffic`` builds for
@@ -400,15 +402,16 @@ def test_fuzz_persist_and_recover(num_shards, kind, fuzz_seed, tmp_path):
         assert store.delete_edges(deletes) == \
             sum(oracle.delete(u, v) for u, v in deletes), context
         if rng.random() < 0.25:
-            # Mid-flight probe: flush buffered commits, then do a read-only
-            # replay into a brand-new store and compare against the oracle.
-            # (recover() takes the directory's writer lock, which the live
-            # store holds; replay_into is the online-inspection path.)
+            # Mid-flight probe: flush buffered commits, then recover a copy
+            # of the directory (the live store holds the writer lock on the
+            # original) and compare against the oracle.
             store.sync()
-            probe = fresh_inner()
-            replay_into(base, probe)
+            probe_path = tmp_path / "probe"
+            shutil.copytree(base, probe_path, ignore=shutil.ignore_patterns("lock"))
+            probe = recover(probe_path, store=fresh_inner(), own_store=True)
             assert_final_state(probe, oracle, f"{context} mid-flight")
             probe.close()
+            shutil.rmtree(probe_path)
 
     if kind == "tiered":
         assert store.store.promotions > 0, f"{context}: no shard ever migrated"

@@ -1,4 +1,4 @@
-"""Tests for the memory-layout constants and the operation cost model."""
+"""Tests for the memory-layout constants and the insertion cost bound (Theorem 2)."""
 
 from repro import CuckooGraph
 from repro.memmodel import (
@@ -7,10 +7,6 @@ from repro.memmodel import (
     POINTER_BYTES,
     adjacency_entry_bytes,
     adjacency_node_bytes,
-    measure_deletions,
-    measure_insertions,
-    measure_queries,
-    memory_curve,
     vector_entry_bytes,
 )
 
@@ -39,42 +35,6 @@ class TestLayout:
 
 
 class TestCostModel:
-    def test_measure_insertions_reports_counts(self, small_edge_set):
-        graph = CuckooGraph()
-        cost = measure_insertions(graph, small_edge_set)
-        assert cost.operations == len(small_edge_set)
-        assert cost.seconds > 0
-        assert cost.bucket_probes > 0
-        # Placement attempts count cuckoo-table placements (one per newly seen
-        # source node plus expansion rehashes); low-degree destinations live
-        # in the cell's small slots and need no table placement at all.
-        assert cost.insert_attempts > 0
-        assert cost.throughput_mops > 0
-        assert cost.attempts_per_operation > 0.0
-
-    def test_measure_queries_and_deletions(self, small_edge_set):
-        graph = CuckooGraph()
-        graph.insert_edges(small_edge_set)
-        queries = measure_queries(graph, small_edge_set)
-        deletions = measure_deletions(graph, small_edge_set)
-        assert queries.operations == deletions.operations == len(small_edge_set)
-        assert queries.probes_per_operation > 0
-        assert graph.num_edges == 0
-
-    def test_memory_curve_is_monotone_overall(self, small_edge_set):
-        graph = CuckooGraph()
-        samples = memory_curve(graph, small_edge_set, sample_every=200)
-        assert samples[-1][0] == len(small_edge_set)
-        assert samples[0][1] > 0
-        assert samples[-1][1] >= samples[0][1] * 0.5  # footprint tracks content
-
-    def test_empty_operation_cost(self):
-        graph = CuckooGraph()
-        cost = measure_insertions(graph, [])
-        assert cost.operations == 0
-        assert cost.probes_per_operation == 0.0
-        assert cost.attempts_per_operation == 0.0
-
     def test_theorem2_amortized_attempts_bounded(self):
         """Theorem 2 check: inserting N edges costs at most 3N placements.
 
@@ -84,5 +44,6 @@ class TestCostModel:
         """
         graph = CuckooGraph()
         edges = [(u, u * 7 + 1) for u in range(5000)]
-        cost = measure_insertions(graph, edges)
-        assert cost.attempts_per_operation < 3.0
+        for u, v in edges:
+            graph.insert_edge(u, v)
+        assert graph.counters.insert_attempts / len(edges) < 3.0

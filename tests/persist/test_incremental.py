@@ -1,171 +1,11 @@
-"""Incremental WAL reading, cursor-based probes and the compaction hook.
-
-Satellite coverage for the replication PR's persist-layer groundwork:
-
-* ``read_wal_records(path, from_offset=...)`` returns exactly the records
-  past the offset, with absolute end offsets, so a tailer polling a
-  growing segment never re-reads history;
-* ``replay_into(..., cursor=...)`` is the incremental probe built on it:
-  the same store keeps absorbing only the new records, and a compaction
-  between probes is *detected* (generation mismatch) instead of silently
-  replaying a truncated log over stale state;
-* ``CompactionPolicy.subscribe`` delivers the pre-truncation event --
-  old/new generation plus per-segment offsets -- for both threshold and
-  explicit checkpoints.
+"""The compaction hook: ``CompactionPolicy.subscribe`` delivers the
+pre-truncation event -- old/new generation plus per-segment offsets -- for
+both explicit and threshold checkpoints, while the segments still hold the
+records the checkpoint folds (what a replication primary drains first).
 """
 
-import pytest
-
-from repro import CuckooGraph, ShardedCuckooGraph
-from repro.core.errors import PersistenceError
-from repro.persist import (
-    WAL_HEADER_SIZE,
-    PersistentStore,
-    WalPosition,
-    read_wal_records,
-    replay_into,
-)
-
-
-def test_from_offset_reads_only_the_new_records(tmp_path):
-    store = PersistentStore(tmp_path / "s", scheme="cuckoo", compact_wal_bytes=None)
-    store.insert_edges([(1, 2), (1, 3)])
-    segment = store.segment_paths[0]
-
-    generation, records, valid = read_wal_records(segment)
-    assert generation == 0
-    assert len(records) == 1
-    first_end = records[0][1]
-    assert valid == first_end
-
-    # Nothing new past the cursor yet.
-    generation, records, valid = read_wal_records(segment, from_offset=first_end)
-    assert records == []
-    assert valid == first_end
-
-    # Append two more commits; the incremental read returns exactly them,
-    # with absolute offsets that chain into the next poll.
-    store.insert_edge(5, 6)
-    store.delete_edge(1, 2)
-    generation, records, valid = read_wal_records(segment, from_offset=first_end)
-    assert [ops for ops, _ in records] == [[("insert", 5, 6)], [("delete", 1, 2)]]
-    assert records[0][1] > first_end
-    assert valid == records[-1][1] == segment.stat().st_size
-
-    # The full read agrees with header + incremental.
-    _, all_records, full_valid = read_wal_records(segment)
-    assert [end for _, end in all_records][1:] == [end for _, end in records]
-    assert full_valid == valid
-    store.close()
-
-
-def test_from_offset_inside_the_header_is_refused(tmp_path):
-    store = PersistentStore(tmp_path / "s", scheme="cuckoo", compact_wal_bytes=None)
-    store.insert_edge(1, 2)
-    segment = store.segment_paths[0]
-    with pytest.raises(PersistenceError, match="header"):
-        read_wal_records(segment, from_offset=3)
-    store.close()
-
-
-def test_from_offset_past_the_end_reports_nothing_new(tmp_path):
-    store = PersistentStore(tmp_path / "s", scheme="cuckoo", compact_wal_bytes=None)
-    store.insert_edge(1, 2)
-    segment = store.segment_paths[0]
-    size = segment.stat().st_size
-    generation, records, valid = read_wal_records(segment, from_offset=size + 100)
-    assert generation == 0
-    assert records == []
-    assert valid == size + 100  # caller's cursor is preserved, not rewound
-    store.close()
-
-
-def test_replay_into_cursor_is_incremental(tmp_path):
-    """Repeated probes with the returned position only apply new records."""
-    base = tmp_path / "s"
-    store = PersistentStore(base, store=ShardedCuckooGraph(num_shards=3),
-                            own_store=True, sync_on_commit=False,
-                            compact_wal_bytes=None)
-    probe = ShardedCuckooGraph(num_shards=3)
-
-    store.insert_edges([(u, u + 1) for u in range(20)])
-    store.sync()
-    stats = replay_into(base, probe)
-    assert stats["wal_ops"] == 20
-    assert sorted(probe.edges()) == sorted(store.edges())
-    cursor = stats["position"]
-    assert isinstance(cursor, WalPosition)
-
-    # Second probe: same store, cursor passed back -- only the delta is read.
-    store.insert_edges([(u, u + 2) for u in range(10)])
-    store.delete_edge(0, 1)
-    store.sync()
-    stats = replay_into(base, probe, cursor=cursor)
-    assert stats["wal_ops"] == 11  # 10 inserts + 1 delete, nothing re-replayed
-    assert stats["snapshot_rows"] == 0
-    assert sorted(probe.edges()) == sorted(store.edges())
-
-    # A dry probe applies nothing and returns the same position.
-    again = replay_into(base, probe, cursor=stats["position"])
-    assert again["wal_ops"] == 0
-    assert again["position"] == stats["position"]
-    store.close()
-    probe.close()
-
-
-def test_replay_into_cursor_detects_compaction(tmp_path):
-    base = tmp_path / "s"
-    store = PersistentStore(base, scheme="cuckoo", compact_wal_bytes=None)
-    store.insert_edges([(1, 2), (3, 4)])
-    probe = CuckooGraph()
-    cursor = replay_into(base, probe)["position"]
-
-    store.checkpoint()  # folds the log; the cursor's generation is now stale
-    store.insert_edge(5, 6)
-    with pytest.raises(PersistenceError, match="compaction"):
-        replay_into(base, probe, cursor=cursor)
-    store.close()
-
-
-def test_replay_into_cursor_tolerates_an_interrupted_checkpoint(tmp_path):
-    """Regression: a stale pre-snapshot segment must be skipped, not fatal.
-
-    A crash between the snapshot rename and a segment's truncation leaves
-    that segment one generation behind.  The full-replay path skips it as
-    benign; the incremental cursor path must do the same instead of
-    wedging every later probe in a restart loop.
-    """
-    from repro.persist import write_snapshot
-
-    base = tmp_path / "s"
-    store = PersistentStore(base, store=ShardedCuckooGraph(num_shards=2),
-                            own_store=True, compact_wal_bytes=None)
-    store.insert_edges([(u, u + 1) for u in range(12)])
-    # Simulate the crash window: snapshot (generation 1) lands, no segment
-    # is truncated.
-    write_snapshot(base / "snapshot.bin", store.store, generation=1)
-
-    probe = ShardedCuckooGraph(num_shards=2)
-    stats = replay_into(base, probe)
-    assert sorted(probe.edges()) == sorted(store.edges())
-    assert stats["position"].generation == 1
-    # Incremental probes over the same (still stale) segments keep working.
-    again = replay_into(base, probe, cursor=stats["position"])
-    assert again["wal_ops"] == 0
-    assert sorted(probe.edges()) == sorted(store.edges())
-    store.close()
-    probe.close()
-
-
-def test_replay_into_fresh_probe_still_requires_empty_store(tmp_path):
-    base = tmp_path / "s"
-    store = PersistentStore(base, scheme="cuckoo", compact_wal_bytes=None)
-    store.insert_edge(1, 2)
-    probe = CuckooGraph()
-    probe.insert_edge(9, 9)
-    with pytest.raises(PersistenceError, match="empty"):
-        replay_into(base, probe)
-    store.close()
+from repro import ShardedCuckooGraph
+from repro.persist import WAL_HEADER_SIZE, PersistentStore
 
 
 def test_compaction_hook_fires_before_truncation(tmp_path):

@@ -13,7 +13,6 @@ from repro.persist import (
     PersistentStore,
     SNAPSHOT_NAME,
     recover,
-    register_scheme,
 )
 from repro.persist.wal import DELETE, INSERT, read_wal_records
 from repro.tiered import TieredStore
@@ -86,14 +85,6 @@ class TestBasics:
     def test_unknown_scheme_name(self, tmp_path):
         with pytest.raises(PersistenceError):
             PersistentStore(tmp_path / "s", scheme="btree")
-
-    def test_register_scheme_extends_recovery(self, tmp_path):
-        register_scheme("cuckoo-test", CuckooGraph)
-        with PersistentStore(tmp_path / "s", scheme="cuckoo-test") as store:
-            store.insert_edge(1, 2)
-        recovered = recover(tmp_path / "s")
-        assert recovered.has_edge(1, 2)
-        recovered.close()
 
     def test_weighted_operations_are_logged_and_recovered(self, tmp_path):
         with PersistentStore(tmp_path / "s", scheme="weighted") as store:
@@ -383,24 +374,6 @@ class TestWriterExclusivity:
         with pytest.raises(PersistenceError, match="held by"):
             recover(tmp_path / "s")
         recovered.close()
-
-    def test_replay_into_reads_a_live_synced_store(self, tmp_path):
-        from repro.persist import replay_into
-
-        store = PersistentStore(tmp_path / "s", scheme="cuckoo",
-                                sync_on_commit=False, compact_wal_bytes=None)
-        store.insert_edges(EDGES)
-        store.sync()
-        probe = CuckooGraph()
-        stats = replay_into(tmp_path / "s", probe)
-        assert sorted(probe.edges()) == sorted(EDGES)
-        assert stats["wal_ops"] == len(EDGES)
-        # The log was not touched: the live store keeps appending fine.
-        store.insert_edge(999, 1000)
-        store.close()
-        final = recover(tmp_path / "s")
-        assert final.num_edges == len(EDGES) + 1
-        final.close()
 
 
 #: (scheme name, weighted store, plain store): a lone graph, and a sharded

@@ -16,7 +16,7 @@ from repro.persist import (
     decode_ops,
     encode_edge_ops,
     encode_ops,
-    read_wal,
+    read_wal_records,
 )
 
 BATCHES = [
@@ -24,6 +24,12 @@ BATCHES = [
     [(DELETE, 1, 2)],
     [(INSERT_WEIGHTED, 4, 5, 7), (INSERT, -9, 2**62)],
 ]
+
+
+def read_batches(path):
+    """``read_wal_records`` with each record's ops only, not its end offset."""
+    generation, records, valid_length = read_wal_records(path)
+    return generation, [ops for ops, _ in records], valid_length
 
 
 def write_batches(path, batches):
@@ -108,16 +114,16 @@ class TestFlatGroupEncoder:
 class TestAppendAndRead:
     def test_roundtrip(self, tmp_path):
         path = write_batches(tmp_path / "wal.bin", BATCHES)
-        generation, batches, valid = read_wal(path)
+        generation, batches, valid = read_batches(path)
         assert generation == 0
         assert batches == BATCHES
         assert valid == path.stat().st_size
 
     def test_missing_and_empty_files_read_as_nothing(self, tmp_path):
-        assert read_wal(tmp_path / "absent.bin") == (None, [], 0)
+        assert read_batches(tmp_path / "absent.bin") == (None, [], 0)
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
-        assert read_wal(empty) == (None, [], 0)
+        assert read_batches(empty) == (None, [], 0)
 
     def test_header_written_once(self, tmp_path):
         path = write_batches(tmp_path / "wal.bin", BATCHES)
@@ -127,7 +133,7 @@ class TestAppendAndRead:
     def test_append_resumes_an_existing_log(self, tmp_path):
         path = write_batches(tmp_path / "wal.bin", BATCHES[:2])
         write_batches(path, BATCHES[2:])
-        assert read_wal(path)[1] == BATCHES
+        assert read_batches(path)[1] == BATCHES
 
     def test_empty_batch_is_a_no_op(self, tmp_path):
         wal = WriteAheadLog(tmp_path / "wal.bin")
@@ -161,7 +167,7 @@ class TestAppendAndRead:
         assert wal.begin_sync() is None  # nothing appended, nothing opened
         wal.append_batch(BATCHES[0])
         fd = wal.begin_sync()
-        assert read_wal(tmp_path / "wal.bin")[1] == BATCHES[:1]
+        assert read_batches(tmp_path / "wal.bin")[1] == BATCHES[:1]
         assert wal.begin_sync() is None  # handed over: nobody else syncs it
         wal.finish_sync(fd)
         assert wal.syncs == 1
@@ -193,7 +199,7 @@ class TestAppendAndRead:
         assert wal.size_bytes == WAL_HEADER_SIZE
         wal.append_batch([(INSERT, 8, 9)])
         wal.close()
-        assert read_wal(tmp_path / "wal.bin") == (3, [[(INSERT, 8, 9)]],
+        assert read_batches(tmp_path / "wal.bin") == (3, [[(INSERT, 8, 9)]],
                                                   wal.size_bytes)
 
 
@@ -202,12 +208,12 @@ class TestTornAndCorrupt:
         """Cutting the file anywhere keeps exactly the complete records."""
         path = write_batches(tmp_path / "wal.bin", BATCHES)
         data = path.read_bytes()
-        _, _, complete = read_wal(path)
+        _, _, complete = read_batches(path)
         assert complete == len(data)
         for cut in range(len(data) + 1):
             torn = tmp_path / "torn.bin"
             torn.write_bytes(data[:cut])
-            generation, batches, valid = read_wal(torn)
+            generation, batches, valid = read_batches(torn)
             assert generation == (0 if cut >= WAL_HEADER_SIZE else None)
             # Number of records that fit entirely below the cut, and the
             # byte offset where the last of them ends.
@@ -226,7 +232,7 @@ class TestTornAndCorrupt:
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"NOTAWAL!" + b"\x00" * 32)
         with pytest.raises(WalCorruptError):
-            read_wal(bad)
+            read_batches(bad)
 
     def test_mid_file_corruption_is_not_tolerated(self, tmp_path):
         path = write_batches(tmp_path / "wal.bin", BATCHES)
@@ -235,7 +241,7 @@ class TestTornAndCorrupt:
         data[WAL_HEADER_SIZE + 8] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(WalCorruptError):
-            read_wal(path)
+            read_batches(path)
 
     def test_reopen_validates_magic(self, tmp_path):
         bad = tmp_path / "bad.bin"
@@ -249,7 +255,7 @@ class TestTornAndCorrupt:
         wal.append_batch(BATCHES[0])
         wal.sync()
         # Without closing, the record must be visible to an independent reader.
-        assert read_wal(tmp_path / "wal.bin")[1] == BATCHES[:1]
+        assert read_batches(tmp_path / "wal.bin")[1] == BATCHES[:1]
         assert os.path.getsize(tmp_path / "wal.bin") == wal.size_bytes
         wal.close()
 

@@ -4,8 +4,7 @@ import pytest
 
 from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.core.errors import ReplicationError
-from repro.persist import DELETE, INSERT, INSERT_WEIGHTED, PersistentStore
-from repro.persist.store import apply_op
+from repro.persist import DELETE, INSERT, INSERT_WEIGHTED, PersistentStore, apply_record
 from repro.replicate import (
     Follower,
     GenerationBump,
@@ -13,7 +12,6 @@ from repro.replicate import (
     Primary,
     RecordShipment,
     ReplicationGroup,
-    apply_shipped_ops,
 )
 
 
@@ -175,9 +173,9 @@ def test_weighted_stream_into_unweighted_follower_is_refused(tmp_path, weighted,
 
 
 def test_a_shipment_reaches_the_follower_store_as_batch_calls():
-    """Same-tag runs of a record travel as one ``insert_edges`` /
-    ``delete_edges`` call (a run of one and weighted ops stay per-op), and
-    leave the state per-op application would."""
+    """``apply_record`` sends each same-tag run of a record as one
+    ``insert_edges`` / ``delete_edges`` call (a run of one and weighted ops
+    stay per-op), and leaves the state per-op application would."""
     calls = []
 
     class Spy:
@@ -198,12 +196,17 @@ def test_a_shipment_reaches_the_follower_store_as_batch_calls():
            + [(INSERT, 7, 8)] + [(INSERT_WEIGHTED, 7, 8, 3), (INSERT_WEIGHTED, 1, 2, 2)]
            + [(INSERT, 1, 2), (INSERT, 1, 2)])
     spied, reference = Spy(), WeightedCuckooGraph()
-    apply_shipped_ops(spied, ops)
+    apply_record(spied, ops)
     assert calls == [
         ("insert_edges", 5), ("delete_edges", 2), ("insert_edge", 1),
         ("insert_weighted_edge", 1), ("insert_weighted_edge", 1), ("insert_edges", 2)]
-    for op in ops:
-        apply_op(reference, op)
+    for tag, u, v, *delta in ops:
+        if tag == INSERT:
+            reference.insert_edge(u, v)
+        elif tag == DELETE:
+            reference.delete_edge(u, v)
+        else:
+            reference.insert_weighted_edge(u, v, *delta)
     assert sorted(spied.inner.weighted_edges()) == sorted(reference.weighted_edges())
 
 

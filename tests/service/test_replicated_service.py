@@ -206,26 +206,6 @@ def test_close_tears_down_replicas_and_primary(tmp_path):
     assert store.closed
 
 
-def test_replica_transport_seam_is_honored(tmp_path):
-    """The channel factory the service was given is the one followers get."""
-    from repro.replicate import InProcessTransport
-
-    class CountingTransport(InProcessTransport):
-        connects = 0
-
-        def connect(self):
-            CountingTransport.connects += 1
-            return super().connect()
-
-    store = durable_store(tmp_path)
-    transport = CountingTransport()
-    with GraphService(store, replicas=2, own_store=True,
-                      replica_transport=transport) as service:
-        service.insert_edge(1, 2).result(timeout=30)
-        assert service.has_edge(1, 2).result(timeout=30) is True
-    assert CountingTransport.connects == 2  # one channel per follower
-
-
 def test_eviction_of_a_dead_replica_surfaces_in_metrics(tmp_path):
     """A follower whose channel dies is evicted mid-broadcast -- service
     traffic keeps flowing and the metrics summary says it happened."""
