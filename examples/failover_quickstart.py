@@ -77,8 +77,7 @@ def copy_directory(source: Path, destination: Path) -> Path:
     return destination
 
 
-def main() -> None:
-    workspace = Path(tempfile.mkdtemp(prefix="repro-failover-demo-"))
+def demo(workspace: Path) -> None:
     base = workspace / "primary"
     portfile = workspace / "port"
 
@@ -168,6 +167,11 @@ def main() -> None:
           f"replayed {fenced.last_recovery['wal_ops']} ops into the promoted "
           f"timeline")
     fenced.close()
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-failover-demo-") as tmp:
+        demo(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -3,15 +3,14 @@
 The ordinary way to put PageRank on a dashboard is to recompute it from
 scratch every refresh -- O(graph) work for a delta of a handful of edges.
 This example runs the alternative shipped in ``repro.analytics.incremental``:
-a durable ``GraphService`` with ``analytics="incremental"`` keeps an
-:class:`~repro.analytics.AnalyticsFollower` attached to the replication
-change feed, and every analytics request folds only the *shipped delta* into
-maintained kernels (PageRank, weakly connected components, degree top-k)
-behind the usual read-your-writes barrier.
+an :class:`~repro.analytics.AnalyticsFollower` attached to a WAL-backed
+primary's change feed (``Primary.attach``), which folds only the *shipped
+delta* into maintained kernels (PageRank, weakly connected components, degree
+top-k) once its read-your-writes barrier has closed.
 
 The loop below plays five dashboard ticks: mutate a little, query the
 dashboard, print what the maintenance layer actually did (cache hit rate,
-dirty nodes, incremental-vs-recompute decisions).  Every refresh is also
+dirty sources, incremental-vs-recompute decisions).  Every refresh is also
 byte-compared against a from-scratch canonical recompute -- the speed is
 never bought with drift.
 
@@ -22,12 +21,15 @@ import random
 import tempfile
 from pathlib import Path
 
-from repro.analytics import TraversalEngine, canonical_pagerank
-from repro.service import GraphClient
+from repro import ShardedCuckooGraph
+from repro.analytics import AnalyticsFollower, TraversalEngine, bfs, canonical_pagerank
+from repro.persist import PersistentStore
+from repro.replicate import Primary
 
 COMMUNITIES = 12
 COMMUNITY_SIZE = 30
 EDGES_PER_TICK = 8
+NUM_SHARDS = 4
 TICKS = 5
 TOP_K = 5
 
@@ -59,54 +61,67 @@ def tick_mutations(rng: random.Random) -> list[tuple[int, int]]:
     ]
 
 
-def main() -> None:
+def demo(workspace: Path) -> None:
     rng = random.Random(7)
-    workspace = Path(tempfile.mkdtemp(prefix="repro-incremental-demo-"))
+    store = PersistentStore(
+        workspace / "dashboard",
+        store=ShardedCuckooGraph(num_shards=NUM_SHARDS),
+        own_store=True,
+        sync_on_commit=False,   # commits are flushed when the barrier ships them
+    )
+    primary = Primary(store)
+    follower = AnalyticsFollower(
+        store=ShardedCuckooGraph(num_shards=NUM_SHARDS), own_store=True)
+    primary.attach(follower)
+    store.insert_edges(seed_edges(rng))
 
-    with GraphClient.durable(workspace / "dashboard",
-                             analytics="incremental") as client:
-        client.insert_edges(seed_edges(rng))
-        follower = client.service.analytics_follower
+    for tick in range(1, TICKS + 1):
+        # Live traffic lands on the primary through the normal write path.
+        mutations = tick_mutations(rng)
+        store.insert_edges(mutations)
 
-        for tick in range(1, TICKS + 1):
-            # Live traffic lands on the primary through the normal write path.
-            mutations = tick_mutations(rng)
-            client.insert_edges(mutations)
+        # Dashboard refresh: barrier, then delta fold + maintained kernels.
+        primary.sync_and_pump()
+        follower.wait_for(primary.commit_index)
+        dirty = follower.cache.dirty_count
+        ranks = follower.pagerank()
+        communities = follower.components()
+        top = follower.top_degree_nodes(TOP_K)
+        # Traversals ride the same replica through the adjacency cache:
+        # only sources the tick dirtied are refetched from the store.
+        reach = bfs(follower.store, top[0], engine=follower.engine())
 
-            # Dashboard refresh: barrier + delta fold + maintained kernels.
-            ranks = client.pagerank()
-            communities = client.wcc()
-            top = client.top_degree_nodes(TOP_K)
-            # Traversals ride the same replica through the adjacency cache:
-            # only sources the tick dirtied are refetched from the store.
-            reach = client.bfs(top[0])
+        # Trust but verify: canonical recompute on the replica is
+        # byte-identical to what the maintained kernels just served.
+        replica = follower.store
+        assert ranks == canonical_pagerank(
+            replica, engine=TraversalEngine(replica))
 
-            # Trust but verify: canonical recompute on the replica is
-            # byte-identical to what the maintained kernels just served.
-            replica = follower.store
-            assert ranks == canonical_pagerank(
-                replica, engine=TraversalEngine(replica))
+        leaders = ", ".join(
+            f"{node}:{ranks[node]:.5f}" for node in top)
+        print(f"tick {tick}: +{len(mutations)} edges, {dirty} dirty sources -> "
+              f"{len(communities)} components, top-{TOP_K} [{leaders}], "
+              f"{len(reach)} nodes reachable from {top[0]}")
 
-            leaders = ", ".join(
-                f"{node}:{ranks[node]:.5f}" for node in top)
-            print(f"tick {tick}: +{len(mutations)} edges -> "
-                  f"{len(communities)} components, top-{TOP_K} [{leaders}], "
-                  f"{len(reach)} nodes reachable from {top[0]}")
+    stats = follower.analytics_stats()
+    cache = stats["cache"]
+    print(f"\nmaintenance: decisions {stats['decisions']} over "
+          f"{stats['ops_seen']} shipped ops")
+    print(f"adjacency cache: hit rate {cache['hit_rate']:.3f} "
+          f"({cache['hits']} hits, {cache['refetched']} refetched "
+          f"across {cache['refreshes']} refreshes)")
+    print(f"kernels: pagerank decisions {stats['kernels']['pagerank']}, "
+          f"pagerank nodes re-evaluated "
+          f"{stats['pagerank_nodes_recomputed']}, component nodes "
+          f"recomputed {stats['components_nodes_recomputed']}")
+    follower.close()
+    primary.close()
+    store.close()
 
-        analytics = client.service.metrics_summary()["analytics"]
-        cache = analytics["cache"]
-        print(f"\nmaintenance: {analytics['runs']} refreshes, decisions "
-              f"{analytics['decisions']}, dirty nodes mean "
-              f"{analytics['dirty_nodes_mean']:.1f} / max "
-              f"{analytics['dirty_nodes_max']}")
-        print(f"adjacency cache: hit rate {cache['hit_rate']:.3f} "
-              f"({cache['hits']} hits, {cache['refetched']} refetched "
-              f"across {cache['refreshes']} refreshes)")
-        stats = follower.analytics_stats()
-        print(f"kernels: pagerank decisions {stats['kernels']['pagerank']}, "
-              f"pagerank nodes re-evaluated "
-              f"{stats['pagerank_nodes_recomputed']}, component nodes "
-              f"recomputed {stats['components_nodes_recomputed']}")
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-incremental-demo-") as tmp:
+        demo(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -20,8 +20,8 @@ from repro.persist import PersistentStore, recover
 NUM_SHARDS = 4
 
 
-def main() -> None:
-    base = Path(tempfile.mkdtemp(prefix="repro-persist-demo-")) / "graph"
+def demo(workspace: Path) -> None:
+    base = workspace / "graph"
 
     # -- 1. write-ahead-logged traffic ---------------------------------- #
     store = PersistentStore(
@@ -73,6 +73,11 @@ def main() -> None:
     print(f"served {inserted} durable inserts in "
           f"{summary['group_commits']} group commits "
           f"(mean batch {summary['mean_batch_size']:.1f})")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-persist-demo-") as tmp:
+        demo(Path(tmp))
 
 
 if __name__ == "__main__":

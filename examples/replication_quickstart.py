@@ -30,8 +30,7 @@ def copy_directory(source: Path, destination: Path) -> Path:
     return destination
 
 
-def main() -> None:
-    workspace = Path(tempfile.mkdtemp(prefix="repro-replicate-demo-"))
+def demo(workspace: Path) -> None:
     base = workspace / "primary"
 
     # -- 1. a primary and two followers ---------------------------------- #
@@ -118,6 +117,11 @@ def main() -> None:
           f"{len(replication['replica_reads'])} replicas "
           f"(counts {replication['replica_reads']}, "
           f"max lag {replication['lag_max']} commits); BFS from 5 -> {order}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="repro-replicate-demo-") as tmp:
+        demo(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ byte-identical to the historical per-node implementations (see
 ``tests/analytics/test_engine_parity.py``).
 """
 
-from .betweenness import betweenness_centrality, top_betweenness
+from .betweenness import betweenness_centrality
 from .bfs import bfs, bfs_from_top_nodes, bfs_levels
 from .engine import TraversalEngine, ensure_engine
 from .incremental import (
@@ -71,7 +71,6 @@ __all__ = [
     "shortest_path",
     "sssp_from_sources",
     "strongly_connected_components",
-    "top_betweenness",
     "top_degree_nodes",
     "top_degree_subgraph",
     "top_ranked",

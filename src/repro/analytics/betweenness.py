@@ -85,12 +85,3 @@ def betweenness_centrality(
             centrality = {node: value * scale for node, value in centrality.items()}
     return centrality
 
-
-def top_betweenness(store: DynamicGraphStore, count: int = 10, **kwargs) -> list[tuple[int, float]]:
-    """The ``count`` nodes with the highest betweenness centrality.
-
-    Keyword arguments (including ``engine``) pass to
-    :func:`betweenness_centrality`.
-    """
-    scores = betweenness_centrality(store, **kwargs)
-    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:count]

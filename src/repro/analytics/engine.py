@@ -155,13 +155,6 @@ class TraversalEngine:
         """Total batched store calls issued (expansions plus edge probes)."""
         return self.expand_calls + self.probe_calls
 
-    def reset_batch_counters(self) -> None:
-        """Zero every batch counter in place."""
-        self.expand_calls = 0
-        self.nodes_expanded = 0
-        self.probe_calls = 0
-        self.edges_probed = 0
-
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy of the batch counters (for reports and tests)."""
         return {

@@ -780,7 +780,9 @@ class AnalyticsFollower(Follower):
         return CachedTraversalEngine(self._store, self.cache)
 
     def analytics_stats(self) -> Dict[str, object]:
-        """Cache and decision counters (see ServiceMetrics "analytics")."""
+        """Cache, refresh-decision and kernel-path counters, cumulative
+        since construction: ``cache`` is :meth:`MaterializationCache.stats`,
+        ``decisions`` counts what each :meth:`refresh_analytics` did."""
         return {
             "cache": self.cache.stats(),
             "decisions": dict(self._decisions),

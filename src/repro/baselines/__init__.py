@@ -2,17 +2,13 @@
 
 The benchmarked competitors (Figures 6-16) are :class:`LiveGraphStore`,
 :class:`SortledtonStore`, :class:`WindBellIndex` and :class:`SpruceStore`;
-:class:`AdjacencyListGraph`, :class:`CSRGraph`, :class:`PackedMemoryArray`
-and :class:`PCSRGraph` are the classical substrates the related-work section
-builds on, kept here both as motivation examples and as reference models for
-the tests.
+:class:`AdjacencyListGraph` is the textbook adjacency list the paper's
+introduction motivates against, kept as the reference model the tests check
+the other stores against.
 """
 
 from .adjacency import AdjacencyListGraph
-from .csr import CSRGraph
 from .livegraph import LiveGraphStore
-from .pcsr import PCSRGraph
-from .pma import PackedMemoryArray
 from .sortledton import SortledtonStore
 from .spruce import SpruceStore
 from .wbi import WindBellIndex
@@ -28,10 +24,7 @@ COMPETITORS = {
 __all__ = [
     "AdjacencyListGraph",
     "COMPETITORS",
-    "CSRGraph",
     "LiveGraphStore",
-    "PCSRGraph",
-    "PackedMemoryArray",
     "SortledtonStore",
     "SpruceStore",
     "WindBellIndex",

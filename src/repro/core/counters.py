@@ -68,13 +68,6 @@ class Counters:
             for name in self.__dataclass_fields__
         }
 
-    @property
-    def average_insert_attempts_per_edge(self) -> float:
-        """Average placement attempts per inserted edge (Theorem 1 check)."""
-        if self.edges_inserted == 0:
-            return 0.0
-        return self.insert_attempts / self.edges_inserted
-
     def __add__(self, other: "Counters") -> "Counters":
         result = Counters()
         for name in self.__dataclass_fields__:

@@ -8,8 +8,6 @@ from .generators import (
     uniform_edge_set,
 )
 from .registry import (
-    available_datasets,
-    clear_cache,
     dataset_profile,
     load_all_datasets,
     load_dataset,
@@ -23,8 +21,6 @@ __all__ = [
     "EdgeStream",
     "StreamStatistics",
     "TABLE4_PROFILES",
-    "available_datasets",
-    "clear_cache",
     "dataset_profile",
     "dense_edge_set",
     "duplicate_stream",

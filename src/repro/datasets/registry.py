@@ -16,11 +16,6 @@ from .table4 import DATASET_ORDER, TABLE4_PROFILES, DatasetProfile
 _CACHE: dict[tuple[str, Optional[int], int], EdgeStream] = {}
 
 
-def available_datasets() -> list[str]:
-    """Dataset names in the order the paper's figures use."""
-    return list(DATASET_ORDER)
-
-
 def dataset_profile(name: str) -> DatasetProfile:
     """The Table IV profile for ``name`` (raises ``KeyError`` if unknown)."""
     try:
@@ -43,7 +38,3 @@ def load_all_datasets(scale: Optional[int] = None, seed: int = 1) -> dict[str, E
     """All seven datasets, keyed by name, in figure order."""
     return {name: load_dataset(name, scale, seed) for name in DATASET_ORDER}
 
-
-def clear_cache() -> None:
-    """Drop every cached stream (used by tests that tune scales)."""
-    _CACHE.clear()

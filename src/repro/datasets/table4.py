@@ -105,19 +105,6 @@ class DatasetProfile:
             edges = distinct
         return EdgeStream(self.name, edges)
 
-    def published_row(self) -> dict[str, object]:
-        """The Table IV row for the original (unscaled) dataset."""
-        return {
-            "dataset": self.name,
-            "weighted": self.weighted,
-            "nodes": self.num_nodes,
-            "edges": self.num_edges,
-            "edges_dedup": self.num_edges_dedup,
-            "avg_degree": self.avg_degree,
-            "max_degree": self.max_degree,
-            "density": self.edge_density,
-        }
-
 
 #: The seven evaluation datasets of Table IV, with published statistics.
 TABLE4_PROFILES: dict[str, DatasetProfile] = {

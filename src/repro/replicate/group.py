@@ -16,6 +16,11 @@ adds the two read-side policies the service exposes:
 * ``"any"`` -- pump what is already durable and apply whatever has
   arrived; the replica may trail the primary (buffered commits are not
   forced out), and the measured lag is reported per read, in records.
+
+Every follower is a plain :class:`~repro.replicate.Follower` in the read
+rotation, and a group has at least one.  Delta-maintained analytics is not a
+group concern: attach an :class:`~repro.analytics.AnalyticsFollower` to
+``group.primary`` (or any :class:`~repro.replicate.Primary`) directly.
 """
 
 from __future__ import annotations
@@ -41,35 +46,19 @@ class ReplicationGroup:
         replicas: int = 1,
         *,
         transport: Optional[ReplicationTransport] = None,
-        analytics: bool = False,
     ):
-        if analytics:
-            if replicas < 0:
-                raise ReplicationError(f"replicas must be >= 0, got {replicas}")
-        elif replicas < 1:
+        if replicas < 1:
             raise ReplicationError(f"replicas must be >= 1, got {replicas}")
         self._next_replica = 0
         self._closed = False
         self.primary = Primary(store, transport=transport)
         factory = store.store.spawn_empty
         self.followers: List[Follower] = []
-        #: The delta-maintained analytics replica (``None`` unless
-        #: ``analytics=True``).  It rides the same change feed as the plain
-        #: followers but is never in the round-robin read rotation: the
-        #: service routes analytics runs to it explicitly.
-        self.analytics_follower = None
         try:
             for _ in range(replicas):
                 follower = Follower(store=factory(), own_store=True)
                 self.primary.attach(follower)
                 self.followers.append(follower)
-            if analytics:
-                # Imported here: repro.analytics imports this package.
-                from ..analytics.incremental import AnalyticsFollower
-
-                self.analytics_follower = AnalyticsFollower(
-                    store=factory(), own_store=True)
-                self.primary.attach(self.analytics_follower)
         except BaseException:
             self.close()
             raise
@@ -84,11 +73,6 @@ class ReplicationGroup:
 
     def next_follower(self) -> Tuple[Follower, int]:
         """Round-robin pick of the replica that serves the next read."""
-        if not self.followers:
-            raise ReplicationError(
-                "no read replicas in this group (analytics-only); "
-                "serve reads from the primary"
-            )
         index = self._next_replica
         self._next_replica = (index + 1) % len(self.followers)
         return self.followers[index], index
@@ -105,8 +89,6 @@ class ReplicationGroup:
         if shipped:
             for follower in self.followers:
                 follower.poll()
-            if self.analytics_follower is not None:
-                self.analytics_follower.poll()
         return shipped
 
     def refresh(self, follower: Follower, freshness: str = "read_your_writes") -> int:
@@ -144,8 +126,6 @@ class ReplicationGroup:
         self._closed = True
         for follower in self.followers:
             follower.close()
-        if self.analytics_follower is not None:
-            self.analytics_follower.close()
         self.primary.close()
 
     def __enter__(self) -> "ReplicationGroup":

@@ -36,7 +36,6 @@ from .metrics import LatencyRecorder, ServiceMetrics, percentile
 from .queue import POLICIES, BoundedRequestQueue
 from .service import (
     ANALYTICS_HANDLERS,
-    ANALYTICS_MODES,
     DURABILITY_MODES,
     FRESHNESS_POLICIES,
     GraphService,
@@ -44,7 +43,6 @@ from .service import (
 
 __all__ = [
     "ANALYTICS_HANDLERS",
-    "ANALYTICS_MODES",
     "BoundedRequestQueue",
     "DURABILITY_MODES",
     "FRESHNESS_POLICIES",

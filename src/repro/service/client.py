@@ -237,8 +237,9 @@ class GraphClient(DelegatingStore):
         return self._service.analytics("components", **kwargs).result()
 
     def wcc(self, **kwargs) -> list[list[int]]:
-        """Weakly connected components in canonical form (delta-maintained
-        when the service runs ``analytics="incremental"``)."""
+        """Weakly connected components in canonical form: members sorted,
+        components sorted by first member (see
+        :func:`~repro.analytics.canonical_components`)."""
         self._check_open()
         return self._service.analytics("wcc", **kwargs).result()
 

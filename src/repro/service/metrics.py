@@ -96,11 +96,6 @@ class ServiceMetrics:
         self.replication_lag_total = 0
         self.replication_lag_max = 0
         self.replica_evictions = 0
-        self.analytics_runs = 0
-        self.analytics_decisions: Dict[str, int] = {}
-        self.analytics_dirty_total = 0
-        self.analytics_dirty_max = 0
-        self.analytics_cache: Dict[str, object] = {}
         self.tier_stats: Dict[str, object] = {}
         self._latency = LatencyRecorder()
 
@@ -162,25 +157,6 @@ class ServiceMetrics:
         with self._lock:
             self.replica_evictions = total
 
-    def record_analytics_run(self, decision: str, dirty: int,
-                             cache_stats: Dict[str, object]) -> None:
-        """One analytics run served by the incremental follower.
-
-        ``decision`` is what :meth:`refresh_analytics` did for the run
-        (``"primed"`` / ``"clean"`` / ``"incremental"`` / ``"recompute"``),
-        ``dirty`` how many sources the change feed had invalidated when the
-        run arrived, and ``cache_stats`` the materialization cache's
-        cumulative counters (the summary keeps the latest snapshot, whose
-        ``hit_rate`` is the ISSUE's cache-hit-rate figure)."""
-        with self._lock:
-            self.analytics_runs += 1
-            self.analytics_decisions[decision] = (
-                self.analytics_decisions.get(decision, 0) + 1
-            )
-            self.analytics_dirty_total += dirty
-            self.analytics_dirty_max = max(self.analytics_dirty_max, dirty)
-            self.analytics_cache = dict(cache_stats)
-
     def record_tier_stats(self, stats: Dict[str, object]) -> None:
         """Latest hot/cold tier snapshot (hits/misses/promotions/demotions);
         polled from ``TieredStore.tier_stats()`` at summary time when the
@@ -219,17 +195,6 @@ class ServiceMetrics:
                     ),
                     "lag_max": self.replication_lag_max,
                     "evictions": self.replica_evictions,
-                },
-                "analytics": {
-                    "runs": self.analytics_runs,
-                    "decisions": dict(self.analytics_decisions),
-                    "dirty_nodes_total": self.analytics_dirty_total,
-                    "dirty_nodes_max": self.analytics_dirty_max,
-                    "dirty_nodes_mean": (
-                        self.analytics_dirty_total / self.analytics_runs
-                        if self.analytics_runs else 0.0
-                    ),
-                    "cache": dict(self.analytics_cache),
                 },
                 "tiered": dict(self.tier_stats),
                 "latency": self._latency.summary(),

@@ -6,8 +6,9 @@ membership / successors), a *list* of up to ``max_batch`` of them, or a
 whole analytics job -- and the service drives them through the store's batch
 APIs -- ``insert_edges`` / ``delete_edges`` / ``has_edges`` /
 ``successors_many`` on a :class:`~repro.core.sharded.ShardedCuckooGraph` by
-default, and the :class:`~repro.analytics.engine.TraversalEngine` for
-analytics jobs.  Every request gets one
+default -- and runs an analytics job as the library kernel on a fresh
+:class:`~repro.analytics.engine.TraversalEngine` over the store a read would
+use.  Every request gets one
 :class:`concurrent.futures.Future` that carries its result or exception
 back, so clients never observe batching except as throughput.
 
@@ -79,11 +80,9 @@ from concurrent.futures import Future
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..analytics import (
-    CachedTraversalEngine,
     TraversalEngine,
     bfs,
     canonical_components,
-    canonical_pagerank,
     dijkstra,
     pagerank,
     strongly_connected_components,
@@ -108,11 +107,6 @@ ANALYTICS_HANDLERS: Dict[str, Callable] = {
     "wcc": canonical_components,
     "top_degree_nodes": top_degree_nodes,
 }
-
-#: Analytics execution modes: ``"engine"`` recomputes every job through a
-#: fresh :class:`TraversalEngine`; ``"incremental"`` routes jobs to a
-#: delta-maintained :class:`~repro.analytics.AnalyticsFollower` replica.
-ANALYTICS_MODES = ("engine", "incremental")
 
 #: Durability modes: ``"none"`` leaves persistence entirely to the store;
 #: ``"batch"`` makes every dispatched mutation run one durable store commit
@@ -167,20 +161,14 @@ class GraphService:
             commits only: under ``durability="none"`` that is what the last
             checkpoint or barrier synced), trading staleness for not
             forcing a sync.
-        analytics: ``"engine"`` (default) recomputes every analytics job
-            from scratch through a fresh :class:`TraversalEngine`;
-            ``"incremental"`` attaches a delta-maintained
-            :class:`~repro.analytics.AnalyticsFollower` replica (the store
-            must be a :class:`~repro.persist.PersistentStore`; works with
-            ``replicas=0``) and routes analytics jobs to it at the
-            configured ``freshness``.  ``pagerank``/``wcc``/
-            ``top_degree_nodes`` are then served O(changes) from the
-            maintained kernels, the rest through a cache-backed engine.
-            Note the documented deviation: incremental ``pagerank`` returns
-            the *canonical* deterministic formulation
-            (:func:`~repro.analytics.canonical_pagerank`), whose float
-            accumulation order is sorted-by-node rather than the legacy
-            kernel's store-iteration order.
+
+    An analytics job (:data:`ANALYTICS_HANDLERS`) runs its library kernel
+    on a fresh :class:`TraversalEngine` over the store a read run would use
+    -- a replica at the configured freshness, or the primary -- so
+    ``client.pagerank()`` returns exactly ``pagerank(store)``.  Analytics
+    kept current from the change feed is an
+    :class:`~repro.analytics.AnalyticsFollower` attached to the primary
+    directly (``Primary.attach``).
 
     Example:
         >>> with GraphService() as service:
@@ -201,7 +189,6 @@ class GraphService:
         durability: str = "none",
         replicas: int = 0,
         freshness: str = "read_your_writes",
-        analytics: str = "engine",
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -219,26 +206,14 @@ class GraphService:
             raise ValueError(
                 f"freshness must be one of {FRESHNESS_POLICIES}, got {freshness!r}"
             )
-        if analytics not in ANALYTICS_MODES:
-            raise ValueError(
-                f"analytics must be one of {ANALYTICS_MODES}, got {analytics!r}"
-            )
         self._own_store = store is None if own_store is None else own_store
         self.store = store if store is not None else ShardedCuckooGraph(num_shards=4)
         self.freshness = freshness
-        self.analytics_mode = analytics
         if replicas and not isinstance(self.store, PersistentStore):
             raise ValueError(
                 "replicas need a PersistentStore to ship the WAL from; "
                 "wrap the store in repro.persist.PersistentStore (or use "
                 "GraphClient.durable(replicas=...))"
-            )
-        if analytics == "incremental" and not isinstance(self.store, PersistentStore):
-            raise ValueError(
-                'analytics="incremental" maintains its replica from the '
-                "WAL change feed; wrap the store in "
-                "repro.persist.PersistentStore (or use GraphClient.durable("
-                'analytics="incremental"))'
             )
         self.durability = durability
         if durability == "batch":
@@ -269,9 +244,7 @@ class GraphService:
         # constructor failure can no longer leak followers (or leave an
         # orphaned primary subscribed to the store's feed and compaction policy).
         self._replication: Optional[ReplicationGroup] = (
-            ReplicationGroup(self.store, replicas=replicas,
-                             analytics=analytics == "incremental")
-            if replicas or analytics == "incremental" else None
+            ReplicationGroup(self.store, replicas=replicas) if replicas else None
         )
 
     # ------------------------------------------------------------------ #
@@ -290,17 +263,8 @@ class GraphService:
 
     @property
     def replication(self) -> Optional[ReplicationGroup]:
-        """The replication group (``None`` when ``replicas=0`` and
-        ``analytics="engine"``)."""
+        """The replication group (``None`` when ``replicas=0``)."""
         return self._replication
-
-    @property
-    def analytics_follower(self):
-        """The delta-maintained analytics replica, or ``None``."""
-        return (
-            self._replication.analytics_follower
-            if self._replication is not None else None
-        )
 
     @property
     def durability_failed(self) -> Optional[Exception]:
@@ -545,9 +509,7 @@ class GraphService:
         so replica state only ever advances between runs -- never while one
         executes); without, the primary serves its own reads.
         """
-        if self._replication is None or not self._replication.replicas:
-            # No read replicas (an analytics-only group still lands here):
-            # the primary serves its own reads.
+        if self._replication is None:
             return self.store
         follower, index = self._replication.next_follower()
         lag = self._replication.refresh(follower, self.freshness)
@@ -633,20 +595,16 @@ class GraphService:
     def _dispatch_analytics(self, live: List[Request]) -> None:
         """Analytics jobs execute one by one against one consistent store."""
         self._reap(self._commit_seq)  # a job may read any source
-        incremental = self.analytics_mode == "incremental"
         try:
-            target = (self._refresh_incremental() if incremental
-                      else self._read_store())
+            store = self._read_store()
         except Exception as exc:
             self._fail_run(live, exc)
             return
         # Counted only once the run is actually going to hit a store,
         # matching the _execute_run paths.
         self.metrics.record_batch(len(live), store_calls=len(live))
-        serve = (self._run_analytics_incremental if incremental
-                 else self._run_analytics)
         for request in live:
-            serve(request, target)
+            self._run_analytics(request, store)
 
     def _execute_run(self, kind: str, items: list, single: bool,
                      pending: Optional[PendingCommit] = None):
@@ -710,62 +668,6 @@ class GraphService:
                 results.append(weight == 1)
                 weights[edge] = max(weight - 1, 0)
         return results, len(weights) + 1
-
-    def _refresh_incremental(self):
-        """Barrier the analytics follower, fold the delta into its kernels.
-
-        Runs once per analytics run (the dispatcher thread owns the pump,
-        so no ops arrive while the run's jobs execute).  Records the
-        ISSUE's "analytics" metrics: the dirty-source count the change feed
-        had accumulated, the incremental-vs-recompute decision taken, and
-        the cache's cumulative hit-rate counters.
-        """
-        follower = self._replication.analytics_follower
-        self._replication.refresh(follower, self.freshness)
-        dirty = follower.cache.dirty_count
-        decision = follower.refresh_analytics()
-        self.metrics.record_analytics_run(decision, dirty, follower.cache.stats())
-        return follower
-
-    def _run_analytics_incremental(self, request: Request, follower) -> None:
-        """Serve one analytics job from the delta-maintained replica.
-
-        ``pagerank`` (at the follower's configured sweep count / damping),
-        ``wcc`` and ``top_degree_nodes`` come straight from the maintained
-        kernels -- O(answer), no store calls.  Everything else (and
-        ``pagerank`` with non-default parameters) recomputes through a
-        fresh cache-backed engine, so the store's materialization phase is
-        served from the adjacency cache.
-        """
-        task, args, kwargs = request.payload
-        try:
-            result = self._serve_incremental(task, args, kwargs, follower)
-        except Exception as exc:
-            self._fail_run([request], exc)
-            return
-        request.future.set_result(result)
-        self.metrics.record_resolved_many([CLOCK() - request.enqueued_at], 1)
-
-    def _serve_incremental(self, task: str, args, kwargs, follower):
-        if task == "pagerank":
-            iterations = args[0] if len(args) > 0 else kwargs.get(
-                "iterations", follower.iterations)
-            damping = args[1] if len(args) > 1 else kwargs.get(
-                "damping", follower.damping)
-            if (iterations, damping) == (follower.iterations, follower.damping):
-                return follower.pagerank()
-            return canonical_pagerank(
-                follower.store, iterations, damping,
-                engine=CachedTraversalEngine(follower.store, follower.cache),
-            )
-        if task == "wcc":
-            return follower.components()
-        if task == "top_degree_nodes":
-            count = args[0] if args else kwargs["count"]
-            return follower.top_degree_nodes(count)
-        handler = ANALYTICS_HANDLERS[task]
-        engine = CachedTraversalEngine(follower.store, follower.cache)
-        return handler(follower.store, *args, engine=engine, **kwargs)
 
     def _run_analytics(self, request: Request,
                        store: DynamicGraphStore) -> None:

@@ -1,5 +1,5 @@
 """Tiered hot/cold storage over the shard layout (see :mod:`.store`)."""
 
-from .store import COLD_BACKENDS, TieredStore, TouchLRUPolicy
+from .store import TieredStore, TouchLRUPolicy
 
-__all__ = ["COLD_BACKENDS", "TieredStore", "TouchLRUPolicy"]
+__all__ = ["TieredStore", "TouchLRUPolicy"]

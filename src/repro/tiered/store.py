@@ -59,27 +59,8 @@ from typing import Callable, Dict, List, Optional
 from ..core.config import CuckooGraphConfig, PAPER_CONFIG
 from ..core.errors import ConfigurationError
 from ..core.graph import CuckooGraph
+from ..integrations import RedisGraphStore
 from ..interfaces import DynamicGraphStore, PartitionedStore
-
-#: Names accepted for the built-in cold-tier backends.
-COLD_BACKENDS = ("redis", "neo4j")
-
-
-def _cold_factory_for(backend: str) -> Callable[[], DynamicGraphStore]:
-    # Imported lazily: repro.integrations pulls in the mini database engines,
-    # which nothing else in the core import path needs.
-    if backend == "redis":
-        from ..integrations import RedisGraphStore
-
-        return RedisGraphStore
-    if backend == "neo4j":
-        from ..integrations import Neo4jGraphStore
-
-        return Neo4jGraphStore
-    raise ConfigurationError(
-        f"cold backend must be one of {COLD_BACKENDS}, got {backend!r}"
-    )
-
 
 class TouchLRUPolicy:
     """Touch-count admission with least-recently-touched eviction.
@@ -127,8 +108,8 @@ class TieredStore(PartitionedStore):
         config: Base CuckooGraph configuration for hot shards; each shard
             derives its own hash seeds (``seed + shard index``), matching the
             sharded front-end.
-        cold: Either a backend name from :data:`COLD_BACKENDS` or a factory
-            returning an empty cold-tier store per shard.
+        cold: Factory returning an empty cold-tier store per shard;
+            defaults to :class:`~repro.integrations.RedisGraphStore`.
         policy: Admission/eviction policy; defaults to
             :class:`TouchLRUPolicy`.
     """
@@ -141,7 +122,7 @@ class TieredStore(PartitionedStore):
         hot_shards: int = 2,
         *,
         config: Optional[CuckooGraphConfig] = None,
-        cold: "str | Callable[[], DynamicGraphStore]" = "redis",
+        cold: Callable[[], DynamicGraphStore] = RedisGraphStore,
         policy: Optional[TouchLRUPolicy] = None,
     ):
         if num_shards < 1:
@@ -153,10 +134,7 @@ class TieredStore(PartitionedStore):
         self.num_shards = num_shards
         self.hot_shards = hot_shards
         self.config = config if config is not None else PAPER_CONFIG
-        self._cold_spec = cold
-        self._cold_factory = (
-            _cold_factory_for(cold) if isinstance(cold, str) else cold
-        )
+        self._cold_factory = cold
         self.policy = policy if policy is not None else TouchLRUPolicy()
         self._hot: List[bool] = [index < hot_shards for index in range(num_shards)]
         self.shards: List[DynamicGraphStore] = [
@@ -233,7 +211,7 @@ class TieredStore(PartitionedStore):
             num_shards=self.num_shards,
             hot_shards=self.hot_shards,
             config=self.config,
-            cold=self._cold_spec,
+            cold=self._cold_factory,
             policy=self.policy,
         )
 

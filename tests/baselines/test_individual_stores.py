@@ -2,7 +2,7 @@
 
 The cross-scheme contract is covered by ``test_store_contract``; these tests
 pin down the structural behaviours that make each baseline *that* baseline --
-CSR rebuilds, LiveGraph's append-only log and compaction, Sortledton's block
+LiveGraph's append-only log and compaction, Sortledton's block
 splits, WBI's shortest-list insertion and row sweeps, Spruce's vEB index, and
 the access-model accounting the throughput figures rely on.
 """
@@ -11,73 +11,11 @@ import pytest
 
 from repro.baselines import (
     AdjacencyListGraph,
-    CSRGraph,
     LiveGraphStore,
-    PCSRGraph,
     SortledtonStore,
     SpruceStore,
     WindBellIndex,
 )
-
-
-class TestCSR:
-    def test_from_edges_builds_static_csr(self):
-        graph = CSRGraph.from_edges([(1, 2), (1, 3), (2, 3)])
-        assert sorted(graph.successors(1)) == [2, 3]
-        assert graph.num_edges == 3
-
-    def test_updates_trigger_rebuilds(self):
-        graph = CSRGraph(rebuild_threshold=1)
-        graph.insert_edge(1, 2)
-        graph.insert_edge(1, 3)
-        assert graph.rebuild_count >= 2
-        assert sorted(graph.successors(1)) == [2, 3]
-
-    def test_batched_rebuilds(self):
-        graph = CSRGraph(rebuild_threshold=100)
-        for v in range(50):
-            graph.insert_edge(0, v)
-        assert graph.rebuild_count == 0          # still buffered in the delta
-        assert sorted(graph.successors(0)) == list(range(50))
-        for v in range(50, 150):
-            graph.insert_edge(0, v)
-        assert graph.rebuild_count >= 1
-
-    def test_delete_of_buffered_and_rebuilt_edges(self):
-        graph = CSRGraph(rebuild_threshold=4)
-        for v in range(8):
-            graph.insert_edge(0, v)
-        assert graph.delete_edge(0, 0)
-        assert graph.delete_edge(0, 7)
-        assert sorted(graph.successors(0)) == [1, 2, 3, 4, 5, 6]
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            CSRGraph(rebuild_threshold=0)
-
-
-class TestPCSR:
-    def test_successors_are_a_pma_range_scan(self):
-        graph = PCSRGraph()
-        for v in (5, 1, 9):
-            graph.insert_edge(3, v)
-        graph.insert_edge(4, 2)
-        assert graph.successors(3) == [1, 5, 9]   # sorted by the PMA
-        assert graph.successors(4) == [2]
-
-    def test_degree_tracking(self):
-        graph = PCSRGraph()
-        for v in range(10):
-            graph.insert_edge(1, v)
-        assert graph.out_degree(1) == 10
-        graph.delete_edge(1, 0)
-        assert graph.out_degree(1) == 9
-
-    def test_memory_includes_pma_gaps(self):
-        graph = PCSRGraph()
-        for v in range(20):
-            graph.insert_edge(1, v)
-        assert graph.memory_bytes() >= graph.pma.capacity * 16
 
 
 class TestLiveGraph:

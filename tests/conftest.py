@@ -11,15 +11,13 @@ import pytest
 from repro import CuckooGraph, PersistentStore, ShardedCuckooGraph, WeightedCuckooGraph
 from repro.baselines import (
     AdjacencyListGraph,
-    CSRGraph,
     LiveGraphStore,
-    PCSRGraph,
     SortledtonStore,
     SpruceStore,
     WindBellIndex,
 )
 from repro.integrations import Neo4jGraphStore, RedisGraphStore
-from repro.service import GraphClient
+from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore
 
 #: Every DynamicGraphStore implementation that must honour the common contract.
@@ -40,10 +38,14 @@ ALL_STORE_FACTORIES = {
     "PersistentStore": lambda: PersistentStore(
         store=CuckooGraph(), sync_on_commit=False, own_store=True
     ),
+    # What a durable service wraps: one WAL segment per shard, so every
+    # batch call splits its log records by shard.
+    "PersistentStore-sharded": lambda: PersistentStore(
+        store=ShardedCuckooGraph(num_shards=4), sync_on_commit=False,
+        own_store=True,
+    ),
     "AdjacencyList": AdjacencyListGraph,
-    "CSR": lambda: CSRGraph(rebuild_threshold=64),
     "LiveGraph": LiveGraphStore,
-    "PCSR": PCSRGraph,
     "Sortledton": SortledtonStore,
     "Spruce": SpruceStore,
     "WBI": lambda: WindBellIndex(matrix_size=16),
@@ -53,9 +55,24 @@ ALL_STORE_FACTORIES = {
     # mutations drive promotion/demotion mid-sequence, so the matrix
     # exercises reads and writes against both tiers and across migrations.
     "TieredStore": lambda: TieredStore(num_shards=4, hot_shards=2),
+    # The cold tier is any store factory: the same front-end over the
+    # property-graph backend instead of the default miniredis.
+    "TieredStore-neo4j": lambda: TieredStore(
+        num_shards=4, hot_shards=2, cold=Neo4jGraphStore
+    ),
     # The service front door: every operation is a request through the
     # queue and the dispatcher thread (which close() joins).
     "GraphClient": lambda: GraphClient.local(num_shards=4),
+    # A replicated service: the primary ships its WAL to two followers and
+    # every read is served by one of them once it has caught up to the
+    # client's last write, so each read checks what a replica applied.
+    "GraphClient-replicated": lambda: GraphClient(
+        GraphService(
+            PersistentStore(scheme="sharded", sync_on_commit=False),
+            own_store=True, replicas=2,
+        ).start(),
+        close_service=True,
+    ),
 }
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import CuckooGraphConfig
 from repro.core.errors import ConfigurationError, StoreClosedError
+from repro.integrations import Neo4jGraphStore
 from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore, TouchLRUPolicy
 
@@ -47,8 +48,6 @@ def test_invalid_construction():
         TieredStore(num_shards=4, hot_shards=0)
     with pytest.raises(ConfigurationError):
         TouchLRUPolicy(promote_after=0)
-    with pytest.raises(ConfigurationError):
-        TieredStore(cold="not-a-backend")
 
 
 def test_mutating_misses_promote_cold_shard():
@@ -171,13 +170,14 @@ def test_structure_summary_shape():
 
 
 def test_spawn_empty_reproduces_config():
-    store = TieredStore(num_shards=4, hot_shards=3, cold="neo4j")
+    store = TieredStore(num_shards=4, hot_shards=3, cold=Neo4jGraphStore)
     store.insert_edge(1, 2)
     child = store.spawn_empty()
     assert child.num_shards == 4
     assert child.hot_shards == 3
     assert child.num_edges == 0
     assert [child.is_hot(s) for s in range(4)] == [True, True, True, False]
+    assert isinstance(child.shards[3], Neo4jGraphStore)
     child.close()
     store.close()
 
