@@ -100,7 +100,7 @@ def main() -> None:
     if replication:
         print(f"replication: {replication}")
     print("\nscenario complete; the same config serialises with "
-          "ScenarioConfig.to_json() and replays bit-identically "
+          "ScenarioConfig.to_dict() and replays bit-identically "
           "(same seed, same schedule).")
 
 

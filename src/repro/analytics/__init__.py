@@ -14,7 +14,7 @@ byte-identical to the historical per-node implementations (see
 """
 
 from .betweenness import betweenness_centrality
-from .bfs import bfs, bfs_from_top_nodes, bfs_levels
+from .bfs import bfs
 from .engine import TraversalEngine, ensure_engine
 from .incremental import (
     AnalyticsFollower,
@@ -24,18 +24,10 @@ from .incremental import (
     canonical_pagerank,
     materialize_adjacency,
 )
-from .components import (
-    count_components,
-    strongly_connected_components,
-    weakly_connected_components,
-)
-from .lcc import (
-    all_local_clustering_coefficients,
-    average_clustering,
-    local_clustering_coefficient,
-)
-from .pagerank import pagerank, top_ranked
-from .sssp import dijkstra, shortest_path, sssp_from_sources
+from .components import strongly_connected_components, weakly_connected_components
+from .lcc import all_local_clustering_coefficients, local_clustering_coefficient
+from .pagerank import pagerank
+from .sssp import dijkstra
 from .subgraph import (
     extract_subgraph,
     induced_edges,
@@ -43,7 +35,7 @@ from .subgraph import (
     top_degree_subgraph,
     total_degrees,
 )
-from .triangles import count_triangles, count_triangles_of_node, total_directed_triangles
+from .triangles import count_triangles_of_node
 
 __all__ = [
     "AnalyticsFollower",
@@ -51,30 +43,21 @@ __all__ = [
     "MaterializationCache",
     "TraversalEngine",
     "all_local_clustering_coefficients",
-    "average_clustering",
     "betweenness_centrality",
     "bfs",
     "ensure_engine",
-    "bfs_from_top_nodes",
-    "bfs_levels",
     "canonical_components",
     "canonical_pagerank",
     "materialize_adjacency",
-    "count_components",
-    "count_triangles",
     "count_triangles_of_node",
     "dijkstra",
     "extract_subgraph",
     "induced_edges",
     "local_clustering_coefficient",
     "pagerank",
-    "shortest_path",
-    "sssp_from_sources",
     "strongly_connected_components",
     "top_degree_nodes",
     "top_degree_subgraph",
-    "top_ranked",
     "total_degrees",
-    "total_directed_triangles",
     "weakly_connected_components",
 ]

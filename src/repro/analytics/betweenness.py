@@ -12,7 +12,7 @@ per-source BFS runs on the resulting dictionary.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..interfaces import DynamicGraphStore
 from .engine import TraversalEngine, ensure_engine
@@ -22,30 +22,23 @@ _NO_SUCCESSORS: list[int] = []
 
 
 def betweenness_centrality(
-    store: DynamicGraphStore,
-    sources: Optional[Iterable[int]] = None,
-    normalized: bool = True,
-    *,
-    engine: Optional[TraversalEngine] = None,
+    store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
 ) -> dict[int, float]:
-    """Betweenness centrality of every node (Brandes, unweighted).
+    """Betweenness centrality of every node (Brandes, unweighted, exact).
+
+    Every node is a source, and scores are scaled by ``1 / ((n-1)(n-2))``
+    for directed graphs with ``n > 2`` nodes.
 
     Args:
         store: Graph to analyse.
-        sources: Optional subset of source nodes to accumulate from; ``None``
-            uses every node (the exact algorithm).  Passing a subset gives the
-            standard sampled approximation.
-        normalized: Whether to scale scores by ``1 / ((n-1)(n-2))`` for
-            directed graphs with ``n > 2`` nodes.
         engine: Optional shared traversal engine (batch accounting).
     """
     engine = ensure_engine(store, engine)
     nodes = list(store.nodes())
     adjacency = engine.materialize(nodes)
     centrality = {node: 0.0 for node in nodes}
-    source_nodes = list(sources) if sources is not None else nodes
 
-    for source in source_nodes:
+    for source in nodes:
         # Single-source shortest-path DAG (unweighted: BFS).
         predecessors: dict[int, list[int]] = {node: [] for node in nodes}
         sigma: dict[int, float] = {node: 0.0 for node in nodes}
@@ -59,8 +52,7 @@ def betweenness_centrality(
             order.append(node)
             for neighbour in adjacency.get(node, _NO_SUCCESSORS):
                 if neighbour not in distance:
-                    # Neighbour outside the node universe (possible when the
-                    # caller restricted sources to a subgraph); skip it.
+                    # Neighbour outside the store's node universe; skip it.
                     continue
                 if distance[neighbour] < 0:
                     distance[neighbour] = distance[node] + 1
@@ -78,10 +70,8 @@ def betweenness_centrality(
             if node != source:
                 centrality[node] += dependency[node]
 
-    if normalized:
-        count = len(nodes)
-        if count > 2:
-            scale = 1.0 / ((count - 1) * (count - 2))
-            centrality = {node: value * scale for node, value in centrality.items()}
+    count = len(nodes)
+    if count > 2:
+        scale = 1.0 / ((count - 1) * (count - 2))
+        centrality = {node: value * scale for node, value in centrality.items()}
     return centrality
-

@@ -16,11 +16,10 @@ FIFO-queue visitation order exactly.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..interfaces import DynamicGraphStore
 from .engine import TraversalEngine, ensure_engine
-from .subgraph import top_degree_nodes
 
 
 def bfs(store: DynamicGraphStore, source: int, *,
@@ -41,47 +40,3 @@ def bfs(store: DynamicGraphStore, source: int, *,
                     next_frontier.append(neighbour)
         frontier = next_frontier
     return order
-
-
-def bfs_levels(store: DynamicGraphStore, source: int, *,
-               engine: Optional[TraversalEngine] = None) -> dict[int, int]:
-    """Return the BFS depth of every node reachable from ``source``."""
-    engine = ensure_engine(store, engine)
-    levels: dict[int, int] = {source: 0}
-    frontier: list[int] = [source]
-    depth = 0
-    while frontier:
-        adjacency = engine.expand(frontier)
-        depth += 1
-        next_frontier: list[int] = []
-        for node in frontier:
-            for neighbour in adjacency[node]:
-                if neighbour not in levels:
-                    levels[neighbour] = depth
-                    next_frontier.append(neighbour)
-        frontier = next_frontier
-    return levels
-
-
-def bfs_from_top_nodes(
-    store: DynamicGraphStore, roots: Iterable[int] | None = None, root_count: int = 10, *,
-    engine: Optional[TraversalEngine] = None,
-) -> list[tuple[int, int]]:
-    """Run BFS from each root and report ``(root, reachable_count)`` pairs.
-
-    When ``roots`` is not given, the ``root_count`` nodes with the largest
-    total degree are used, matching the paper's methodology.
-
-    Methodology note: the root-selection degrees are computed with **one**
-    batched pass -- a single ``successors_many`` fan-out over the store's
-    source nodes (see :func:`~repro.analytics.subgraph.total_degrees`) --
-    rather than a per-node successor scan, so picking the roots costs one
-    batch regardless of graph size.  The traversals themselves share this
-    function's engine, one batched expansion per BFS level.
-    """
-    engine = ensure_engine(store, engine)
-    if roots is not None:
-        selected = list(roots)
-    else:
-        selected = top_degree_nodes(store, root_count, engine=engine)
-    return [(root, len(bfs(store, root, engine=engine))) for root in selected]

@@ -112,13 +112,3 @@ def weakly_connected_components(
     for node in parent:
         groups.setdefault(find(node), []).append(node)
     return list(groups.values())
-
-
-def count_components(
-    store: DynamicGraphStore, strongly: bool = True, *,
-    engine: Optional[TraversalEngine] = None,
-) -> int:
-    """Number of (strongly or weakly) connected components."""
-    if strongly:
-        return len(strongly_connected_components(store, engine=engine))
-    return len(weakly_connected_components(store, engine=engine))

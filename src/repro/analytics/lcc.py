@@ -68,12 +68,3 @@ def all_local_clustering_coefficients(
         )
         for node in selected
     }
-
-
-def average_clustering(store: DynamicGraphStore, *,
-                       engine: Optional[TraversalEngine] = None) -> float:
-    """Mean LCC over all nodes (0 for an empty graph)."""
-    coefficients = all_local_clustering_coefficients(store, engine=engine)
-    if not coefficients:
-        return 0.0
-    return sum(coefficients.values()) / len(coefficients)

@@ -27,7 +27,6 @@ def pagerank(
     store: DynamicGraphStore,
     iterations: int = DEFAULT_ITERATIONS,
     damping: float = DEFAULT_DAMPING,
-    tolerance: Optional[float] = None,
     *,
     engine: Optional[TraversalEngine] = None,
 ) -> dict[int, float]:
@@ -35,10 +34,8 @@ def pagerank(
 
     Args:
         store: Graph to rank.
-        iterations: Maximum number of power iterations (the paper uses 100).
+        iterations: Number of power iterations (the paper uses 100).
         damping: Damping factor ``d`` of the PageRank formulation.
-        tolerance: Optional L1 early-exit threshold; ``None`` reproduces the
-            paper's fixed-iteration behaviour.
         engine: Optional shared traversal engine (batch accounting).
 
     Returns:
@@ -69,20 +66,5 @@ def pagerank(
             redistributed = damping * dangling_mass / count
             for node in nodes:
                 next_rank[node] += redistributed
-        if tolerance is not None:
-            delta = sum(abs(next_rank[node] - rank[node]) for node in nodes)
-            rank = next_rank
-            if delta < tolerance:
-                break
-        else:
-            rank = next_rank
+        rank = next_rank
     return rank
-
-
-def top_ranked(store: DynamicGraphStore, count: int = 10, **kwargs) -> list[tuple[int, float]]:
-    """The ``count`` highest-ranked nodes as ``(node, score)`` pairs.
-
-    Keyword arguments (including ``engine``) pass straight to :func:`pagerank`.
-    """
-    scores = pagerank(store, **kwargs)
-    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:count]

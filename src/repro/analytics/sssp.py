@@ -19,7 +19,7 @@ sized batches instead of one successor query per settled node.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from ..interfaces import DynamicGraphStore
 from .engine import TraversalEngine, ensure_engine
@@ -70,61 +70,3 @@ def dijkstra(
                 distances[neighbour] = candidate
                 heapq.heappush(frontier, (candidate, neighbour))
     return distances
-
-
-def shortest_path(
-    store: DynamicGraphStore,
-    source: int,
-    target: int,
-    weight: Optional[WeightFunction] = None,
-    *,
-    engine: Optional[TraversalEngine] = None,
-) -> Optional[list[int]]:
-    """One shortest path from ``source`` to ``target`` (``None`` if unreachable)."""
-    engine = ensure_engine(store, engine)
-    weight_of = weight if weight is not None else (lambda u, v: 1.0)
-    distances: dict[int, float] = {source: 0.0}
-    parents: dict[int, int] = {}
-    settled: set[int] = set()
-    frontier: list[tuple[float, int]] = [(0.0, source)]
-    adjacency: dict[int, list[int]] = {}
-    while frontier:
-        distance, node = heapq.heappop(frontier)
-        if node in settled:
-            continue
-        if node == target:
-            break
-        settled.add(node)
-        if node not in adjacency:
-            _prefetch(engine, adjacency, node, frontier, settled)
-        for neighbour in adjacency[node]:
-            candidate = distance + weight_of(node, neighbour)
-            if candidate < distances.get(neighbour, float("inf")):
-                distances[neighbour] = candidate
-                parents[neighbour] = node
-                heapq.heappush(frontier, (candidate, neighbour))
-    if target not in distances:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(parents[path[-1]])
-    path.reverse()
-    return path
-
-
-def sssp_from_sources(
-    store: DynamicGraphStore, sources: Iterable[int],
-    weight: Optional[WeightFunction] = None,
-    *,
-    engine: Optional[TraversalEngine] = None,
-) -> dict[int, dict[int, float]]:
-    """Run Dijkstra from every source; return ``source -> distances`` maps.
-
-    The paper uses the 10 nodes with the largest total degree on the original
-    graph as sources and averages the per-source running time.  All runs
-    share one engine, so the batch accounting covers the whole sweep.
-    """
-    engine = ensure_engine(store, engine)
-    return {
-        source: dijkstra(store, source, weight, engine=engine) for source in sources
-    }

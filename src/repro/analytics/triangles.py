@@ -14,11 +14,10 @@ the closing edge queries are answered by one ``has_edges`` batch, via the
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from ..interfaces import DynamicGraphStore
 from .engine import TraversalEngine, ensure_engine
-from .subgraph import top_degree_nodes
 
 
 def count_triangles_of_node(store: DynamicGraphStore, node: int, *,
@@ -44,40 +43,3 @@ def count_triangles_of_node(store: DynamicGraphStore, node: int, *,
         if second_hop != node
     )
     return engine.count_edges(probes)
-
-
-def count_triangles(store: DynamicGraphStore, nodes: Iterable[int] | None = None,
-                    node_count: int = 10, *,
-                    engine: Optional[TraversalEngine] = None) -> dict[int, int]:
-    """Triangle counts for a set of nodes (top-total-degree nodes by default)."""
-    engine = ensure_engine(store, engine)
-    if nodes is not None:
-        selected = list(nodes)
-    else:
-        selected = top_degree_nodes(store, node_count, engine=engine)
-    return {
-        node: count_triangles_of_node(store, node, engine=engine) for node in selected
-    }
-
-
-def total_directed_triangles(store: DynamicGraphStore, *,
-                             engine: Optional[TraversalEngine] = None) -> int:
-    """Total number of directed 3-cycles in the graph (each counted once).
-
-    This whole-graph variant is used by tests to cross-check the node-centric
-    kernel against a reference implementation.  The adjacency of every source
-    node is materialised in one batch and the closing edges are probed in one
-    ``has_edges`` batch.
-    """
-    engine = ensure_engine(store, engine)
-    sources = list(store.source_nodes())
-    adjacency = engine.expand(sources)
-    # One probe per directed wedge of the whole graph: stream, don't build.
-    probes = (
-        (w, u)
-        for u in sources
-        for v in adjacency[u]
-        for w in adjacency.get(v, ())
-        if w != u
-    )
-    return engine.count_edges(probes) // 3

@@ -165,12 +165,3 @@ class LiveGraphStore(DynamicGraphStore):
             block_bytes = log.capacity * entry_bytes
             total += ALLOC_OVERHEAD_BYTES + POINTER_BYTES + ID_BYTES + block_bytes
         return total
-
-    # ------------------------------------------------------------------ #
-    # Maintenance
-    # ------------------------------------------------------------------ #
-
-    def compact_all(self) -> None:
-        """Force-compact every TEL (the paper's periodic background step)."""
-        for log in self._vertex_blocks.values():
-            log.compact()

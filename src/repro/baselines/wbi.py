@@ -138,17 +138,3 @@ class WindBellIndex(DynamicGraphStore):
         header_bytes = self.matrix_size * self.matrix_size * (POINTER_BYTES + WORD_BYTES)
         edge_bytes = self._num_edges * (2 * ID_BYTES + POINTER_BYTES)
         return header_bytes + edge_bytes
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def bucket_load_profile(self) -> dict[str, float]:
-        """Summary of hanging-list lengths (used by tests and ablations)."""
-        lengths = [len(bucket) for bucket in self._buckets]
-        occupied = [length for length in lengths if length]
-        return {
-            "max": float(max(lengths) if lengths else 0),
-            "mean_nonempty": (sum(occupied) / len(occupied)) if occupied else 0.0,
-            "occupied_buckets": float(len(occupied)),
-        }

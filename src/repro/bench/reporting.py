@@ -48,53 +48,6 @@ def _render(value: object) -> str:
     return str(value)
 
 
-def speedup_versus(
-    results: Mapping[str, float], ours: str = "Ours", higher_is_better: bool = True
-) -> dict[str, float]:
-    """How many times better "Ours" is than each competitor.
-
-    Args:
-        results: Scheme name -> metric value (throughput or running time).
-        ours: Key of the CuckooGraph entry.
-        higher_is_better: ``True`` for throughput (Mops), ``False`` for
-            running time (seconds).
-
-    Returns:
-        Scheme name -> factor by which CuckooGraph is better (values above 1
-        mean CuckooGraph wins, matching how the paper quotes its factors).
-    """
-    if ours not in results:
-        raise KeyError(f"{ours!r} missing from results {sorted(results)}")
-    ours_value = results[ours]
-    factors: dict[str, float] = {}
-    for scheme, value in results.items():
-        if scheme == ours:
-            continue
-        if higher_is_better:
-            factors[scheme] = float("inf") if value == 0 else ours_value / value
-        else:
-            factors[scheme] = float("inf") if ours_value == 0 else value / ours_value
-    return factors
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (0 if the sequence is empty)."""
-    finite = [value for value in values if value > 0 and value != float("inf")]
-    if not finite:
-        return 0.0
-    product = 1.0
-    for value in finite:
-        product *= value
-    return product ** (1.0 / len(finite))
-
-
-def memory_series_table(points, title: Optional[str] = None) -> str:
-    """Render Figure-9-style memory points grouped by scheme."""
-    rows = [point.as_row() for point in points]
-    return format_table(rows, columns=["scheme", "dataset", "inserted", "memory_bytes"],
-                        title=title)
-
-
 def write_bench_json(name: str, payload: Mapping[str, object],
                      directory: Union[str, Path]) -> Path:
     """Write a machine-readable benchmark result next to the text report.

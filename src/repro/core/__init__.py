@@ -27,7 +27,6 @@ from .errors import (
     ConfigurationError,
     CuckooGraphError,
     IntegrationError,
-    NotFoundError,
     PersistenceError,
     SnapshotCorruptError,
     StoreClosedError,
@@ -56,7 +55,6 @@ __all__ = [
     "ModularHash",
     "MultiEdgeCuckooGraph",
     "MultiplyShiftHash",
-    "NotFoundError",
     "PAPER_CONFIG",
     "PersistenceError",
     "ShardedCuckooGraph",

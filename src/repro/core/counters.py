@@ -61,13 +61,6 @@ class Counters:
         """Return a plain-dict copy of the current counter values."""
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    def diff(self, earlier: dict[str, int]) -> dict[str, int]:
-        """Return the per-counter difference since an earlier :meth:`snapshot`."""
-        return {
-            name: getattr(self, name) - earlier.get(name, 0)
-            for name in self.__dataclass_fields__
-        }
-
     def __add__(self, other: "Counters") -> "Counters":
         result = Counters()
         for name in self.__dataclass_fields__:

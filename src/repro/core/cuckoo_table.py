@@ -21,7 +21,7 @@ versions) and the L-CHT stores whole cells (``u -> Part 2``).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional
+from typing import Optional
 
 from .counters import Counters
 from .hashing import HashFunction
@@ -251,11 +251,3 @@ class CuckooHashTable:
 
 
 _MISSING = object()
-
-
-def drain_tables(tables: Iterable[CuckooHashTable]) -> list[tuple[int, object]]:
-    """Remove and return all items from a collection of tables."""
-    drained: list[tuple[int, object]] = []
-    for table in tables:
-        drained.extend(table.pop_all())
-    return drained

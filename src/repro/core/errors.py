@@ -27,10 +27,6 @@ class CapacityError(CuckooGraphError):
     """
 
 
-class NotFoundError(CuckooGraphError):
-    """Raised when an operation references a node or edge that does not exist."""
-
-
 class StoreClosedError(CuckooGraphError):
     """Raised when a closed store is handed a call it no longer accepts.
 

@@ -166,22 +166,15 @@ class HashFamily:
         self.family = family
         self.seed = seed
         self._rng = random.Random(seed)
-        self._count = 0
 
     def make(self) -> HashFunction:
         """Return the next independent hash function in the family."""
-        self._count += 1
         derived_seed = self._rng.getrandbits(32)
         return _FAMILIES[self.family](derived_seed).function
 
     def make_pair(self) -> tuple[HashFunction, HashFunction]:
         """Return two independent hash functions (H1, H2) / (h1, h2)."""
         return self.make(), self.make()
-
-    @property
-    def functions_created(self) -> int:
-        """Number of hash functions dealt out so far."""
-        return self._count
 
     def __repr__(self) -> str:
         return f"HashFamily(family={self.family!r}, seed={self.seed})"

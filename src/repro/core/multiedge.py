@@ -12,7 +12,7 @@ identifiers (the mini-Neo4j integration stores relationship ids in it), and
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..interfaces import DynamicGraphStore
 from ..memmodel.layout import ALLOC_OVERHEAD_BYTES, ID_BYTES, POINTER_BYTES
@@ -112,11 +112,6 @@ class MultiEdgeCuckooGraph(CuckooGraph):
             return False
         self._delete_pair(u, v)
         return True
-
-    def add_edges(self, edges: Iterable[tuple[int, int, int]]) -> None:
-        """Bulk-insert ``(u, v, edge_id)`` triples."""
-        for u, v, edge_id in edges:
-            self.add_edge(u, v, edge_id)
 
     # ------------------------------------------------------------------ #
     # Memory model

@@ -130,13 +130,6 @@ class WeightedCuckooGraph(CuckooGraph, WeightedGraphStore):
             self._remove_node_if_empty(u, part2)
         return True
 
-    def remove_edge_completely(self, u: int, v: int) -> bool:
-        """Remove ``⟨u, v⟩`` regardless of its weight; return ``True`` if present."""
-        self.counters.edges_deleted += 1
-        if self._edge_payload(u, v) is None:
-            return False
-        return self._remove_edge_entry(u, v)
-
     def weighted_edges(self):
         """Iterate over ``(u, v, w)`` triples."""
         for u, part2 in self._cells():
@@ -144,11 +137,6 @@ class WeightedCuckooGraph(CuckooGraph, WeightedGraphStore):
                 yield (u, v, int(w))
         for (u, v), w in self._sdl.items():
             yield (u, v, int(w))
-
-    @property
-    def total_weight(self) -> int:
-        """Sum of all edge weights (equals the number of streamed insertions)."""
-        return sum(w for _, _, w in self.weighted_edges())
 
     # ------------------------------------------------------------------ #
     # Internals

@@ -5,13 +5,8 @@ from .generators import (
     duplicate_stream,
     powerlaw_edge_set,
     regular_edge_set,
-    uniform_edge_set,
 )
-from .registry import (
-    dataset_profile,
-    load_all_datasets,
-    load_dataset,
-)
+from .registry import dataset_profile, load_dataset
 from .stream import EdgeStream, StreamStatistics
 from .table4 import DATASET_ORDER, TABLE4_PROFILES, DatasetProfile
 
@@ -24,9 +19,7 @@ __all__ = [
     "dataset_profile",
     "dense_edge_set",
     "duplicate_stream",
-    "load_all_datasets",
     "load_dataset",
     "powerlaw_edge_set",
     "regular_edge_set",
-    "uniform_edge_set",
 ]

@@ -13,7 +13,6 @@ given a seed.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 
 def _zipf_weights(count: int, exponent: float) -> list[float]:
@@ -51,7 +50,6 @@ def powerlaw_edge_set(
     rng: random.Random,
     out_exponent: float = 1.0,
     in_exponent: float = 1.0,
-    allow_self_loops: bool = False,
 ) -> list[tuple[int, int]]:
     """Distinct directed edges whose in/out degrees follow power laws.
 
@@ -79,7 +77,7 @@ def powerlaw_edge_set(
         attempts += 1
         source = node_ids[out_sampler.sample(rng)]
         destination = node_ids[in_sampler.sample(rng)]
-        if not allow_self_loops and source == destination:
+        if source == destination:
             continue
         edges.add((source, destination))
     if len(edges) < target:
@@ -87,7 +85,7 @@ def powerlaw_edge_set(
         while len(edges) < target:
             source = rng.choice(node_ids)
             destination = rng.choice(node_ids)
-            if source != destination or allow_self_loops:
+            if source != destination:
                 edges.add((source, destination))
     ordered = list(edges)
     rng.shuffle(ordered)
@@ -119,7 +117,7 @@ def duplicate_stream(
 
 
 def dense_edge_set(
-    num_nodes: int, density: float, rng: random.Random, allow_self_loops: bool = False
+    num_nodes: int, density: float, rng: random.Random
 ) -> list[tuple[int, int]]:
     """Distinct edges of an Erdős–Rényi-style dense graph with the given density."""
     if not 0.0 < density <= 1.0:
@@ -127,7 +125,7 @@ def dense_edge_set(
     edges: list[tuple[int, int]] = []
     for source in range(num_nodes):
         for destination in range(num_nodes):
-            if source == destination and not allow_self_loops:
+            if source == destination:
                 continue
             if rng.random() < density:
                 edges.append((source, destination))
@@ -149,20 +147,3 @@ def regular_edge_set(
         edges.extend((source, destination) for destination in destinations)
     rng.shuffle(edges)
     return edges
-
-
-def uniform_edge_set(
-    num_nodes: int, num_edges: int, rng: random.Random, seed_hint: Optional[int] = None
-) -> list[tuple[int, int]]:
-    """Distinct edges drawn uniformly at random (used by property tests)."""
-    max_possible = num_nodes * (num_nodes - 1)
-    target = min(num_edges, max_possible)
-    edges: set[tuple[int, int]] = set()
-    while len(edges) < target:
-        source = rng.randrange(num_nodes)
-        destination = rng.randrange(num_nodes)
-        if source != destination:
-            edges.add((source, destination))
-    ordered = list(edges)
-    rng.shuffle(ordered)
-    return ordered

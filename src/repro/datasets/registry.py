@@ -32,9 +32,3 @@ def load_dataset(name: str, scale: Optional[int] = None, seed: int = 1) -> EdgeS
     if key not in _CACHE:
         _CACHE[key] = dataset_profile(name).generate(scale=scale, seed=seed)
     return _CACHE[key]
-
-
-def load_all_datasets(scale: Optional[int] = None, seed: int = 1) -> dict[str, EdgeStream]:
-    """All seven datasets, keyed by name, in figure order."""
-    return {name: load_dataset(name, scale, seed) for name in DATASET_ORDER}
-

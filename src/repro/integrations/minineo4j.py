@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..core.errors import IntegrationError, NotFoundError
+from ..core.errors import IntegrationError
 from ..core.multiedge import MultiEdgeCuckooGraph
 from ..interfaces import DynamicGraphStore
 
@@ -91,13 +91,6 @@ class MiniNeo4j:
         self._nodes[node_id] = NodeRecord(node_id, tuple(labels), dict(properties))
         return node_id
 
-    def get_node(self, node_id: int) -> NodeRecord:
-        """Fetch a node record (raises :class:`NotFoundError` if absent)."""
-        try:
-            return self._nodes[node_id]
-        except KeyError:
-            raise NotFoundError(f"node {node_id} does not exist") from None
-
     def has_node(self, node_id: int) -> bool:
         return node_id in self._nodes
 
@@ -134,13 +127,6 @@ class MiniNeo4j:
         if self._index is not None:
             self._index.add_edge(start, end, rel_id)
         return rel_id
-
-    def get_relationship(self, rel_id: int) -> RelationshipRecord:
-        """Fetch a relationship record by identifier."""
-        try:
-            return self._relationships[rel_id]
-        except KeyError:
-            raise NotFoundError(f"relationship {rel_id} does not exist") from None
 
     @property
     def relationship_count(self) -> int:

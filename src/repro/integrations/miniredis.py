@@ -2,20 +2,19 @@
 
 Section V-F deploys CuckooGraph inside Redis through the Redis Module API,
 exposing ``insert`` / ``del`` / ``query`` / ``getneighbors`` commands and the
-persistence hooks (``save_rdb`` / ``load_rdb`` / ``aof_rewrite``).  The real
-Redis server is out of scope for an offline pure-Python reproduction, so this
-module provides the closest structural equivalent:
+RDB persistence hooks (``save_rdb`` / ``load_rdb``).  The real Redis server
+is out of scope for an offline pure-Python reproduction, so this module
+provides the closest structural equivalent:
 
-* :class:`MiniRedisServer` -- a keyspace plus a command dispatcher that
-  parses textual commands (simulating the protocol/dispatch overhead that
+* :class:`MiniRedisServer` -- a command dispatcher that parses textual
+  commands (simulating the protocol/dispatch overhead that
   dominates the measured throughput in the paper: native Redis peaks at
   ~0.16 Mops on the authors' server, and CuckooGraph-on-Redis reaches
   0.04-0.05 Mops);
 * :class:`CuckooGraphModule` -- a loadable module registering the graph
   commands and the persistence callbacks on top of a
   :class:`~repro.core.weighted.WeightedCuckooGraph`;
-* RDB-style snapshots (a serialisable dict of the whole keyspace) and an
-  append-only file (AOF) log with replay and rewrite.
+* RDB-style snapshots (a JSON document of every module's data).
 
 The substitution preserves what the experiment measures: every graph
 operation pays command parsing, dispatch and reply formatting on top of the
@@ -39,7 +38,7 @@ CommandHandler = Callable[["MiniRedisServer", Sequence[str]], object]
 class RedisModule:
     """Base class for loadable modules (mirrors the Redis Module API surface)."""
 
-    #: Module name reported by ``MODULE LIST``.
+    #: Module name reported by :meth:`MiniRedisServer.loaded_modules`.
     name = "module"
 
     def commands(self) -> dict[str, CommandHandler]:
@@ -52,10 +51,6 @@ class RedisModule:
 
     def load_rdb(self, payload: dict) -> None:
         """Restore the module's data from a snapshot (RDB hook)."""
-
-    def aof_rewrite(self) -> list[list[str]]:
-        """Minimal command sequence that reconstructs the module's data (AOF hook)."""
-        return []
 
 
 class CuckooGraphModule(RedisModule):
@@ -116,35 +111,17 @@ class CuckooGraphModule(RedisModule):
         for u, v, w in payload.get("edges", []):
             self.graph.insert_weighted_edge(int(u), int(v), int(w))
 
-    def aof_rewrite(self) -> list[list[str]]:
-        commands: list[list[str]] = []
-        for u, v, w in self.graph.weighted_edges():
-            for _ in range(w):
-                commands.append(["GINSERT", str(u), str(v)])
-        return commands
-
 
 class MiniRedisServer:
     """A tiny single-threaded command server with module support.
 
-    Built-in commands cover the handful needed by the examples and tests
-    (``SET``, ``GET``, ``DEL``, ``EXISTS``, ``PING``, ``MODULE``); everything
-    else must come from a loaded module.  Every call goes through textual
-    parsing and dispatch, which is deliberately the dominant cost.
+    Every command comes from a loaded module.  Every call goes through
+    textual parsing and dispatch, which is deliberately the dominant cost.
     """
 
     def __init__(self):
-        self._keyspace: dict[str, str] = {}
         self._modules: dict[str, RedisModule] = {}
-        self._commands: dict[str, CommandHandler] = {
-            "PING": lambda server, args: "PONG",
-            "SET": self._cmd_set,
-            "GET": self._cmd_get,
-            "DEL": self._cmd_del,
-            "EXISTS": self._cmd_exists,
-            "DBSIZE": lambda server, args: len(self._keyspace),
-        }
-        self._aof: list[list[str]] = []
+        self._commands: dict[str, CommandHandler] = {}
         self.commands_processed = 0
 
     # ------------------------------------------------------------------ #
@@ -187,8 +164,6 @@ class MiniRedisServer:
         if handler is None:
             raise IntegrationError(f"unknown command {name!r}")
         self.commands_processed += 1
-        if name in _WRITE_COMMANDS:
-            self._aof.append(tokens)
         return handler(self, args)
 
     def execute_many(self, command_lines: Sequence[str | Sequence[str]]) -> list:
@@ -196,71 +171,24 @@ class MiniRedisServer:
         return [self.execute(line) for line in command_lines]
 
     # ------------------------------------------------------------------ #
-    # Built-in commands
-    # ------------------------------------------------------------------ #
-
-    def _cmd_set(self, server: "MiniRedisServer", args: Sequence[str]) -> str:
-        if len(args) != 2:
-            raise IntegrationError("SET expects key and value")
-        self._keyspace[args[0]] = args[1]
-        return "OK"
-
-    def _cmd_get(self, server: "MiniRedisServer", args: Sequence[str]) -> Optional[str]:
-        if len(args) != 1:
-            raise IntegrationError("GET expects a key")
-        return self._keyspace.get(args[0])
-
-    def _cmd_del(self, server: "MiniRedisServer", args: Sequence[str]) -> int:
-        removed = 0
-        for key in args:
-            if key in self._keyspace:
-                del self._keyspace[key]
-                removed += 1
-        return removed
-
-    def _cmd_exists(self, server: "MiniRedisServer", args: Sequence[str]) -> int:
-        return sum(1 for key in args if key in self._keyspace)
-
-    # ------------------------------------------------------------------ #
     # Persistence
     # ------------------------------------------------------------------ #
 
     def save_rdb(self) -> str:
-        """Serialise the keyspace and every module's data to a JSON snapshot."""
+        """Serialise every module's data to a JSON snapshot."""
         snapshot = {
-            "keyspace": dict(self._keyspace),
             "modules": {name: module.save_rdb() for name, module in self._modules.items()},
         }
         return json.dumps(snapshot)
 
     def load_rdb(self, snapshot: str) -> None:
-        """Restore the keyspace and module data from a JSON snapshot."""
+        """Restore module data from a JSON snapshot."""
         payload = json.loads(snapshot)
-        self._keyspace = dict(payload.get("keyspace", {}))
         for name, module_payload in payload.get("modules", {}).items():
             module = self._modules.get(name)
             if module is None:
                 raise IntegrationError(f"snapshot references unloaded module {name!r}")
             module.load_rdb(module_payload)
-
-    def aof_log(self) -> list[list[str]]:
-        """The append-only command log accumulated so far."""
-        return list(self._aof)
-
-    def aof_rewrite(self) -> list[list[str]]:
-        """Compact AOF: built-in writes plus each module's minimal command set."""
-        rewritten: list[list[str]] = [
-            ["SET", key, value] for key, value in self._keyspace.items()
-        ]
-        for module in self._modules.values():
-            rewritten.extend(module.aof_rewrite())
-        self._aof = list(rewritten)
-        return rewritten
-
-    def replay_aof(self, log: Sequence[Sequence[str]]) -> None:
-        """Replay an AOF log (used after loading an empty server)."""
-        for tokens in log:
-            self.execute(list(tokens))
 
 
 class RedisGraphStore(DynamicGraphStore):
@@ -296,7 +224,7 @@ class RedisGraphStore(DynamicGraphStore):
 
     @property
     def server(self) -> MiniRedisServer:
-        """The underlying command server (for AOF/RDB experiments)."""
+        """The underlying command server (for RDB snapshots)."""
         return self._server
 
     def spawn_empty(self) -> "RedisGraphStore":
@@ -347,10 +275,6 @@ class RedisGraphStore(DynamicGraphStore):
 
     def reset_accesses(self) -> None:
         self._module.graph.reset_accesses()
-
-
-#: Commands appended to the AOF (write commands only).
-_WRITE_COMMANDS = {"SET", "DEL", "GINSERT", "GDEL"}
 
 
 def _parse_edge(args: Sequence[str], command: str) -> tuple[int, int]:

@@ -9,7 +9,6 @@ from .layout import (
     WORD_BYTES,
     adjacency_entry_bytes,
     adjacency_node_bytes,
-    vector_entry_bytes,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "WORD_BYTES",
     "adjacency_entry_bytes",
     "adjacency_node_bytes",
-    "vector_entry_bytes",
 ]

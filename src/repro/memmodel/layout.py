@@ -73,8 +73,3 @@ def adjacency_node_bytes() -> int:
 def adjacency_entry_bytes() -> int:
     """Per-edge cost of a linked adjacency entry (neighbour id + next pointer)."""
     return ID_BYTES + POINTER_BYTES
-
-
-def vector_entry_bytes() -> int:
-    """Per-edge cost of a contiguous adjacency vector entry (neighbour id only)."""
-    return ID_BYTES

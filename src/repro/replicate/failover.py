@@ -99,8 +99,6 @@ class FailoverManager:
         self._members: Dict[int, _Member] = {}
         self._last_contact = clock()
         self._lock = threading.RLock()
-        self._monitor: Optional[threading.Thread] = None
-        self._stop = threading.Event()
         #: Elections performed.
         self.failovers = 0
 
@@ -191,16 +189,12 @@ class FailoverManager:
         """No member has reached the primary for a full lease."""
         return self._clock() - self._last_contact > self._lease_s
 
-    def unreachable_for(self) -> float:
-        """Seconds since *any* member last reached the primary."""
-        return self._clock() - self._last_contact
-
     # ------------------------------------------------------------------ #
     # Election
     # ------------------------------------------------------------------ #
 
     def maybe_failover(self, **kwargs) -> Optional[Failover]:
-        """One monitor tick: heartbeat, then elect iff the lease expired."""
+        """One tick: heartbeat, then elect iff the lease expired."""
         self.heartbeat()
         if not self.lease_expired:
             return None
@@ -264,43 +258,3 @@ class FailoverManager:
             self._members = survivors
             self._last_contact = self._clock()  # fresh lease, new primary
             return result
-
-    # ------------------------------------------------------------------ #
-    # Optional monitor thread
-    # ------------------------------------------------------------------ #
-
-    def run(
-        self,
-        interval_s: float = 0.25,
-        on_failover: Optional[Callable[[Failover], None]] = None,
-        **failover_kwargs,
-    ) -> threading.Thread:
-        """Start a daemon thread ticking :meth:`maybe_failover`.
-
-        Stops itself after performing one failover (the topology changed;
-        decide anew whether to keep monitoring) or when :meth:`stop` is
-        called.  Returns the thread.
-        """
-        if self._monitor is not None and self._monitor.is_alive():
-            raise ReplicationError("failover monitor is already running")
-        self._stop.clear()
-
-        def tick() -> None:
-            while not self._stop.wait(interval_s):
-                result = self.maybe_failover(**failover_kwargs)
-                if result is not None:
-                    if on_failover is not None:
-                        on_failover(result)
-                    return
-
-        self._monitor = threading.Thread(
-            target=tick, name="repro-failover-monitor", daemon=True)
-        self._monitor.start()
-        return self._monitor
-
-    def stop(self) -> None:
-        """Stop the monitor thread (idempotent)."""
-        self._stop.set()
-        if self._monitor is not None:
-            self._monitor.join(timeout=5.0)
-            self._monitor = None

@@ -431,6 +431,9 @@ class ReplicationServer:
             with self._lock:
                 if conn in self._conns:
                     self._conns.remove(conn)
+                # Appended before start(), so it is always there: a handler
+                # leaves no dead Thread behind for close() to join.
+                self._threads.remove(threading.current_thread())
 
     def _stream_bootstrap(self, conn: socket.socket) -> None:
         """Snapshot file chunks, then shipped records, then the attach stamp."""

@@ -21,7 +21,6 @@ from .failures import InjectedFailure, inject
 from .workload import (
     TrafficEvent,
     ZipfRanks,
-    build_schedule,
     bursty_arrivals,
     poisson_arrivals,
     ranked_keys,
@@ -41,7 +40,6 @@ __all__ = [
     "ScenarioConfig",
     "TrafficEvent",
     "ZipfRanks",
-    "build_schedule",
     "build_service",
     "bursty_arrivals",
     "inject",

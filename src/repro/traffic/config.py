@@ -215,9 +215,6 @@ class ScenarioConfig:
         payload["failures"] = [asdict(spec) for spec in self.failures]
         return payload
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ScenarioConfig":
         data = dict(payload)

@@ -119,15 +119,6 @@ class ZipfRanks:
         """Draw one rank (0 is the most popular)."""
         return bisect_right(self._cumulative, rng.random())
 
-    def top_fraction_mass(self, fraction: float) -> float:
-        """Analytic probability mass of the hottest ``fraction`` of ranks."""
-        if not 0 < fraction <= 1:
-            raise ConfigurationError(
-                f"fraction must be in (0, 1], got {fraction}"
-            )
-        top = max(1, math.ceil(self.count * fraction))
-        return self._cumulative[min(top, self.count) - 1]
-
 
 # --------------------------------------------------------------------- #
 # Key layout
@@ -224,13 +215,4 @@ def tenant_schedule(config: ScenarioConfig, tenant: int) -> List[TrafficEvent]:
         if rank_v == rank_u:  # no self-loops; nudge to the neighbouring rank
             rank_v = (rank_u + 1) % zipf.count
         events.append(TrafficEvent(at, tenant, kind, rank_u, rank_v))
-    return events
-
-
-def build_schedule(config: ScenarioConfig) -> List[TrafficEvent]:
-    """The whole scenario's event list, merged across tenants, time-sorted."""
-    events: List[TrafficEvent] = []
-    for tenant in range(config.tenants):
-        events.extend(tenant_schedule(config, tenant))
-    events.sort(key=lambda event: (event.at_s, event.tenant))
     return events

@@ -27,18 +27,15 @@ from repro.analytics import (
     all_local_clustering_coefficients,
     betweenness_centrality,
     bfs,
-    bfs_from_top_nodes,
-    bfs_levels,
     count_triangles_of_node,
     dijkstra,
     ensure_engine,
     induced_edges,
     pagerank,
-    shortest_path,
     strongly_connected_components,
     top_degree_nodes,
+    top_degree_subgraph,
     total_degrees,
-    total_directed_triangles,
     weakly_connected_components,
 )
 from repro.baselines import AdjacencyListGraph
@@ -244,7 +241,7 @@ def ref_total_directed_triangles(store):
     return total // 3
 
 
-def ref_betweenness(store, normalized=True):
+def ref_betweenness(store):
     nodes = list(store.nodes())
     centrality = {node: 0.0 for node in nodes}
     for source in nodes:
@@ -275,11 +272,10 @@ def ref_betweenness(store, normalized=True):
                     dependency[predecessor] += share
             if node != source:
                 centrality[node] += dependency[node]
-    if normalized:
-        count = len(nodes)
-        if count > 2:
-            scale = 1.0 / ((count - 1) * (count - 2))
-            centrality = {node: value * scale for node, value in centrality.items()}
+    count = len(nodes)
+    if count > 2:
+        scale = 1.0 / ((count - 1) * (count - 2))
+        centrality = {node: value * scale for node, value in centrality.items()}
     return centrality
 
 
@@ -330,11 +326,22 @@ class TestTraversalParity:
 
     def test_bfs_levels_identical(self, store):
         for source in (0, 3):
-            engine_levels = bfs_levels(store, source)
             reference = ref_bfs_levels(store, source)
-            assert engine_levels == reference
-            # Same discovery order, not just the same mapping.
-            assert list(engine_levels) == list(reference)
+            # The engine's visitation order is the per-node discovery order,
+            # level by level ...
+            assert bfs(store, source) == list(reference)
+            # ... and unit-weight Dijkstra distances are those BFS levels.
+            assert dijkstra(store, source) == {
+                node: float(depth) for node, depth in reference.items()
+            }
+
+    def test_bfs_from_top_nodes_identical(self, store):
+        # Figure 10's sweep: BFS from the top-degree roots on one engine.
+        engine = TraversalEngine(store)
+        roots = top_degree_nodes(store, 4, engine=engine)
+        assert roots == ref_top_degree_nodes(store, 4)
+        assert [bfs(store, root, engine=engine) for root in roots] == \
+            [ref_bfs(store, root) for root in roots]
 
     def test_dijkstra_identical(self, store):
         for source in (0, 5):
@@ -351,8 +358,31 @@ class TestTraversalParity:
 
     def test_shortest_path_identical(self, store):
         for source, target in ((0, 33), (4, 50), (1, 10**9)):
-            assert shortest_path(store, source, target) == \
-                ref_shortest_path(store, source, target)
+            distances = dijkstra(store, source)
+            path = ref_shortest_path(store, source, target)
+            if path is None:
+                assert target not in distances
+                continue
+            assert distances[target] == len(path) - 1
+            # Every node on a shortest path sits at its hop count.
+            assert [distances[node] for node in path] == list(range(len(path)))
+
+    def test_sssp_on_top_degree_subgraph_identical(self, store):
+        # Figure 11's sweep: Dijkstra from the top-degree nodes, on one
+        # engine, over the induced subgraph rebuilt in the store's own kind.
+        subgraph, top_nodes = top_degree_subgraph(store, 30)
+        try:
+            assert top_nodes == ref_top_degree_nodes(store, 30)
+            selected = set(top_nodes)
+            assert sorted(subgraph.edges()) == sorted(
+                (u, v) for u, v in store.edges() if u in selected and v in selected
+            )
+            engine = TraversalEngine(subgraph)
+            for source in top_nodes[:5]:
+                assert dijkstra(subgraph, source, engine=engine) == \
+                    ref_dijkstra(subgraph, source)
+        finally:
+            subgraph.close()
 
     def test_pagerank_scores_byte_identical(self, store):
         engine_scores = pagerank(store, iterations=25)
@@ -379,7 +409,27 @@ class TestTraversalParity:
                 ref_count_triangles_of_node(store, node)
 
     def test_total_triangles_identical(self, store):
-        assert total_directed_triangles(store) == ref_total_directed_triangles(store)
+        # Each directed 3-cycle closes once around each of its three nodes.
+        engine = TraversalEngine(store)
+        per_node = sum(
+            count_triangles_of_node(store, node, engine=engine)
+            for node in store.nodes()
+        )
+        assert per_node == 3 * ref_total_directed_triangles(store)
+
+    def test_kernels_after_deletions_identical(self, store):
+        # Deletions leave every store with freed slots, tombstones or
+        # emptied adjacency lists; the batch reads must skip them all.
+        for u, v in EDGES[::3]:
+            store.delete_edge(u, v)
+        for source in (0, 7):
+            assert bfs(store, source) == ref_bfs(store, source)
+            assert dijkstra(store, source) == ref_dijkstra(store, source)
+        assert pagerank(store, iterations=10) == ref_pagerank(store, iterations=10)
+        assert strongly_connected_components(store) == ref_tarjan(store)
+        for node in (0, 2, 9):
+            assert count_triangles_of_node(store, node) == \
+                ref_count_triangles_of_node(store, node)
 
     def test_betweenness_byte_identical(self, store):
         assert betweenness_centrality(store) == ref_betweenness(store)
@@ -392,13 +442,6 @@ class TestTraversalParity:
 
     def test_top_degree_nodes_identical(self, store):
         assert top_degree_nodes(store, 15) == ref_top_degree_nodes(store, 15)
-
-    def test_bfs_from_top_nodes_identical(self, store):
-        expected = [
-            (root, len(ref_bfs(store, root)))
-            for root in ref_top_degree_nodes(store, 4)
-        ]
-        assert bfs_from_top_nodes(store, root_count=4) == expected
 
     def test_induced_edges_same_edge_set(self, store):
         nodes = ref_top_degree_nodes(store, 25)
@@ -441,15 +484,11 @@ def spy_graph() -> SpyStore:
 #: kernel name -> callable(store) covering all eight analytics kernels.
 KERNEL_DRIVERS = {
     "bfs": lambda s: bfs(s, 0),
-    "bfs_levels": lambda s: bfs_levels(s, 0),
-    "bfs_from_top_nodes": lambda s: bfs_from_top_nodes(s, root_count=3),
     "dijkstra": lambda s: dijkstra(s, 0),
-    "shortest_path": lambda s: shortest_path(s, 0, 40),
     "pagerank": lambda s: pagerank(s, iterations=5),
     "tarjan_scc": strongly_connected_components,
     "weak_cc": weakly_connected_components,
     "triangles": lambda s: count_triangles_of_node(s, 0),
-    "total_triangles": total_directed_triangles,
     "betweenness": betweenness_centrality,
     "lcc": all_local_clustering_coefficients,
     "top_degree_nodes": lambda s: top_degree_nodes(s, 10),

@@ -7,27 +7,19 @@ import pytest
 
 from repro import CuckooGraph
 from repro.analytics import (
+    TraversalEngine,
     all_local_clustering_coefficients,
-    average_clustering,
     betweenness_centrality,
     bfs,
-    bfs_from_top_nodes,
-    bfs_levels,
-    count_components,
-    count_triangles,
     count_triangles_of_node,
     dijkstra,
     extract_subgraph,
     induced_edges,
     pagerank,
-    shortest_path,
-    sssp_from_sources,
     strongly_connected_components,
     top_degree_nodes,
     top_degree_subgraph,
-    top_ranked,
     total_degrees,
-    total_directed_triangles,
     weakly_connected_components,
 )
 from repro.baselines import AdjacencyListGraph
@@ -57,25 +49,28 @@ class TestBFS:
         expected = {source} | nx.descendants(reference, source)
         assert set(bfs(store, source)) == expected
 
-    def test_bfs_levels_match_networkx(self, random_graph):
-        store, reference, _ = random_graph
-        source = next(iter(reference.nodes))
-        assert bfs_levels(store, source) == nx.single_source_shortest_path_length(
-            reference, source
-        )
-
     def test_bfs_order_starts_at_source_and_has_no_duplicates(self, random_graph):
         store, _, _ = random_graph
         order = bfs(store, 0)
         assert order[0] == 0
         assert len(order) == len(set(order))
 
-    def test_bfs_from_top_nodes_returns_counts(self, random_graph):
-        store, _, _ = random_graph
-        results = bfs_from_top_nodes(store, root_count=3)
-        assert len(results) == 3
-        for root, count in results:
-            assert count == len(bfs(store, root))
+    def test_bfs_visits_nodes_level_by_level(self, random_graph):
+        store, reference, _ = random_graph
+        source = next(iter(reference.nodes))
+        levels = nx.single_source_shortest_path_length(reference, source)
+        order = bfs(store, source)
+        assert set(order) == set(levels)
+        depths = [levels[node] for node in order]
+        assert depths == sorted(depths)
+
+    def test_bfs_from_top_degree_roots_on_one_engine(self, random_graph):
+        store, reference, _ = random_graph
+        engine = TraversalEngine(store)
+        roots = top_degree_nodes(store, 3, engine=engine)
+        for root in roots:
+            reached = bfs(store, root, engine=engine)
+            assert len(reached) == 1 + len(nx.descendants(reference, root))
 
 
 class TestSSSP:
@@ -94,43 +89,23 @@ class TestSSSP:
         distances = dijkstra(store, 1, weight=lambda u, v: weights[(u, v)])
         assert distances[3] == 2.0
 
-    def test_shortest_path_endpoints(self, random_graph):
-        store, reference, _ = random_graph
-        source = next(iter(reference.nodes))
-        reachable = sorted(nx.descendants(reference, source))
-        if reachable:
-            target = reachable[-1]
-            path = shortest_path(store, source, target)
-            assert path[0] == source and path[-1] == target
-            assert len(path) - 1 == nx.shortest_path_length(reference, source, target)
-
-    def test_shortest_path_unreachable_returns_none(self):
+    def test_dijkstra_omits_unreachable_nodes(self):
         store = CuckooGraph()
         store.insert_edge(1, 2)
         store.insert_edge(3, 4)
-        assert shortest_path(store, 1, 4) is None
+        assert dijkstra(store, 1) == {1: 0.0, 2: 1.0}
 
-    def test_sssp_from_sources(self, random_graph):
-        store, _, _ = random_graph
-        sources = top_degree_nodes(store, 3)
-        result = sssp_from_sources(store, sources)
-        assert set(result) == set(sources)
+    def test_dijkstra_from_top_degree_sources_on_one_engine(self, random_graph):
+        store, reference, _ = random_graph
+        engine = TraversalEngine(store)
+        for source in top_degree_nodes(store, 3, engine=engine):
+            expected = nx.single_source_shortest_path_length(reference, source)
+            assert dijkstra(store, source, engine=engine) == {
+                node: float(dist) for node, dist in expected.items()
+            }
 
 
 class TestTrianglesAndComponents:
-    def test_total_directed_triangles_matches_networkx(self, random_graph):
-        store, reference, _ = random_graph
-        expected = sum(nx.triangles(reference.to_undirected()).values()) // 3
-        # total_directed_triangles counts directed 3-cycles; cross-check with a
-        # direct reference computation instead of the undirected count.
-        direct = 0
-        for u, v in reference.edges:
-            for w in reference.successors(v):
-                if w != u and reference.has_edge(w, u):
-                    direct += 1
-        assert total_directed_triangles(store) == direct // 3
-        assert expected >= 0  # sanity use of the undirected count
-
     def test_count_triangles_of_node_follows_methodology(self):
         store = CuckooGraph()
         for u, v in [(1, 2), (2, 3), (3, 1), (1, 4)]:
@@ -138,11 +113,29 @@ class TestTrianglesAndComponents:
         assert count_triangles_of_node(store, 1) == 1
         assert count_triangles_of_node(store, 4) == 0
 
-    def test_count_triangles_top_nodes(self, random_graph):
-        store, _, _ = random_graph
-        result = count_triangles(store, node_count=5)
-        assert len(result) == 5
-        assert all(count >= 0 for count in result.values())
+    def test_count_triangles_of_node_matches_networkx(self, random_graph):
+        store, reference, _ = random_graph
+        for node in top_degree_nodes(store, 10):
+            expected = sum(
+                1
+                for first in reference.successors(node)
+                for second in reference.successors(first)
+                if second != node and reference.has_edge(second, node)
+            )
+            assert count_triangles_of_node(store, node) == expected
+
+    def test_triangles_of_every_node_count_each_cycle_three_times(self, random_graph):
+        store, reference, _ = random_graph
+        directed_cycles = sum(
+            1
+            for u, v in reference.edges
+            for w in reference.successors(v)
+            if w != u and reference.has_edge(w, u)
+        ) // 3
+        engine = TraversalEngine(store)
+        assert sum(
+            count_triangles_of_node(store, node, engine=engine) for node in reference.nodes
+        ) == 3 * directed_cycles
 
     def test_scc_matches_networkx(self, random_graph):
         store, reference, _ = random_graph
@@ -158,8 +151,10 @@ class TestTrianglesAndComponents:
 
     def test_count_components(self, random_graph):
         store, reference, _ = random_graph
-        assert count_components(store, strongly=True) == nx.number_strongly_connected_components(reference)
-        assert count_components(store, strongly=False) == nx.number_weakly_connected_components(reference)
+        assert len(strongly_connected_components(store)) == \
+            nx.number_strongly_connected_components(reference)
+        assert len(weakly_connected_components(store)) == \
+            nx.number_weakly_connected_components(reference)
 
 
 class TestPageRankBetweennessLCC:
@@ -174,12 +169,6 @@ class TestPageRankBetweennessLCC:
     def test_pagerank_scores_sum_to_one(self, random_graph):
         store, _, _ = random_graph
         assert sum(pagerank(store, iterations=50).values()) == pytest.approx(1.0, abs=1e-6)
-
-    def test_top_ranked_ordering(self, random_graph):
-        store, _, _ = random_graph
-        top = top_ranked(store, count=5, iterations=30)
-        scores = [score for _, score in top]
-        assert scores == sorted(scores, reverse=True)
 
     def test_betweenness_close_to_networkx(self, random_graph):
         store, reference, _ = random_graph
@@ -197,9 +186,28 @@ class TestPageRankBetweennessLCC:
         assert coefficients[1] == pytest.approx(0.5)
         assert coefficients[2] == 0.0
 
-    def test_average_clustering_bounds(self, random_graph):
-        store, _, _ = random_graph
-        assert 0.0 <= average_clustering(store) <= 1.0
+    def test_lcc_matches_networkx(self, random_graph):
+        store, reference, _ = random_graph
+        # Linked ordered pairs among a node's successors over d * (d - 1).
+        expected = {}
+        for node in reference.nodes:
+            neighbours = list(reference.successors(node))
+            degree = len(neighbours)
+            if degree < 2:
+                expected[node] = 0.0
+                continue
+            linked = sum(
+                1
+                for first in neighbours
+                for second in neighbours
+                if first != second and reference.has_edge(first, second)
+            )
+            expected[node] = linked / (degree * (degree - 1))
+        ours = all_local_clustering_coefficients(store)
+        assert set(ours) == set(expected)
+        for node, value in expected.items():
+            assert ours[node] == pytest.approx(value)
+            assert 0.0 <= ours[node] <= 1.0
 
 
 class TestSubgraph:

@@ -34,7 +34,9 @@ class TestLiveGraph:
             graph.insert_edge(0, v)
             graph.delete_edge(0, v)
         graph.insert_edge(0, 99)
-        graph.compact_all()
+        # 13 appends overflow the 8-entry block once; that compaction keeps
+        # only the live insert, so the log holds 5 entries, not 13.
+        assert len(graph._vertex_blocks[0].entries) == 5
         assert graph.successors(0) == [99]
         assert graph.num_edges == 1
 
@@ -68,9 +70,9 @@ class TestWBI:
         for u in range(40):
             for v in range(5):
                 graph.insert_edge(u, v)
-        profile = graph.bucket_load_profile()
-        assert profile["max"] <= 200
-        assert profile["occupied_buckets"] > 1
+        lengths = [len(bucket) for bucket in graph._buckets]
+        assert max(lengths) <= 200
+        assert sum(1 for length in lengths if length) > 1
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -12,13 +12,10 @@ from repro.bench import (
     build_store,
     dataset_stream,
     format_table,
-    geometric_mean,
-    memory_series_table,
     run_basic_tasks,
     run_denylist_ablation,
     run_memory_curve,
     run_parameter_point,
-    speedup_versus,
 )
 from repro.core import CuckooGraphConfig, WeightedCuckooGraph, CuckooGraph
 from repro.datasets import EdgeStream
@@ -116,20 +113,3 @@ class TestReporting:
 
     def test_format_table_empty(self):
         assert "(no rows)" in format_table([])
-
-    def test_speedup_versus_directions(self):
-        throughput = {"Ours": 10.0, "Spruce": 2.0}
-        runtime = {"Ours": 1.0, "Spruce": 5.0}
-        assert speedup_versus(throughput)["Spruce"] == pytest.approx(5.0)
-        assert speedup_versus(runtime, higher_is_better=False)["Spruce"] == pytest.approx(5.0)
-        with pytest.raises(KeyError):
-            speedup_versus({"Spruce": 1.0})
-
-    def test_geometric_mean(self):
-        assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
-        assert geometric_mean([]) == 0.0
-
-    def test_memory_series_table(self, tiny_stream):
-        points = run_memory_curve(OURS, "CAIDA", tiny_stream.prefix(300), samples=2)
-        text = memory_series_table(points, title="Figure 9(a)")
-        assert "memory_bytes" in text

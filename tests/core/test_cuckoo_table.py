@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.core.counters import Counters
-from repro.core.cuckoo_table import CuckooHashTable, drain_tables
+from repro.core.cuckoo_table import CuckooHashTable
 from repro.core.hashing import HashFamily
 
 
@@ -137,11 +137,3 @@ class TestLoadingRateAndMemory:
         assert sorted(key for key, _ in drained) == list(range(15))
         assert len(table) == 0
         assert list(table.items()) == []
-
-    def test_drain_tables_helper(self):
-        tables = [make_table(seed=i) for i in range(3)]
-        for index, table in enumerate(tables):
-            table.insert(index, index)
-        drained = drain_tables(tables)
-        assert sorted(key for key, _ in drained) == [0, 1, 2]
-        assert all(len(table) == 0 for table in tables)

@@ -90,9 +90,3 @@ class TestHashFamily:
         first, second = family.make_pair()
         same = sum(1 for k in range(1000) if first(k) % 64 == second(k) % 64)
         assert same < 100  # far from identical mappings
-
-    def test_counts_functions_created(self):
-        family = HashFamily("bob", seed=1)
-        family.make_pair()
-        family.make()
-        assert family.functions_created == 3

@@ -51,12 +51,6 @@ class TestMultiEdge:
         assert graph.edge_multiplicity(1, 2) == 0
         assert graph.delete_edge(1, 2) is False
 
-    def test_add_edges_bulk(self):
-        graph = MultiEdgeCuckooGraph()
-        graph.add_edges([(1, 2, 1), (1, 2, 2), (3, 4, 3)])
-        assert graph.edge_multiplicity(1, 2) == 2
-        assert graph.edge_multiplicity(3, 4) == 1
-
     def test_high_fanout_pair_list(self):
         graph = MultiEdgeCuckooGraph()
         for edge_id in range(300):

@@ -52,13 +52,6 @@ class TestDeletion:
         graph = WeightedCuckooGraph()
         assert graph.delete_edge(1, 2) is False
 
-    def test_remove_edge_completely(self):
-        graph = WeightedCuckooGraph()
-        graph.insert_weighted_edge(1, 2, delta=10)
-        assert graph.remove_edge_completely(1, 2) is True
-        assert graph.edge_weight(1, 2) == 0
-        assert graph.remove_edge_completely(1, 2) is False
-
 
 class TestStreamSemantics:
     def test_matches_reference_counter_on_random_stream(self):
@@ -72,7 +65,7 @@ class TestStreamSemantics:
         assert graph.num_edges == len(reference)
         for (u, v), weight in reference.items():
             assert graph.edge_weight(u, v) == weight
-        assert graph.total_weight == 20000
+        assert sum(w for _, _, w in graph.weighted_edges()) == 20000
 
     def test_weighted_edges_iteration(self):
         graph = WeightedCuckooGraph()

@@ -12,11 +12,9 @@ from repro.datasets import (
     dataset_profile,
     dense_edge_set,
     duplicate_stream,
-    load_all_datasets,
     load_dataset,
     powerlaw_edge_set,
     regular_edge_set,
-    uniform_edge_set,
 )
 
 
@@ -70,11 +68,6 @@ class TestGenerators:
     def test_regular_edge_set_validates_degree(self):
         with pytest.raises(ValueError):
             regular_edge_set(5, 5, random.Random(1))
-
-    def test_uniform_edge_set(self):
-        edges = uniform_edge_set(100, 500, random.Random(6))
-        assert len(edges) == 500
-        assert len(set(edges)) == 500
 
     def test_generators_are_deterministic_per_seed(self):
         first = powerlaw_edge_set(100, 500, random.Random(42))
@@ -147,10 +140,6 @@ class TestTable4Profiles:
     def test_load_dataset_is_cached(self):
         assert load_dataset("CAIDA") is load_dataset("CAIDA")
         assert load_dataset("CAIDA", seed=2) is not load_dataset("CAIDA")
-
-    def test_load_all_datasets_ordered(self):
-        streams = load_all_datasets()
-        assert list(streams) == DATASET_ORDER
 
     def test_custom_scale_shrinks_stream(self):
         default = load_dataset("NotreDame")

@@ -2,17 +2,15 @@
 
 import pytest
 
-from repro.core.errors import IntegrationError, NotFoundError
+from repro.core.errors import IntegrationError
 from repro.integrations import MiniNeo4j, Neo4jGraphStore
 
 
 class TestNodesAndRelationships:
-    def test_create_and_get_node(self):
+    def test_create_node(self):
         db = MiniNeo4j()
         node_id = db.create_node(labels=("User",), name="ada")
-        record = db.get_node(node_id)
-        assert record.labels == ("User",)
-        assert record.properties["name"] == "ada"
+        assert db.has_node(node_id)
         assert db.node_count == 1
 
     def test_duplicate_node_id_rejected(self):
@@ -21,24 +19,19 @@ class TestNodesAndRelationships:
         with pytest.raises(IntegrationError):
             db.create_node(node_id=5)
 
-    def test_missing_node_raises(self):
-        with pytest.raises(NotFoundError):
-            MiniNeo4j().get_node(99)
-
     def test_create_relationship_creates_missing_endpoints(self):
         db = MiniNeo4j()
         rel_id = db.create_relationship(1, 2, "FOLLOWS", since=2020)
         assert db.has_node(1) and db.has_node(2)
-        record = db.get_relationship(rel_id)
+        [record] = db.relationships()
+        assert record.rel_id == rel_id
         assert (record.start, record.end, record.rel_type) == (1, 2, "FOLLOWS")
         assert record.properties["since"] == 2020
 
-    def test_relationship_count_and_missing_lookup(self):
+    def test_relationship_count(self):
         db = MiniNeo4j()
         db.create_relationship(1, 2)
         assert db.relationship_count == 1
-        with pytest.raises(NotFoundError):
-            db.get_relationship(999)
 
     def test_delete_relationship(self):
         db = MiniNeo4j()

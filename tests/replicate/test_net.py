@@ -280,6 +280,28 @@ class TestLifecycle:
             primary.close()
             store.close()
 
+    def test_reconnects_leave_no_dead_handler_threads(self, tmp_path):
+        """A handler drops its own thread on the way out, so a server whose
+        followers keep reconnecting holds only the handlers still serving."""
+        store, primary, server = make_served_primary(tmp_path)
+        try:
+            for _ in range(20):
+                RemoteFollower(server.address,
+                               store=ShardedCuckooGraph(num_shards=2)).close()
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline:
+                with server._lock:
+                    threads = list(server._threads)
+                live = [thread for thread in threads if thread.is_alive()]
+                if len(threads) <= len(live):
+                    break
+                time.sleep(0.01)
+            assert len(threads) <= len(live), (len(threads), len(live))
+        finally:
+            server.close()
+            primary.close()
+            store.close()
+
     def test_connect_to_nothing_raises(self, tmp_path):
         with pytest.raises(ReplicationError, match="cannot reach"):
             RemoteFollower(("127.0.0.1", 1), store=CuckooGraph(),

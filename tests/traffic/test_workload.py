@@ -1,5 +1,7 @@
 """Workload-generator properties: determinism, arrival shapes, zipf skew."""
 
+import json
+import math
 import random
 
 import pytest
@@ -10,12 +12,12 @@ from repro.traffic import (
     FailureSpec,
     ScenarioConfig,
     ZipfRanks,
-    build_schedule,
     bursty_arrivals,
     poisson_arrivals,
     preset,
     ranked_keys,
     tenant_keys,
+    tenant_schedule,
     uniform_arrivals,
 )
 
@@ -24,34 +26,34 @@ from repro.traffic import (
 # Determinism
 # --------------------------------------------------------------------- #
 
-def test_build_schedule_is_deterministic():
+def test_tenant_schedule_is_deterministic():
     config = ScenarioConfig(seed=99, duration_s=1.0, target_ops_s=500.0,
                             tenants=3, arrival="bursty")
-    first = build_schedule(config)
-    second = build_schedule(config)
-    assert first == second
+    first = tenant_schedule(config, 2)
+    assert first == tenant_schedule(config, 2)
     assert len(first) > 0
     # A different seed produces a different schedule.
-    assert build_schedule(config.with_overrides(seed=100)) != first
+    assert tenant_schedule(config.with_overrides(seed=100), 2) != first
 
 
 def test_tenants_draw_independent_streams():
     config = ScenarioConfig(seed=7, duration_s=1.0, target_ops_s=400.0,
                             tenants=2)
-    events = build_schedule(config)
-    per_tenant = {t: [e for e in events if e.tenant == t] for t in (0, 1)}
+    per_tenant = {t: tenant_schedule(config, t) for t in (0, 1)}
     assert per_tenant[0] and per_tenant[1]
+    assert all(e.tenant == t for t, events in per_tenant.items() for e in events)
     assert [e.at_s for e in per_tenant[0]] != [e.at_s for e in per_tenant[1]]
 
 
 def test_schedule_is_time_sorted_and_in_range():
     config = ScenarioConfig(seed=3, duration_s=0.8, target_ops_s=600.0,
                             tenants=2)
-    events = build_schedule(config)
-    times = [e.at_s for e in events]
-    assert times == sorted(times)
-    assert all(0 <= t < config.duration_s for t in times)
-    assert all(e.rank_u != e.rank_v for e in events)  # no self-loops
+    for tenant in range(config.tenants):
+        events = tenant_schedule(config, tenant)
+        times = [e.at_s for e in events]
+        assert times == sorted(times)
+        assert all(0 <= t < config.duration_s for t in times)
+        assert all(e.rank_u != e.rank_v for e in events)  # no self-loops
 
 
 # --------------------------------------------------------------------- #
@@ -91,9 +93,15 @@ def test_bursty_arrivals_preserve_mean_rate():
 # Zipf skew
 # --------------------------------------------------------------------- #
 
+def head_mass(count, exponent, top):
+    """Analytic probability that a zipf draw lands in the ``top`` hottest ranks."""
+    masses = [1.0 / (rank + 1) ** exponent for rank in range(count)]
+    return math.fsum(masses[:top]) / math.fsum(masses)
+
+
 def test_zipf_top_fraction_mass_matches_sampling():
     zipf = ZipfRanks(1000, 1.1)
-    analytic = zipf.top_fraction_mass(0.01)  # hottest 10 of 1000 ranks
+    analytic = head_mass(1000, 1.1, 10)  # hottest 10 of 1000 ranks
     assert analytic > 0.3  # zipf(1.1) concentrates hard on the head
     rng = random.Random(1234)
     draws = 20_000
@@ -103,11 +111,18 @@ def test_zipf_top_fraction_mass_matches_sampling():
 
 def test_zipf_mass_is_monotone_in_fraction():
     zipf = ZipfRanks(512, 1.1)
-    masses = [zipf.top_fraction_mass(f) for f in (0.01, 0.1, 0.25, 1.0)]
-    assert masses == sorted(masses)
-    assert masses[-1] == pytest.approx(1.0)
+    rng = random.Random(99)
+    draws = [zipf.sample(rng) for _ in range(20_000)]
+    assert all(0 <= rank < 512 for rank in draws)
+    tops = [math.ceil(512 * fraction) for fraction in (0.01, 0.1, 0.25, 1.0)]
+    sampled = [sum(1 for rank in draws if rank < top) / len(draws) for top in tops]
+    analytic = [head_mass(512, 1.1, top) for top in tops]
+    assert analytic == sorted(analytic)
+    assert sampled == sorted(sampled)
+    assert sampled[-1] == analytic[-1] == pytest.approx(1.0)
+    assert sampled == pytest.approx(analytic, abs=0.02)
     with pytest.raises(ConfigurationError):
-        zipf.top_fraction_mass(0.0)
+        ZipfRanks(512, 0.0)
 
 
 # --------------------------------------------------------------------- #
@@ -163,9 +178,10 @@ def test_tenant_keys_disjoint_vs_shared():
 def test_config_json_round_trip(tmp_path):
     config = preset("failover")
     path = tmp_path / "scenario.json"
-    path.write_text(config.to_json())
+    text = json.dumps(config.to_dict(), indent=2, sort_keys=True)
+    path.write_text(text)
     assert ScenarioConfig.from_json(path) == config
-    assert ScenarioConfig.from_json(config.to_json()) == config
+    assert ScenarioConfig.from_json(text) == config
 
 
 def test_config_rejects_bad_values():
