@@ -4,7 +4,7 @@ A :class:`Request` carries the items of one client call: a *list* request
 holds up to ``max_batch`` edges (or nodes) and resolves to the store's own
 batch return value; a *single* request is the one-item case, flagged so its
 future resolves to a bare ``bool`` / ``list``.  Two pieces turn the queue
-into store calls, both order-preserving:
+into store calls:
 
 * :func:`gather_window` pulls one *window* of requests off the queue --
   blocking until a first request arrives (or the queue closes, or its
@@ -15,17 +15,26 @@ into store calls, both order-preserving:
   a lone synchronous client never pays an artificial delay, while
   concurrent clients still coalesce naturally (requests that arrive while a
   batch is executing pile up for the next window).
-* :func:`split_runs` cuts a window into runs.  A list request is a run of
-  its own; consecutive single requests of one kind form a maximal run.
+* :func:`split_runs` cuts a window into runs.  A list request and an
+  analytics request are *barriers*: each is a run of its own, at its place
+  in the window.  The single requests between two barriers are placed in
+  *conflict layers* by source (``payload[0]`` of an insert, delete or has;
+  the ``payload`` of a successors request): a request goes to the lowest
+  layer that is at or above every earlier request of its kind on its
+  source, and above every earlier request of another kind on its source
+  when either of the two writes (``has`` and ``successors`` never
+  conflict).  Runs come out layer by layer, one per kind per layer, kinds
+  in first-seen order, each run's requests in submission order.  Requests
+  on different sources commute, so a deterministic schedule of the window
+  in this order -- as Calvin (Thomson et al., SIGMOD 2012) orders a batch
+  by its read and write sets -- gives every request the result a
+  sequential replay in submission order would; the one thing that may
+  differ is the order of a successor list, which is the store's own.
   Each run becomes one store batch call (``insert_edges`` /
   ``delete_edges`` / ``has_edges`` / ``successors_many``; a run of several
   single mutations adds a ``has_edges`` pre-probe, see
-  :mod:`repro.service.service`), and because runs never reorder requests,
-  the dispatch is a faithful serialization of the submission order -- an
-  insert followed by a delete of the same edge always lands in that order,
-  which is what lets a single-threaded client (and the differential
-  fuzzer) reason about results against a sequential oracle.  No run holds
-  more than ``max_batch`` items, so no store call does either.
+  :mod:`repro.service.service`).  No run holds more than ``max_batch``
+  items, so no store call does either.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from concurrent.futures import Future
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .queue import BoundedRequestQueue
 
@@ -96,17 +105,39 @@ def gather_window(
     return window
 
 
+#: For each single-request kind, the kinds it conflicts with on one source:
+#: every pair in which at least one of the two writes.
+CONFLICTS = {
+    "insert": ("delete", "has", "successors"),
+    "delete": ("insert", "has", "successors"),
+    "has": ("insert", "delete"),
+    "successors": ("insert", "delete"),
+}
+
+
 def split_runs(window: List[Request]) -> Iterator[Tuple[str, List[Request]]]:
-    """Yield ``(kind, requests)`` runs in order: each list request alone,
-    consecutive same-kind single requests together."""
-    run: List[Request] = []
+    """Yield ``(kind, requests)`` runs: each barrier alone, in place, and the
+    single requests between barriers one run per kind per conflict layer."""
+    layers: List[Dict[str, List[Request]]] = []
+    marks: Dict[object, Dict[str, int]] = {}  # source -> kind -> top layer
     for request in window:
-        if run and (request.kind != run[0].kind or not request.single):
-            yield run[0].kind, run
-            run = []
-        if request.single:
-            run.append(request)
-        else:
-            yield request.kind, [request]
-    if run:
-        yield run[0].kind, run
+        kind = request.kind
+        if not request.single or kind == "analytics":
+            for layer in layers:
+                yield from layer.items()
+            layers, marks = [], {}
+            yield kind, [request]
+            continue
+        payload = request.payload
+        seen = marks.setdefault(payload if kind == "successors" else payload[0], {})
+        level = seen.get(kind, 0)
+        for other in CONFLICTS[kind]:
+            top = seen.get(other)
+            if top is not None and top >= level:
+                level = top + 1
+        seen[kind] = level
+        if level == len(layers):
+            layers.append({})
+        layers[level].setdefault(kind, []).append(request)
+    for layer in layers:
+        yield from layer.items()

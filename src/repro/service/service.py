@@ -19,16 +19,22 @@ Design points:
   locking.  The one thing the
   dispatcher does not sit through is a group commit's ``fsync``: the store's
   helper threads do, and all they do besides is wake the dispatcher.
-* **Order-preserving batching.**  A dispatch window is split into runs (see
-  :mod:`repro.service.batcher`): a list request is a run of its own,
-  consecutive single requests of one kind coalesce into one.  Each run is
-  one store batch call of at most ``max_batch`` items, so the executed
-  schedule is exactly the submission order.  A list mutation resolves to
-  the store's own count, and a lone single mutation to that count as a
-  ``bool`` -- one store call.  Only a run of *several* single mutations
-  needs per-request results the store does not return; those are recovered
-  from a batched pre-probe (``has_edges``) plus in-window bookkeeping --
-  two batch calls for the run, still zero per-operation store calls.
+* **Conflict-layer batching.**  A dispatch window is split into runs (see
+  :mod:`repro.service.batcher`): a list or analytics request is a barrier,
+  a run of its own in place; the single requests between two barriers go
+  to conflict layers by source -- a request lands at or above every
+  earlier request of its kind on its source and above every earlier one
+  of another kind there when either writes (``has`` and ``successors``
+  never conflict) -- and each layer makes one run per kind.  Requests on
+  different sources commute, so every result equals a sequential replay
+  in submission order; a successor list's order is the store's own.  Each
+  run is one store batch call of at most ``max_batch`` items.  A list
+  mutation resolves to the store's own count, and a lone single mutation
+  to that count as a ``bool`` -- one store call.  Only a run of *several*
+  single mutations needs per-request results the store does not return;
+  those are recovered from a batched pre-probe (``has_edges``) plus
+  in-run bookkeeping -- two batch calls for the run, still zero
+  per-operation store calls.
   A weighted store reads each distinct edge's weight instead (one
   ``edge_weight`` per edge) and steps it through the run, so every request
   resolves to what the store's own per-call result would be.
@@ -533,8 +539,9 @@ class GraphService:
         if kind == "analytics":
             self._dispatch_analytics(live)
             return
-        # A run is one list request or several single requests of one kind
-        # (see split_runs); either way its items reach the store as a batch.
+        # A run is one list request or the single requests of one kind in
+        # one conflict layer (see split_runs); either way its items reach
+        # the store as a batch.
         single = live[0].single
         items = [r.payload for r in live] if single else live[0].payload
         mutation = kind in ("insert", "delete")

@@ -5,11 +5,12 @@
 sharded or tiered store, optional durability and replicas), warm it up,
 then replay the seeded schedule open-loop -- one driver thread per tenant,
 each submitting at its scheduled arrival times regardless of completion
-(lateness is recorded, not absorbed), with the failure timeline running on
-its own injector thread.  The result is an SLO report: per-class latency
-percentiles, throughput against the target, error/backpressure/lateness
-rates, replication lag, tier hit rates over the measured window, and the
-failure log -- written as ``BENCH_traffic_<name>.json`` via
+and timing every request from that due time, so a late wake-up counts in
+the latency (lateness is also recorded on its own, never absorbed), with
+the failure timeline running on its own injector thread.  The result is an
+SLO report: per-class latency percentiles, throughput against the target,
+error/backpressure/lateness rates, replication lag, tier hit rates over
+the measured window, and the failure log -- written as ``BENCH_traffic_<name>.json`` via
 :func:`repro.bench.write_bench_json` when asked.
 """
 
@@ -135,12 +136,15 @@ def _tenant_worker(service: GraphService, config: ScenarioConfig,
                    recorder: _ClassRecorder, start_monotonic: float,
                    futures: List, futures_lock: threading.Lock) -> None:
     for event in events:
-        delay = start_monotonic + event.at_s - time.monotonic()
+        # Latency runs from when the request was due, not from when this
+        # thread got round to sending it: a late wake-up is the service's
+        # delay as the tenant sees it (no coordinated omission).
+        due = start_monotonic + event.at_s
+        delay = due - time.monotonic()
         if delay > 0:
             time.sleep(delay)
         else:
             recorder.record_behind()
-        submitted_at = time.monotonic()
         try:
             future = _submit(service, config, event, keys)
         except Exception:
@@ -150,7 +154,7 @@ def _tenant_worker(service: GraphService, config: ScenarioConfig,
             continue
         recorder.record_submit(event.kind)
 
-        def on_done(f, kind=event.kind, t0=submitted_at):
+        def on_done(f, kind=event.kind, t0=due):
             recorder.record_done(kind, time.monotonic() - t0, f.exception())
 
         future.add_done_callback(on_done)

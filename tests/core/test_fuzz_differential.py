@@ -68,6 +68,28 @@ def generate_ops(seed: int, length: int = STREAM_LENGTH):
     return ops
 
 
+#: Sources of a skewed stream: this many hot ones take most operations,
+#: over this many targets, so one window holds dense same-source conflicts.
+HOT_SOURCES = 4
+HOT_SHARE = 0.85
+SKEWED_TARGETS = 12
+
+
+def generate_skewed_ops(seed: int, length: int = STREAM_LENGTH):
+    """Seeded op stream shaped like :func:`generate_ops`, except that a
+    ``HOT_SHARE`` of the operations fall on ``HOT_SOURCES`` sources and every
+    target is one of ``SKEWED_TARGETS`` nodes."""
+    rng = random.Random(seed * 7 + 3)
+    hot = rng.sample(range(NODE_RANGE), HOT_SOURCES)
+    ops = []
+    for _ in range(length):
+        action = rng.choice(OP_MIX)
+        u = rng.choice(hot) if rng.random() < HOT_SHARE else rng.randrange(NODE_RANGE)
+        ops.append((action, u, None if action == "successors"
+                    else rng.randrange(SKEWED_TARGETS)))
+    return ops
+
+
 class Oracle:
     """Trivially correct model: dict of multisets (weighted) or sets.
 
@@ -219,22 +241,51 @@ def test_fuzz_graph_service(num_shards, weighted, fuzz_seed):
 
     The stream is submitted before the dispatcher starts, so the whole run
     flows through coalesced windows (maximum batching pressure), and the
-    service's order-preserving run splitting is what keeps the sequential
-    oracle valid -- whether a window's runs land on one shard or spread.
-    On weighted shards the oracle is a standalone ``WeightedCuckooGraph``
-    fed the same ops one call at a time: a duplicate insert bumps a weight,
-    and only the delete that takes it to zero resolves ``True``.
+    service's conflict-layer run splitting must keep every result equal to
+    the sequential oracle's -- whether a window's runs land on one shard or
+    spread.  On weighted shards the oracle is a standalone
+    ``WeightedCuckooGraph`` fed the same ops one call at a time: a
+    duplicate insert bumps a weight, and only the delete that takes it to
+    zero resolves ``True``.
     """
     ops = generate_ops(fuzz_seed)
+    context = f"seed={fuzz_seed} shards={num_shards} weighted={weighted}"
     oracle = Oracle()
     reference = WeightedCuckooGraph() if weighted else None
-    context = f"seed={fuzz_seed} shards={num_shards} weighted={weighted}"
-    store = ShardedCuckooGraph(num_shards=num_shards, weighted=weighted)
+    expected = ([apply_to_store(reference, op) for op in ops] if weighted
+                else [oracle.apply(op) for op in ops])
+    with ShardedCuckooGraph(num_shards=num_shards, weighted=weighted) as store:
+        replay_through_service(store, ops, expected, context)
+        if weighted:
+            assert sorted(store.weighted_edges()) == \
+                sorted(reference.weighted_edges()), context
+        else:
+            assert_final_state(store, oracle, context)
+
+
+def test_fuzz_graph_service_tiered_skewed(fuzz_seed):
+    """The service lane over a ``TieredStore`` with one hot shard of four,
+    fed a skewed-source stream (most operations on a handful of sources,
+    like zipf keys): one dispatch window then holds dense same-source
+    conflicts for the conflict layers to order, and the mutating touches
+    migrate shards between tiers inside a window."""
+    ops = generate_skewed_ops(fuzz_seed)
+    context = f"seed={fuzz_seed} tiered skewed"
+    oracle = Oracle()
+    expected = [oracle.apply(op) for op in ops]
+    with TieredStore(num_shards=4, hot_shards=1) as store:
+        replay_through_service(store, ops, expected, context)
+        assert_final_state(store, oracle, context)
+        assert store.promotions > 0, f"{context}: no shard ever migrated"
+
+
+def replay_through_service(store, ops, expected, context) -> None:
+    """Submit ``ops`` as single requests before the dispatcher starts, then
+    check every future against ``expected`` (successor lists as sets)."""
     service = GraphService(store, max_batch=64,
                            queue_capacity=len(ops), policy="block")
     futures = []
-    for op in ops:
-        action, u, v = op
+    for action, u, v in ops:
         if action == "insert":
             futures.append(service.insert_edge(u, v))
         elif action == "delete":
@@ -243,12 +294,6 @@ def test_fuzz_graph_service(num_shards, weighted, fuzz_seed):
             futures.append(service.has_edge(u, v))
         else:
             futures.append(service.successors(u))
-        # the oracle replays the identical stream in submission order
-    if weighted:
-        expected = [apply_to_store(reference, op) for op in ops]
-    else:
-        expected = [oracle.apply(op) for op in ops]
-
     service.start()
     try:
         for index, (op, future, want) in enumerate(zip(ops, futures, expected)):
@@ -259,17 +304,13 @@ def test_fuzz_graph_service(num_shards, weighted, fuzz_seed):
                 f"{context} op#{index}={op}: future resolved to {got!r}, "
                 f"oracle says {want!r}"
             )
-        if weighted:
-            assert sorted(store.weighted_edges()) == sorted(reference.weighted_edges()), \
-                context
-        else:
-            assert_final_state(store, oracle, context)
-        summary = service.metrics_summary()
-        assert summary["resolved"] == len(ops), context
-        assert summary["failed"] == 0, context
     finally:
         service.close()
-        store.close()
+    # Read once the dispatcher is joined: it counts a run as resolved just
+    # after setting the run's futures.
+    summary = service.metrics_summary()
+    assert summary["resolved"] == len(ops), context
+    assert summary["failed"] == 0, context
 
 
 @pytest.mark.parametrize("max_batch", [1, 8, 64])
@@ -346,14 +387,16 @@ def fuzz_client_batches(client, store, max_batch, fuzz_seed, durable):
         for future, want, op in unawaited:
             assert future.result(timeout=30) == want, f"{context} un-awaited {op}"
         assert_final_state(store, oracle, context)
-        summary = client.service.metrics_summary()
-        assert summary["failed"] == summary["cancelled"] == 0, context
-        assert summary["resolved"] == summary["submitted_total"], context
-        assert summary["items_resolved"] == summary["items_submitted"], context
         if durable:
             follower = client.service.replication.followers[0]
             client.has_edge(0, 0)  # a read barrier: the replica catches up
             assert sorted(follower.store.edges()) == oracle.edges(), context
+    # Read once the dispatcher is joined: it counts a run as resolved just
+    # after setting the run's futures.
+    summary = client.service.metrics_summary()
+    assert summary["failed"] == summary["cancelled"] == 0, context
+    assert summary["resolved"] == summary["submitted_total"], context
+    assert summary["items_resolved"] == summary["items_submitted"], context
 
 
 # --------------------------------------------------------------------- #

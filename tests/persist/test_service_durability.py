@@ -387,9 +387,14 @@ class TestSyncFailureFailStop:
         failed = submit_run(service, first, as_list)
         # Reads a source the first run wrote: acknowledges (here: fails) it first.
         read = service.successors(first[0][0])
-        queued = submit_run(service, second, as_list)
-        queued += ([service.delete_edges(third)] if as_list
-                   else [service.delete_edge(*third[0])])
+        if as_list:
+            queued = [service.insert_edges(second), service.delete_edges(third)]
+        else:
+            # A single write on another source would share the first run's
+            # conflict layer, and so its commit; writes on the read's source
+            # are placed after the read.
+            second, third = [(first[0][0], 8)], [(first[0][0], 9)]
+            queued = [service.delete_edge(*second[0]), service.insert_edge(*third[0])]
         service.start()
         with pytest.raises(OSError, match="synthetic fsync failure"):
             failed[0].result(timeout=30)

@@ -11,6 +11,8 @@ deterministic.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro import CuckooGraph, ShardedCuckooGraph, WeightedCuckooGraph
@@ -83,6 +85,28 @@ class SpyStore(DynamicGraphStore):
 
 def calls_of(spy: SpyStore, method: str) -> list[int]:
     return [size for name, size in spy.batch_calls if name == method]
+
+
+def run_shape(window):
+    """``split_runs(window)`` as ``(kind, [payload, ...])`` pairs."""
+    return [(kind, [r.payload for r in run]) for kind, run in split_runs(window)]
+
+
+def replay(graph: dict, request: Request):
+    """Apply one single request to a dict-of-sets graph; return its result."""
+    if request.kind == "successors":
+        return sorted(graph.get(request.payload, ()))
+    u, v = request.payload
+    targets = graph.setdefault(u, set())
+    if request.kind == "insert":
+        fresh = v not in targets
+        targets.add(v)
+        return fresh
+    if request.kind == "delete":
+        present = v in targets
+        targets.discard(v)
+        return present
+    return v in targets
 
 
 class TestCoalescing:
@@ -183,10 +207,13 @@ class TestOrderingSemantics:
         assert list(store.edges()) == []
 
     def test_split_runs_preserves_order_and_maximality(self):
-        window = [Request(kind, None) for kind in
-                  ("insert", "insert", "has", "has", "has", "insert", "delete")]
-        runs = [(kind, len(run)) for kind, run in split_runs(window)]
-        assert runs == [("insert", 2), ("has", 3), ("insert", 1), ("delete", 1)]
+        window = [Request(kind, edge) for kind, edge in (
+            ("insert", (1, 2)), ("insert", (2, 3)), ("has", (1, 2)),
+            ("has", (3, 4)), ("has", (2, 5)), ("insert", (1, 6)),
+            ("delete", (2, 3)))]
+        assert run_shape(window) == [
+            ("insert", [(1, 2), (2, 3)]), ("has", [(3, 4)]),
+            ("has", [(1, 2), (2, 5)]), ("insert", [(1, 6)]), ("delete", [(2, 3)])]
 
     def test_split_runs_keeps_every_list_request_alone(self):
         window = [Request("insert", (1, 2)),
@@ -205,6 +232,115 @@ class TestOrderingSemantics:
             assert service.has_edge(5, 5).result(10) is True
             assert service.successors(5).result(10) == [5]
             assert service.delete_edge(5, 5).result(10) is True
+
+
+class TestConflictLayers:
+    """The single requests between two barriers run one store call per kind
+    per conflict layer, and every result still equals a sequential replay."""
+
+    def test_distinct_sources_make_one_run_per_kind(self):
+        window = [Request("insert", (0, 1)), Request("has", (1, 2)),
+                  Request("successors", 2), Request("delete", (3, 4)),
+                  Request("insert", (4, 5)), Request("has", (5, 6)),
+                  Request("successors", 6), Request("delete", (7, 8))]
+        assert run_shape(window) == [
+            ("insert", [(0, 1), (4, 5)]), ("has", [(1, 2), (5, 6)]),
+            ("successors", [2, 6]), ("delete", [(3, 4), (7, 8)])]
+
+        spy = SpyStore(ShardedCuckooGraph(num_shards=2))
+        spy.insert_edges([(7, 8)])
+        service = GraphService(spy, max_batch=16, own_store=False)
+        futures = [service.submit(r.kind, r.payload) for r in window]
+        with service:
+            assert [f.result(10) for f in futures] == [
+                True, False, [], False, True, False, [], True]
+        assert spy.batch_calls[1:] == [
+            ("has_edges", 2), ("insert_edges", 2), ("has_edges", 2),
+            ("successors_many", 2), ("has_edges", 2), ("delete_edges", 2)]
+
+    def test_one_edge_keeps_its_order_among_other_sources(self):
+        window = [Request("insert", (1, 2)), Request("has", (3, 4)),
+                  Request("has", (1, 2)), Request("insert", (3, 4)),
+                  Request("delete", (1, 2)), Request("successors", 3),
+                  Request("insert", (5, 6)), Request("has", (1, 2))]
+        assert run_shape(window) == [
+            ("insert", [(1, 2), (5, 6)]), ("has", [(3, 4)]),
+            ("has", [(1, 2)]), ("insert", [(3, 4)]),
+            ("delete", [(1, 2)]), ("successors", [3]),
+            ("has", [(1, 2)])]
+
+        service = GraphService(ShardedCuckooGraph(num_shards=2), max_batch=16)
+        futures = [service.submit(r.kind, r.payload) for r in window]
+        with service:
+            assert [f.result(10) for f in futures] == [
+                True, False, True, True, True, [4], True, False]
+        assert sorted(service.store.edges()) == [(3, 4), (5, 6)]
+
+    def test_has_and_successors_on_one_source_share_a_layer(self):
+        window = [Request("insert", (1, 2)), Request("has", (1, 2)),
+                  Request("successors", 1), Request("has", (1, 3)),
+                  Request("successors", 1)]
+        assert run_shape(window) == [
+            ("insert", [(1, 2)]), ("has", [(1, 2), (1, 3)]),
+            ("successors", [1, 1])]
+
+    def test_list_and_analytics_requests_stay_in_place_as_barriers(self):
+        bfs_job = ("bfs", (1,), {})
+        window = [Request("insert", (1, 2)), Request("analytics", bfs_job),
+                  Request("insert", (2, 3)), Request("has", (5, 6)),
+                  Request("has", [(2, 3)], single=False),
+                  Request("insert", (5, 6)), Request("analytics", bfs_job),
+                  Request("analytics", bfs_job), Request("has", (2, 3))]
+        assert run_shape(window) == [
+            ("insert", [(1, 2)]), ("analytics", [bfs_job]),
+            ("insert", [(2, 3)]), ("has", [(5, 6)]), ("has", [[(2, 3)]]),
+            ("insert", [(5, 6)]), ("analytics", [bfs_job]),
+            ("analytics", [bfs_job]), ("has", [(2, 3)])]
+
+        reference = ShardedCuckooGraph(num_shards=2)
+        reference.insert_edge(1, 2)
+        before = bfs(reference, 1)
+        reference.insert_edge(2, 3)
+        after = bfs(reference, 1)
+        service = GraphService(ShardedCuckooGraph(num_shards=2), max_batch=16)
+        futures = [service.insert_edge(1, 2), service.analytics("bfs", 1),
+                   service.insert_edge(2, 3), service.has_edges([(2, 3)]),
+                   service.analytics("bfs", 1)]
+        with service:
+            assert [f.result(10) for f in futures] == [
+                True, before, True, [True], after]
+        assert before != after
+
+    def test_runs_in_yielded_order_replay_the_window_sequentially(self, fuzz_seed):
+        """Random windows of up to 64 single requests over at most 6
+        sources: running the runs in their yielded order gives every
+        request the result a sequential replay in submission order does."""
+        rng = random.Random(fuzz_seed)
+        kinds = ("insert", "delete", "has", "successors")
+        layered: dict = {}
+        sequential: dict = {}
+        for trial in range(300):
+            sources = rng.randint(1, 6)
+            window = []
+            for _ in range(rng.randint(1, 64)):
+                kind = rng.choice(kinds)
+                u = rng.randrange(sources)
+                window.append(Request(kind, u if kind == "successors"
+                                      else (u, rng.randrange(4))))
+            runs = list(split_runs(window))
+            assert sorted(id(r) for _, run in runs for r in run) == \
+                sorted(id(r) for r in window)
+            got = {}
+            for kind, run in runs:
+                assert run and all(r.kind == kind for r in run)
+                for request in run:
+                    got[id(request)] = replay(layered, request)
+            for index, request in enumerate(window):
+                want = replay(sequential, request)
+                assert got[id(request)] == want, (
+                    f"seed={fuzz_seed} trial={trial} request#{index} "
+                    f"{request.kind} {request.payload!r}")
+            assert layered == sequential
 
 
 class TestListRequests:
@@ -277,11 +413,14 @@ class TestListRequests:
         with service:
             assert [f.result(10) for f in futures] == [
                 2, True, False, False, True, False, 1]
+        # Between the two list requests the three queries share conflict
+        # layer 0, the insert of (1, 2) follows the query on source 1, and
+        # the delete of (1, 3) follows both: one has_edges call of three.
         assert calls_of(spy, "insert_edges") == [3, 1]
         assert calls_of(spy, "delete_edges") == [1, 2]
-        assert calls_of(spy, "has_edges") == [1, 1, 1]  # the three queries only
+        assert calls_of(spy, "has_edges") == [3]  # the three queries only
         assert spy.single_calls == []
-        assert service.metrics_summary()["store_batch_calls"] == 7
+        assert service.metrics_summary()["store_batch_calls"] == 5
 
     def test_run_of_several_single_mutations_still_makes_two(self):
         spy = SpyStore(ShardedCuckooGraph(num_shards=2))

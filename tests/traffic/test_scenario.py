@@ -1,11 +1,14 @@
 """End-to-end scenario runs: SLO report schema, tier window, failure log."""
 
 import os
+import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.traffic import FailureSpec, ScenarioConfig, inject, run_scenario
+from repro.traffic import driver
 from repro.traffic.driver import REPORT_KEYS, build_service, validate_slo_report
 
 #: Small bounded scenario: sub-second, a few hundred ops, no failures.
@@ -50,6 +53,28 @@ def test_validate_rejects_mutilated_reports(tiny_report):
     empty["totals"] = dict(tiny_report["totals"], completed=0)
     with pytest.raises(ValueError):
         validate_slo_report(empty)
+
+
+def test_latency_is_timed_from_the_due_time(monkeypatch):
+    """A tenant thread that wakes late must not hide its lateness: one
+    scripted oversleep of ``oversleep_s`` shows in the reported max latency
+    (and in ``behind_schedule``), not only in the send lag."""
+    oversleep_s = 0.25
+    overslept = threading.Event()
+
+    def late_sleep(seconds):
+        if not overslept.is_set():
+            overslept.set()
+            seconds += oversleep_s
+        time.sleep(seconds)
+
+    monkeypatch.setattr(driver, "time", SimpleNamespace(
+        monotonic=time.monotonic, sleep=late_sleep))
+    report = validate_slo_report(run_scenario(TINY))
+    assert overslept.is_set()
+    assert report["totals"]["behind_schedule"] > 0
+    assert max(entry["latency"]["max_s"]
+               for entry in report["classes"].values()) >= oversleep_s
 
 
 def test_tiered_scenario_reports_tier_window():
