@@ -6,9 +6,9 @@ Each benchmark
 
 * drives the same scaled synthetic datasets through the scheme(s) the figure
   compares,
-* prints the figure's rows/series and appends them to
-  ``benchmarks/results/<figure>.txt`` so a full run leaves a reviewable
-  record, and
+* prints the figure's rows/series and writes them to
+  ``benchmarks/results/<figure>.txt`` -- or, where that file is committed,
+  checks its count columns against this run's (:data:`FIGURE_COUNTS`), and
 * registers one representative operation with ``pytest-benchmark`` so the
   usual ``--benchmark-only`` machinery reports wall-clock numbers.
 
@@ -20,8 +20,9 @@ modelled memory accesses and memory bytes, as explained in README,
 
 from __future__ import annotations
 
+import json
 import pathlib
-from typing import Callable
+from typing import Callable, Optional
 
 import pytest
 
@@ -40,10 +41,79 @@ from repro.datasets import DATASET_ORDER, EdgeStream
 BENCH_DIR = pathlib.Path(__file__).parent
 
 #: Whether this run may overwrite existing result files (``--bench-update``).
-#: Without the flag a result file is only written when it does not exist yet:
-#: the timing columns change on every run, and unconditional rewrites used to
-#: churn hundreds of pure-noise diff lines under ``benchmarks/results/``.
+#: Without the flag a result file is only written when it does not exist yet,
+#: and an existing one is compared on its count columns instead: the timing
+#: columns change on every run, the counts must not.
 _BENCH_UPDATE = False
+
+#: The count columns of every committed report under ``benchmarks/results``,
+#: compared row by row against a rerun that does not pass ``--bench-update``.
+#: ``key`` names a row (and must match too), ``counts`` are the columns of a
+#: row that must be reproduced exactly, and ``fields`` are the top-level
+#: entries of a ``BENCH_*.json`` payload.  Timing columns -- Mops, seconds,
+#: milliseconds and the speedups made of them -- are not listed.  ``None``
+#: marks a report whose counts are not compared, for the reason given.
+FIGURE_COUNTS: dict[str, Optional[dict[str, tuple[str, ...]]]] = {
+    "ablation_design_choices": {
+        "key": ("variant",),
+        "counts": ("insert_accesses_per_op", "query_accesses_per_op",
+                   "memory_bytes", "denylist_entries"),
+    },
+    "fig02_param_d": {"key": ("d",), "counts": ("memory_bytes",)},
+    "fig03_param_g": {"key": ("G",), "counts": ("memory_bytes",)},
+    "fig04_param_t": {"key": ("T",), "counts": ("memory_bytes",)},
+    "fig05_denylist_ablation": {"key": ("variant",), "counts": ("memory_bytes",)},
+    **{
+        figure: {"key": ("dataset", "scheme"),
+                 "counts": ("operations", "accesses_per_op", "modelled_mops")}
+        for figure in ("fig06_insertion", "fig07_query", "fig08_deletion")
+    },
+    **{
+        f"BENCH_{figure}": {"fields": ("figure", "operation"),
+                            "key": ("dataset", "scheme"),
+                            "counts": ("operations", "accesses_per_op", "modelled_mops")}
+        for figure in ("fig06", "fig07", "fig08")
+    },
+    "fig06g_incremental_analytics": {"key": ("mutations",), "counts": ()},
+    "BENCH_fig06g": {
+        "fields": ("figure", "dataset", "nodes", "base_edges", "iterations",
+                   "rounds_per_point", "top_k", "required_speedup",
+                   "analytics_stats"),
+        "key": ("mutations",),
+        "counts": (),
+    },
+    # Open loop: requests served, replica reads and lag follow the host's
+    # timing, and two runs of one commit differ in them.
+    "BENCH_fig06h": None,
+    "fig09_memory": {"key": ("dataset", "scheme"), "counts": ("inserted", "memory_bytes")},
+    **{
+        figure: {"key": ("dataset", "scheme", "task"),
+                 "counts": ("batch_calls", "accesses", "detail")}
+        for figure in ("fig10_bfs", "fig11_sssp", "fig12_triangle", "fig13_cc",
+                       "fig14_pagerank", "fig15_bc", "fig16_lcc")
+    },
+    "fig17_redis": {"key": ("dataset",), "counts": ()},
+    "fig18_neo4j": {"key": ("configuration",), "counts": ("pairs_found",)},
+    "table2_transformation": {"key": ("step",), "counts": ("table_lengths",)},
+    "table3_complexity": {
+        "key": ("scheme",),
+        "counts": ("accesses_per_query_deg32", "accesses_per_query_deg2048",
+                   "growth_factor"),
+    },
+    "table4_datasets": {
+        "key": ("dataset",),
+        "counts": ("weighted", "paper_nodes", "paper_edges", "scaled_nodes",
+                   "scaled_edges", "scaled_dedup", "scaled_avg_deg", "scaled_max_deg"),
+    },
+    "theorem_insert_cost": {
+        "key": ("dataset",),
+        "counts": ("edges", "placement_attempts_per_edge", "kicks_per_edge",
+                   "expansions", "insert_failures"),
+    },
+}
+
+#: Reports compared against their committed files in this session.
+_COMPARED: list[str] = []
 
 
 def pytest_addoption(parser):
@@ -52,14 +122,24 @@ def pytest_addoption(parser):
         action="store_true",
         default=False,
         help="rewrite benchmarks/results/ tables and BENCH_*.json files "
-             "(without this flag, existing timing-bearing files are left "
-             "untouched so result diffs reflect real changes)",
+             "(without this flag, existing files are not rewritten: their "
+             "count columns are compared with this run's)",
     )
 
 
 def pytest_configure(config):
     global _BENCH_UPDATE
     _BENCH_UPDATE = config.getoption("--bench-update", default=False)
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Say which committed reports this run checked, and which it skipped."""
+    if _COMPARED:
+        skipped = ", ".join(name for name, spec in FIGURE_COUNTS.items() if spec is None)
+        terminalreporter.write_line(
+            f"figure counts: {len(_COMPARED)} reports equal the committed files "
+            f"on every count column; not compared: {skipped}"
+        )
 
 
 def pytest_collection_modifyitems(items):
@@ -89,18 +169,21 @@ def bench_stream(name: str, limit: int = BENCH_STREAM_LIMIT) -> EdgeStream:
 
 
 def write_report(figure: str, text: str) -> None:
-    """Print a figure's rows; persist them only when allowed to.
+    """Print a figure's rows; record them or check them against the record.
 
-    The rows always print (a benchmark run is reviewable from its output);
-    the ``benchmarks/results/<figure>.txt`` file is written when it does not
-    exist yet or the run passed ``--bench-update``, so committed tables stop
-    churning on every rerun's timing noise.
+    The rows always print (a benchmark run is reviewable from its output).
+    ``benchmarks/results/<figure>.txt`` is written when it does not exist
+    yet or the run passed ``--bench-update``; otherwise the committed file's
+    count columns (:data:`FIGURE_COUNTS`) must equal this run's, row by row.
     """
     print(f"\n{text}\n")
     path = RESULTS_DIR / f"{figure}.txt"
     if _BENCH_UPDATE or not path.exists():
         RESULTS_DIR.mkdir(exist_ok=True)
         path.write_text(text + "\n")
+        return
+    check_counts(figure, {"rows": table_rows(text)},
+                 {"rows": table_rows(path.read_text())})
 
 
 def write_bench_payload(figure: str, payload: dict) -> None:
@@ -108,10 +191,49 @@ def write_bench_payload(figure: str, payload: dict) -> None:
 
     Writes ``benchmarks/results/BENCH_<figure>.json`` via
     :func:`repro.bench.write_bench_json` when the file is missing or the run
-    passed ``--bench-update``.
+    passed ``--bench-update``; otherwise compares the payload's declared
+    fields and row counts with the committed file's.
     """
-    if _BENCH_UPDATE or not (RESULTS_DIR / f"BENCH_{figure}.json").exists():
+    path = RESULTS_DIR / f"BENCH_{figure}.json"
+    if _BENCH_UPDATE or not path.exists():
         write_bench_json(figure, payload, RESULTS_DIR)
+        return
+    check_counts(path.stem, json.loads(json.dumps(payload)), json.loads(path.read_text()))
+
+
+def table_rows(text: str) -> list[dict[str, str]]:
+    """The rows of a :func:`repro.bench.format_table` table, cells stripped."""
+    lines = text.strip("\n").splitlines()
+    rule = next(at for at, line in enumerate(lines) if line and set(line) <= set("-+"))
+    header = [cell.strip() for cell in lines[rule - 1].split(" | ")]
+    return [dict(zip(header, (cell.strip() for cell in line.split(" | "))))
+            for line in lines[rule + 1:]]
+
+
+def check_counts(report: str, fresh: dict, committed: dict) -> None:
+    """Fail, naming the report, row and column, where a count moved."""
+    spec = FIGURE_COUNTS[report]
+    if spec is None:
+        return
+    for field in spec.get("fields", ()):
+        assert fresh.get(field) == committed.get(field), (
+            f"{report}: field {field}: committed {committed.get(field)!r}, "
+            f"this run {fresh.get(field)!r} (re-record with --bench-update)"
+        )
+    rows, recorded = fresh["rows"], committed["rows"]
+    assert len(rows) == len(recorded), (
+        f"{report}: {len(rows)} rows, committed {len(recorded)} "
+        f"(re-record with --bench-update)"
+    )
+    for number, (row, old) in enumerate(zip(rows, recorded), 1):
+        label = ", ".join(str(old.get(column)) for column in spec["key"])
+        for column in spec["key"] + spec["counts"]:
+            assert row.get(column) == old.get(column), (
+                f"{report}: row {number} ({label}), column {column}: committed "
+                f"{old.get(column)!r}, this run {row.get(column)!r} "
+                f"(re-record with --bench-update)"
+            )
+    _COMPARED.append(report)
 
 
 @pytest.fixture(scope="session")

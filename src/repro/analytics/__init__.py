@@ -8,22 +8,19 @@ All kernels are *frontier-batched*: they drive the store through the shared
 :class:`~repro.analytics.engine.TraversalEngine`, which expands whole
 frontiers with one ``successors_many`` call and answers edge probes with one
 ``has_edges`` call, so batch-capable stores (notably the sharded front-end)
-see per-shard groups instead of single-node round-trips.  Outputs are
-byte-identical to the historical per-node implementations (see
-``tests/analytics/test_engine_parity.py``).
+see per-shard groups instead of single-node round-trips.
+
+Every kernel's output is a function of the edge set alone: kernels that need
+an order (PageRank, BFS, betweenness) take nodes and newly found neighbours
+in ascending order, and component lists come in canonical form.  So every
+store, replica and :class:`AnalyticsFollower` gives the same answer, compared
+with plain ``==`` (see ``tests/analytics/test_engine_parity.py``).
 """
 
 from .betweenness import betweenness_centrality
 from .bfs import bfs
-from .engine import TraversalEngine, ensure_engine
-from .incremental import (
-    AnalyticsFollower,
-    CachedTraversalEngine,
-    MaterializationCache,
-    canonical_components,
-    canonical_pagerank,
-    materialize_adjacency,
-)
+from .engine import TraversalEngine, ensure_engine, materialize_adjacency
+from .incremental import AnalyticsFollower, CachedTraversalEngine, MaterializationCache
 from .components import strongly_connected_components, weakly_connected_components
 from .lcc import all_local_clustering_coefficients, local_clustering_coefficient
 from .pagerank import pagerank
@@ -46,8 +43,6 @@ __all__ = [
     "betweenness_centrality",
     "bfs",
     "ensure_engine",
-    "canonical_components",
-    "canonical_pagerank",
     "materialize_adjacency",
     "count_triangles_of_node",
     "dijkstra",

@@ -17,9 +17,6 @@ from typing import Optional
 from ..interfaces import DynamicGraphStore
 from .engine import TraversalEngine, ensure_engine
 
-#: Adjacency fallback for sources the store has never seen.
-_NO_SUCCESSORS: list[int] = []
-
 
 def betweenness_centrality(
     store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
@@ -34,8 +31,11 @@ def betweenness_centrality(
         engine: Optional shared traversal engine (batch accounting).
     """
     engine = ensure_engine(store, engine)
-    nodes = list(store.nodes())
-    adjacency = engine.materialize(nodes)
+    # Sources in ascending order, each BFS over sorted successor lists: the
+    # float sums then depend on the edge set alone, not on the store.
+    nodes = sorted(store.nodes())
+    adjacency = {node: sorted(targets)
+                 for node, targets in engine.materialize(nodes).items()}
     centrality = {node: 0.0 for node in nodes}
 
     for source in nodes:
@@ -50,7 +50,7 @@ def betweenness_centrality(
         while queue:
             node = queue.popleft()
             order.append(node)
-            for neighbour in adjacency.get(node, _NO_SUCCESSORS):
+            for neighbour in adjacency[node]:
                 if neighbour not in distance:
                     # Neighbour outside the store's node universe; skip it.
                     continue

@@ -10,8 +10,10 @@ The traversal is *level-synchronous*: each BFS level is expanded with one
 batched ``successors_many`` call through the
 :class:`~repro.analytics.engine.TraversalEngine`, so a sharded store answers
 a whole frontier per round-trip.  Processing the frontier in discovery order
-and appending neighbours in successor-list order reproduces the classic
-FIFO-queue visitation order exactly.
+and appending each node's newly found neighbours in ascending order
+reproduces the classic FIFO-queue visitation order over sorted successor
+lists exactly, so the order depends on the edge set alone, not on the order
+a store keeps its successor lists in.
 """
 
 from __future__ import annotations
@@ -33,10 +35,13 @@ def bfs(store: DynamicGraphStore, source: int, *,
         adjacency = engine.expand(frontier)
         next_frontier: list[int] = []
         for node in frontier:
+            start = len(next_frontier)
             for neighbour in adjacency[node]:
                 if neighbour not in visited:
                     visited.add(neighbour)
-                    order.append(neighbour)
                     next_frontier.append(neighbour)
+            if len(next_frontier) - start > 1:
+                next_frontier[start:] = sorted(next_frontier[start:])
+        order += next_frontier
         frontier = next_frontier
     return order

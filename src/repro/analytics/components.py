@@ -6,29 +6,31 @@ number".  Two kernels are provided:
 
 * :func:`strongly_connected_components` -- an iterative Tarjan SCC over the
   directed subgraph (the algorithm the paper names);
-* :func:`weakly_connected_components` -- union-find over the undirected view,
-  handy for tests and for datasets where weak connectivity is the more
-  natural notion.
+* :func:`weakly_connected_components` -- the components of the undirected
+  view, built on the same union-find state (:class:`_ComponentState`) that
+  :class:`~repro.analytics.incremental.AnalyticsFollower` maintains from
+  the change feed.
 
-Both materialise the adjacency with **one** batched ``successors_many`` call
-through the :class:`~repro.analytics.engine.TraversalEngine` and run the
-graph algorithm on the resulting dictionaries, so the store-dependent phase
-is a single batch instead of a successor query per node visit (Tarjan's
-iterative form previously re-queried a node's successors at every resume).
+Both return the canonical form -- members sorted ascending, components
+sorted by their first (smallest) member -- so the answer is a function of
+the edge set alone, equal with plain ``==`` across stores and replicas.
+Both materialise the adjacency with **one** batched ``successors_many``
+call through the :class:`~repro.analytics.engine.TraversalEngine` and run
+the graph algorithm on the resulting dictionaries.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..interfaces import DynamicGraphStore
-from .engine import TraversalEngine, ensure_engine
+from .engine import TraversalEngine, adjacency_universe, ensure_engine, materialize_adjacency
 
 
 def strongly_connected_components(
     store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
 ) -> list[list[int]]:
-    """Tarjan's strongly connected components, implemented iteratively."""
+    """Tarjan's strongly connected components (iterative), canonical form."""
     engine = ensure_engine(store, engine)
     index_of: dict[int, int] = {}
     lowlink: dict[int, int] = {}
@@ -73,21 +75,51 @@ def strongly_connected_components(
                     component.append(member)
                     if member == node:
                         break
-                components.append(component)
+                components.append(sorted(component))
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+    return sorted(components)
 
 
 def weakly_connected_components(
     store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
 ) -> list[list[int]]:
-    """Connected components of the undirected view, via union-find."""
-    engine = ensure_engine(store, engine)
-    parent: dict[int, int] = {}
+    """Connected components of the undirected view, canonical form."""
+    adjacency = materialize_adjacency(store, engine=engine)
+    return _ComponentState(adjacency).components(adjacency_universe(adjacency))
 
-    def find(node: int) -> int:
+
+class _ComponentState:
+    """Weakly connected components: union on insert, bounded recompute on delete.
+
+    Inserts are pure union-find unions (near-O(1)).  A delete can split its
+    component, so the affected endpoints are *tainted* and :meth:`settle`
+    rebuilds exactly the tainted components' member sets from the current
+    adjacency -- every neighbour of a member is in the same (stale, hence
+    superset) component, so the rebuild never needs to look outside them.
+    """
+
+    def __init__(self, adjacency: Dict[int, List[int]]):
+        self._parent: Dict[int, int] = {}
+        self._members: Dict[int, Set[int]] = {}
+        self._tainted: Set[int] = set()
+        #: Member-set sizes re-unioned by settle() (the "bounded" in
+        #: bounded recompute); read by the follower's stats.
+        self.nodes_recomputed = 0
+        for source, targets in adjacency.items():
+            self._ensure(source)
+            for target in targets:
+                self._ensure(target)
+                self._union(source, target)
+
+    def _ensure(self, node: int) -> None:
+        if node not in self._parent:
+            self._parent[node] = node
+            self._members[node] = {node}
+
+    def _find(self, node: int) -> int:
+        parent = self._parent
         root = node
         while parent[root] != root:
             root = parent[root]
@@ -95,20 +127,55 @@ def weakly_connected_components(
             parent[node], node = root, parent[node]
         return root
 
-    def union(a: int, b: int) -> None:
-        root_a, root_b = find(a), find(b)
-        if root_a != root_b:
-            parent[root_b] = root_a
+    def _union(self, a: int, b: int) -> None:
+        root_a, root_b = self._find(a), self._find(b)
+        if root_a == root_b:
+            return
+        if len(self._members[root_a]) < len(self._members[root_b]):
+            root_a, root_b = root_b, root_a
+        self._parent[root_b] = root_a
+        self._members[root_a].update(self._members.pop(root_b))
 
-    all_nodes = list(store.nodes())
-    adjacency = engine.materialize(all_nodes)
-    for node in all_nodes:
-        parent.setdefault(node, node)
-    for u in all_nodes:
-        for v in adjacency[u]:
-            union(u, v)
+    @property
+    def tainted(self) -> bool:
+        return bool(self._tainted)
 
-    groups: dict[int, list[int]] = {}
-    for node in parent:
-        groups.setdefault(find(node), []).append(node)
-    return list(groups.values())
+    def apply(self, source: int, added: Set[int], removed: Set[int]) -> None:
+        self._ensure(source)
+        for target in added:
+            self._ensure(target)
+            self._union(source, target)
+        if removed:
+            self._tainted.add(source)
+            self._tainted.update(removed)
+
+    def settle(self, adjacency: Dict[int, List[int]]) -> int:
+        """Re-derive the tainted components from the current adjacency.
+
+        Returns the number of nodes re-unioned (0 when nothing is tainted).
+        Every tainted node's *stale* component is a superset of whatever it
+        split into, so resetting exactly those members and re-unioning their
+        current edges is a complete recompute of the affected region.
+        """
+        if not self._tainted:
+            return 0
+        pool: Set[int] = set()
+        for node in self._tainted:
+            if node in self._parent:
+                pool.update(self._members[self._find(node)])
+        self._tainted.clear()
+        for node in pool:
+            self._parent[node] = node
+            self._members[node] = {node}
+        for source in pool:
+            for target in adjacency.get(source, ()):
+                self._union(source, target)
+        self.nodes_recomputed += len(pool)
+        return len(pool)
+
+    def components(self, universe: Sequence[int]) -> List[List[int]]:
+        """Canonical component list restricted to ``universe`` (sorted)."""
+        groups: Dict[int, List[int]] = {}
+        for node in universe:
+            groups.setdefault(self._find(node), []).append(node)
+        return sorted(groups.values())

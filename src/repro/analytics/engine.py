@@ -36,7 +36,7 @@ store it was given.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..interfaces import DynamicGraphStore
 
@@ -179,3 +179,26 @@ def ensure_engine(store: DynamicGraphStore,
     if engine.store is not store:
         raise ValueError("engine wraps a different store than the kernel was given")
     return engine
+
+
+def materialize_adjacency(
+    store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
+) -> Dict[int, List[int]]:
+    """Adjacency of every source node in one batched ``successors_many``.
+
+    Empty successor lists are dropped, so the keys are exactly the nodes
+    with at least one outgoing edge -- the adjacency form weakly connected
+    components and the incremental kernels consume.
+    """
+    engine = ensure_engine(store, engine)
+    fetched = engine.expand(store.source_nodes())
+    return {u: targets for u, targets in fetched.items() if targets}
+
+
+def adjacency_universe(adjacency: Dict[int, List[int]]) -> List[int]:
+    """Sorted list of every node incident to an edge of ``adjacency``."""
+    seen: Set[int] = set()
+    for source, targets in adjacency.items():
+        seen.add(source)
+        seen.update(targets)
+    return sorted(seen)

@@ -24,22 +24,15 @@ O(graph) -- the "millions of users watching live dashboards" scenario.
 Correctness contract (enforced by the unit suite and the replication fuzz
 lane): at every commit index, each incremental kernel's output is
 **byte-identical** -- exact ints and bit-exact floats, no tolerance -- to
-the matching *canonical* kernel recomputed from scratch through a fresh
+the library kernel recomputed from scratch through a fresh
 :class:`~repro.analytics.engine.TraversalEngine` on the same replica store:
-
-* :func:`canonical_pagerank` -- the deterministic PageRank formulation the
-  incremental engine maintains.  Unlike the legacy
-  :func:`~repro.analytics.pagerank.pagerank` (whose float accumulation
-  order follows ``store.nodes()`` iteration order and therefore the
-  scheme), it iterates nodes in **sorted order** and accumulates each
-  node's score by folding its in-neighbours in sorted order, which makes
-  the result a store-independent, bit-reproducible function of the edge
-  set -- and makes exact incremental maintenance possible at all.
-* :func:`canonical_components` -- weakly connected components in canonical
-  form (members sorted, components sorted by first member).
-* :func:`~repro.analytics.subgraph.total_degrees` /
-  :func:`~repro.analytics.subgraph.top_degree_nodes` -- already
-  deterministic; reused as-is.
+:func:`~repro.analytics.pagerank.pagerank`,
+:func:`~repro.analytics.components.weakly_connected_components`,
+:func:`~repro.analytics.subgraph.total_degrees` and
+:func:`~repro.analytics.subgraph.top_degree_nodes`.  Every one of them is a
+function of the edge set alone: PageRank sweeps nodes in ascending order,
+so each score folds its in-neighbours' shares in ascending order of the
+sender, which is also what makes exact incremental maintenance possible.
 
 How exact incremental PageRank works: the state keeps the full **per-sweep
 rank history** of its last computation.  A structural delta marks the
@@ -60,75 +53,13 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tupl
 
 from ..interfaces import DynamicGraphStore
 from ..replicate.follower import DEFAULT_POLL_SLICE_S, Follower
-from .engine import TraversalEngine, ensure_engine
-from .pagerank import DEFAULT_DAMPING, DEFAULT_ITERATIONS
+from .components import _ComponentState
+from .engine import TraversalEngine, adjacency_universe
+from .pagerank import DEFAULT_DAMPING, DEFAULT_ITERATIONS, pagerank_sweep
 
 #: Default fraction of the graph's edges a delta may touch before the
 #: kernels fall back to a full recompute (still cache-served).
 DEFAULT_RECOMPUTE_FRACTION = 0.25
-
-
-# --------------------------------------------------------------------- #
-# Canonical reference kernels (the recompute the parity suites run)
-# --------------------------------------------------------------------- #
-
-
-def materialize_adjacency(
-    store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
-) -> Dict[int, List[int]]:
-    """Adjacency of every source node in one batched ``successors_many``.
-
-    Empty successor lists are dropped, so the keys are exactly the nodes
-    with at least one outgoing edge -- the canonical adjacency form every
-    kernel in this module consumes.
-    """
-    engine = ensure_engine(store, engine)
-    fetched = engine.expand(store.source_nodes())
-    return {u: targets for u, targets in fetched.items() if targets}
-
-
-def adjacency_universe(adjacency: Dict[int, List[int]]) -> List[int]:
-    """Sorted list of every node incident to an edge of ``adjacency``."""
-    seen: Set[int] = set()
-    for source, targets in adjacency.items():
-        seen.add(source)
-        seen.update(targets)
-    return sorted(seen)
-
-
-def canonical_pagerank(
-    store: DynamicGraphStore,
-    iterations: int = DEFAULT_ITERATIONS,
-    damping: float = DEFAULT_DAMPING,
-    *,
-    engine: Optional[TraversalEngine] = None,
-) -> Dict[int, float]:
-    """Deterministic PageRank: sorted-order sweeps, bit-reproducible floats.
-
-    Same formulation as :func:`~repro.analytics.pagerank.pagerank` (uniform
-    start, fixed sweep count, dangling mass redistributed each sweep) but
-    with a canonical evaluation order, so two stores holding the same edge
-    set produce bit-identical scores.  This is the full-recompute reference
-    the incremental engine is held byte-identical to.
-    """
-    adjacency = materialize_adjacency(store, engine=engine)
-    state = _PageRankState(adjacency, iterations=iterations, damping=damping)
-    return state.ranks()
-
-
-def canonical_components(
-    store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
-) -> List[List[int]]:
-    """Weakly connected components in canonical form.
-
-    Members of each component are sorted ascending and the components are
-    sorted by their first (smallest) member, so the output is a pure
-    function of the edge set -- comparable across schemes, runs and the
-    incremental engine with plain ``==``.
-    """
-    adjacency = materialize_adjacency(store, engine=engine)
-    state = _ComponentState(adjacency)
-    return state.components(adjacency_universe(adjacency))
 
 
 # --------------------------------------------------------------------- #
@@ -352,97 +283,6 @@ class _DegreeState:
         return [node for node, _ in ranked[:count]]
 
 
-class _ComponentState:
-    """Weakly connected components: union on insert, bounded recompute on delete.
-
-    Inserts are pure union-find unions (near-O(1)).  A delete can split its
-    component, so the affected endpoints are *tainted* and :meth:`settle`
-    rebuilds exactly the tainted components' member sets from the current
-    adjacency -- every neighbour of a member is in the same (stale, hence
-    superset) component, so the rebuild never needs to look outside them.
-    """
-
-    def __init__(self, adjacency: Dict[int, List[int]]):
-        self._parent: Dict[int, int] = {}
-        self._members: Dict[int, Set[int]] = {}
-        self._tainted: Set[int] = set()
-        #: Member-set sizes re-unioned by settle() (the "bounded" in
-        #: bounded recompute); read by the follower's stats.
-        self.nodes_recomputed = 0
-        for source, targets in adjacency.items():
-            self._ensure(source)
-            for target in targets:
-                self._ensure(target)
-                self._union(source, target)
-
-    def _ensure(self, node: int) -> None:
-        if node not in self._parent:
-            self._parent[node] = node
-            self._members[node] = {node}
-
-    def _find(self, node: int) -> int:
-        parent = self._parent
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def _union(self, a: int, b: int) -> None:
-        root_a, root_b = self._find(a), self._find(b)
-        if root_a == root_b:
-            return
-        if len(self._members[root_a]) < len(self._members[root_b]):
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        self._members[root_a].update(self._members.pop(root_b))
-
-    @property
-    def tainted(self) -> bool:
-        return bool(self._tainted)
-
-    def apply(self, source: int, added: Set[int], removed: Set[int]) -> None:
-        self._ensure(source)
-        for target in added:
-            self._ensure(target)
-            self._union(source, target)
-        if removed:
-            self._tainted.add(source)
-            self._tainted.update(removed)
-
-    def settle(self, adjacency: Dict[int, List[int]]) -> int:
-        """Re-derive the tainted components from the current adjacency.
-
-        Returns the number of nodes re-unioned (0 when nothing is tainted).
-        Every tainted node's *stale* component is a superset of whatever it
-        split into, so resetting exactly those members and re-unioning their
-        current edges is a complete recompute of the affected region.
-        """
-        if not self._tainted:
-            return 0
-        pool: Set[int] = set()
-        for node in self._tainted:
-            if node in self._parent:
-                pool.update(self._members[self._find(node)])
-        self._tainted.clear()
-        for node in pool:
-            self._parent[node] = node
-            self._members[node] = {node}
-        for source in pool:
-            for target in adjacency.get(source, ()):
-                self._union(source, target)
-        self.nodes_recomputed += len(pool)
-        return len(pool)
-
-    def components(self, universe: Sequence[int]) -> List[List[int]]:
-        """Canonical component list restricted to ``universe`` (sorted)."""
-        groups: Dict[int, List[int]] = {}
-        for node in universe:
-            groups.setdefault(self._find(node), []).append(node)
-        return sorted(groups.values())
-
-
 class _PageRankState:
     """Exact incremental PageRank via memoized sweep history.
 
@@ -483,26 +323,26 @@ class _PageRankState:
             self._hist: List[Dict[int, float]] = [{}] * (self.iterations + 1)
             self._dm: List[float] = [0.0] * (self.iterations + 1)
             return
-        base = (1.0 - self.damping) / count
-        hist = [{node: 1.0 / count for node in self.nodes}]
+        successors = {node: adjacency.get(node, ()) for node in self.nodes}
+        rank = dict.fromkeys(self.nodes, 1.0 / count)
+        hist = [rank]
         dm_hist = [0.0]
         for _ in range(self.iterations):
-            prev = hist[-1]
-            dm = 0.0
-            for node in self._dangling:
-                dm += prev[node]
-            redistributed = self.damping * dm / count if dm else 0.0
-            hist.append({
-                node: self._value(node, prev, base, redistributed, adjacency)
-                for node in self.nodes
-            })
+            rank, dm = pagerank_sweep(self.nodes, successors, rank, self.damping)
+            hist.append(rank)
             dm_hist.append(dm)
         self._hist = hist
         self._dm = dm_hist
 
     def _value(self, node: int, prev: Dict[int, float], base: float,
                redistributed: float, adjacency: Dict[int, List[int]]) -> float:
-        """The canonical per-node fold (shared by full and incremental)."""
+        """One node's score in one sweep, pulled from its in-neighbours.
+
+        The same floats :func:`~repro.analytics.pagerank.pagerank_sweep`
+        pushes: base, then each in-neighbour's share in ascending order of
+        the sender, then the redistributed dangling mass.  Incremental
+        repair re-evaluates single nodes with it.
+        """
         value = base
         for source in self._in[node]:
             value += self.damping * prev[source] / len(adjacency[source])
@@ -755,7 +595,7 @@ class AnalyticsFollower(Follower):
     # -- queries --------------------------------------------------------- #
 
     def pagerank(self) -> Dict[int, float]:
-        """Maintained PageRank; byte-identical to :func:`canonical_pagerank`."""
+        """Maintained PageRank; byte-identical to :func:`~repro.analytics.pagerank`."""
         self.refresh_analytics()
         return self._pagerank.ranks()
 

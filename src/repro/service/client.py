@@ -233,13 +233,16 @@ class GraphClient(DelegatingStore):
         return self._service.analytics("pagerank", **kwargs).result()
 
     def components(self, **kwargs) -> list[list[int]]:
+        """Strongly connected components in canonical form: members sorted,
+        components sorted by first member, whichever replica served them
+        (see :func:`~repro.analytics.strongly_connected_components`)."""
         self._check_open()
         return self._service.analytics("components", **kwargs).result()
 
     def wcc(self, **kwargs) -> list[list[int]]:
         """Weakly connected components in canonical form: members sorted,
         components sorted by first member (see
-        :func:`~repro.analytics.canonical_components`)."""
+        :func:`~repro.analytics.weakly_connected_components`)."""
         self._check_open()
         return self._service.analytics("wcc", **kwargs).result()
 

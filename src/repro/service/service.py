@@ -88,11 +88,11 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..analytics import (
     TraversalEngine,
     bfs,
-    canonical_components,
     dijkstra,
     pagerank,
     strongly_connected_components,
     top_degree_nodes,
+    weakly_connected_components,
 )
 from ..core.sharded import ShardedCuckooGraph
 from ..interfaces import DynamicGraphStore
@@ -110,7 +110,7 @@ ANALYTICS_HANDLERS: Dict[str, Callable] = {
     "sssp": dijkstra,
     "pagerank": pagerank,
     "components": strongly_connected_components,
-    "wcc": canonical_components,
+    "wcc": weakly_connected_components,
     "top_degree_nodes": top_degree_nodes,
 }
 
@@ -525,9 +525,9 @@ class GraphService:
     def _fail_run(self, run: List[Request], exc: Exception) -> None:
         """Route one failure to every caller in the run."""
         now = CLOCK()
+        self.metrics.record_failed_many([now - r.enqueued_at for r in run])
         for request in run:
             request.future.set_exception(exc)
-        self.metrics.record_failed_many([now - r.enqueued_at for r in run])
 
     def _dispatch_run(self, kind: str, run: List[Request]) -> None:
         """Execute one run with batch store calls; resolve its futures."""
@@ -593,11 +593,13 @@ class GraphService:
             # the whole history in the in-process channels.
             self._replication.advance()
         self.metrics.record_batch(items, store_calls=store_calls)
+        # Counted before any future resolves: a caller woken by its result
+        # reads metrics that already include it.
         now = CLOCK()
-        for request, value in zip(live, results):
-            request.future.set_result(value)
         self.metrics.record_resolved_many(
             [now - r.enqueued_at for r in live], items)
+        for request, value in zip(live, results):
+            request.future.set_result(value)
 
     def _dispatch_analytics(self, live: List[Request]) -> None:
         """Analytics jobs execute one by one against one consistent store."""
@@ -691,5 +693,5 @@ class GraphService:
         except Exception as exc:
             self._fail_run([request], exc)
             return
-        request.future.set_result(result)
         self.metrics.record_resolved_many([CLOCK() - request.enqueued_at], 1)
+        request.future.set_result(result)

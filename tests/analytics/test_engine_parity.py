@@ -1,14 +1,16 @@
-"""Parity: every kernel through the engine equals the per-node path, everywhere.
+"""Parity: every kernel through the engine equals a per-node path, everywhere.
 
-The frontier-batch refactor promises that rewriting the analytics kernels on
-top of :class:`~repro.analytics.engine.TraversalEngine` changed *nothing*
-observable: visitation orders, levels, distances, scores and counts are
-byte-identical to the historical one-``successors``-call-per-node
-implementations.  This module keeps verbatim copies of those pre-refactor
-implementations as references and checks every kernel against them across
-the full store-contract matrix (``ALL_STORE_FACTORIES``), so a regression in
-any store's ``successors_many`` or in the engine itself cannot hide behind a
-single backend.
+The frontier-batch kernels on top of
+:class:`~repro.analytics.engine.TraversalEngine` must give exactly what a
+plain one-``successors``-call-per-node implementation gives: visitation
+orders, levels, distances, scores and counts, with no tolerance.  This
+module keeps such per-node implementations as independent references --
+they iterate nodes and successor lists in ascending order, as the kernels'
+answers are defined -- and checks every kernel against them across the full
+store-contract matrix (``ALL_STORE_FACTORIES``), so a regression in any
+store's ``successors_many`` or in the engine itself cannot hide behind a
+single backend.  Every answer is a function of the edge set alone, so each
+store must also give exactly what ``AdjacencyListGraph`` gives.
 
 It also proves the "no per-node loops" claim directly: a spy store records
 every direct ``successors`` call, and no kernel may issue any.
@@ -73,7 +75,7 @@ def store(request):
 
 
 # --------------------------------------------------------------------- #
-# Pre-refactor reference implementations (verbatim per-node code paths)
+# Per-node reference implementations (ascending node and successor order)
 # --------------------------------------------------------------------- #
 
 
@@ -83,7 +85,7 @@ def ref_bfs(store, source):
     queue = deque([source])
     while queue:
         node = queue.popleft()
-        for neighbour in store.successors(node):
+        for neighbour in sorted(store.successors(node)):
             if neighbour not in visited:
                 visited.add(neighbour)
                 order.append(neighbour)
@@ -97,7 +99,7 @@ def ref_bfs_levels(store, source):
     while queue:
         node = queue.popleft()
         depth = levels[node]
-        for neighbour in store.successors(node):
+        for neighbour in sorted(store.successors(node)):
             if neighbour not in levels:
                 levels[neighbour] = depth + 1
                 queue.append(neighbour)
@@ -151,7 +153,7 @@ def ref_shortest_path(store, source, target, weight=None):
 
 
 def ref_pagerank(store, iterations=100, damping=0.85):
-    nodes = list(store.nodes())
+    nodes = sorted(store.nodes())
     if not nodes:
         return {}
     successors = {node: store.successors(node) for node in nodes}
@@ -180,7 +182,7 @@ def ref_tarjan(store):
     index_of, lowlink = {}, {}
     on_stack, stack, components = set(), [], []
     next_index = 0
-    for root in list(store.nodes()):
+    for root in sorted(store.nodes()):
         if root in index_of:
             continue
         work = [(root, 0)]
@@ -192,7 +194,7 @@ def ref_tarjan(store):
                 next_index += 1
                 stack.append(node)
                 on_stack.add(node)
-            successors = store.successors(node)
+            successors = sorted(store.successors(node))
             advanced = False
             for offset in range(position, len(successors)):
                 neighbour = successors[offset]
@@ -213,11 +215,11 @@ def ref_tarjan(store):
                     component.append(member)
                     if member == node:
                         break
-                components.append(component)
+                components.append(sorted(component))
             if work:
                 parent = work[-1][0]
                 lowlink[parent] = min(lowlink[parent], lowlink[node])
-    return components
+    return sorted(components)
 
 
 def ref_count_triangles_of_node(store, node):
@@ -242,7 +244,7 @@ def ref_total_directed_triangles(store):
 
 
 def ref_betweenness(store):
-    nodes = list(store.nodes())
+    nodes = sorted(store.nodes())
     centrality = {node: 0.0 for node in nodes}
     for source in nodes:
         predecessors = {node: [] for node in nodes}
@@ -255,7 +257,7 @@ def ref_betweenness(store):
         while queue:
             node = queue.popleft()
             order.append(node)
-            for neighbour in store.successors(node):
+            for neighbour in sorted(store.successors(node)):
                 if neighbour not in distance:
                     continue
                 if distance[neighbour] < 0:
@@ -394,14 +396,11 @@ class TestTraversalParity:
         assert strongly_connected_components(store) == ref_tarjan(store)
 
     def test_weak_components_partition_identical(self, store):
-        ours = sorted(sorted(group) for group in weakly_connected_components(store))
         reference_graph = AdjacencyListGraph()
         for u, v in EDGES:
             reference_graph.insert_edge(u, v)
-        expected = sorted(
-            sorted(group) for group in weakly_connected_components(reference_graph)
-        )
-        assert ours == expected
+        assert weakly_connected_components(store) == \
+            weakly_connected_components(reference_graph)
 
     def test_triangle_counts_identical(self, store):
         for node in (0, 2, 9):
@@ -450,6 +449,46 @@ class TestTraversalParity:
             (u, v) for u, v in store.edges() if u in selected and v in selected
         )
         assert sorted(induced_edges(store, nodes)) == expected
+
+
+# --------------------------------------------------------------------- #
+# Every answer is a function of the edge set: equal across the matrix
+# --------------------------------------------------------------------- #
+
+#: kernel -> callable(store) whose answer must not depend on the store.
+EDGE_SET_KERNELS = {
+    "pagerank": lambda s: pagerank(s, iterations=25),
+    "bfs": lambda s: [bfs(s, source) for source in (0, 1, 7)],
+    "betweenness": betweenness_centrality,
+    "scc": strongly_connected_components,
+    "wcc": weakly_connected_components,
+    "dijkstra": lambda s: [dijkstra(s, source) for source in (0, 5)],
+}
+
+#: Every third edge goes in the second round, leaving freed slots behind.
+DELETED = EDGES[::3]
+
+
+@pytest.fixture(scope="module")
+def adjacency_list_answers():
+    """Each kernel's answer on ``AdjacencyListGraph``, before and after the
+    deletions."""
+    reference = AdjacencyListGraph()
+    reference.insert_edges(EDGES)
+    before = {name: kernel(reference) for name, kernel in EDGE_SET_KERNELS.items()}
+    reference.delete_edges(DELETED)
+    after = {name: kernel(reference) for name, kernel in EDGE_SET_KERNELS.items()}
+    return before, after
+
+
+@pytest.mark.parametrize("kernel", sorted(EDGE_SET_KERNELS))
+def test_answer_equals_the_adjacency_list_answer(store, kernel, adjacency_list_answers):
+    """Plain ``==``, no tolerance: same edge set, same floats and orders."""
+    before, after = adjacency_list_answers
+    assert EDGE_SET_KERNELS[kernel](store) == before[kernel]
+    for u, v in DELETED:
+        store.delete_edge(u, v)
+    assert EDGE_SET_KERNELS[kernel](store) == after[kernel]
 
 
 # --------------------------------------------------------------------- #

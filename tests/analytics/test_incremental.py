@@ -3,8 +3,8 @@
 The contract under test (see ``repro/analytics/incremental.py``): at any
 point where the change feed has been folded in, every delta-maintained
 kernel's output is **byte-identical** -- exact ints, bit-exact floats, no
-tolerance -- to its canonical reference recomputed from scratch through a
-fresh :class:`TraversalEngine` on the same replica store.  Alongside the
+tolerance -- to the library kernel recomputed from scratch through a fresh
+:class:`TraversalEngine` on the same replica store.  Alongside the
 parity sweeps, this file pins the cache mechanics the speedup rests on:
 one batched refetch per refresh covering exactly the dirty sources, clean
 nodes served without any store call, and true (old, new) diffs feeding the
@@ -22,10 +22,9 @@ from repro.analytics import (
     MaterializationCache,
     TraversalEngine,
     bfs,
-    canonical_components,
-    canonical_pagerank,
     dijkstra,
     materialize_adjacency,
+    pagerank,
     top_degree_nodes,
     total_degrees,
     weakly_connected_components,
@@ -49,12 +48,12 @@ def make_pair(scheme, **follower_kwargs):
 
 
 def assert_kernel_parity(follower, context):
-    """Every maintained kernel equals its canonical recompute, bit for bit."""
+    """Every maintained kernel equals the library kernel, bit for bit."""
     replica = follower.store
-    assert follower.pagerank() == canonical_pagerank(
+    assert follower.pagerank() == pagerank(
         replica, iterations=ITERATIONS, engine=TraversalEngine(replica)
     ), f"{context}: pagerank"
-    assert follower.components() == canonical_components(
+    assert follower.components() == weakly_connected_components(
         replica, engine=TraversalEngine(replica)
     ), f"{context}: components"
     assert follower.total_degrees() == dict(total_degrees(
@@ -80,36 +79,33 @@ class SpyStore(CuckooGraph):
         return super().successors_many(nodes)
 
 
-class TestCanonicalKernels:
-    def test_canonical_pagerank_is_scheme_independent(self):
+class TestEdgeSetKernels:
+    def test_pagerank_is_scheme_independent(self):
         """Same edge set, different stores: bit-identical score vectors."""
         edges = [(1, 2), (2, 3), (3, 1), (1, 4), (5, 1), (6, 7)]
         results = []
         for scheme in SCHEMES:
             store = STORE_SCHEMES[scheme]()
             store.insert_edges(edges)
-            results.append(canonical_pagerank(store, iterations=ITERATIONS))
+            results.append(pagerank(store, iterations=ITERATIONS))
         assert results[0] == results[1]
 
-    def test_canonical_pagerank_total_mass_with_dangling(self):
+    def test_pagerank_total_mass_with_dangling(self):
         store = CuckooGraph()
         store.insert_edges([(1, 2), (2, 3)])  # 3 is dangling
-        ranks = canonical_pagerank(store, iterations=50)
+        ranks = pagerank(store, iterations=50)
         assert set(ranks) == {1, 2, 3}
         assert sum(ranks.values()) == pytest.approx(1.0)
 
-    def test_canonical_components_form_and_content(self):
+    def test_weak_components_form_and_content(self):
         store = CuckooGraph()
         store.insert_edges([(4, 2), (2, 9), (7, 5), (11, 7)])
-        components = canonical_components(store)
-        assert components == [[2, 4, 9], [5, 7, 11]]
-        legacy = weakly_connected_components(store)
-        assert sorted(sorted(c) for c in legacy) == components
+        assert weakly_connected_components(store) == [[2, 4, 9], [5, 7, 11]]
 
     def test_empty_store(self):
         store = CuckooGraph()
-        assert canonical_pagerank(store) == {}
-        assert canonical_components(store) == []
+        assert pagerank(store) == {}
+        assert weakly_connected_components(store) == []
 
 
 class TestMaterializationCache:

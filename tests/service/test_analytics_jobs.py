@@ -11,8 +11,9 @@ import random
 import pytest
 
 from repro import ShardedCuckooGraph
-from repro.analytics import canonical_components, pagerank
+from repro.analytics import AnalyticsFollower, pagerank, weakly_connected_components
 from repro.persist import PersistentStore
+from repro.replicate import Primary
 from repro.service import ANALYTICS_HANDLERS, GraphClient, GraphService
 
 
@@ -52,7 +53,9 @@ def test_every_run_gets_a_fresh_engine():
 @pytest.mark.parametrize("replicas", [0, 2])
 def test_answers_equal_the_kernels_on_the_primary(tmp_path, replicas):
     """Bit for bit: plain ``==`` on PageRank's floats, after a seeded
-    insert/delete stream that compacts the WAL mid-load."""
+    insert/delete stream that compacts the WAL mid-load.  An
+    :class:`AnalyticsFollower` attached afterwards maintains the same
+    scores: the client, the follower and the kernel on the primary agree."""
     store = PersistentStore(
         tmp_path / "primary", store=ShardedCuckooGraph(num_shards=4),
         own_store=True, compact_wal_bytes=4096,
@@ -67,7 +70,18 @@ def test_answers_equal_the_kernels_on_the_primary(tmp_path, replicas):
         for u, v in edges[:40]:
             client.insert_edge(v, u)
         assert store.compactions >= 1
-        assert client.pagerank() == pagerank(store.store)
-        assert client.wcc() == canonical_components(store.store)
+        ranks = pagerank(store.store)
+        assert client.pagerank() == ranks
+        assert client.wcc() == weakly_connected_components(store.store)
         reads = service.metrics_summary()["replication"]["replica_reads"]
         assert sum(reads.values()) == (2 if replicas else 0)
+        primary = service.replication.primary if replicas else Primary(store)
+        follower = AnalyticsFollower(scheme="sharded")
+        try:
+            primary.attach(follower)
+            follower.wait_for(primary.commit_index)
+            assert follower.pagerank() == ranks
+        finally:
+            follower.close()
+            if not replicas:
+                primary.close()

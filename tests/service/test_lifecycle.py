@@ -126,6 +126,26 @@ class TestLifecycle:
         with service:
             assert future.result(WAIT_S) is True
 
+    def test_a_resolved_future_is_already_counted(self):
+        """A caller woken by its result reads metrics that include it: list
+        and analytics requests are runs of their own, each counted before
+        its future resolves."""
+        service = GraphService()
+        seen = []
+        futures = [
+            service.insert_edges([(1, 2)]),
+            service.analytics("pagerank"),
+            service.insert_edges([(2, 3)]),
+            service.analytics("wcc"),
+        ]
+        for future in futures:
+            future.add_done_callback(
+                lambda _: seen.append(service.metrics_summary()["resolved"]))
+        with service:
+            for future in futures:
+                future.result(WAIT_S)
+        assert seen == [1, 2, 3, 4]
+
 
 class TestBackpressure:
     def test_reject_policy_raises_queue_full(self):
