@@ -4,9 +4,10 @@ The paper runs the Brandes algorithm on the subgraph induced by the
 highest-total-degree nodes.  Brandes performs one BFS (for unweighted graphs)
 per source and accumulates pair dependencies on the way back, so the store is
 exercised exclusively through successor queries -- here a single batched
-materialization: the whole adjacency is fetched with one ``successors_many``
-call through the :class:`~repro.analytics.engine.TraversalEngine` and every
-per-source BFS runs on the resulting dictionary.
+materialization: :func:`~repro.analytics.engine.materialize_adjacency`
+fetches the whole adjacency with one ``successors_many`` over the source
+nodes, its universe is the node set (the store is walked once, and a sink
+is never probed), and every per-source BFS runs on the resulting dictionary.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import deque
 from typing import Optional
 
 from ..interfaces import DynamicGraphStore
-from .engine import TraversalEngine, ensure_engine
+from .engine import TraversalEngine, adjacency_universe, materialize_adjacency
 
 
 def betweenness_centrality(
@@ -30,12 +31,11 @@ def betweenness_centrality(
         store: Graph to analyse.
         engine: Optional shared traversal engine (batch accounting).
     """
-    engine = ensure_engine(store, engine)
     # Sources in ascending order, each BFS over sorted successor lists: the
     # float sums then depend on the edge set alone, not on the store.
-    nodes = sorted(store.nodes())
-    adjacency = {node: sorted(targets)
-                 for node, targets in engine.materialize(nodes).items()}
+    fetched = materialize_adjacency(store, engine=engine)
+    nodes = adjacency_universe(fetched)
+    adjacency = {node: sorted(fetched.get(node, ())) for node in nodes}
     centrality = {node: 0.0 for node in nodes}
 
     for source in nodes:
@@ -51,9 +51,6 @@ def betweenness_centrality(
             node = queue.popleft()
             order.append(node)
             for neighbour in adjacency[node]:
-                if neighbour not in distance:
-                    # Neighbour outside the store's node universe; skip it.
-                    continue
                 if distance[neighbour] < 0:
                     distance[neighbour] = distance[node] + 1
                     queue.append(neighbour)

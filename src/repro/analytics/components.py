@@ -15,8 +15,9 @@ Both return the canonical form -- members sorted ascending, components
 sorted by their first (smallest) member -- so the answer is a function of
 the edge set alone, equal with plain ``==`` across stores and replicas.
 Both materialise the adjacency with **one** batched ``successors_many``
-call through the :class:`~repro.analytics.engine.TraversalEngine` and run
-the graph algorithm on the resulting dictionaries.
+over the source nodes (:func:`~repro.analytics.engine.materialize_adjacency`),
+take the node set from its universe -- the store is walked once, and a sink
+is never probed -- and run the graph algorithm on the resulting dictionary.
 """
 
 from __future__ import annotations
@@ -24,14 +25,14 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..interfaces import DynamicGraphStore
-from .engine import TraversalEngine, adjacency_universe, ensure_engine, materialize_adjacency
+from .engine import TraversalEngine, adjacency_universe, materialize_adjacency
 
 
 def strongly_connected_components(
     store: DynamicGraphStore, *, engine: Optional[TraversalEngine] = None,
 ) -> list[list[int]]:
     """Tarjan's strongly connected components (iterative), canonical form."""
-    engine = ensure_engine(store, engine)
+    adjacency = materialize_adjacency(store, engine=engine)
     index_of: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -39,9 +40,7 @@ def strongly_connected_components(
     components: list[list[int]] = []
     next_index = 0
 
-    all_nodes = list(store.nodes())
-    adjacency = engine.materialize(all_nodes)
-    for root in all_nodes:
+    for root in adjacency_universe(adjacency):
         if root in index_of:
             continue
         # Each work item is (node, iterator position over its successors).
@@ -54,7 +53,7 @@ def strongly_connected_components(
                 next_index += 1
                 stack.append(node)
                 on_stack.add(node)
-            successors = adjacency[node]
+            successors = adjacency.get(node, ())
             advanced = False
             for offset in range(position, len(successors)):
                 neighbour = successors[offset]

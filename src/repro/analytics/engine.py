@@ -14,11 +14,12 @@ store in bulk:
   ``{node: successors}`` map with **one** ``successors_many`` call, so a
   sharded store sees whole per-shard groups and drains each with one bound
   method.
-* :meth:`materialize` is the one-pass batched adjacency materializer used by
-  the iterate-on-extracted-subgraph kernels (PageRank, betweenness
-  centrality, triangles, LCC): it fetches the successor lists of every node
-  of interest in a single batch and lets the iteration phase run on plain
-  dictionaries.
+* :func:`materialize_adjacency` is the one-pass batched adjacency
+  materializer of the whole-graph kernels (PageRank, betweenness
+  centrality, both component kernels): one ``successors_many`` over the
+  store's source nodes, so the store phase of those kernels is exactly one
+  batch and a sink's empty list costs no probe; :func:`adjacency_universe`
+  then gives their node set, with no second walk of the store.
 * :meth:`probe_edges` answers a batch of edge-membership probes with one
   ``has_edges`` call (triangle counting and LCC pair checks).
 
@@ -90,19 +91,6 @@ class TraversalEngine:
         self.expand_calls += 1
         self.nodes_expanded += len(nodes)
         return self.store.successors_many(nodes)
-
-    def materialize(self, nodes: Optional[Iterable[int]] = None) -> Dict[int, List[int]]:
-        """One-pass batched adjacency for the iteration-heavy kernels.
-
-        Fetches the successor lists of ``nodes`` (default: every node of the
-        store) in a single ``successors_many`` batch.  PageRank, betweenness
-        centrality, triangle counting and LCC call this once and then iterate
-        on the returned dictionary, so the store-dependent phase of those
-        kernels is exactly one batch.
-        """
-        if nodes is None:
-            nodes = self.store.nodes()
-        return self.expand(nodes)
 
     #: Probe-batch chunk size: large enough to amortize the batch round-trip,
     #: small enough that a chunk of (u, v) tuples stays a few hundred KB even
@@ -187,8 +175,10 @@ def materialize_adjacency(
     """Adjacency of every source node in one batched ``successors_many``.
 
     Empty successor lists are dropped, so the keys are exactly the nodes
-    with at least one outgoing edge -- the adjacency form weakly connected
-    components and the incremental kernels consume.
+    with at least one outgoing edge -- the adjacency form every whole-graph
+    kernel (PageRank, betweenness, both component kernels) and the
+    incremental kernels consume.  A sink is never probed: it appears only
+    as a target, and :func:`adjacency_universe` finds it there.
     """
     engine = ensure_engine(store, engine)
     fetched = engine.expand(store.source_nodes())

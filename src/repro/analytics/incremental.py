@@ -1,12 +1,12 @@
 """Incremental analytics replicas: delta-maintained kernels over the change feed.
 
-Every analytics run used to re-materialize the graph from scratch --
-:meth:`TraversalEngine.materialize` walks the full store even when only a
-handful of edges changed since the last run.  This module treats the
-replication stream as a **change feed**: an :class:`AnalyticsFollower`
-attaches to a :class:`~repro.replicate.Primary` like any
-:class:`~repro.replicate.Follower`, and in addition to applying shipped ops
-to its replica store it maintains
+Every library analytics run re-materializes the graph from scratch --
+:func:`~repro.analytics.engine.materialize_adjacency` walks the full store
+even when only a handful of edges changed since the last run.  This module
+treats the replication stream as a **change feed**: an
+:class:`AnalyticsFollower` attaches to a :class:`~repro.replicate.Primary`
+like any :class:`~repro.replicate.Follower`, and in addition to applying
+shipped ops to its replica store it maintains
 
 * a persistent adjacency **materialization cache** with dirty-node
   invalidation (:class:`MaterializationCache`): shipped ops mark exactly
@@ -55,7 +55,7 @@ from ..interfaces import DynamicGraphStore
 from ..replicate.follower import DEFAULT_POLL_SLICE_S, Follower
 from .components import _ComponentState
 from .engine import TraversalEngine, adjacency_universe
-from .pagerank import DEFAULT_DAMPING, DEFAULT_ITERATIONS, pagerank_sweep
+from .pagerank import DEFAULT_DAMPING, DEFAULT_ITERATIONS, pagerank_sweeps
 
 #: Default fraction of the graph's edges a delta may touch before the
 #: kernels fall back to a full recompute (still cache-served).
@@ -318,30 +318,25 @@ class _PageRankState:
         self._dangling: List[int] = [n for n in self.nodes if n not in adjacency]
         self._dangling_set: Set[int] = set(self._dangling)
         self._dangling_changed = False
-        count = len(self.nodes)
-        if not count:
-            self._hist: List[Dict[int, float]] = [{}] * (self.iterations + 1)
-            self._dm: List[float] = [0.0] * (self.iterations + 1)
-            return
-        successors = {node: adjacency.get(node, ()) for node in self.nodes}
-        rank = dict.fromkeys(self.nodes, 1.0 / count)
-        hist = [rank]
-        dm_hist = [0.0]
-        for _ in range(self.iterations):
-            rank, dm = pagerank_sweep(self.nodes, successors, rank, self.damping)
-            hist.append(rank)
-            dm_hist.append(dm)
-        self._hist = hist
-        self._dm = dm_hist
+        self._hist: List[Dict[int, float]] = []
+        self._dm: List[float] = []
+        for ranks, dm in pagerank_sweeps(self.nodes, adjacency,
+                                         self.iterations, self.damping):
+            self._hist.append(dict(zip(self.nodes, ranks)))
+            self._dm.append(dm)
+        if not self._hist:
+            self._hist = [{}] * (self.iterations + 1)
+            self._dm = [0.0] * (self.iterations + 1)
 
     def _value(self, node: int, prev: Dict[int, float], base: float,
                redistributed: float, adjacency: Dict[int, List[int]]) -> float:
         """One node's score in one sweep, pulled from its in-neighbours.
 
-        The same floats :func:`~repro.analytics.pagerank.pagerank_sweep`
-        pushes: base, then each in-neighbour's share in ascending order of
-        the sender, then the redistributed dangling mass.  Incremental
-        repair re-evaluates single nodes with it.
+        The same floats a sweep of
+        :func:`~repro.analytics.pagerank.pagerank_sweeps` pushes into the
+        node's dense position: base, then each in-neighbour's share in
+        ascending order of the sender, then the redistributed dangling mass.
+        Incremental repair re-evaluates single nodes with it.
         """
         value = base
         for source in self._in[node]:

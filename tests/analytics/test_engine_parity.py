@@ -40,7 +40,9 @@ from repro.analytics import (
     total_degrees,
     weakly_connected_components,
 )
+from repro import CuckooGraph, ShardedCuckooGraph
 from repro.baselines import AdjacencyListGraph
+from repro.interfaces import DelegatingStore
 
 from ..conftest import ALL_STORE_FACTORIES
 
@@ -541,6 +543,55 @@ def test_kernels_never_issue_per_node_successor_calls(kernel):
     spy = spy_graph()
     KERNEL_DRIVERS[kernel](spy)
     assert spy.direct_successor_calls == 0
+
+
+class WalkCountingStore(DelegatingStore):
+    """Counts every walk of the wrapped store: ``nodes()``, ``edges()`` and
+    the ``successors_many`` batches, with the nodes each batch asks for."""
+
+    def __init__(self, store):
+        super().__init__(store)
+        self.nodes_calls = 0
+        self.edges_calls = 0
+        self.batches: list[list[int]] = []
+
+    def nodes(self):
+        self.nodes_calls += 1
+        return super().nodes()
+
+    def edges(self):
+        self.edges_calls += 1
+        return super().edges()
+
+    def successors_many(self, nodes):
+        nodes = list(nodes)
+        self.batches.append(nodes)
+        return super().successors_many(nodes)
+
+
+#: EDGES plus self-loops and edges into sinks (nodes with no out-edge).
+WALK_EDGES = EDGES + [(3, 3), (41, 41), (5, 500), (6, 501), (7, 500)]
+
+
+@pytest.mark.parametrize("kernel", [pagerank, betweenness_centrality,
+                                    strongly_connected_components],
+                         ids=["pagerank", "betweenness", "scc"])
+@pytest.mark.parametrize("factory", [CuckooGraph, lambda: ShardedCuckooGraph(4)],
+                         ids=["CuckooGraph", "ShardedCuckooGraph"])
+def test_whole_graph_kernels_walk_the_store_once(factory, kernel):
+    """One ``successors_many`` over the source nodes is the only walk: no
+    ``nodes()`` pass for the node set, and no probe of a sink."""
+    inner = factory()
+    inner.insert_edges(WALK_EDGES)
+    spy = WalkCountingStore(inner)
+    sources = set(inner.source_nodes())
+    assert not sources & {500, 501}
+    kernel(spy)
+    assert spy.nodes_calls == 0
+    assert spy.edges_calls == 0
+    assert len(spy.batches) == 1
+    assert set(spy.batches[0]) == sources
+    inner.close()
 
 
 def test_shared_engine_accumulates_batch_accounting():

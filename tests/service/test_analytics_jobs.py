@@ -11,7 +11,12 @@ import random
 import pytest
 
 from repro import ShardedCuckooGraph
-from repro.analytics import AnalyticsFollower, pagerank, weakly_connected_components
+from repro.analytics import (
+    AnalyticsFollower,
+    materialize_adjacency,
+    pagerank,
+    weakly_connected_components,
+)
 from repro.persist import PersistentStore
 from repro.replicate import Primary
 from repro.service import ANALYTICS_HANDLERS, GraphClient, GraphService
@@ -32,7 +37,7 @@ def test_every_run_gets_a_fresh_engine():
         captured.append((engine, engine.batch_calls,
                          engine.expand_calls, engine.probe_calls))
         # Real engine work, so counters would accumulate if shared.
-        engine.materialize()
+        materialize_adjacency(store, engine=engine)
         return engine.batch_calls
 
     ANALYTICS_HANDLERS["counter_probe"] = probe
