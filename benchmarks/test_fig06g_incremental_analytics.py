@@ -138,8 +138,7 @@ def test_fig06g_incremental_analytics(benchmark):
     store = PersistentStore(None, scheme="sharded", sync_on_commit=False,
                             compact_wal_bytes=None)
     primary = Primary(store)
-    follower = AnalyticsFollower(scheme="sharded", iterations=ITERATIONS,
-                                 poll_slice_s=0.005)
+    follower = AnalyticsFollower(scheme="sharded", iterations=ITERATIONS)
     primary.attach(follower)
 
     base_edges = build_base_edges()

@@ -105,8 +105,7 @@ def demo(workspace: Path) -> None:
         own_store=True, sync_on_commit=False, compact_wal_bytes=None,
     )
     with GraphService(service_store, own_store=True, durability="batch",
-                      replicas=2, freshness="read_your_writes",
-                      max_batch=256) as service:
+                      replicas=2, max_batch=256) as service:
         futures = [service.insert_edge(u, 9_999) for u in range(300)]
         inserted = sum(future.result() for future in futures)
         assert service.has_edge(5, 9_999).result() is True

@@ -52,7 +52,7 @@ from bisect import insort
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..interfaces import DynamicGraphStore
-from ..replicate.follower import DEFAULT_POLL_SLICE_S, Follower
+from ..replicate.follower import Follower
 from .components import _ComponentState
 from .engine import TraversalEngine, adjacency_universe
 from .pagerank import DEFAULT_DAMPING, DEFAULT_ITERATIONS, pagerank_sweeps
@@ -452,7 +452,7 @@ class AnalyticsFollower(Follower):
     per-run batch counters.
 
     Args:
-        store / scheme / own_store / poll_slice_s: as for
+        store / scheme / own_store: as for
             :class:`~repro.replicate.Follower`.
         iterations: Sweep count of the maintained PageRank.
         damping: Damping factor of the maintained PageRank.
@@ -467,7 +467,6 @@ class AnalyticsFollower(Follower):
         scheme: Union[str, Callable[[], DynamicGraphStore]] = "sharded",
         *,
         own_store: Optional[bool] = None,
-        poll_slice_s: float = DEFAULT_POLL_SLICE_S,
         iterations: int = DEFAULT_ITERATIONS,
         damping: float = DEFAULT_DAMPING,
         recompute_fraction: float = DEFAULT_RECOMPUTE_FRACTION,
@@ -480,8 +479,7 @@ class AnalyticsFollower(Follower):
             raise ValueError(
                 f"recompute_fraction must be in (0, 1], got {recompute_fraction}"
             )
-        super().__init__(store, scheme, own_store=own_store,
-                         poll_slice_s=poll_slice_s)
+        super().__init__(store, scheme, own_store=own_store)
         self.iterations = iterations
         self.damping = damping
         self.recompute_fraction = recompute_fraction

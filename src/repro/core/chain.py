@@ -402,11 +402,9 @@ class TableChain:
     # Memory model
     # ------------------------------------------------------------------ #
 
-    def modelled_bytes(self, bytes_per_cell: int, bucket_overhead: int = 0) -> int:
+    def modelled_bytes(self, bytes_per_cell: int) -> int:
         """Modelled C++ footprint of every table in the chain."""
-        return sum(
-            table.modelled_bytes(bytes_per_cell, bucket_overhead) for table in self.tables
-        )
+        return sum(table.modelled_bytes(bytes_per_cell) for table in self.tables)
 
 
 _MISSING = object()

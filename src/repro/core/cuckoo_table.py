@@ -241,13 +241,13 @@ class CuckooHashTable:
     # Memory model
     # ------------------------------------------------------------------ #
 
-    def modelled_bytes(self, bytes_per_cell: int, bucket_overhead: int = 0) -> int:
+    def modelled_bytes(self, bytes_per_cell: int) -> int:
         """Modelled C++ memory footprint of the table.
 
         Every allocated cell costs ``bytes_per_cell`` regardless of occupancy
-        (the arrays are pre-allocated), plus an optional per-bucket overhead.
+        (the arrays are pre-allocated).
         """
-        return self.num_cells * bytes_per_cell + self.num_buckets * bucket_overhead
+        return self.num_cells * bytes_per_cell
 
 
 _MISSING = object()

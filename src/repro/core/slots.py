@@ -208,7 +208,7 @@ class AdjacencyPart2:
     # Memory model
     # ------------------------------------------------------------------ #
 
-    def chain_modelled_bytes(self, bytes_per_cell: int, bucket_overhead: int = 0) -> int:
+    def chain_modelled_bytes(self, bytes_per_cell: int) -> int:
         """Modelled footprint of the S-CHT chain (zero in small-slot mode).
 
         The fixed Part 2 region inside the L-CHT cell (the ``2R`` small slots
@@ -217,4 +217,4 @@ class AdjacencyPart2:
         """
         if self._chain is None:
             return 0
-        return self._chain.modelled_bytes(bytes_per_cell, bucket_overhead)
+        return self._chain.modelled_bytes(bytes_per_cell)

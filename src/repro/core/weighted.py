@@ -150,17 +150,6 @@ class WeightedCuckooGraph(CuckooGraph, WeightedGraphStore):
                 return payload
         return self._sdl.get(u, v)
 
-    def _remove_edge_entry(self, u: int, v: int) -> bool:
-        part2 = self._find_part2(u)
-        if part2 is not None and v in part2:
-            return self._remove_located(u, v, part2)
-        deleted = self._sdl.remove(u, v)
-        if deleted:
-            self._num_edges -= 1
-            if part2 is not None:
-                self._remove_node_if_empty(u, part2)
-        return deleted
-
     def _remove_located(self, u: int, v: int, part2) -> bool:
         """Remove ``v`` from an already-located Part 2 and fix up bookkeeping."""
         deleted, leftovers = part2.delete(v)

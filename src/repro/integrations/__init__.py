@@ -7,14 +7,13 @@ command dispatcher with a loadable :class:`CuckooGraphModule`, and
 accelerated by a multi-edge CuckooGraph index.
 """
 
-from .minineo4j import MiniNeo4j, Neo4jGraphStore, NodeRecord, RelationshipRecord
+from .minineo4j import MiniNeo4j, NodeRecord, RelationshipRecord
 from .miniredis import CuckooGraphModule, MiniRedisServer, RedisGraphStore, RedisModule
 
 __all__ = [
     "CuckooGraphModule",
     "MiniNeo4j",
     "MiniRedisServer",
-    "Neo4jGraphStore",
     "NodeRecord",
     "RedisGraphStore",
     "RedisModule",

@@ -16,6 +16,10 @@ relationship identifiers connecting ``u`` and ``v`` in O(1).
 * with ``use_cuckoo_index=True`` every relationship is mirrored into a
   :class:`~repro.core.multiedge.MultiEdgeCuckooGraph` and
   :meth:`find_relationships` uses its iterator instead of the traversal.
+
+It is a property-graph database, not a
+:class:`~repro.interfaces.DynamicGraphStore`: Figure 18 and
+``examples/database_acceleration.py`` drive it directly.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from typing import Iterator, Optional
 
 from ..core.errors import IntegrationError
 from ..core.multiedge import MultiEdgeCuckooGraph
-from ..interfaces import DynamicGraphStore
 
 
 @dataclass
@@ -196,95 +199,3 @@ class MiniNeo4j:
             self.create_relationship(u, v, rel_type)
             created += 1
         return created
-
-
-#: Modelled bytes per stored node / relationship record (id + labels/type
-#: pointer + property-map header + adjacency slot), used by the facade's
-#: memory model so Figure 9-style comparisons can include the integration.
-_NODE_RECORD_BYTES = 64
-_REL_RECORD_BYTES = 96
-
-
-class Neo4jGraphStore(DynamicGraphStore):
-    """Distinct-edge :class:`DynamicGraphStore` facade over :class:`MiniNeo4j`.
-
-    Every contract operation is expressed as property-graph traffic --
-    relationship creation, indexed edge lookup, adjacency traversal -- so
-    the scheme keeps the cost profile the Figure 18 experiment measures
-    (including the CuckooGraph edge index on the lookup path) while
-    participating in the store-contract matrix, the differential fuzzer and
-    subgraph extraction (via :meth:`spawn_empty`) like every other scheme.
-
-    The contract stores each distinct edge at most once, so the facade
-    keeps at most one relationship per ``(u, v)`` pair; ``delete_edge``
-    removes that relationship.
-    """
-
-    name = "MiniNeo4j"
-
-    def __init__(self, db: Optional[MiniNeo4j] = None, use_cuckoo_index: bool = True):
-        self._db = db if db is not None else MiniNeo4j(use_cuckoo_index=use_cuckoo_index)
-
-    @property
-    def db(self) -> MiniNeo4j:
-        """The underlying property-graph database."""
-        return self._db
-
-    def spawn_empty(self) -> "Neo4jGraphStore":
-        """Fresh empty database with the same index configuration."""
-        return Neo4jGraphStore(use_cuckoo_index=self._db.use_cuckoo_index)
-
-    # -- store contract over property-graph operations ------------------- #
-
-    def insert_edge(self, u: int, v: int) -> bool:
-        if self._db.has_relationship(u, v):
-            return False
-        self._db.create_relationship(u, v)
-        return True
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return self._db.has_relationship(u, v)
-
-    def delete_edge(self, u: int, v: int) -> bool:
-        # A wrapped pre-populated database may hold parallel relationships
-        # between the pair; the distinct-edge contract (delete_edge True =>
-        # edge removed) means deleting them all.
-        records = list(self._db.find_relationships(u, v))
-        if not records:
-            return False
-        for record in records:
-            self._db.delete_relationship(record.rel_id)
-        return True
-
-    def successors(self, u: int) -> list[int]:
-        return self._db.neighbours(u)
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(dict.fromkeys(
-            (record.start, record.end) for record in self._db.relationships()
-        ))
-
-    @property
-    def num_edges(self) -> int:
-        # Count distinct pairs: the facade inserts one relationship per pair,
-        # but a wrapped pre-populated database may hold parallel ones.
-        return len({(r.start, r.end) for r in self._db.relationships()})
-
-    def memory_bytes(self) -> int:
-        index = self._db._index
-        index_bytes = index.memory_bytes() if index is not None else 0
-        return (
-            self._db.node_count * _NODE_RECORD_BYTES
-            + self._db.relationship_count * _REL_RECORD_BYTES
-            + index_bytes
-        )
-
-    @property
-    def accesses(self) -> int:
-        index = self._db._index
-        return index.accesses if index is not None else 0
-
-    def reset_accesses(self) -> None:
-        index = self._db._index
-        if index is not None:
-            index.reset_accesses()

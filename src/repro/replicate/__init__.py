@@ -40,8 +40,8 @@ Networked (each side may live in its own process)::
 """
 
 from .failover import DEFAULT_LEASE_S, Failover, FailoverManager
-from .follower import DEFAULT_BARRIER_TIMEOUT_S, DEFAULT_POLL_SLICE_S, Follower
-from .group import FRESHNESS_POLICIES, ReplicationGroup
+from .follower import DEFAULT_BARRIER_TIMEOUT_S, Follower
+from .group import ReplicationGroup
 from .net import (
     DEFAULT_CONNECT_TIMEOUT_S,
     RemoteFollower,
@@ -66,8 +66,6 @@ __all__ = [
     "DEFAULT_BARRIER_TIMEOUT_S",
     "DEFAULT_CONNECT_TIMEOUT_S",
     "DEFAULT_LEASE_S",
-    "DEFAULT_POLL_SLICE_S",
-    "FRESHNESS_POLICIES",
     "Failover",
     "FailoverManager",
     "Follower",

@@ -15,7 +15,8 @@ ship order, and exposes
 * ``wait_for(index)`` -- the read-your-writes barrier: apply queued
   shipments until the given commit index is reached (clients that saw a
   mutation acknowledged at index ``i`` read a follower only after
-  ``wait_for(i)``);
+  ``wait_for(i)``); it sleeps on the channel's arrival notification, which
+  every channel a follower receives on delivers;
 * ``promote()`` -- failover: wrap the follower's store in a fresh,
   standalone writable :class:`~repro.persist.PersistentStore` whose first
   checkpoint is stamped **one generation past** everything the follower
@@ -44,11 +45,6 @@ from .transport import GenerationBump, RecordShipment, ReplicationChannel
 #: How long ``wait_for`` waits for the primary by default (seconds).
 DEFAULT_BARRIER_TIMEOUT_S = 30.0
 
-#: Default poll slice for barriers over channels without send-side
-#: notification (seconds).  Constructor-overridable so tight convergence
-#: loops (the incremental-analytics fuzz lane) do not burn wall-clock.
-DEFAULT_POLL_SLICE_S = 0.05
-
 
 class Follower:
     """One read replica: a store kept converged by applying the shipped log.
@@ -62,10 +58,6 @@ class Follower:
             owning exactly the store this constructor built.  A promoted
             follower never closes the store -- ownership moved to the
             returned :class:`PersistentStore`.
-        poll_slice_s: Longest single sleep :meth:`wait_for` takes against a
-            channel *without* send-side notification (a custom transport
-            that never calls its listener).  Notifying transports ignore
-            it.  Defaults to :data:`DEFAULT_POLL_SLICE_S`.
     """
 
     def __init__(
@@ -74,10 +66,7 @@ class Follower:
         scheme: Union[str, Callable[[], DynamicGraphStore]] = "sharded",
         *,
         own_store: Optional[bool] = None,
-        poll_slice_s: float = DEFAULT_POLL_SLICE_S,
     ):
-        if poll_slice_s <= 0:
-            raise ValueError(f"poll_slice_s must be > 0, got {poll_slice_s}")
         if store is None:
             self._store = _resolve_factory(scheme)()
             self._scheme_name = scheme if isinstance(scheme, str) else None
@@ -85,7 +74,6 @@ class Follower:
             self._store = store
             self._scheme_name = None
         self._own_store = (store is None) if own_store is None else own_store
-        self._poll_slice_s = poll_slice_s
         self._channel: Optional[ReplicationChannel] = None
         self._primary = None
         self._generation = 0
@@ -253,10 +241,6 @@ class Follower:
         :class:`ReplicationError` if the primary does not deliver ``index``
         within ``timeout`` seconds (the replica is lagging or the primary
         stopped pumping), or if the follower is detached before reaching it.
-
-        A channel without send-side notification (a custom transport that
-        never calls its listener) degrades to short poll slices rather than
-        sleeping out the whole timeout against a silent pipe.
         """
         self._ensure_live()
         deadline = time.monotonic() + timeout
@@ -284,8 +268,6 @@ class Follower:
                     f"read-your-writes barrier timed out at commit "
                     f"{self.commit_index}, waiting for {index}"
                 )
-            if not self._channel.notifies_on_send:
-                remaining = min(remaining, self._poll_slice_s)
             with self._arrival:
                 # A message that landed between the poll above and this
                 # acquire already set _arrived; skip the wait and re-drain

@@ -4,18 +4,13 @@
 repeats -- build a :class:`~repro.replicate.Primary` over the durable
 store, spawn one empty replica store per follower (same scheme as the
 primary's wrapped structure, via ``spawn_empty``), attach them all -- and
-adds the two read-side policies the service exposes:
-
-* ``"read_your_writes"`` -- before a read is served, sync + pump the
-  primary and run the follower's :meth:`~repro.replicate.Follower.wait_for`
-  barrier to the primary's commit index, so the replica observes every
-  mutation dispatched before the read.  When nothing was committed since
-  the last pump (every read that follows a read) the primary's commit feed
-  is empty and the whole barrier is a few attribute reads: no fsync call,
-  no file, no lock but the primary's own.
-* ``"any"`` -- pump what is already durable and apply whatever has
-  arrived; the replica may trail the primary (buffered commits are not
-  forced out), and the measured lag is reported per read, in records.
+adds the one read-side policy the service exposes, read-your-writes:
+before a read is served, sync + pump the primary and run the follower's
+:meth:`~repro.replicate.Follower.wait_for` barrier to the primary's commit
+index, so the replica observes every mutation dispatched before the read.
+When nothing was committed since the last pump (every read that follows a
+read) the primary's commit feed is empty and the whole barrier is a few
+attribute reads: no fsync call, no file, no lock but the primary's own.
 
 Every follower is a plain :class:`~repro.replicate.Follower` in the read
 rotation, and a group has at least one.  Delta-maintained analytics is not a
@@ -32,9 +27,6 @@ from ..persist.store import PersistentStore
 from .follower import Follower
 from .primary import Primary
 from .transport import ReplicationTransport
-
-#: Read freshness policies a group (and the service layer) understands.
-FRESHNESS_POLICIES = ("any", "read_your_writes")
 
 
 class ReplicationGroup:
@@ -91,29 +83,17 @@ class ReplicationGroup:
                 follower.poll()
         return shipped
 
-    def refresh(self, follower: Follower, freshness: str = "read_your_writes") -> int:
-        """Bring ``follower`` up to the chosen freshness; return its lag.
+    def refresh(self, follower: Follower) -> int:
+        """Bring ``follower`` up to read-your-writes; return its lag.
 
-        ``"read_your_writes"`` syncs buffered commits, pumps and runs the
-        barrier to the primary's commit index (returned lag is the distance
-        *closed* by the barrier -- how far the replica was trailing when
-        the read arrived).  ``"any"`` pumps only what is already flushed
-        and applies what has arrived, returning the remaining lag.
+        Syncs buffered commits, pumps and runs the barrier to the primary's
+        commit index.  The returned lag is the distance *closed* by the
+        barrier -- how far the replica was trailing when the read arrived.
         """
-        if freshness not in FRESHNESS_POLICIES:
-            raise ReplicationError(
-                f"freshness must be one of {FRESHNESS_POLICIES}, got {freshness!r}"
-            )
-        if freshness == "read_your_writes":
-            self.primary.sync_and_pump()
-            behind = follower.lag()
-            follower.wait_for(self.primary.commit_index)
-            return behind
-        self.primary.pump()
-        follower.poll()
-        # Honest staleness: count records the primary applied that the
-        # replica cannot have, including those still waiting for an fsync.
-        return max(0, self.primary.logged_commit_index - follower.commit_index)
+        self.primary.sync_and_pump()
+        behind = follower.lag()
+        follower.wait_for(self.primary.commit_index)
+        return behind
 
     def close(self) -> None:
         """Close followers (and their spawned stores) and the primary.

@@ -30,10 +30,9 @@ connections; each accepted connection becomes a
 :class:`_ServerChannel` (the ``send`` half of :class:`ReplicationChannel`).
 :class:`RemoteFollower` is a :class:`Follower` whose constructor performs
 the bootstrap handshake and then consumes a :class:`SocketChannel` (the
-``receive`` half, ``notifies_on_send=True`` via a reader thread that
-invokes the listener per arrival -- so ``wait_for`` barriers sleep, they
-do not poll).  Together the pair plays the :class:`ReplicationTransport`
-role across processes.
+``receive`` half, whose reader thread invokes the listener per arrival --
+so ``wait_for`` barriers sleep, they do not poll).  Together the pair
+plays the :class:`ReplicationTransport` role across processes.
 
 Concurrency rule (same as ``Primary.attach``): do not mutate or checkpoint
 the primary's store while a follower is bootstrapping.  The server holds
@@ -72,7 +71,7 @@ from ..persist import (
     encode_ops,
 )
 from ..persist.snapshot import load_snapshot
-from .follower import DEFAULT_POLL_SLICE_S, Follower
+from .follower import Follower
 from .primary import Primary
 from .transport import GenerationBump, RecordShipment, ReplicationChannel
 
@@ -185,14 +184,12 @@ class SocketChannel(ReplicationChannel):
     """Follower-side channel: a reader thread feeds an in-memory queue.
 
     The reader decodes each arriving frame; stream messages land in the
-    queue and invoke the listener (``notifies_on_send=True``: barriers
-    sleep on the arrival condition, the network wakes them), pongs route to
-    the primary handle.  Any read error -- reset, EOF, checksum -- closes
-    the channel, and ``close()`` notifies, so a blocked ``wait_for`` raises
-    the detached error within one wake instead of sleeping out its timeout.
+    queue and invoke the listener (barriers sleep on the arrival condition,
+    the network wakes them), pongs route to the primary handle.  Any read
+    error -- reset, EOF, checksum -- closes the channel, and ``close()``
+    notifies, so a blocked ``wait_for`` raises the detached error within
+    one wake instead of sleeping out its timeout.
     """
-
-    notifies_on_send = True
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
@@ -586,10 +583,8 @@ class RemoteFollower(Follower):
         node_id: int = 0,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT_S,
         own_store: Optional[bool] = None,
-        poll_slice_s: float = DEFAULT_POLL_SLICE_S,
     ):
-        super().__init__(store, scheme, own_store=own_store,
-                         poll_slice_s=poll_slice_s)
+        super().__init__(store, scheme, own_store=own_store)
         self.node_id = node_id
         try:
             sock = socket.create_connection(tuple(address),

@@ -129,8 +129,8 @@ class Primary:
         still in the feed (waiting behind an fsync, or durable and not yet
         pumped) are ahead of the stream.  Both count *records* -- one per
         segment a commit touched -- so the difference is the honest
-        replication lag of a ``freshness="any"`` read: records applied on
-        the primary that a replica cannot have.
+        replication lag of a replica: records applied on the primary that
+        it cannot have yet.
         """
         return self.commit_index + self._store.feed_backlog
 

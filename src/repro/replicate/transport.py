@@ -7,11 +7,14 @@ primary backfills from disk -- the one time it reads the log back; what it
 ships afterwards comes from memory, off the store's commit feed).
 :class:`ReplicationTransport` is that seam: ``connect()`` yields a
 :class:`ReplicationChannel` -- ``send`` on the primary side, ``receive``
-on the follower side -- and the in-process
-implementation backs each channel with a ``deque``.  The socket transport
-(:mod:`repro.replicate.net`) plugs in here: the messages are flat,
-``struct``-packable dataclasses (operation tuples, integers, no object
-graphs), so serialising them is the WAL encoder's job all over again.
+on the follower side -- and the in-process implementation backs each
+channel with a ``deque``.  A channel a follower receives on calls its
+registered listener after every message it delivers, so a read-your-writes
+barrier sleeps until the record arrives instead of polling.  The socket
+transport (:mod:`repro.replicate.net`) plugs in here: the messages are
+flat, ``struct``-packable dataclasses (operation tuples, integers, no
+object graphs), so serialising them is the WAL encoder's job all over
+again.
 
 Message vocabulary:
 
@@ -58,15 +61,11 @@ class GenerationBump:
 class ReplicationChannel:
     """One primary-to-follower pipe (single producer, single consumer).
 
-    A channel *may* support arrival notification: implementations that set
-    :attr:`notifies_on_send` and call :meth:`_notify_listener` after each
-    enqueued message let a blocked consumer (``Follower.wait_for``) sleep on
-    a condition variable instead of polling.  Channels that do not notify
-    still work -- the consumer falls back to short poll slices.
+    An implementation a follower receives on calls :meth:`_notify_listener`
+    after each enqueued message, so a blocked consumer
+    (``Follower.wait_for``) sleeps on a condition variable until the message
+    it waits for arrives.
     """
-
-    #: Whether :meth:`send` reliably invokes the registered listener.
-    notifies_on_send = False
 
     def set_listener(self, callback) -> None:
         """Register a callable invoked (on the sender's thread) per send."""
@@ -121,8 +120,6 @@ class InProcessChannel(ReplicationChannel):
     where a full pipe could only deadlock.  ``append`` and ``popleft`` are
     atomic, so polling an empty channel costs one failed truth test.
     """
-
-    notifies_on_send = True
 
     def __init__(self):
         self._messages: deque = deque()

@@ -34,18 +34,12 @@ from .client import GraphClient
 from .errors import QueueFullError, ServiceClosedError, ServiceError
 from .metrics import LatencyRecorder, ServiceMetrics, percentile
 from .queue import POLICIES, BoundedRequestQueue
-from .service import (
-    ANALYTICS_HANDLERS,
-    DURABILITY_MODES,
-    FRESHNESS_POLICIES,
-    GraphService,
-)
+from .service import ANALYTICS_HANDLERS, DURABILITY_MODES, GraphService
 
 __all__ = [
     "ANALYTICS_HANDLERS",
     "BoundedRequestQueue",
     "DURABILITY_MODES",
-    "FRESHNESS_POLICIES",
     "GraphClient",
     "GraphService",
     "KINDS",

@@ -47,7 +47,7 @@ from .service import GraphService
 #: ``successors_many``) carries; ``max_batch`` still applies when smaller.
 #: A mutation chunk is as large as the service allows because it amortises
 #: a group commit.  A read chunk amortises only the queue hop, and is a read
-#: run of its own: routed to the next replica, behind its own freshness
+#: run of its own: routed to the next replica, behind its own read-your-writes
 #: barrier.  Cutting reads this fine costs throughput (the hop is ~3 us an
 #: item at 8 items, ~0.3 us at 128) and buys a bulk-read rate that repeats
 #: from run to run: with 128-item chunks an 18 000-probe pass over a durable

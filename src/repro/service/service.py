@@ -97,7 +97,7 @@ from ..analytics import (
 from ..core.sharded import ShardedCuckooGraph
 from ..interfaces import DynamicGraphStore
 from ..persist.store import PendingCommit, PersistentStore
-from ..replicate import FRESHNESS_POLICIES, ReplicationGroup
+from ..replicate import ReplicationGroup
 from .batcher import CLOCK, KINDS, Request, gather_window, split_runs
 from .errors import QueueFullError, ServiceClosedError, ServiceError
 from .metrics import ServiceMetrics
@@ -156,21 +156,16 @@ class GraphService:
             and analytics jobs round-robin across the followers, while
             every mutation stays on the primary.  Per-replica read counts
             and the observed replication lag land in :class:`ServiceMetrics`.
-            A replica in another process attaches through a
+            Every replicated read is read-your-writes: the follower's
+            barrier runs to the primary's commit index before serving, so
+            a client that saw its mutation's future resolve always reads
+            it back.  A replica in another process attaches through a
             :class:`~repro.replicate.ReplicationServer` wrapped around
             ``service.replication.primary``.
-        freshness: Read policy with ``replicas > 0``:
-            ``"read_your_writes"`` (default) runs the follower's barrier to
-            the primary's commit index before serving, so a client that saw
-            its mutation's future resolve always reads it back;
-            ``"any"`` serves whatever the replica has applied (fsynced
-            commits only: under ``durability="none"`` that is what the last
-            checkpoint or barrier synced), trading staleness for not
-            forcing a sync.
 
     An analytics job (:data:`ANALYTICS_HANDLERS`) runs its library kernel
     on a fresh :class:`TraversalEngine` over the store a read run would use
-    -- a replica at the configured freshness, or the primary -- so
+    -- a read-your-writes replica, or the primary -- so
     ``client.pagerank()`` returns exactly ``pagerank(store)``.  Analytics
     kept current from the change feed is an
     :class:`~repro.analytics.AnalyticsFollower` attached to the primary
@@ -194,7 +189,6 @@ class GraphService:
         own_store: Optional[bool] = None,
         durability: str = "none",
         replicas: int = 0,
-        freshness: str = "read_your_writes",
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -208,13 +202,8 @@ class GraphService:
             )
         if replicas < 0:
             raise ValueError(f"replicas must be >= 0, got {replicas}")
-        if freshness not in FRESHNESS_POLICIES:
-            raise ValueError(
-                f"freshness must be one of {FRESHNESS_POLICIES}, got {freshness!r}"
-            )
         self._own_store = store is None if own_store is None else own_store
         self.store = store if store is not None else ShardedCuckooGraph(num_shards=4)
-        self.freshness = freshness
         if replicas and not isinstance(self.store, PersistentStore):
             raise ValueError(
                 "replicas need a PersistentStore to ship the WAL from; "
@@ -510,15 +499,15 @@ class GraphService:
     def _read_store(self) -> DynamicGraphStore:
         """The store a read run executes against.
 
-        With replicas, reads round-robin across the followers at the
-        configured freshness (the dispatcher thread drives the pump/barrier,
-        so replica state only ever advances between runs -- never while one
-        executes); without, the primary serves its own reads.
+        With replicas, reads round-robin across the followers, each behind
+        the read-your-writes barrier (the dispatcher thread drives the
+        pump/barrier, so replica state only ever advances between runs --
+        never while one executes); without, the primary serves its own reads.
         """
         if self._replication is None:
             return self.store
         follower, index = self._replication.next_follower()
-        lag = self._replication.refresh(follower, self.freshness)
+        lag = self._replication.refresh(follower)
         self.metrics.record_replica_read(index, lag)
         return follower.store
 

@@ -21,12 +21,10 @@ from .failures import InjectedFailure, inject
 from .workload import (
     TrafficEvent,
     ZipfRanks,
-    bursty_arrivals,
     poisson_arrivals,
     ranked_keys,
     tenant_keys,
     tenant_schedule,
-    uniform_arrivals,
 )
 
 __all__ = [
@@ -41,7 +39,6 @@ __all__ = [
     "TrafficEvent",
     "ZipfRanks",
     "build_service",
-    "bursty_arrivals",
     "inject",
     "poisson_arrivals",
     "preset",
@@ -49,6 +46,5 @@ __all__ = [
     "run_scenario",
     "tenant_keys",
     "tenant_schedule",
-    "uniform_arrivals",
     "validate_slo_report",
 ]

@@ -2,11 +2,11 @@
 
 A :class:`ScenarioConfig` is the whole experiment in one JSON-serialisable
 dataclass, the shape SNIPPETS' declarative ``ExperimentConfig`` exemplifies:
-open-loop load (arrival process + target rate), the request-class mix,
+open-loop load (Poisson arrivals at a target rate), the request-class mix,
 multi-tenant keyspaces with zipfian popularity, the deployment scheme the
 driver builds (service over sharded or tiered storage, optional durability
-and replicas), and the failure-injection timeline.  Everything is seeded, so
-one config is one reproducible run.
+and replicas), and the failure-injection timeline (replica kills).
+Everything is seeded, so one config is one reproducible run.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from ..core.errors import ConfigurationError
 REQUEST_CLASSES = ("insert", "delete", "has", "successors", "analytics")
 
 #: Arrival processes the generator understands.
-ARRIVALS = ("poisson", "bursty", "uniform")
+ARRIVALS = ("poisson",)
 
 #: Deployment schemes the driver can build.
 SCHEMES = ("service", "tiered")
@@ -37,8 +37,8 @@ TENANT_LAYOUTS = ("disjoint", "shared")
 #: data-locality layout the tiered hit-rate experiment models).
 KEY_LAYOUTS = ("hashed", "shard_major")
 
-#: Failure kinds the injector implements (the PR 8 chaos seams).
-FAILURE_KINDS = ("kill_replica", "stall_fsync", "drop_channel")
+#: Failure kinds the injector implements.
+FAILURE_KINDS = ("kill_replica",)
 
 #: Default request mix: mutation-heavy with a read and analytics tail.
 DEFAULT_MIX: Dict[str, float] = {
@@ -54,9 +54,8 @@ DEFAULT_MIX: Dict[str, float] = {
 class FailureSpec:
     """One scheduled fault: what to break, when, and for how long.
 
-    ``target`` picks the replica (``kill_replica`` / ``drop_channel``);
-    ``duration_s`` is how long the fault stands before the injector runs the
-    matching recovery (re-attach a fresh follower, unstall the fsync).
+    ``target`` picks the replica to kill; ``duration_s`` is how long the
+    fault stands before the injector re-attaches a fresh follower.
     """
 
     at_s: float
@@ -93,8 +92,6 @@ class ScenarioConfig:
     duration_s: float = 2.0
     target_ops_s: float = 400.0
     arrival: str = "poisson"
-    burst_factor: float = 6.0
-    burst_fraction: float = 0.25
     tenants: int = 2
     tenant_layout: str = "disjoint"
     keys_per_tenant: int = 256
@@ -174,16 +171,8 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"warmup_edges must be >= 0, got {self.warmup_edges}"
             )
-        for spec in self.failures:
-            if spec.kind in ("kill_replica", "drop_channel") and self.replicas < 1:
-                raise ConfigurationError(
-                    f"failure {spec.kind!r} needs replicas >= 1"
-                )
-            if spec.kind == "stall_fsync" and self.durability != "batch" \
-                    and self.replicas < 1:
-                raise ConfigurationError(
-                    'failure "stall_fsync" needs durability="batch" or replicas'
-                )
+        if self.failures and self.replicas < 1:
+            raise ConfigurationError("failure 'kill_replica' needs replicas >= 1")
 
     # ------------------------------------------------------------------ #
     # Derived quantities

@@ -1,25 +1,16 @@
-"""Failure injection against a live service: the PR 8 chaos seams, scripted.
+"""Failure injection against a live service: a replica kill, scripted.
 
-Each injector breaks one seam the replication/durability stack already
-treats as a first-class failure mode, and returns a recovery callable that
-performs the matching repair:
-
-* ``kill_replica`` -- close a follower's replication channel (the moral
-  equivalent of ``kill -9`` on the replica process).  The primary evicts
-  the dead channel mid-broadcast (``Primary._broadcast`` never raises), and
-  reads routed to the orphaned follower fail fast with
-  :class:`~repro.core.errors.ReplicationError` -- the error rate the SLO
-  report measures.  Recovery detaches the corpse and attaches a *fresh*
-  follower in the same rotation slot (attach = backfill + subscribe), which
-  is exactly the documented crash-recovery path.
-* ``drop_channel`` -- same transport cut, but recovery re-attaches a new
-  follower without closing the old store first (a transient network drop
-  rather than a process death).  Operationally the repair is the same
-  attach path; the distinction is what the report labels it.
-* ``stall_fsync`` -- put a sleep in front of every WAL ``fsync``, so every
-  dispatched mutation run pays the stall (once: a run's fsyncs are in
-  flight side by side): queue depth and tail latency climb, which is the
-  backpressure signal the report captures.  Recovery restores ``fsync``.
+The one failure kind, ``kill_replica``, breaks the seam the replication
+stack already treats as a first-class failure mode and returns a recovery
+callable that performs the matching repair.  It closes a follower's
+replication channel (the moral equivalent of ``kill -9`` on the replica
+process).  The primary evicts the dead channel mid-broadcast
+(``Primary._broadcast`` never raises), and reads routed to the orphaned
+follower fail fast with :class:`~repro.core.errors.ReplicationError` --
+the error rate the SLO report measures.  Recovery detaches the corpse,
+closes it and attaches a *fresh* follower in the same rotation slot
+(attach = backfill + subscribe), which is exactly the documented
+crash-recovery path.
 """
 
 from __future__ import annotations
@@ -29,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List
 
 from ..core.errors import ReplicationError
-from ..persist import wal
 from ..replicate import Follower
 from .config import FailureSpec
 
@@ -70,7 +60,7 @@ def _replica_slot(service, target: int):
     return group, index
 
 
-def _kill_replica(service, spec: FailureSpec, close_store: bool) -> _Injection:
+def _kill_replica(service, spec: FailureSpec) -> _Injection:
     group, index = _replica_slot(service, spec.target)
     victim = group.followers[index]
     # The transport cut: the channel dies underneath the follower, exactly
@@ -84,39 +74,13 @@ def _kill_replica(service, spec: FailureSpec, close_store: bool) -> _Injection:
     def recover() -> str:
         primary = group.primary
         primary.detach(victim)  # idempotent; broadcast may have evicted it
-        if close_store:
-            victim.close()
+        victim.close()
         fresh = Follower(store=primary.store.store.spawn_empty(),
                          own_store=True)
         primary.attach(fresh)  # backfill + subscribe: converged on arrival
         group.followers[index] = fresh
         return (f"re-attached fresh follower in slot {index} at commit "
                 f"{fresh.commit_index}")
-
-    return _Injection(record=record, recover=recover)
-
-
-def _stall_fsync(spec: FailureSpec) -> _Injection:
-    # ``wal.os.fsync`` is the one call every durability point ends in: a
-    # ``durability="batch"`` run's commit (helper threads and inline alike)
-    # and the ``sync()`` a replicated read barrier forces.  It is the
-    # process's ``os.fsync``, so whatever else syncs in the window stalls too.
-    original = wal.os.fsync
-    stall_s = min(0.05, spec.duration_s / 4) or 0.01
-
-    def stalled_fsync(fd) -> None:
-        time.sleep(stall_s)
-        original(fd)
-
-    wal.os.fsync = stalled_fsync
-    record = InjectedFailure(
-        at_s=spec.at_s, kind=spec.kind, target=spec.target, injected=True,
-        detail=f"stalled every WAL fsync by {stall_s * 1000:.0f}ms",
-    )
-
-    def recover() -> str:
-        wal.os.fsync = original
-        return "restored the original fsync"
 
     return _Injection(record=record, recover=recover)
 
@@ -129,13 +93,7 @@ def inject(service, spec: FailureSpec) -> _Injection:
     when a fault cannot be placed.
     """
     try:
-        if spec.kind == "kill_replica":
-            return _kill_replica(service, spec, close_store=True)
-        if spec.kind == "drop_channel":
-            return _kill_replica(service, spec, close_store=False)
-        if spec.kind == "stall_fsync":
-            return _stall_fsync(spec)
-        raise ReplicationError(f"unknown failure kind {spec.kind!r}")
+        return _kill_replica(service, spec)
     except Exception as exc:
         record = InjectedFailure(
             at_s=spec.at_s, kind=spec.kind, target=spec.target,
@@ -152,7 +110,7 @@ def run_failure_timeline(service, specs, start_monotonic: float,
     ``at_s``, injects, holds the fault for ``duration_s``, then runs the
     recovery and stamps ``recovered``.  ``stop`` is an ``Event``; a set stop
     flag short-circuits remaining waits (recoveries still run, so a scenario
-    never leaks a stalled sync or a dead replica slot past its end).
+    never leaks a dead replica slot past its end).
     """
     records: List[InjectedFailure] = []
     for spec in sorted(specs, key=lambda item: item.at_s):

@@ -19,10 +19,6 @@ from ..core.errors import ConfigurationError
 from ..interfaces import shard_index
 from .config import ScenarioConfig
 
-#: Windows the bursty arrival process slices the run into.
-BURST_WINDOWS = 8
-
-
 def _tenant_rng(seed: int, tenant: int) -> random.Random:
     # Integer mixing, not a string/tuple seed: str hashing is salted per
     # process, which would silently break cross-process determinism.
@@ -41,49 +37,6 @@ def poisson_arrivals(rng: random.Random, rate: float,
     while at < duration_s:
         times.append(at)
         at += rng.expovariate(rate)
-    return times
-
-
-def uniform_arrivals(rate: float, duration_s: float) -> List[float]:
-    """Evenly spaced arrivals at ``rate`` ops/s (no randomness)."""
-    count = int(rate * duration_s)
-    if count <= 0:
-        return []
-    gap = duration_s / count
-    return [index * gap for index in range(count)]
-
-
-def bursty_arrivals(rng: random.Random, rate: float, duration_s: float,
-                    burst_factor: float, burst_fraction: float) -> List[float]:
-    """On/off modulated Poisson arrivals with mean rate ``rate``.
-
-    The run is sliced into :data:`BURST_WINDOWS` windows; each window bursts
-    with probability ``burst_fraction`` at ``burst_factor`` times the base
-    rate, and quiet windows are throttled so the *expected* total arrival
-    count still matches ``rate * duration_s``.
-    """
-    if burst_factor < 1:
-        raise ConfigurationError(
-            f"burst_factor must be >= 1, got {burst_factor}"
-        )
-    if not 0 < burst_fraction < 1:
-        raise ConfigurationError(
-            f"burst_fraction must be in (0, 1), got {burst_fraction}"
-        )
-    quiet_rate = max(0.0, (1.0 - burst_factor * burst_fraction)
-                     / (1.0 - burst_fraction))
-    window = duration_s / BURST_WINDOWS
-    times: List[float] = []
-    for index in range(BURST_WINDOWS):
-        multiplier = burst_factor if rng.random() < burst_fraction else quiet_rate
-        window_rate = rate * multiplier
-        if window_rate <= 0:
-            continue
-        start = index * window
-        at = start + rng.expovariate(window_rate)
-        while at < start + window:
-            times.append(at)
-            at += rng.expovariate(window_rate)
     return times
 
 
@@ -193,13 +146,7 @@ def tenant_schedule(config: ScenarioConfig, tenant: int) -> List[TrafficEvent]:
     """Deterministic event list for one tenant (sorted by arrival time)."""
     rng = _tenant_rng(config.seed, tenant)
     rate = config.target_ops_s / config.tenants
-    if config.arrival == "poisson":
-        times = poisson_arrivals(rng, rate, config.duration_s)
-    elif config.arrival == "bursty":
-        times = bursty_arrivals(rng, rate, config.duration_s,
-                                config.burst_factor, config.burst_fraction)
-    else:
-        times = uniform_arrivals(rate, config.duration_s)
+    times = poisson_arrivals(rng, rate, config.duration_s)
     mix = config.normalized_mix
     kinds = list(mix)
     weights = [mix[kind] for kind in kinds]

@@ -93,7 +93,7 @@ def test_kernels_equal_the_adjacency_list_answer(fuzz_seed, config_name, tmp_pat
     }
     primary = Primary(persistent)
     follower = AnalyticsFollower(scheme=lambda: CuckooGraph(config),
-                                 iterations=ITERATIONS, poll_slice_s=0.002)
+                                 iterations=ITERATIONS)
     primary.attach(follower)
 
     def apply(method, chunk):

@@ -42,7 +42,7 @@ def make_pair(scheme, **follower_kwargs):
                             compact_wal_bytes=None)
     primary = Primary(store)
     follower = AnalyticsFollower(scheme=scheme, iterations=ITERATIONS,
-                                 poll_slice_s=0.005, **follower_kwargs)
+                                 **follower_kwargs)
     primary.attach(follower)
     return store, primary, follower
 
@@ -386,5 +386,3 @@ class TestFollowerLifecycle:
             AnalyticsFollower(scheme="cuckoo", damping=1.5)
         with pytest.raises(ValueError, match="recompute_fraction"):
             AnalyticsFollower(scheme="cuckoo", recompute_fraction=0.0)
-        with pytest.raises(ValueError, match="poll_slice_s"):
-            AnalyticsFollower(scheme="cuckoo", poll_slice_s=0.0)

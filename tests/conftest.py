@@ -16,7 +16,7 @@ from repro.baselines import (
     SpruceStore,
     WindBellIndex,
 )
-from repro.integrations import Neo4jGraphStore, RedisGraphStore
+from repro.integrations import RedisGraphStore
 from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore
 
@@ -50,19 +50,30 @@ ALL_STORE_FACTORIES = {
     "Spruce": SpruceStore,
     "WBI": lambda: WindBellIndex(matrix_size=16),
     "MiniRedis": RedisGraphStore,
-    "MiniNeo4j": Neo4jGraphStore,
     # The hot/cold tiered front-end: half the shards start cold (miniredis),
     # mutations drive promotion/demotion mid-sequence, so the matrix
     # exercises reads and writes against both tiers and across migrations.
     "TieredStore": lambda: TieredStore(num_shards=4, hot_shards=2),
     # The cold tier is any store factory: the same front-end over the
-    # property-graph backend instead of the default miniredis.
-    "TieredStore-neo4j": lambda: TieredStore(
-        num_shards=4, hot_shards=2, cold=Neo4jGraphStore
+    # reference adjacency list instead of the default miniredis.
+    "TieredStore-adjacency": lambda: TieredStore(
+        num_shards=4, hot_shards=2, cold=AdjacencyListGraph
     ),
     # The service front door: every operation is a request through the
     # queue and the dispatcher thread (which close() joins).
     "GraphClient": lambda: GraphClient.local(num_shards=4),
+    # The north-star composition: micro-batches group-committed to a WAL
+    # that fsyncs before every acknowledgement (durability="batch"), shipped
+    # to one replica that serves the reads.
+    "GraphClient-durable": lambda: GraphClient.durable(num_shards=4, replicas=1),
+    # The service over the tiered store, as the skewed traffic preset and
+    # the open-loop tiered benchmark deploy it: eight shards, two hot.
+    "GraphClient-tiered": lambda: GraphClient(
+        GraphService(
+            TieredStore(num_shards=8, hot_shards=2), own_store=True
+        ).start(),
+        close_service=True,
+    ),
     # A replicated service: the primary ships its WAL to two followers and
     # every read is served by one of them once it has caught up to the
     # client's last write, so each read checks what a replica applied.

@@ -125,9 +125,6 @@ class TestLoadingRateAndMemory:
     def test_modelled_bytes(self):
         table = make_table(length=8, d=4)
         assert table.modelled_bytes(16) == table.num_cells * 16
-        assert table.modelled_bytes(16, bucket_overhead=8) == (
-            table.num_cells * 16 + table.num_buckets * 8
-        )
 
     def test_pop_all_empties_the_table(self):
         table = make_table()

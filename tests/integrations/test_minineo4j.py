@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import IntegrationError
-from repro.integrations import MiniNeo4j, Neo4jGraphStore
+from repro.integrations import MiniNeo4j
 
 
 class TestNodesAndRelationships:
@@ -105,52 +105,3 @@ class TestIndexEquivalence:
         # The iterator is obtained without traversing the whole adjacency list.
         target = list(indexed.find_relationships(0, 1999))
         assert len(target) == 1
-
-
-class TestNeo4jGraphStore:
-    """The DynamicGraphStore facade that puts mini-Neo4j in the store matrix."""
-
-    def test_distinct_edge_semantics_over_relationships(self):
-        store = Neo4jGraphStore()
-        assert store.insert_edge(1, 2) is True
-        assert store.insert_edge(1, 2) is False
-        assert store.db.relationship_count == 1
-        assert store.delete_edge(1, 2) is True
-        assert store.delete_edge(1, 2) is False
-        assert store.db.relationship_count == 0
-
-    def test_self_loops(self):
-        store = Neo4jGraphStore()
-        assert store.insert_edge(3, 3) is True
-        assert store.successors(3) == [3]
-        assert store.delete_edge(3, 3) is True
-        assert store.successors(3) == []
-
-    def test_spawn_empty_preserves_index_configuration(self):
-        for use_index in (True, False):
-            store = Neo4jGraphStore(use_cuckoo_index=use_index)
-            store.insert_edge(1, 2)
-            fresh = store.spawn_empty()
-            assert fresh.num_edges == 0
-            assert fresh.db.use_cuckoo_index is use_index
-            assert store.num_edges == 1
-
-    def test_memory_model_is_positive_and_monotone(self):
-        store = Neo4jGraphStore()
-        store.insert_edge(1, 2)
-        small = store.memory_bytes()
-        for v in range(3, 40):
-            store.insert_edge(1, v)
-        assert 0 < small < store.memory_bytes()
-
-    def test_wrapped_parallel_relationships_stay_distinct_edge(self):
-        """A pre-populated db with parallel rels must not break the contract."""
-        db = MiniNeo4j(use_cuckoo_index=True)
-        db.create_relationship(1, 2)
-        db.create_relationship(1, 2)  # parallel, created outside the facade
-        store = Neo4jGraphStore(db)
-        assert store.num_edges == 1
-        assert sorted(store.edges()) == [(1, 2)]
-        assert store.delete_edge(1, 2) is True
-        assert not store.has_edge(1, 2)
-        assert store.num_edges == 0

@@ -254,8 +254,10 @@ class TestDurableClientReopen:
 
 
 class TestPipelinedGroupCommit:
+    @pytest.mark.parametrize("shape", ["single", "list"])
     def test_fsyncs_are_in_flight_beside_the_apply_and_all_precede_the_ack(
-            self, tmp_path, fsync):
+            self, tmp_path, fsync, shape):
+        edges, as_list, touched = RUN_SHAPES[shape]
         store = warm_store(tmp_path / "svc")
         inner = store.store
         applied = threading.Event()
@@ -272,18 +274,18 @@ class TestPipelinedGroupCommit:
         fsync.gate = threading.Event()
         with GraphService(store, own_store=True, durability="batch") as service:
             fsync.armed = True
-            future = service.insert_edges(edges_on_every_shard(32, start=500))
+            [future] = submit_run(service, edges, as_list)
             future.add_done_callback(lambda _: fsync.events.append("acknowledged"))
             assert applied.wait(timeout=30)
             # Applied, every touched segment's fsync entered and none back:
             # the request is not acknowledged.
-            assert entered == [SHARDS] and fsync.returned == 0
+            assert entered == [touched] and fsync.returned == 0
             assert not future.done()
             fsync.gate.set()
-            assert future.result(timeout=30) == 32 * SHARDS
+            assert future.result(timeout=30) == (len(edges) if as_list else True)
             fsync.armed = False
         assert fsync.events == \
-            ["applied"] + ["fsync-returned"] * SHARDS + ["acknowledged"]
+            ["applied"] + ["fsync-returned"] * touched + ["acknowledged"]
 
     @pytest.mark.parametrize("shape", RUN_SHAPES)
     def test_a_run_is_one_group_commit_and_one_fsync_per_touched_segment(

@@ -86,25 +86,6 @@ class TestCloseNotifiesBlockedBarrier:
             primary.close()
             store.close()
 
-    def test_wait_for_rechecks_closed_even_without_notification(self, tmp_path):
-        """A non-notifying channel still surfaces the close within one poll
-        slice (the closed re-check runs after every wake, timed ones too)."""
-        store, primary = make_primary(tmp_path)
-        follower = attach_fresh(primary)
-        try:
-            channel = follower._channel
-            channel.notifies_on_send = False
-            channel.set_listener(lambda: None)  # silence arrival wake-ups
-            channel.close()
-            started = time.monotonic()
-            with pytest.raises(ReplicationError, match="detached"):
-                follower.wait_for(1, timeout=30.0)
-            assert time.monotonic() - started < 2.0
-        finally:
-            follower.close()
-            primary.close()
-            store.close()
-
 
 class TestDeadChannelEvictionFullyDisconnects:
     def test_evicted_follower_is_disconnected_not_orphaned(self, tmp_path):

@@ -85,8 +85,7 @@ def test_steady_state_shipping_opens_no_file(tmp_path, monkeypatch):
                 store.sync()
                 shipped = group.advance()
                 assert shipped == SHARDS + 1
-                group.refresh(follower, "read_your_writes")
-                group.refresh(follower, "any")
+                group.refresh(follower)
                 group.primary.pump()
                 group.primary.sync_and_pump()
         assert sorted(follower.store.edges()) == sorted(store.edges())

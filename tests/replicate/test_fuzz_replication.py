@@ -288,7 +288,6 @@ def test_fuzz_incremental_analytics_byte_parity(fuzz_seed, tmp_path):
         return AnalyticsFollower(
             store=ShardedCuckooGraph(num_shards=2),
             iterations=ANALYTICS_ITERATIONS,
-            poll_slice_s=0.002,
         )
 
     store = PersistentStore(tmp_path / "primary",

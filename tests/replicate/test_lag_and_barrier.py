@@ -175,71 +175,3 @@ class TestWaitForSleepsInsteadOfSpinning:
             follower.close()
             primary.close()
             store.close()
-
-    def test_non_notifying_channel_still_makes_progress(self, tmp_path):
-        """A transport that never calls its listener degrades to polling."""
-        store, primary, follower = make_pair(tmp_path)
-        try:
-            channel = follower._channel
-            # Simulate a foreign transport with no send-side notification.
-            channel.notifies_on_send = False
-            channel.set_listener(lambda: None)
-
-            def late_commit():
-                time.sleep(0.2)
-                store.insert_edge(7, 8)
-                primary.pump()
-
-            committer = threading.Thread(target=late_commit)
-            committer.start()
-            assert follower.wait_for(1, timeout=30.0) == 1
-            committer.join(timeout=10)
-        finally:
-            follower.close()
-            primary.close()
-            store.close()
-
-
-class TestConfigurablePollSlice:
-    """The 0.05 s poll-slice fallback is a constructor knob now."""
-
-    def test_default_unchanged(self):
-        from repro.replicate import DEFAULT_POLL_SLICE_S
-
-        assert DEFAULT_POLL_SLICE_S == 0.05
-        follower = Follower(store=CuckooGraph())
-        try:
-            assert follower._poll_slice_s == DEFAULT_POLL_SLICE_S
-        finally:
-            follower.close()
-
-    def test_invalid_slice_rejected(self):
-        with pytest.raises(ValueError, match="poll_slice_s"):
-            Follower(store=CuckooGraph(), poll_slice_s=0.0)
-        with pytest.raises(ValueError, match="poll_slice_s"):
-            Follower(store=CuckooGraph(), poll_slice_s=-1.0)
-
-    def test_tight_slice_converges_fast_on_non_notifying_channel(self, tmp_path):
-        """A 2 ms slice keeps a polling barrier tight -- the incremental
-        fuzz lane's convergence loops must not burn 50 ms per wakeup."""
-        store = PersistentStore(
-            tmp_path / "primary", store=CuckooGraph(), own_store=True,
-            sync_on_commit=True, compact_wal_bytes=None,
-        )
-        primary = Primary(store)
-        follower = Follower(store=CuckooGraph(), poll_slice_s=0.002)
-        primary.attach(follower)
-        try:
-            channel = follower._channel
-            channel.notifies_on_send = False
-            channel.set_listener(lambda: None)
-            store.insert_edge(1, 2)
-            primary.pump()  # queued, but no notification reaches the barrier
-            started = time.monotonic()
-            assert follower.wait_for(1, timeout=5.0) == 1
-            # One poll slice (plus slack) -- far under the old 50 ms floor.
-            assert time.monotonic() - started < 0.045
-        finally:
-            follower.close()
-            primary.close()
-            store.close()

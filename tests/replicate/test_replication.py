@@ -373,7 +373,7 @@ def test_replication_group_round_robin_and_barrier(tmp_path):
     seen = []
     for _ in range(6):
         follower, index = group.next_follower()
-        group.refresh(follower, "read_your_writes")
+        group.refresh(follower)
         assert sorted(follower.store.edges()) == sorted(store.edges())
         seen.append(index)
     assert seen == [0, 1, 2, 0, 1, 2]

@@ -1,8 +1,8 @@
 """Analytics jobs through GraphService: one path, the library kernel.
 
 Every job runs its kernel on a fresh :class:`~repro.analytics.TraversalEngine`
-against the store a read run would use -- the primary, or a replica at the
-configured freshness -- so what a client gets back is exactly what the
+against the store a read run would use -- the primary, or a replica behind
+its read-your-writes barrier -- so what a client gets back is exactly what the
 kernel returns on the served graph.
 """
 

@@ -1,12 +1,14 @@
-"""GraphService(replicas=N): read routing, freshness policies, metrics.
+"""GraphService(replicas=N): read routing, read-your-writes, metrics.
 
 The service keeps mutations on the primary (the PersistentStore it was
 given) and serves read runs -- ``has`` / ``successors`` -- and analytics
 jobs from the replication group's followers, round-robin.  These tests pin
 the routing (spy stores count who served what), the read-your-writes
-guarantee under interleaved traffic, the ``"any"`` staleness trade, and
-the replication section of ``ServiceMetrics``.
+guarantee under interleaved traffic, and the replication section of
+``ServiceMetrics``.
 """
+
+import os
 
 import pytest
 
@@ -29,13 +31,6 @@ def test_replicas_require_a_persistent_store():
     store = ShardedCuckooGraph(num_shards=2)
     with pytest.raises(ValueError, match="PersistentStore"):
         GraphService(store, replicas=1)
-    store.close()
-
-
-def test_bad_freshness_is_refused(tmp_path):
-    store = durable_store(tmp_path)
-    with pytest.raises(ValueError, match="freshness"):
-        GraphService(store, replicas=1, freshness="stale-ok")
     store.close()
 
 
@@ -117,48 +112,26 @@ def test_analytics_jobs_run_on_a_replica(tmp_path):
         assert sum(replication["replica_reads"].values()) >= 2
 
 
-def test_any_freshness_may_lag_but_reports_it(tmp_path):
-    """``"any"`` serves durable state only; unsynced commits may be missed."""
+def test_a_replicated_read_syncs_the_buffered_commits(tmp_path, monkeypatch):
+    """Under ``durability="none"`` a write stays buffered until the read's
+    read-your-writes barrier fsyncs it, ships it and waits for the replica."""
+    fsyncs = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        fsyncs.append(fd)
+        real_fsync(fd)
+
     store = durable_store(tmp_path)
-    # durability="none" + sync_on_commit=False: mutations stay buffered, so
-    # an "any" read legitimately observes an older prefix.
-    with GraphService(store, replicas=1, freshness="any",
-                      own_store=True) as service:
-        for u in range(20):
-            service.insert_edge(u, u + 1).result(timeout=30)
-        stale = service.has_edge(19, 20).result(timeout=30)
-        assert stale in (True, False)  # staleness is allowed by the policy
-        replication = service.metrics_summary()["replication"]
-        assert replication["lag_samples"] == 1
-        if not stale:
-            assert replication["lag_max"] > 0
-
-        # After an explicit flush + barrier the replica catches up.
-        service.replication.primary.sync_and_pump()
-        follower = service.replication.followers[0]
-        follower.wait_for(service.replication.primary.commit_index)
-        assert follower.store.has_edge(19, 20)
-
-
-def test_any_freshness_lag_shrinks_as_windows_grow(tmp_path):
-    """Bigger windows log the same inserts as fewer records, so an ``"any"``
-    read trails by fewer.  Nothing is fsynced, so nothing ships, and every
-    request is queued before the dispatcher starts: the windows, and with
-    them the lag, depend on ``max_batch`` alone."""
-    lags = []
-    for max_batch in (8, 64):
-        store = durable_store(tmp_path / f"max-batch-{max_batch}")
-        service = GraphService(store, replicas=1, freshness="any",
-                               own_store=True, max_batch=max_batch)
-        inserts = [service.insert_edge(u, u + 1) for u in range(64)]
-        read = service.has_edge(0, 1)
-        with service:
-            assert all(future.result(timeout=30) for future in inserts)
-            read.result(timeout=30)
-            lags.append(service.metrics_summary()["replication"]["lag_max"])
-    # One record per segment a commit touched, and every window of these
-    # inserts touches both: 8 commits then 1.
-    assert lags == [8 * 2, 1 * 2]
+    with GraphService(store, replicas=1, own_store=True) as service:
+        # Every segment file exists (creating one fsyncs too).
+        warmup = [(u, u + 1) for u in range(16)]
+        assert service.insert_edges(warmup).result(timeout=30) == len(warmup)
+        monkeypatch.setattr("repro.persist.wal.os.fsync", counting_fsync)
+        assert service.insert_edge(1000, 1001).result(timeout=30) is True
+        assert fsyncs == []
+        assert service.has_edge(1000, 1001).result(timeout=30) is True
+        assert fsyncs
 
 
 def test_replication_lag_is_measured_under_read_your_writes(tmp_path):

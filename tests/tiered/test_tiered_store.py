@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import CuckooGraphConfig
 from repro.core.errors import ConfigurationError, StoreClosedError
-from repro.integrations import Neo4jGraphStore
+from repro.baselines import AdjacencyListGraph
 from repro.service import GraphClient, GraphService
 from repro.tiered import TieredStore, TouchLRUPolicy
 
@@ -170,14 +170,14 @@ def test_structure_summary_shape():
 
 
 def test_spawn_empty_reproduces_config():
-    store = TieredStore(num_shards=4, hot_shards=3, cold=Neo4jGraphStore)
+    store = TieredStore(num_shards=4, hot_shards=3, cold=AdjacencyListGraph)
     store.insert_edge(1, 2)
     child = store.spawn_empty()
     assert child.num_shards == 4
     assert child.hot_shards == 3
     assert child.num_edges == 0
     assert [child.is_hot(s) for s in range(4)] == [True, True, True, False]
-    assert isinstance(child.shards[3], Neo4jGraphStore)
+    assert isinstance(child.shards[3], AdjacencyListGraph)
     child.close()
     store.close()
 

@@ -1,15 +1,14 @@
 """End-to-end scenario runs: SLO report schema, tier window, failure log."""
 
-import os
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from repro.traffic import FailureSpec, ScenarioConfig, inject, run_scenario
+from repro.traffic import FailureSpec, ScenarioConfig, run_scenario
 from repro.traffic import driver
-from repro.traffic.driver import REPORT_KEYS, build_service, validate_slo_report
+from repro.traffic.driver import REPORT_KEYS, validate_slo_report
 
 #: Small bounded scenario: sub-second, a few hundred ops, no failures.
 TINY = ScenarioConfig(
@@ -108,41 +107,3 @@ def test_failure_injection_is_logged_with_recovery():
     assert record["injected"] is True
     assert record["recovered"] is True
     assert report["replication"], "replicated run must report replication"
-
-
-@pytest.mark.parametrize("durability, replicas", [("batch", 0), ("none", 1)])
-def test_stall_fsync_is_paid_by_what_is_acknowledged_in_its_window(
-        durability, replicas):
-    """A dead injector must fail a test, not report ``injected=True``: with
-    ``durability="batch"`` every write run's commit sits in the stalled
-    fsync (inline for one edge, on the helper threads for a list); without,
-    the read-your-writes barrier of a replicated read does."""
-    config = ScenarioConfig(name="stall", durability=durability, replicas=replicas)
-    spec = FailureSpec(at_s=0.0, kind="stall_fsync", duration_s=0.2)
-    stall_s = 0.05  # min(0.05, duration_s / 4)
-    real_fsync = os.fsync
-    service, _ = build_service(config)
-    service.start()
-    try:
-        # Segment files exist, helper threads are up: only the stall is timed.
-        spread = [(u, u + 1) for u in range(100, 132)]
-        assert service.insert_edges(spread).result(timeout=30) == len(spread)
-        injection = inject(service, spec)
-        try:
-            assert injection.record.injected is True
-            requests = {
-                "batch": [lambda: service.insert_edge(3, 4),
-                          lambda: service.insert_edges([(u, 5) for u, _ in spread])],
-                "none": [lambda: (service.insert_edge(3, 4).result(timeout=30),
-                                  service.has_edge(3, 4))[1]],
-            }[durability]
-            for request in requests:
-                started = time.perf_counter()
-                assert request().result(timeout=30)
-                assert time.perf_counter() - started >= stall_s
-        finally:
-            assert injection.recover()
-        assert os.fsync is real_fsync
-        assert service.insert_edge(5, 6).result(timeout=30) is True
-    finally:
-        service.close()

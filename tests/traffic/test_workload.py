@@ -1,4 +1,4 @@
-"""Workload-generator properties: determinism, arrival shapes, zipf skew."""
+"""Workload-generator properties: determinism, Poisson arrivals, zipf skew."""
 
 import json
 import math
@@ -12,13 +12,11 @@ from repro.traffic import (
     FailureSpec,
     ScenarioConfig,
     ZipfRanks,
-    bursty_arrivals,
     poisson_arrivals,
     preset,
     ranked_keys,
     tenant_keys,
     tenant_schedule,
-    uniform_arrivals,
 )
 
 
@@ -28,7 +26,7 @@ from repro.traffic import (
 
 def test_tenant_schedule_is_deterministic():
     config = ScenarioConfig(seed=99, duration_s=1.0, target_ops_s=500.0,
-                            tenants=3, arrival="bursty")
+                            tenants=3)
     first = tenant_schedule(config, 2)
     assert first == tenant_schedule(config, 2)
     assert len(first) > 0
@@ -60,33 +58,11 @@ def test_schedule_is_time_sorted_and_in_range():
 # Arrival processes
 # --------------------------------------------------------------------- #
 
-def test_uniform_arrivals_exact():
-    times = uniform_arrivals(100.0, 2.0)
-    assert len(times) == 200
-    assert times[0] == 0.0
-    assert all(t < 2.0 for t in times)
-    gaps = {round(b - a, 9) for a, b in zip(times, times[1:])}
-    assert len(gaps) == 1  # evenly spaced
-
-
 def test_poisson_arrivals_hit_mean_rate():
     rng = random.Random(42)
     times = poisson_arrivals(rng, rate=1000.0, duration_s=2.0)
     assert 1700 <= len(times) <= 2300  # ~2000 +- a few sigma
     assert all(0 <= t < 2.0 for t in times)
-
-
-def test_bursty_arrivals_preserve_mean_rate():
-    counts = [
-        len(bursty_arrivals(random.Random(seed), rate=1000.0, duration_s=1.0,
-                            burst_factor=6.0, burst_fraction=0.25))
-        for seed in range(10)
-    ]
-    mean = sum(counts) / len(counts)
-    assert 700 <= mean <= 1300
-    with pytest.raises(ConfigurationError):
-        bursty_arrivals(random.Random(0), 100.0, 1.0,
-                        burst_factor=0.5, burst_fraction=0.25)
 
 
 # --------------------------------------------------------------------- #
@@ -185,8 +161,12 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_config_rejects_bad_values():
-    with pytest.raises(ConfigurationError):
-        ScenarioConfig(arrival="constant")
+    for arrival in ("constant", "bursty", "uniform"):
+        with pytest.raises(ConfigurationError):
+            ScenarioConfig(arrival=arrival)
+    for kind in ("stall_fsync", "drop_channel"):
+        with pytest.raises(ConfigurationError):
+            FailureSpec(at_s=0.1, kind=kind)
     with pytest.raises(ConfigurationError):
         ScenarioConfig(mix={"write": 1.0})
     with pytest.raises(ConfigurationError):
