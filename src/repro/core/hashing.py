@@ -9,10 +9,14 @@ provides:
   paper's C++ implementation in spirit (32-bit output, seedable).
 * :class:`MultiplyShiftHash` -- a fast multiply-shift (Dietzfelbinger) hash.
   Pure-Python Bob hashing is roughly an order of magnitude slower than a
-  single multiply; both families are high quality for the integer keys used
-  here, and which one is active does not change any structural behaviour
-  (loading rates, kick statistics, memory layout).  Benchmarks default to the
-  fast family; tests exercise both.
+  single multiply; both families are high quality for the random integer keys
+  used here, so loading rates, kick statistics and memory stay alike, though
+  where each key lands differs.  Benchmarks default to the fast family; tests
+  exercise both.  Its multiplier and addend are two splitmix64 steps over the
+  seed: TRANSFORMATION creates tables all the time, and seeding a Mersenne
+  Twister per function was about three quarters of the cost of building one.
+  Moving from ``random.Random(seed)`` to splitmix64 moved every ``mult``
+  count once; ``bob`` and ``modular`` did not move.
 * :class:`ModularHash` -- the simple modular hash assumed by the Theorem 2
   analysis (same hash for both arrays, bucket index taken modulo the array
   length), used by the amortized-cost experiments.
@@ -39,6 +43,15 @@ _GOLDEN = 0x9E3779B9
 
 #: A seeded hash function mapping an integer key to a 32-bit value.
 HashFunction = Callable[[int], int]
+
+
+def _splitmix64(state: int) -> tuple[int, int]:
+    """One splitmix64 step (Steele, Lea & Flood, OOPSLA 2014): the next state
+    and the 64-bit word it yields."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return state, z ^ (z >> 31)
 
 
 def _mix(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -93,15 +106,22 @@ class BobHash:
 
 
 class MultiplyShiftHash:
-    """Fast multiply-shift hash (64-bit multiply, 32-bit output)."""
+    """Fast multiply-shift hash (64-bit multiply, 32-bit output).
+
+    ``multiplier`` (forced odd) and ``addend`` are the first two outputs of
+    splitmix64 (Steele, Lea & Flood, OOPSLA 2014) started at ``seed``: pure
+    integer arithmetic, no random generator to seed per function.
+    Placement depends on these constants: deriving them this way instead of
+    from ``random.Random(seed)`` moved every ``mult`` count once.
+    """
 
     __slots__ = ("multiplier", "addend", "function")
 
     def __init__(self, seed: int = 0):
-        rng = random.Random(seed)
+        state, drawn = _splitmix64(seed & _MASK64)
         # Odd multiplier per Dietzfelbinger's multiply-shift scheme.
-        multiplier = self.multiplier = rng.getrandbits(64) | 1
-        addend = self.addend = rng.getrandbits(64)
+        multiplier = self.multiplier = drawn | 1
+        addend = self.addend = _splitmix64(state)[1]
 
         def function(key: int) -> int:
             return ((key * multiplier + addend) & _MASK64) >> 32

@@ -173,12 +173,18 @@ class TestLookupAndDelete:
 
     def test_reverse_transformation_contracts(self):
         chain = make_chain(n=2, d=4, lam=0.4)
-        fill_chain(chain, 400)
+        parked = {key for key, _ in fill_chain(chain, 400)}
+        assert sorted(chain.keys() + list(parked)) == list(range(400))
         cells_full = chain.total_cells
         for key in range(380):
-            chain.delete(key)
+            deleted, leftovers = chain.delete(key)
+            # A key the chain handed back earlier lives with the caller (the
+            # graph's S-DL), so the chain reports it missing.
+            assert deleted is (key not in parked)
+            parked.discard(key)
+            parked.update(k for k, _ in leftovers)
         assert chain.total_cells < cells_full
-        assert sorted(chain.keys()) == list(range(380, 400))
+        assert sorted(chain.keys() + list(parked)) == list(range(380, 400))
 
     def test_contraction_never_loses_items(self):
         chain = make_chain(n=2, d=4, lam=0.5, G=0.9)

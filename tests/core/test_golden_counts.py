@@ -8,7 +8,10 @@ test drives one seeded power-law stream through every graph variant and
 compares, at six checkpoints, the counters, the structure summary, the
 modelled memory and digests of ``edges()`` / ``successors(u)`` order and of
 every operation's return value with literals recorded at commit d70e5f0 (the
-parent of the hot-path rewrite).
+parent of the hot-path rewrite).  The ``mult`` variants were re-recorded once,
+on top of commit 9bb021d, when ``MultiplyShiftHash`` began to derive its
+constants with splitmix64 (placement follows the constants); ``bob`` and
+``modular`` still hold the d70e5f0 literals, and ``tiny_lcht`` was added then.
 
 The same stream runs a second time through the batch calls --
 ``insert_edges``, ``has_edges`` and ``successors_many`` in chunks of
@@ -18,7 +21,9 @@ calls return in another shape and are compared as counts.
 
 The literals live in ``golden_counts.json`` beside this file.  To re-record
 after a change that is *meant* to move the counts, run
-``PYTHONPATH=src python tests/core/test_golden_counts.py``.
+``PYTHONPATH=src python tests/core/test_golden_counts.py``: it prints one line
+per variant and checkpoint that moved, with every changed field as
+``old -> new``.
 """
 
 import hashlib
@@ -45,6 +50,11 @@ CHUNK = 256
 #: reverse transformations all fire on this stream.
 TIGHT = dict(d=2, T=6, initial_scht_length=2, initial_lcht_length=4)
 
+#: One cell per bucket and one kick per try, so the L-CHT fails between any
+#: two expansions and the L-DL holds cells once the inserts end, whatever the
+#: hash constants (``test_tiny_lcht_parks_cells_for_any_seed``).
+TINY_LCHT = dict(d=1, T=1, initial_scht_length=2, initial_lcht_length=2)
+
 VARIANTS = {
     "basic": lambda: CuckooGraph(),
     "weighted": lambda: WeightedCuckooGraph(),
@@ -58,6 +68,7 @@ VARIANTS = {
         CuckooGraphConfig(use_denylist=False, **TIGHT)),
     "tight_collapse": lambda: CuckooGraph(
         CuckooGraphConfig(collapse_chain_to_slots=True, **TIGHT)),
+    "tiny_lcht": lambda: CuckooGraph(CuckooGraphConfig(**TINY_LCHT)),
 }
 
 
@@ -211,12 +222,50 @@ def test_stream_exercises_every_mechanism(golden):
     tight = golden["tight"]
     assert tight["insert"]["counters"]["insert_failures"] > 0
     assert tight["insert"]["summary"]["small_denylist_entries"] > 0
-    assert golden["tight_weighted"]["insert"]["summary"]["large_denylist_entries"] > 0
+    assert golden["tiny_lcht"]["insert"]["summary"]["large_denylist_entries"] > 0
     assert tight["has"]["counters"]["denylist_hits"] > tight["insert"]["counters"]["denylist_hits"]
     assert tight["delete_rest"]["counters"]["contractions"] > 0
     assert golden["tight_no_denylist"]["insert"]["counters"]["insert_failures"] > 0
 
 
-if __name__ == "__main__":
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_tiny_lcht_parks_cells_for_any_seed(seed):
+    """L-DL parking in the pinned stream follows from the configuration, not
+    from where one set of hash constants happens to put the keys."""
+    graph = CuckooGraph(CuckooGraphConfig(seed=seed, **TINY_LCHT))
+    for u, v in powerlaw_stream():
+        graph.insert_edge(u, v)
+    assert graph.structure_summary()["large_denylist_entries"] > 0
+
+
+def changed_fields(old: dict, new: dict) -> list[str]:
+    """One ``field: old -> new`` line per counter, summary field, memory
+    figure or digest of a checkpoint whose value differs."""
+    lines = []
+    for key in new:
+        if isinstance(new[key], dict):
+            lines += [f"{key}.{line}" for line in changed_fields(old.get(key, {}), new[key])]
+        elif old.get(key) != new[key]:
+            lines.append(f"{key}: {old.get(key)} -> {new[key]}")
+    return lines
+
+
+def rerecord() -> None:
+    """Re-record ``golden_counts.json`` and print every value that moved."""
+    previous = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
     recorded = {name: run_stream(build())[0] for name, build in sorted(VARIANTS.items())}
+    for name, record in recorded.items():
+        if name not in previous:
+            print(f"{name}: new variant")
+            continue
+        for phase, got in record.items():
+            lines = changed_fields(previous[name].get(phase, {}), got)
+            if lines:
+                print(f"{name} {phase}: " + "; ".join(lines))
+    for name in sorted(set(previous) - set(recorded)):
+        print(f"{name}: variant removed")
     GOLDEN_PATH.write_text(json.dumps(recorded, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    rerecord()

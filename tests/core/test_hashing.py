@@ -1,7 +1,10 @@
 """Tests for the hash-function families used by every cuckoo table."""
 
+import random
+
 import pytest
 
+from repro import CuckooGraph, CuckooGraphConfig
 from repro.core.hashing import BobHash, HashFamily, ModularHash, MultiplyShiftHash
 
 
@@ -49,6 +52,15 @@ class TestMultiplyShiftHash:
     def test_multiplier_is_odd(self):
         assert MultiplyShiftHash(seed=4).multiplier % 2 == 1
 
+    @pytest.mark.parametrize("seed, multiplier, addend", [
+        (0, 0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4),
+        (1, 0x910A2DEC89025CC1, 0xBEEB8DA1658EEC67),
+        (2**32 - 1, 0x73B13BA2AFF181C1, 0x612043051340D3B4),
+    ])
+    def test_constants_are_two_splitmix64_steps(self, seed, multiplier, addend):
+        hasher = MultiplyShiftHash(seed)
+        assert (hasher.multiplier, hasher.addend) == (multiplier, addend)
+
     def test_spread_over_buckets(self):
         hasher = MultiplyShiftHash(seed=21)
         buckets = [0] * 16
@@ -90,3 +102,28 @@ class TestHashFamily:
         first, second = family.make_pair()
         same = sum(1 for k in range(1000) if first(k) % 64 == second(k) % 64)
         assert same < 100  # far from identical mappings
+
+
+def test_tables_are_born_without_seeding_a_random_generator(monkeypatch):
+    """A table's hash constants are integer arithmetic on its seed: once the
+    graph is built, transforming, expanding and contracting seed nothing."""
+    graph = CuckooGraph(CuckooGraphConfig(d=2, T=6, initial_scht_length=2,
+                                          initial_lcht_length=4))
+    rng = random.Random(11)
+    edges = list({(rng.randrange(40), rng.getrandbits(62)) for _ in range(3000)})
+    seedings = []
+    original_seed = random.Random.seed
+
+    def counting_seed(self, *args, **kwargs):
+        seedings.append(args)
+        return original_seed(self, *args, **kwargs)
+
+    monkeypatch.setattr(random.Random, "seed", counting_seed)
+    for u, v in edges:
+        graph.insert_edge(u, v)
+    transformed = graph.structure_summary()["nodes_with_scht_chain"]
+    for u, v in edges[:-40]:
+        graph.delete_edge(u, v)
+    assert transformed > 0
+    assert graph.counters.expansions > 0 and graph.counters.contractions > 0
+    assert seedings == []
