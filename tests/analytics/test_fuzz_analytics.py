@@ -5,10 +5,9 @@ that are only ever targets), self-loops, and sources emptied by deletes,
 and builds it under the default configuration and under
 ``tests/core/test_golden_counts.py``'s ``TIGHT`` and ``TINY_LCHT`` ones,
 where edges park in the S-DL (small denylist) and whole sources in the L-DL
-(large denylist).  Under ``TINY_LCHT`` (one cell a bucket, one kick a try)
-both denylists fill whatever the hash constants, so that is where the lane
-requires them both to have held entries; under ``TIGHT`` whether the S-DL
-fills depends on the seed.
+(large denylist).  Under both the lane requires each denylist to have held
+entries; ``TINY_LCHT`` (one cell a bucket, one kick a try) fills them
+whatever the hash constants.
 The kernels take their node set from one ``successors_many`` over
 ``source_nodes()``, so a source that ``source_nodes()`` missed would drop
 out of every answer here.  At the first insert chunk that leaves an S-DL
@@ -81,8 +80,8 @@ def random_graph(seed):
 
 @pytest.mark.parametrize("config_name", sorted(CONFIGS))
 def test_kernels_equal_the_adjacency_list_answer(fuzz_seed, config_name, tmp_path):
-    """Plain ``==`` at every checkpoint; under ``TINY_LCHT`` both denylists
-    must have held entries at one of them."""
+    """Plain ``==`` at every checkpoint; under ``TIGHT`` and ``TINY_LCHT``
+    both denylists must have held entries at one of them."""
     config = CuckooGraphConfig(**CONFIGS[config_name])
     inserts, deletes = random_graph(fuzz_seed)
     reference = AdjacencyListGraph()
@@ -128,7 +127,7 @@ def test_kernels_equal_the_adjacency_list_answer(fuzz_seed, config_name, tmp_pat
         for start in range(0, len(deletes), CHUNK):
             apply("delete_edges", deletes[start:start + CHUNK])
         check("after the deletes")
-        if config_name == "tiny_lcht":
+        if config_name in ("tight", "tiny_lcht"):
             assert parked == set(DENYLISTS), f"seed={fuzz_seed}: only {parked} parked"
     finally:
         follower.close()

@@ -7,6 +7,8 @@ import pytest
 from repro import CuckooGraph, CuckooGraphConfig
 from repro.core.hashing import BobHash, HashFamily, ModularHash, MultiplyShiftHash
 
+from .test_golden_counts import TIGHT
+
 
 class TestBobHash:
     def test_deterministic_for_same_seed(self):
@@ -107,8 +109,7 @@ class TestHashFamily:
 def test_tables_are_born_without_seeding_a_random_generator(monkeypatch):
     """A table's hash constants are integer arithmetic on its seed: once the
     graph is built, transforming, expanding and contracting seed nothing."""
-    graph = CuckooGraph(CuckooGraphConfig(d=2, T=6, initial_scht_length=2,
-                                          initial_lcht_length=4))
+    graph = CuckooGraph(CuckooGraphConfig(**TIGHT))
     rng = random.Random(11)
     edges = list({(rng.randrange(40), rng.getrandbits(62)) for _ in range(3000)})
     seedings = []
